@@ -94,6 +94,55 @@ DigestTable::Stats DigestTable::stats() const {
   return snap;
 }
 
+CanonicalPool CanonicalPool::elect(
+    const std::vector<const ParsedModule*>& copies, SimClock& clock,
+    crypto::HashAlgorithm algorithm, const vmi::HostCostModel& costs,
+    telemetry::MetricRegistry* metrics, simd::Policy policy) {
+  CanonicalPool first(algorithm, costs, metrics, policy);
+  if (copies.empty()) {
+    return first;
+  }
+  std::size_t first_eligible = 0;
+  const ParsedModule* challenger = nullptr;
+  for (const ParsedModule* copy : copies) {
+    first.add(*copy, clock);
+    if (first.eligible(copy->domain)) {
+      ++first_eligible;
+    } else if (challenger == nullptr) {
+      challenger = copy;
+    }
+  }
+  // A strict majority reduced against the first copy (every clean pool
+  // ends here): no second build.
+  if (2 * first_eligible > copies.size()) {
+    first.finalize(clock);
+    return first;
+  }
+
+  // Half or more are ineligible — typically the first copy is the odd one
+  // out.  Rebuild once against the first copy that failed to reduce; the
+  // rebuild is abandoned the moment its ineligible count rules out beating
+  // the first build (a tie keeps the first).
+  CanonicalPool second(algorithm, costs, metrics, policy);
+  second.add(*challenger, clock);
+  std::size_t second_ineligible = 0;
+  for (const ParsedModule* copy : copies) {
+    if (copy == challenger) {
+      continue;
+    }
+    second.add(*copy, clock);
+    if (!second.eligible(copy->domain) &&
+        copies.size() - ++second_ineligible <= first_eligible) {
+      first.finalize(clock);
+      return first;
+    }
+  }
+  second.finalize(clock);
+  second.reelected_ = true;
+  telemetry::resolve(metrics).counter("canonical.reelections").inc();
+  return second;
+}
+
 void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
   MC_CHECK(!finalized_, "CanonicalPool::add after finalize");
 
@@ -325,6 +374,11 @@ void CanonicalPool::update(
 bool CanonicalPool::eligible(vmm::DomainId vm) const {
   const auto it = entries_.find(vm);
   return it != entries_.end() && it->second.eligible;
+}
+
+vmm::DomainId CanonicalPool::reference_domain() const {
+  MC_CHECK(reference_ != nullptr, "CanonicalPool::reference_domain when empty");
+  return reference_->domain;
 }
 
 const std::vector<crypto::Digest>& CanonicalPool::digests(

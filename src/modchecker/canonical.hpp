@@ -11,16 +11,22 @@
 //      VM's item never depends on the peer, so it can be computed once per
 //      VM and compared t-1 times for free (DigestTable).
 //
-//   2. rva-sensitive items CAN be normalized against a single reference.
-//      Pick the first VM as the reference R.  For any VM X at a different
-//      base, run the paper's own pairwise Algorithm 2 on (R, X): if every
-//      difference resolves, both post-adjust buffers equal "R with every
-//      relocation rewritten to its RVA" — a *canonical form* that is
-//      independent of X (each relocation window stores RVA + base, so two
-//      honest copies first differ exactly where the bases do; see the
-//      eligibility proof in DESIGN.md).  Digest the canonical form once;
-//      any two VMs whose copies reduce to the same canonical digest would
-//      also match under a direct pairwise comparison, and vice versa.
+//   2. rva-sensitive items CAN be normalized against a single reference
+//      R.  For any VM X at a different base, run the paper's own pairwise
+//      Algorithm 2 on (R, X): if every difference resolves, both
+//      post-adjust buffers equal "R with every relocation rewritten to its
+//      RVA" — a *canonical form* that is independent of X (each
+//      relocation window stores RVA + base, so two honest copies first
+//      differ exactly where the bases do; see the eligibility proof in
+//      DESIGN.md).  Digest the canonical form once; any two VMs whose
+//      copies reduce to the same canonical digest would also match under a
+//      direct pairwise comparison, and vice versa.
+//
+// The argument never assumes R is clean, so R is *elected*
+// (CanonicalPool::elect): the first copy, unless half or more of the
+// copies fail to reduce against it — then one rebuild against the first
+// of those, kept if more copies reduce against it.  One infected first VM
+// therefore costs its own t-1 fallback pairs, not all C(t,2).
 //
 // Eligibility is deliberately conservative — any of the following drops a
 // VM to the exact pairwise fallback, reproducing the slow path bit for
@@ -118,13 +124,26 @@ class DigestTable {
 /// vector such that, for any two eligible VMs, vector equality is
 /// equivalent to the slow pairwise comparison's all_match verdict.
 ///
-/// Usage: add() every successfully parsed copy (reference first), then
-/// finalize(), then query eligible()/digests().  Added modules must
-/// outlive the pool (the reference's item bytes are borrowed).
-/// Single-threaded by design: canonicalization is the O(t) part and runs
-/// on the orchestrator's clock.
+/// Usage: elect() over every successfully parsed copy, then query
+/// eligible()/digests().  Added modules must outlive the pool (the
+/// reference's item bytes are borrowed).  Single-threaded by design:
+/// canonicalization is the O(t) part and runs on the orchestrator's clock.
 class CanonicalPool {
  public:
+  /// Builds and finalizes the pool over `copies` (pool order, all parsed)
+  /// with a majority-elected reference: the first copy, unless half or
+  /// more of the copies are ineligible against it — then the pool is
+  /// rebuilt once against the first ineligible copy and the build with
+  /// more eligible copies is kept (the first on a tie).  The rebuild stops
+  /// as soon as it can no longer overtake the first build.  Clean pools
+  /// pay nothing extra; a rebuild counts "canonical.reelections".  An
+  /// empty `copies` yields an empty, unfinalized pool (nothing eligible).
+  static CanonicalPool elect(const std::vector<const ParsedModule*>& copies,
+                             SimClock& clock, crypto::HashAlgorithm algorithm,
+                             const vmi::HostCostModel& costs,
+                             telemetry::MetricRegistry* metrics = nullptr,
+                             simd::Policy policy = simd::Policy::kAuto);
+
   /// `metrics` backs the eligibility counters ("canonical.*"; null = the
   /// process default registry).  `policy` pins the pool's diff/compare
   /// kernels scalar (verdicts are dispatch-invariant either way).
@@ -176,6 +195,16 @@ class CanonicalPool {
   /// True if `vm` was added and reduced cleanly to the canonical form.
   bool eligible(vmm::DomainId vm) const;
 
+  /// True until the first add() (elect() over no copies).
+  bool empty() const { return reference_ == nullptr; }
+
+  /// The reference copy's domain (requires !empty()).
+  vmm::DomainId reference_domain() const;
+
+  /// True when elect() kept the rebuild, i.e. the reference is not the
+  /// first copy.
+  bool reelected() const { return reelected_; }
+
   /// Post-finalize: per-item digests in reference item order.  Two
   /// eligible VMs' modules pairwise-match iff their vectors are equal.
   const std::vector<crypto::Digest>& digests(vmm::DomainId vm) const;
@@ -221,6 +250,7 @@ class CanonicalPool {
   std::vector<std::optional<crypto::Digest>> canonical_;
   std::vector<crypto::Digest> ref_digests_;  // valid after finalize()
   bool finalized_ = false;
+  bool reelected_ = false;
 
   std::map<vmm::DomainId, Entry> entries_;
   telemetry::OwnedCounter eligible_count_;

@@ -98,45 +98,49 @@ CanonicalPool* IncrementalScanner::refresh_canonical(
   if (!pipeline_.normalize().enabled()) {
     return nullptr;
   }
-  // Reference = first found copy in pool order, mirroring pool_scan.
+  const auto usable = [&](std::size_t i) {
+    return entries[i]->found && !entries[i]->parse_failed;
+  };
+  CanonState& state = canon_[module_name];
   std::size_t ref_index = pool.size();
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (entries[i]->found) {
-      ref_index = i;
-      break;
+  if (state.pool) {
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (pool[i] == state.ref_vm && usable(i)) {
+        ref_index = i;
+        break;
+      }
     }
   }
-  if (ref_index == pool.size()) {
-    canon_.erase(module_name);
-    return nullptr;
-  }
 
-  CanonState& state = canon_[module_name];
-  const vmm::DomainId ref_vm = pool[ref_index];
-  const CacheEntry& ref_entry = *entries[ref_index];
-  if (!state.pool || state.ref_vm != ref_vm ||
-      state.ref_generation != ref_entry.generation) {
-    // No pool yet, or the borrowed reference changed content/identity:
-    // O(t) rebuild — the cost a fresh scan pays every tick.
-    state.pool = std::make_unique<CanonicalPool>(
-        context_.config.algorithm, context_.config.host_costs,
-        context_.metrics, context_.policy());
+  if (ref_index == pool.size() ||
+      state.ref_generation != entries[ref_index]->generation) {
+    // No pool yet, or the borrowed reference changed content or left the
+    // pool: O(t) rebuild with a fresh election — the cost a fresh scan
+    // pays every tick.
+    std::vector<const ParsedModule*> copies;
+    copies.reserve(pool.size());
     state.generations.clear();
-    state.ref_vm = ref_vm;
-    state.ref_generation = ref_entry.generation;
     for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (entries[i]->found) {
-        state.pool->add(entries[i]->parsed, clock);
+      if (usable(i)) {
+        copies.push_back(&entries[i]->parsed);
         state.generations[pool[i]] = entries[i]->generation;
       }
     }
-    state.pool->finalize(clock);
+    if (copies.empty()) {
+      canon_.erase(module_name);
+      return nullptr;
+    }
+    state.pool = std::make_unique<CanonicalPool>(CanonicalPool::elect(
+        copies, clock, context_.config.algorithm, context_.config.host_costs,
+        context_.metrics, context_.policy()));
+    state.ref_vm = state.pool->reference_domain();
+    state.ref_generation = state.generations.at(state.ref_vm);
     return state.pool.get();
   }
 
   // Stable reference: only changed copies re-normalize (O(changed)).
   for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (i == ref_index || !entries[i]->found) {
+    if (i == ref_index || !usable(i)) {
       continue;
     }
     const auto it = state.generations.find(pool[i]);
@@ -192,7 +196,9 @@ IncrementalScanner::CacheEntry& IncrementalScanner::fetch(
     if (entry.watch != vmm::WriteWatch::kNoWatch) {
       watch.unregister(entry.watch);
     }
+    const std::uint64_t generation = entry.generation;
     entry = CacheEntry{};  // drop any stale cache
+    entry.generation = generation;
     times.searcher += searcher_clock.now();
     return entry;
   }
@@ -237,10 +243,13 @@ IncrementalScanner::CacheEntry& IncrementalScanner::fetch(
   entry.domain_generation = domain_generation;
   times.searcher += searcher_clock.now();
 
-  SimClock parser_clock;
-  parser_clock.set_slowdown(context_.hypervisor->dom0_slowdown());
-  entry.parsed = pipeline_.parse().parse_strict(entry.image, parser_clock);
-  times.parser += parser_clock.now();
+  // Tolerant parse, as in pool_scan: an unparseable copy is a finding
+  // (MODULE_UNPARSEABLE mismatches in scan()), not an exception.
+  Extraction ex;
+  pipeline_.parse().parse(entry.image, ex);
+  entry.parse_failed = ex.parse_failed;
+  entry.parsed = std::move(ex.parsed);
+  times.parser += ex.times.parser;
   return entry;
 }
 
@@ -287,6 +296,9 @@ PoolScanReport IncrementalScanner::scan(
       }
       ++verdicts[i].total;
       ++verdicts[j].total;
+      if (entries[i]->parse_failed || entries[j]->parse_failed) {
+        continue;  // an unparseable copy never matches anything
+      }
 
       bool all_match;
       if (canon != nullptr && canon->eligible(pool[i]) &&

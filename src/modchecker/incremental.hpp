@@ -73,12 +73,19 @@ class IncrementalScanner {
  private:
   struct CacheEntry {
     bool found = false;
+    /// The copy is present but did not parse (e.g. corrupted magic): it
+    /// stays out of the canonical pool and every pair with it is a
+    /// mismatch, exactly as in pool_scan.
+    bool parse_failed = false;
     std::uint32_t base = 0;
     /// Backing frames in VA-page order: frames[i] backs page i of the
     /// image, so a dirty index maps directly to a byte offset.
     std::vector<std::uint32_t> frames;
     vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
-    std::uint64_t generation = 0;  // bumped on every (re-)extraction/refresh
+    /// Bumped on every (re-)extraction/refresh and never reset, so a
+    /// (vm, generation) pair names one content for the pair cache and the
+    /// canonical pool even across an unload/reload.
+    std::uint64_t generation = 0;
     /// Domain write generation observed at the start of the fetch that
     /// produced this entry.  If the domain's generation still matches, NO
     /// guest memory changed at all — the loader list, the module, anything
@@ -103,12 +110,15 @@ class IncrementalScanner {
     bool all_match = false;
   };
 
-  /// Persistent canonical-RVA state for one module name (fast path only).
-  /// The pool borrows the reference entry's ParsedModule, which stays
+  /// Persistent canonical-RVA state for one module name (fast path only),
+  /// keyed on the *elected* reference VM and its generation.  The pool
+  /// borrows the reference entry's ParsedModule, which stays
   /// address-stable in cache_ (std::map nodes) and content-stable while
-  /// its generation holds; any reference change rebuilds the pool, and a
-  /// changed non-reference copy re-normalizes alone via update() — so a
-  /// tick's normalize cost is O(changed copies), not O(t).
+  /// its generation holds; any reference change rebuilds the pool through
+  /// CanonicalPool::elect (so an infected reference is voted out on the
+  /// tick it changes), and a changed non-reference copy re-normalizes
+  /// alone via update() — so a tick's normalize cost is O(changed
+  /// copies), not O(t).
   struct CanonState {
     std::unique_ptr<CanonicalPool> pool;
     vmm::DomainId ref_vm = 0;
@@ -134,8 +144,9 @@ class IncrementalScanner {
                          const std::vector<std::uint32_t>& dirty_pages);
 
   /// Brings the module's canonical pool up to date with the fetched
-  /// entries (rebuild on reference change, update() per changed copy) and
-  /// returns it; null when the fast path is disabled or nothing parsed.
+  /// entries (re-election on reference change, update() per changed copy)
+  /// and returns it; null when the fast path is disabled or nothing
+  /// parsed.
   CanonicalPool* refresh_canonical(const std::string& module_name,
                                    const std::vector<vmm::DomainId>& pool,
                                    const std::vector<CacheEntry*>& entries,

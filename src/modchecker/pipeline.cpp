@@ -169,11 +169,6 @@ void ParseStage::parse(const ModuleImage& image, Extraction& ex) const {
   ex.times.parser = parser_clock.now();
 }
 
-ParsedModule ParseStage::parse_strict(const ModuleImage& image,
-                                      SimClock& clock) const {
-  return ctx_->parser.parse(image, clock);
-}
-
 // ---- Normalize -------------------------------------------------------------
 
 bool NormalizeStage::enabled() const {
@@ -187,20 +182,16 @@ std::optional<CanonicalPool> NormalizeStage::canonicalize(
   if (!enabled()) {
     return std::nullopt;
   }
-  std::optional<CanonicalPool> canon;
-  canon.emplace(ctx_->config.algorithm, ctx_->config.host_costs,
-                ctx_->metrics, ctx_->policy());
-  bool any = false;
+  std::vector<const ParsedModule*> copies;
+  copies.reserve(extractions.size());
   for (const auto& ex : extractions) {
     if (ex.found && !ex.parse_failed) {
-      canon->add(ex.parsed, clock);
-      any = true;
+      copies.push_back(&ex.parsed);
     }
   }
-  if (any) {
-    canon->finalize(clock);
-  }
-  return canon;
+  return CanonicalPool::elect(copies, clock, ctx_->config.algorithm,
+                              ctx_->config.host_costs, ctx_->metrics,
+                              ctx_->policy());
 }
 
 // ---- Compare ---------------------------------------------------------------
@@ -542,10 +533,11 @@ PoolScanReport CheckPipeline::pool_scan(
         answered - (extractions[i].unavailable ? 0 : 1);
   }
 
-  // Normalize: canonical-RVA reduction against the first copy (O(t) image
-  // work); eligible pairs are then decided by digest-vector comparison.
-  // Any copy that does not reduce cleanly drops its pairs to the exact
-  // pairwise fallback below — verdict-identical to the slow path.
+  // Normalize: canonical-RVA reduction against an elected reference copy
+  // (O(t) image work); eligible pairs are then decided by digest-vector
+  // comparison.  Any copy that does not reduce cleanly drops its pairs to
+  // the exact pairwise fallback below — verdict-identical to the slow
+  // path.
   SimClock canon_clock;
   canon_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
   telemetry::SpanScope normalize_span = telemetry::span(
@@ -556,6 +548,12 @@ PoolScanReport CheckPipeline::pool_scan(
   const SimNanos normalize_ns = canon_clock.now();
   normalize_span.arg("fastpath_enabled",
                      std::uint64_t{canon.has_value() ? 1u : 0u});
+  if (canon && !canon->empty()) {
+    normalize_span.arg("reference_vm",
+                       std::uint64_t{canon->reference_domain()});
+    normalize_span.arg("reelected",
+                       std::uint64_t{canon->reelected() ? 1u : 0u});
+  }
   normalize_span.end();
   ctx_->pm.normalize_ns.observe(normalize_ns);
 

@@ -19,7 +19,7 @@
 //              FormatError is a finding, not a crash.  The only
 //              ModuleParser owner.
 //   Normalize  Algorithm 2 / canonical-RVA reduction of a pool of copies
-//              against one reference (CanonicalPool).
+//              against one elected reference (CanonicalPool).
 //   Compare    pairwise item comparison through the IntegrityChecker,
 //              with optional digest memoization.
 //   Vote       the paper's majority rule  n > (t-1)/2.
@@ -120,8 +120,8 @@ struct ModCheckerConfig {
   /// attach-per-check prototype.
   bool reuse_sessions = true;
   /// Canonical-RVA fast path for pool scans: normalize every copy against
-  /// one reference, then decide each pair by comparing precomputed digest
-  /// vectors — O(t) image work instead of O(t^2).  Pairs involving any
+  /// one elected reference, then decide each pair by comparing precomputed
+  /// digest vectors — O(t) image work instead of O(t^2).  Pairs involving any
   /// copy that does not reduce cleanly fall back to the exact pairwise
   /// comparison, so verdicts are identical to the slow path (see
   /// canonical.hpp).  Disabled automatically with crc_prefilter (the
@@ -425,16 +425,12 @@ class ParseStage {
   /// ex.times.parser on a fresh dom0-slowdown clock.
   void parse(const ModuleImage& image, Extraction& ex) const;
 
-  /// Strict parse for callers that manage their own failure handling
-  /// (e.g. the incremental cache).  Throws FormatError.
-  ParsedModule parse_strict(const ModuleImage& image, SimClock& clock) const;
-
  private:
   CheckContext* ctx_;
 };
 
 /// Stage 3 — Normalize: canonical-RVA reduction of a pool of parsed copies
-/// (Algorithm 2 against one reference; see canonical.hpp).
+/// (Algorithm 2 against one elected reference; see canonical.hpp).
 class NormalizeStage {
  public:
   explicit NormalizeStage(CheckContext& ctx) : ctx_(&ctx) {}
@@ -443,8 +439,9 @@ class NormalizeStage {
   /// prefilter in the way).
   bool enabled() const;
 
-  /// Builds the canonical pool over every successfully parsed extraction,
-  /// charging normalization to `clock`.  Disengaged when !enabled().
+  /// Builds the canonical pool over every successfully parsed extraction
+  /// against an elected reference (CanonicalPool::elect), charging
+  /// normalization to `clock`.  Disengaged when !enabled().
   std::optional<CanonicalPool> canonicalize(
       const std::vector<Extraction>& extractions, SimClock& clock) const;
 

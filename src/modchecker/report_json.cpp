@@ -37,7 +37,13 @@ std::string json_escape(const std::string& s) {
 namespace {
 
 std::string quoted(const std::string& s) {
-  return "\"" + json_escape(s) + "\"";
+  const std::string escaped = json_escape(s);
+  std::string out;
+  out.reserve(escaped.size() + 2);
+  out.push_back('"');
+  out.append(escaped);
+  out.push_back('"');
+  return out;
 }
 
 template <typename T, typename Fn>

@@ -142,6 +142,22 @@ TEST(ElfAttacks, TextBytePatchIsLocalized) {
   EXPECT_EQ(report.fastpath_pairs, 10u);
 }
 
+TEST(ElfAttacks, TextBytePatchOnReferenceIsLocalized) {
+  // The same patch on the first VM, the one every copy is first normalized
+  // against: no clean copy reduces against it, so the reference is
+  // re-elected and still only the victim's 5 pairs fall back.
+  auto env = make_env(6);
+  const vmm::DomainId victim = env->guests()[0];
+  const std::uint32_t va = section_va(*env, victim, "scsi_mod", ".text") + 3;
+  const Bytes patch = {0xCC};
+  env->kernel(victim).address_space().write_virtual(va, ByteView(patch));
+
+  const auto report = scan_both_ways(*env, "scsi_mod");
+  EXPECT_EQ(dirty_count(report, victim), 1u);
+  EXPECT_EQ(report.fallback_pairs, 5u);
+  EXPECT_EQ(report.fastpath_pairs, 10u);
+}
+
 // ---- E2 analogue: fixup pointer redirected ------------------------------------
 
 TEST(ElfAttacks, RedirectedFixupPointerIsNotNormalizedAway) {

@@ -185,6 +185,45 @@ TEST(EventDrivenDifferential, AttacksBetweenTicksElf) {
   }
 }
 
+TEST(EventDrivenDifferential, CorruptedElfMagicTickMatchesFreshScan) {
+  // An unparseable copy is a finding, not an exception: the event-driven
+  // tick records it as parse-failed, keeps it out of the canonical pool and
+  // counts each of its pairs as a mismatch, exactly as scan_pool does —
+  // on the reference VM and on any other, through cached and restored
+  // ticks.
+  for (const std::size_t victim_index : {0u, 2u}) {
+    auto env = make_linux_env(5);
+    IncrementalScanner incremental(env->hypervisor());
+    ModChecker fresh(env->hypervisor());
+    const std::string module = "e1000";
+    const std::string where = "victim " + std::to_string(victim_index);
+    expect_tick_identical(incremental, fresh, module, env->guests(),
+                          where + " tick 0");
+
+    const vmm::DomainId victim = env->guests()[victim_index];
+    const guestos::LoadedKo* ko = env->loader(victim).find(module);
+    ASSERT_NE(ko, nullptr);
+    Bytes magic(4, 0);
+    env->kernel(victim).address_space().read_virtual(ko->base,
+                                                     MutableByteView(magic));
+    const Bytes garbage = {'X', 'X', 'X', 'X'};
+    env->kernel(victim).address_space().write_virtual(ko->base,
+                                                      ByteView(garbage));
+    const PoolScanReport corrupted = incremental.scan(module, env->guests());
+    EXPECT_FALSE(corrupted.verdicts[victim_index].clean) << where;
+    EXPECT_EQ(normalized_json(corrupted),
+              normalized_json(fresh.scan_pool(module, env->guests())))
+        << where;
+    expect_tick_identical(incremental, fresh, module, env->guests(),
+                          where + " cached");
+
+    env->kernel(victim).address_space().write_virtual(ko->base,
+                                                      ByteView(magic));
+    expect_tick_identical(incremental, fresh, module, env->guests(),
+                          where + " restored");
+  }
+}
+
 // ---- Differential gate: fuzzed write-weather ----------------------------------
 
 TEST(EventDrivenDifferential, FuzzedWriteWeather) {
@@ -287,13 +326,16 @@ TEST(FleetEventDriven, AttackBetweenTicksUnskipsExactlyTheDirtyTick) {
                                             "hal.dll");
         }
       });
-  fleet.start();
+  // Both sweeps are queued before start(): submitting into a running
+  // worker let it run e0 and requeue e1 ahead of t0, which moved the
+  // attack one tick late.
   const auto event_id =
       fleet.submit(event_spec("nightly", pool, {"hal.dll"}, /*repeat=*/5));
   trigger_id.store(fleet.submit(event_spec(
       "trigger", trigger_pool, {"http.sys"}, 5, /*event_driven=*/false)));
   ASSERT_NE(event_id, 0u);
   ASSERT_NE(trigger_id.load(), 0u);
+  fleet.start();
   fleet.drain();
 
   const auto all = ring->snapshot();
@@ -349,7 +391,8 @@ TEST(FleetEventDriven, EventAndFullSweepsStayReportIdentical) {
               .apply(*env, env->guests()[2], "ntfs.sys");
         }
       });
-  fleet.start();
+  // All three sweeps are queued before start() so the single worker sees
+  // them in FIFO order (see AttackBetweenTicksUnskipsExactlyTheDirtyTick).
   const auto event_id =
       fleet.submit(event_spec("event", event_pool, {"ntfs.sys"}, 3));
   const auto full_id = fleet.submit(
@@ -360,6 +403,7 @@ TEST(FleetEventDriven, EventAndFullSweepsStayReportIdentical) {
   ASSERT_NE(event_id, 0u);
   ASSERT_NE(full_id, 0u);
   ASSERT_NE(trigger_id.load(), 0u);
+  fleet.start();
   fleet.drain();
 
   const auto reports = ring->snapshot();

@@ -10,6 +10,7 @@
 // coverage at the bottom.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -22,7 +23,10 @@
 #include "attacks/stub_patch.hpp"
 #include "cloud/environment.hpp"
 #include "modchecker/canonical.hpp"
+#include "modchecker/checker.hpp"
 #include "modchecker/modchecker.hpp"
+#include "telemetry/registry.hpp"
+#include "telemetry/trace.hpp"
 
 namespace {
 
@@ -134,28 +138,77 @@ TEST(FastpathEquivalence, HeaderTamper) {
 }
 
 TEST(FastpathEquivalence, InfectedReferenceStillLocalized) {
-  // The *first* pool VM seeds the canonical form.  Infecting it must not
-  // poison the majority: clean copies fail to reduce against the infected
-  // reference (or reduce to a canonical the majority contradicts) and the
-  // fallback reproduces the exact verdicts.
-  auto env = make_env(6);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
-  const auto report = scan_both_ways(*env, "hal.dll");
-  std::size_t dirty = 0;
-  for (const auto& v : report.verdicts) {
-    if (!v.clean) {
-      ++dirty;
-      EXPECT_EQ(v.vm, env->guests()[0]);
+  // The *first* pool VM seeds the first canonical build.  Infecting it
+  // leaves every clean copy ineligible against it, so the pool re-elects
+  // the first clean copy as the reference: only the infected copy's t-1
+  // pairs take the exact fallback (not all C(t,2)), and the verdicts still
+  // equal the faithful pairwise scan.
+  for (const std::size_t t : {6u, 15u}) {
+    auto env = make_env(t);
+    attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
+    const auto report = scan_both_ways(*env, "hal.dll");
+    std::size_t dirty = 0;
+    for (const auto& v : report.verdicts) {
+      if (!v.clean) {
+        ++dirty;
+        EXPECT_EQ(v.vm, env->guests()[0]);
+      }
     }
+    EXPECT_EQ(dirty, 1u) << "t=" << t;
+    EXPECT_EQ(report.fallback_pairs, t - 1) << "t=" << t;
+    EXPECT_EQ(report.fastpath_pairs, (t - 1) * (t - 2) / 2) << "t=" << t;
   }
-  EXPECT_EQ(dirty, 1u);
 }
 
 TEST(FastpathEquivalence, TwoInfectedVmsIncludingReference) {
   auto env = make_env(8);
   attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
   attacks::OpcodeReplaceAttack{}.apply(*env, env->guests()[5], "hal.dll");
-  scan_both_ways(*env, "hal.dll");
+  const auto report = scan_both_ways(*env, "hal.dll");
+  // Re-elected reference: the two infected copies' 7 + 7 - 1 pairs fall
+  // back, the six clean copies' C(6,2) pairs stay fast.
+  EXPECT_EQ(report.fallback_pairs, 13u);
+  EXPECT_EQ(report.fastpath_pairs, 15u);
+}
+
+TEST(FastpathEquivalence, ReelectionIsTracedAndCounted) {
+  auto env = make_env(5);
+  attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
+  telemetry::MetricRegistry reg;
+  telemetry::TraceRecorder rec;
+  ModCheckerConfig cfg = fast_config();
+  cfg.metrics = &reg;
+  cfg.tracer = &rec;
+  ModChecker checker(env->hypervisor(), std::move(cfg));
+
+  // Clean module: the first VM stays the reference, nothing re-elected.
+  checker.scan_pool("ntfs.sys", env->guests());
+  // Infected first VM: re-elected onto the first clean copy.
+  checker.scan_pool("hal.dll", env->guests());
+
+  std::vector<const telemetry::SpanRecord*> normalize;
+  const std::vector<telemetry::SpanRecord> spans = rec.drain();
+  for (const auto& s : spans) {
+    if (s.name == "normalize") {
+      normalize.push_back(&s);
+    }
+  }
+  ASSERT_EQ(normalize.size(), 2u);
+  const auto arg = [](const telemetry::SpanRecord& s, const std::string& key) {
+    for (const auto& a : s.args) {
+      if (a.key == key) {
+        return a.value;
+      }
+    }
+    return std::string("<missing>");
+  };
+  EXPECT_EQ(arg(*normalize[0], "reference_vm"),
+            std::to_string(env->guests()[0]));
+  EXPECT_EQ(arg(*normalize[0], "reelected"), "0");
+  EXPECT_EQ(arg(*normalize[1], "reference_vm"),
+            std::to_string(env->guests()[1]));
+  EXPECT_EQ(arg(*normalize[1], "reelected"), "1");
+  EXPECT_EQ(reg.counter("canonical.reelections").value(), 1u);
 }
 
 TEST(FastpathEquivalence, BytePatchDropsOnlyVictimPairsToFallback) {
@@ -380,6 +433,153 @@ TEST(CanonicalPoolUnit, ShapeMismatchIsIneligible) {
   pool.finalize(clock);
   EXPECT_FALSE(pool.eligible(2));
   EXPECT_EQ(pool.stats().ineligible, 1u);
+}
+
+// ---- CanonicalPool::elect ------------------------------------------------------
+
+std::vector<const ParsedModule*> pointers(const std::vector<ParsedModule>& m) {
+  std::vector<const ParsedModule*> out;
+  for (const ParsedModule& module : m) {
+    out.push_back(&module);
+  }
+  return out;
+}
+
+/// For every pair of eligible copies, digest-vector equality must equal
+/// the exact pairwise verdict — whichever copy the election picked.
+void expect_pool_matches_pairwise(const CanonicalPool& pool,
+                                  const std::vector<const ParsedModule*>& m) {
+  const IntegrityChecker checker;
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    for (std::size_t j = i + 1; j < m.size(); ++j) {
+      if (!pool.eligible(m[i]->domain) || !pool.eligible(m[j]->domain)) {
+        continue;
+      }
+      SimClock clock;
+      EXPECT_EQ(pool.digests(m[i]->domain) == pool.digests(m[j]->domain),
+                checker.compare(*m[i], *m[j], clock).all_match)
+          << "vm " << m[i]->domain << " vs vm " << m[j]->domain;
+    }
+  }
+}
+
+/// Honest copies of the synthetic module at distinct bases, one per domain
+/// in [first, first + count).
+std::vector<ParsedModule> honest_copies(vmm::DomainId first,
+                                        std::size_t count) {
+  std::vector<ParsedModule> out;
+  for (std::uint32_t k = 0; k < count; ++k) {
+    const std::uint32_t base = 0x00010000 + 0x00220000 * k;
+    out.push_back(synth_module(first + k, base, text_with_reloc(base, 0x42)));
+  }
+  return out;
+}
+
+TEST(CanonicalPoolElect, CleanPoolKeepsFirstReferenceWithNoExtraBuild) {
+  const std::vector<ParsedModule> copies = honest_copies(1, 5);
+  telemetry::MetricRegistry reg;
+  SimClock elected_clock;
+  const CanonicalPool pool =
+      CanonicalPool::elect(pointers(copies), elected_clock,
+                           crypto::HashAlgorithm::kMd5, vmi::HostCostModel{},
+                           &reg);
+  EXPECT_EQ(pool.reference_domain(), 1u);
+  EXPECT_FALSE(pool.reelected());
+  // One build only: exactly one canonicalization per copy, and the same
+  // simulated charge as a hand-rolled single build.
+  EXPECT_EQ(reg.counter("canonical.eligible").value(), 5u);
+  EXPECT_EQ(reg.counter("canonical.ineligible").value(), 0u);
+  EXPECT_EQ(reg.counter("canonical.reelections").value(), 0u);
+  CanonicalPool single(crypto::HashAlgorithm::kMd5, vmi::HostCostModel{});
+  SimClock single_clock;
+  for (const ParsedModule& m : copies) {
+    single.add(m, single_clock);
+  }
+  single.finalize(single_clock);
+  EXPECT_EQ(elected_clock.now(), single_clock.now());
+}
+
+TEST(CanonicalPoolElect, InfectedFirstCopyIsOutvoted) {
+  // Copy 1 carries an operand whose RVA no peer shares: nothing reduces
+  // against it, so the first clean copy becomes the reference.
+  std::vector<ParsedModule> copies;
+  copies.push_back(synth_module(1, 0x00010000,
+                                text_with_reloc(0x00010000, 0x1099)));
+  for (ParsedModule& m : honest_copies(2, 4)) {
+    copies.push_back(std::move(m));
+  }
+  SimClock clock;
+  const CanonicalPool pool = CanonicalPool::elect(
+      pointers(copies), clock, crypto::HashAlgorithm::kMd5,
+      vmi::HostCostModel{});
+  EXPECT_TRUE(pool.reelected());
+  EXPECT_EQ(pool.reference_domain(), 2u);
+  EXPECT_FALSE(pool.eligible(1));
+  for (vmm::DomainId vm = 2; vm <= 5; ++vm) {
+    EXPECT_TRUE(pool.eligible(vm)) << vm;
+  }
+  expect_pool_matches_pairwise(pool, pointers(copies));
+}
+
+TEST(CanonicalPoolElect, TieKeepsTheFirstBuild) {
+  // Two copies that disagree: each would be the lone eligible copy of its
+  // own build, so the rebuild stops at its first ineligible copy and the
+  // first build stands.
+  std::vector<ParsedModule> copies;
+  copies.push_back(synth_module(1, 0x00010000,
+                                text_with_reloc(0x00010000, 0x1099)));
+  copies.push_back(synth_module(2, 0x00230000,
+                                text_with_reloc(0x00230000, 0x42)));
+  SimClock clock;
+  const CanonicalPool pool = CanonicalPool::elect(
+      pointers(copies), clock, crypto::HashAlgorithm::kMd5,
+      vmi::HostCostModel{});
+  EXPECT_FALSE(pool.reelected());
+  EXPECT_EQ(pool.reference_domain(), 1u);
+  EXPECT_TRUE(pool.eligible(1));
+  EXPECT_FALSE(pool.eligible(2));
+}
+
+TEST(CanonicalPoolElect, DivergentCanonicalMatchesPairwiseInEveryOrder) {
+  // The divergent-canonical construction (see DivergentCanonicalIsRejected)
+  // plus an unresolvable copy, fed to the election in every order: some
+  // orders keep the first build, some re-elect, and in all of them digest
+  // equality over eligible copies equals the exact pairwise verdict.
+  const std::uint32_t ref_base = 0x00010000;
+  const std::uint32_t rva_a = 0x111, rva_b = 0x222;
+  auto make_text = [](std::uint32_t a_word, std::uint32_t b_word) {
+    Bytes b(16, 0x90);
+    store_le32(b, 4, a_word);
+    store_le32(b, 12, b_word);
+    return b;
+  };
+  const std::uint32_t base2 = 0x00230000, base3 = 0x00570000;
+  const std::uint32_t base4 = 0x00890000;
+  std::vector<ParsedModule> copies;
+  copies.push_back(
+      synth_module(1, ref_base, make_text(ref_base + rva_a, ref_base + rva_b)));
+  copies.push_back(
+      synth_module(2, base2, make_text(base2 + rva_a, ref_base + rva_b)));
+  copies.push_back(
+      synth_module(3, base3, make_text(ref_base + rva_a, base3 + rva_b)));
+  copies.push_back(
+      synth_module(4, base4, make_text(base4 + rva_a + 8, base4 + rva_b)));
+
+  std::vector<std::size_t> order = {0, 1, 2, 3};
+  std::size_t reelections = 0;
+  do {
+    std::vector<const ParsedModule*> ordered;
+    for (const std::size_t k : order) {
+      ordered.push_back(&copies[k]);
+    }
+    SimClock clock;
+    const CanonicalPool pool = CanonicalPool::elect(
+        ordered, clock, crypto::HashAlgorithm::kMd5, vmi::HostCostModel{});
+    reelections += pool.reelected() ? 1u : 0u;
+    EXPECT_TRUE(pool.eligible(pool.reference_domain()));
+    expect_pool_matches_pairwise(pool, ordered);
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_GT(reelections, 0u);
 }
 
 }  // namespace

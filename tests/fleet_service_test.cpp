@@ -321,9 +321,13 @@ TEST(FleetService, MultiPoolSweepsDrainCleanUnderContention) {
 
   const int kSweepsPerPool = 6;
   for (int i = 0; i < kSweepsPerPool; ++i) {
-    fleet.submit(spec("a" + std::to_string(i), pool_a,
+    // append, not `"a" + std::to_string(i)`: GCC 12 at -O3 raises a
+    // false -Werror=restrict on that operator+ overload.
+    const std::string index = std::to_string(i);
+    fleet.submit(spec(std::string("a").append(index), pool_a,
                       {"hal.dll", "ntfs.sys"}, i % 3));
-    fleet.submit(spec("b" + std::to_string(i), pool_b, {"hal.dll"}, i % 3));
+    fleet.submit(spec(std::string("b").append(index), pool_b, {"hal.dll"},
+                      i % 3));
   }
   fleet.drain();
 

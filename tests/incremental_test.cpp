@@ -139,6 +139,58 @@ TEST(Incremental, UnloadedModuleDropsFromCache) {
   EXPECT_TRUE(report.verdicts[0].clean);
 }
 
+TEST(Incremental, InfectedReferenceIsReelectedThenRestored) {
+  // The persistent canonical pool is keyed on the elected reference.
+  // Infecting the first VM (the reference of the clean ticks) re-elects
+  // onto a clean copy, so only the victim's t-1 pairs fall back; restoring
+  // it re-normalizes the victim alone against the new reference and every
+  // pair is fast again.  Verdicts track a fresh scanner on every tick.
+  constexpr std::size_t t = 8;
+  auto env = make_env(t);
+  env->snapshot_all();
+  IncrementalScanner incremental(env->hypervisor());
+  ModChecker fresh(env->hypervisor());
+  const vmm::DomainId victim = env->guests()[0];
+
+  auto report = incremental.scan("hal.dll", env->guests());
+  EXPECT_EQ(report.fallback_pairs, 0u);
+
+  attacks::InlineHookAttack{}.apply(*env, victim, "hal.dll");
+  report = incremental.scan("hal.dll", env->guests());
+  expect_same_verdicts(report, fresh.scan_pool("hal.dll", env->guests()));
+  EXPECT_FALSE(report.verdicts[0].clean);
+  EXPECT_EQ(report.fallback_pairs, t - 1);
+  EXPECT_EQ(report.fastpath_pairs, (t - 1) * (t - 2) / 2);
+
+  env->revert(victim);
+  report = incremental.scan("hal.dll", env->guests());
+  expect_same_verdicts(report, fresh.scan_pool("hal.dll", env->guests()));
+  EXPECT_TRUE(report.verdicts[0].clean);
+  EXPECT_EQ(report.fallback_pairs, 0u);
+  EXPECT_EQ(report.fastpath_pairs, t * (t - 1) / 2);
+}
+
+TEST(Incremental, ReloadAfterUnloadIsNeverServedStale) {
+  // A module that disappears and comes back is a new extraction: its cache
+  // generation must not restart, or the canonical pool (and the pair
+  // cache) would keep serving the digests of the copy that was unloaded.
+  auto env = make_env(4);
+  IncrementalScanner incremental(env->hypervisor());
+  ModChecker fresh(env->hypervisor());
+  const vmm::DomainId vm = env->guests()[2];
+  incremental.scan("dummy.sys", env->guests());
+
+  env->loader(vm).unload("dummy.sys");
+  incremental.scan("dummy.sys", env->guests());
+
+  Bytes tampered = env->golden().file("dummy.sys");
+  tampered[0x50] ^= 0xFF;  // inside the DOS stub
+  env->loader(vm).load("dummy.sys", ByteView(tampered));
+  const auto report = incremental.scan("dummy.sys", env->guests());
+  expect_same_verdicts(report, fresh.scan_pool("dummy.sys", env->guests()));
+  EXPECT_FALSE(report.verdicts[2].clean);
+}
+
 TEST(Incremental, RepeatedScansStayCheapAcrossManyRounds) {
   auto env = make_env(10);
   IncrementalScanner incremental(env->hypervisor());

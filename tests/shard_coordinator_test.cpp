@@ -18,6 +18,9 @@
 
 #include "attacks/inline_hook.hpp"
 #include "cloud/environment.hpp"
+#include "cloud/linux.hpp"
+#include "guestos/kernel.hpp"
+#include "guestos/ko_loader.hpp"
 #include "service/coordinator.hpp"
 #include "service/fleet.hpp"
 #include "telemetry/view.hpp"
@@ -274,6 +277,44 @@ TEST(ShardCoordinator, SingleShardMatchesFleetServiceByteForByte) {
   EXPECT_EQ(classic.find("rescheduled_from_shard"), std::string::npos);
 }
 
+// An event-driven sweep over a pool holding an unparseable copy (corrupted
+// ELF magic) completes with the copy flagged, and the worker goes on to
+// serve the next sweep instead of dying on the parse error.
+TEST(ShardCoordinator, EventSweepOverUnparseableCopyKeepsWorkerServing) {
+  cloud::LinuxCloudConfig linux_cfg;
+  linux_cfg.guest_count = 4;
+  cloud::LinuxEnvironment env(linux_cfg);
+  const vmm::DomainId victim = env.guests()[1];
+  const guestos::LoadedKo* ko = env.loader(victim).find("e1000");
+  ASSERT_NE(ko, nullptr);
+  const Bytes garbage = {'X', 'X', 'X', 'X'};
+  env.kernel(victim).address_space().write_virtual(ko->base,
+                                                   ByteView(garbage));
+
+  CoordinatorConfig cfg;
+  cfg.shards = 1;
+  cfg.workers_per_shard = 1;
+  ShardCoordinator coordinator(cfg);
+  const std::size_t pool = coordinator.add_pool(env.hypervisor(), env.guests());
+  auto ring = std::make_shared<RingSink>();
+  coordinator.add_sink(ring);
+  SweepSpec event = spec("event", pool, {"e1000"});
+  event.event_driven = true;
+  const SweepId event_id = coordinator.submit(event);
+  const SweepId full_id = coordinator.submit(spec("full", pool, {"e1000"}));
+  coordinator.start();
+  coordinator.drain();
+
+  EXPECT_EQ(coordinator.stats().completed_runs, 2u);
+  const auto reports = ring->snapshot();
+  ASSERT_EQ(reports.size(), 2u);
+  for (const SweepReport& report : reports) {
+    EXPECT_TRUE(report.id == event_id || report.id == full_id);
+    ASSERT_EQ(report.findings.size(), 1u) << report.name;
+    EXPECT_EQ(report.findings[0].vm, victim) << report.name;
+  }
+}
+
 // ---- multi-shard report identity ----------------------------------------------
 
 std::vector<std::string> sorted_lines(const std::string& blob) {
@@ -421,9 +462,13 @@ ChaosOutcome run_chaos_fleet(std::uint64_t seed) {
   for (std::size_t p = 0; p < kPools; ++p) {
     out.owned_runs[coordinator.shard_of(p)] += kSweepsPerPool;
     for (std::size_t i = 0; i < kSweepsPerPool; ++i) {
-      coordinator.submit(spec(
-          "p" + std::to_string(p) + "-s" + std::to_string(i), p,
-          {"hal.dll"}));
+      // reserve + append, not operator+: GCC 12 at -O3 raises a false
+      // -Werror=restrict on `"p" + std::to_string(p)`.
+      std::string name;
+      name.reserve(16);
+      name.append("p").append(std::to_string(p));
+      name.append("-s").append(std::to_string(i));
+      coordinator.submit(spec(std::move(name), p, {"hal.dll"}));
     }
   }
   coordinator.start();
