@@ -149,6 +149,7 @@ void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
   if (reference_ == nullptr) {
     reference_ = &module;
     canonical_.assign(module.items.size(), std::nullopt);
+    canonical_bytes_.assign(module.items.size(), Bytes{});
     Entry entry;
     entry.eligible = true;
     entry.base = module.base;
@@ -157,83 +158,10 @@ void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
     for (std::size_t i = 0; i < module.items.size(); ++i) {
       entry.ref_items.push_back(i);
     }
-    entries_[module.domain] = std::move(entry);
-    eligible_count_.inc();
+    record(module.domain, std::move(entry));
     return;
   }
-
-  Entry entry;
-  entry.base = module.base;
-  entry.spans = item_spans(module);
-  entry.digests.resize(reference_->items.size());
-  bool eligible = module.items.size() == reference_->items.size();
-  for (std::size_t i = 0; eligible && i < reference_->items.size(); ++i) {
-    const IntegrityItem& r = reference_->items[i];
-    const IntegrityItem& a = module.items[i];
-    if (a.kind != r.kind || a.name != r.name ||
-        a.rva_sensitive != r.rva_sensitive) {
-      // Shape mismatch: the slow path's (kind, name) pairing would not be
-      // positional — fall back rather than reason about it.
-      eligible = false;
-      break;
-    }
-
-    if (!a.rva_sensitive) {
-      entry.digests[i] = hash_item_content(algorithm_, a);
-      clock.charge(hash_charge(costs_, algorithm_, a.content_size()));
-      continue;
-    }
-
-    if (module.base == reference_->base) {
-      // Same load base: Algorithm 2 has nothing to adjust, so the slow
-      // path matches iff the raw bytes match the reference's.
-      clock.charge(costs_.rva_scan_per_byte *
-                   std::max(a.content_size(), r.content_size()));
-      if (item_content_equal(a, r, policy_)) {
-        entry.ref_items.push_back(i);  // shares the reference digest
-      } else {
-        eligible = false;
-      }
-      continue;
-    }
-
-    // Differing base: run the paper's pairwise adjustment against the
-    // reference on arena scratch copies (recycled per item).
-    ArenaScope scope(scratch_arena());
-    MutableByteView ref_copy = arena_content_copy(scratch_arena(), r);
-    MutableByteView mod_copy = arena_content_copy(scratch_arena(), a);
-    const RvaAdjustResult adj =
-        adjust_fixups(ref_copy, reference_->base, mod_copy, module.base,
-                      module.fixups, policy_);
-    clock.charge(costs_.rva_scan_per_byte *
-                 std::max(ref_copy.size(), mod_copy.size()));
-    if (adj.unresolved_diffs > 0) {
-      eligible = false;
-      continue;
-    }
-    // Fully resolved: both copies now hold the canonical (RVA-normalized)
-    // bytes.  Digest once and pin the item's canonical digest to the
-    // first value seen — a later copy that resolves against the reference
-    // but to *different* canonical bytes is treated as divergent.
-    const crypto::Digest d = crypto::hash_bytes(algorithm_, mod_copy);
-    clock.charge(hash_charge(costs_, algorithm_, mod_copy.size()));
-    if (!canonical_[i]) {
-      canonical_[i] = d;
-      canonicals_established_.inc();
-    } else if (*canonical_[i] != d) {
-      eligible = false;
-      continue;
-    }
-    entry.digests[i] = d;
-  }
-
-  entry.eligible = eligible;
-  if (eligible) {
-    eligible_count_.inc();
-  } else {
-    ineligible_count_.inc();
-  }
-  entries_[module.domain] = std::move(entry);
+  record(module.domain, canonicalize(module, clock, nullptr, nullptr));
 }
 
 void CanonicalPool::finalize(SimClock& clock) {
@@ -250,7 +178,7 @@ void CanonicalPool::finalize(SimClock& clock) {
       ref_digests_[i] = *canonical_[i];
     } else {
       ref_digests_[i] = hash_item_content(algorithm_, r);
-      clock.charge(hash_charge(costs_, algorithm_, r.content_size()));
+      charge_hash(clock, r.content_size());
     }
   }
   for (auto& [vm, entry] : entries_) {
@@ -261,18 +189,15 @@ void CanonicalPool::finalize(SimClock& clock) {
   finalized_ = true;
 }
 
-void CanonicalPool::update(
-    const ParsedModule& module, SimClock& clock,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>* changed_rvas) {
+void CanonicalPool::update(const ParsedModule& module, SimClock& clock,
+                           const ByteRanges* changed_rvas) {
   MC_CHECK(finalized_, "CanonicalPool::update before finalize");
   MC_CHECK(reference_ != nullptr && module.domain != reference_->domain,
            "CanonicalPool::update cannot replace the reference");
 
-  // Item-granular reuse: an item whose span is unchanged and misses every
-  // changed byte range has byte-identical content, so its previous digest
-  // (and its reference-sharing status) still holds.  Only valid against an
-  // eligible previous entry at the same base with a complete span map —
-  // anything else recomputes the item honestly.
+  // Item-granular reuse is only valid against an eligible previous entry
+  // at the same base with a complete span map — anything else recomputes
+  // every item honestly.
   const Entry* prev = nullptr;
   if (changed_rvas != nullptr) {
     const auto prev_it = entries_.find(module.domain);
@@ -282,93 +207,142 @@ void CanonicalPool::update(
       prev = &prev_it->second;
     }
   }
+  record(module.domain, canonicalize(module, clock, prev, changed_rvas));
+}
 
+CanonicalPool::Entry CanonicalPool::canonicalize(
+    const ParsedModule& module, SimClock& clock, const Entry* prev,
+    const ByteRanges* changed_rvas) {
   Entry entry;
   entry.base = module.base;
   entry.spans = item_spans(module);
   entry.digests.resize(reference_->items.size());
-  bool eligible = module.items.size() == reference_->items.size();
-  for (std::size_t i = 0; eligible && i < reference_->items.size(); ++i) {
+  entry.eligible = module.items.size() == reference_->items.size();
+  for (std::size_t i = 0; entry.eligible && i < reference_->items.size();
+       ++i) {
     const IntegrityItem& r = reference_->items[i];
     const IntegrityItem& a = module.items[i];
     if (a.kind != r.kind || a.name != r.name ||
         a.rva_sensitive != r.rva_sensitive) {
-      eligible = false;
+      // Shape mismatch: the slow path's (kind, name) pairing would not be
+      // positional — fall back rather than reason about it.
+      entry.eligible = false;
       break;
     }
-
     if (prev != nullptr && prev->spans[i] == entry.spans[i] &&
         !span_touched(*changed_rvas, entry.spans[i])) {
+      // An unchanged span that misses every changed byte range holds
+      // byte-identical content: its previous digest (and its
+      // reference-sharing status) still holds, at zero cost.
       entry.digests[i] = prev->digests[i];
       if (std::find(prev->ref_items.begin(), prev->ref_items.end(), i) !=
           prev->ref_items.end()) {
         entry.ref_items.push_back(i);
       }
-      continue;  // untouched bytes: zero re-canonicalization cost
-    }
-
-    if (!a.rva_sensitive) {
-      entry.digests[i] = hash_item_content(algorithm_, a);
-      clock.charge(hash_charge(costs_, algorithm_, a.content_size()));
       continue;
     }
+    entry.eligible = settle_item(i, module, entry, clock);
+  }
+  return entry;
+}
 
-    if (module.base == reference_->base) {
-      clock.charge(costs_.rva_scan_per_byte *
-                   std::max(a.content_size(), r.content_size()));
-      if (item_content_equal(a, r, policy_)) {
-        // Post-finalize the reference vector is resolved: share directly.
-        entry.ref_items.push_back(i);
-        entry.digests[i] = ref_digests_[i];
-      } else {
-        eligible = false;
-      }
-      continue;
-    }
+bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
+                                Entry& entry, SimClock& clock) {
+  const IntegrityItem& r = reference_->items[i];
+  const IntegrityItem& a = module.items[i];
 
-    ArenaScope scope(scratch_arena());
-    MutableByteView ref_copy = arena_content_copy(scratch_arena(), r);
-    MutableByteView mod_copy = arena_content_copy(scratch_arena(), a);
-    const RvaAdjustResult adj =
-        adjust_fixups(ref_copy, reference_->base, mod_copy, module.base,
-                      module.fixups, policy_);
+  if (!a.rva_sensitive || module.base == reference_->base) {
+    // Raw bytes decide: a raw item is matched by the digest of its bytes,
+    // and at the reference's own base Algorithm 2 has nothing to adjust.
+    // Bytes equal to the reference's share its digest without hashing.
     clock.charge(costs_.rva_scan_per_byte *
-                 std::max(ref_copy.size(), mod_copy.size()));
-    if (adj.unresolved_diffs > 0) {
-      eligible = false;
-      continue;
+                 std::max(a.content_size(), r.content_size()));
+    if (item_content_equal(a, r, policy_)) {
+      hash_skips_.inc();
+      entry.ref_items.push_back(i);
+      if (finalized_) {
+        entry.digests[i] = ref_digests_[i];
+      }  // else finalize() back-fills it
+      return true;
     }
-    const crypto::Digest d = crypto::hash_bytes(algorithm_, mod_copy);
-    clock.charge(hash_charge(costs_, algorithm_, mod_copy.size()));
-    if (!canonical_[i]) {
-      // First differing-base eligible partner arrives after finalize():
-      // pin the canonical and re-pin the reference digest plus every
-      // entry sharing it, keeping vector equality equivalent to the
-      // pairwise verdict (the adjusted reference copy IS the canonical
-      // form, so no re-hashing of the sharers is owed).
-      canonical_[i] = d;
-      canonicals_established_.inc();
-      ref_digests_[i] = d;
-      for (auto& [vm, existing] : entries_) {
-        if (std::find(existing.ref_items.begin(), existing.ref_items.end(),
-                      i) != existing.ref_items.end()) {
-          existing.digests[i] = d;
-        }
-      }
-    } else if (*canonical_[i] != d) {
-      eligible = false;
-      continue;
+    if (a.rva_sensitive) {
+      return false;  // same base, different bytes: the slow path mismatches
     }
-    entry.digests[i] = d;
+    entry.digests[i] = hash_item_content(algorithm_, a);
+    charge_hash(clock, a.content_size());
+    return true;
   }
 
-  entry.eligible = eligible;
-  if (eligible) {
+  // Differing base: run the paper's pairwise adjustment against the
+  // reference on arena scratch copies (recycled per item).
+  ArenaScope scope(scratch_arena());
+  MutableByteView ref_copy = arena_content_copy(scratch_arena(), r);
+  MutableByteView mod_copy = arena_content_copy(scratch_arena(), a);
+  const RvaAdjustResult adj =
+      adjust_fixups(ref_copy, reference_->base, mod_copy, module.base,
+                    module.fixups, policy_);
+  clock.charge(costs_.rva_scan_per_byte *
+               std::max(ref_copy.size(), mod_copy.size()));
+  if (adj.unresolved_diffs > 0) {
+    return false;
+  }
+  // Fully resolved: both copies now hold the canonical (RVA-normalized)
+  // bytes.  Bytes equal to the ones that established the canonical digest
+  // take it without hashing; anything else is digested and must match the
+  // first value seen — a copy that resolves against the reference but to
+  // *different* canonical bytes is treated as divergent.
+  if (canonical_[i]) {
+    clock.charge(costs_.rva_scan_per_byte * mod_copy.size());
+    if (simd::equal(mod_copy, canonical_bytes_[i], policy_)) {
+      hash_skips_.inc();
+      entry.digests[i] = *canonical_[i];
+      return true;
+    }
+  }
+  const crypto::Digest d = crypto::hash_bytes(algorithm_, mod_copy);
+  charge_hash(clock, mod_copy.size());
+  if (!canonical_[i]) {
+    establish_canonical(i, d, mod_copy);
+  } else if (*canonical_[i] != d) {
+    return false;
+  }
+  entry.digests[i] = d;
+  return true;
+}
+
+void CanonicalPool::establish_canonical(std::size_t i, const crypto::Digest& d,
+                                        ByteView bytes) {
+  canonical_[i] = d;
+  canonical_bytes_[i].assign(bytes.begin(), bytes.end());
+  canonicals_established_.inc();
+  if (!finalized_) {
+    return;  // finalize() pins the reference to it
+  }
+  // First differing-base eligible partner arrives after finalize(): re-pin
+  // the reference digest and every entry sharing it, keeping vector
+  // equality equivalent to the pairwise verdict (the adjusted reference
+  // copy IS the canonical form, so no re-hashing of the sharers is owed).
+  ref_digests_[i] = d;
+  for (auto& [vm, existing] : entries_) {
+    if (std::find(existing.ref_items.begin(), existing.ref_items.end(), i) !=
+        existing.ref_items.end()) {
+      existing.digests[i] = d;
+    }
+  }
+}
+
+void CanonicalPool::charge_hash(SimClock& clock, std::size_t bytes) {
+  hashes_.inc();
+  clock.charge(hash_charge(costs_, algorithm_, bytes));
+}
+
+void CanonicalPool::record(vmm::DomainId vm, Entry entry) {
+  if (entry.eligible) {
     eligible_count_.inc();
   } else {
     ineligible_count_.inc();
   }
-  entries_[module.domain] = std::move(entry);
+  entries_[vm] = std::move(entry);
 }
 
 bool CanonicalPool::eligible(vmm::DomainId vm) const {

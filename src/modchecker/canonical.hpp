@@ -44,10 +44,12 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "crypto/hasher.hpp"
 #include "modchecker/types.hpp"
+#include "util/bytes.hpp"
 #include "util/simd.hpp"
 #include "telemetry/registry.hpp"
 #include "util/sim_clock.hpp"
@@ -120,9 +122,20 @@ class DigestTable {
 };
 
 /// Normalizes a pool of parsed copies of ONE module against a reference
-/// (the first module added) and assigns each eligible VM a per-item digest
-/// vector such that, for any two eligible VMs, vector equality is
+/// (the copy elect() picked by majority; the first module add()ed when
+/// the pool is built by hand) and assigns each eligible VM a per-item
+/// digest vector such that, for any two eligible VMs, vector equality is
 /// equivalent to the slow pairwise comparison's all_match verdict.
+///
+/// Bytes are compared before they are hashed: a copy whose item bytes
+/// equal the reference's (raw items, same-base rva-sensitive items) or,
+/// after Algorithm 2, equal the bytes that established the item's
+/// canonical digest takes that digest without an MD5 pass.  Equal bytes
+/// have equal digests and unequal bytes are hashed as before, so the
+/// vectors are exactly what hashing every copy would give; a clean pool
+/// runs one hash per item ("canonical.hashes"; byte-compare settlements
+/// count "canonical.hash_skips").  The price is one owned copy of each
+/// established canonical form — about one image per pool.
 ///
 /// Usage: elect() over every successfully parsed copy, then query
 /// eligible()/digests().  Added modules must outlive the pool (the
@@ -130,6 +143,9 @@ class DigestTable {
 /// canonicalization is the O(t) part and runs on the orchestrator's clock.
 class CanonicalPool {
  public:
+  /// [lo, hi) image-relative byte ranges.
+  using ByteRanges = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
   /// Builds and finalizes the pool over `copies` (pool order, all parsed)
   /// with a majority-elected reference: the first copy, unless half or
   /// more of the copies are ineligible against it — then the pool is
@@ -157,6 +173,8 @@ class CanonicalPool {
     ineligible_count_ = reg.owned_counter("canonical.ineligible");
     canonicals_established_ =
         reg.owned_counter("canonical.canonicals_established");
+    hashes_ = reg.owned_counter("canonical.hashes");
+    hash_skips_ = reg.owned_counter("canonical.hash_skips");
   }
 
   /// Canonicalizes one VM's copy, charging adjustment/hashing time to
@@ -189,8 +207,7 @@ class CanonicalPool {
   /// item's bytes changed, which re-canonicalizes honestly and decides
   /// the pair either way.  Null (or a base/shape change) recomputes all.
   void update(const ParsedModule& module, SimClock& clock,
-              const std::vector<std::pair<std::uint32_t, std::uint32_t>>*
-                  changed_rvas = nullptr);
+              const ByteRanges* changed_rvas = nullptr);
 
   /// True if `vm` was added and reduced cleanly to the canonical form.
   bool eligible(vmm::DomainId vm) const;
@@ -237,8 +254,25 @@ class CanonicalPool {
     /// Per-item [rva, rva + content_size) spans at canonicalization time:
     /// update() reuses digests[i] only when spans[i] is unchanged AND
     /// misses every changed byte range.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;
+    ByteRanges spans;
   };
+
+  /// Canonicalizes a non-reference copy into a fresh entry, reusing
+  /// `prev`'s digests for items untouched by `changed_rvas` (both null =
+  /// recompute every item).
+  Entry canonicalize(const ParsedModule& module, SimClock& clock,
+                     const Entry* prev, const ByteRanges* changed_rvas);
+  /// Settles item `i` of `module` into `entry`; false = ineligible.
+  bool settle_item(std::size_t i, const ParsedModule& module, Entry& entry,
+                   SimClock& clock);
+  /// Pins item `i`'s canonical digest and keeps the bytes it came from;
+  /// post-finalize, re-pins the reference and every entry sharing it.
+  void establish_canonical(std::size_t i, const crypto::Digest& d,
+                           ByteView bytes);
+  /// Counts one hash pass and charges it to `clock`.
+  void charge_hash(SimClock& clock, std::size_t bytes);
+  /// Stores `entry` for `vm` and bumps the eligibility counters.
+  void record(vmm::DomainId vm, Entry entry);
 
   crypto::HashAlgorithm algorithm_;
   vmi::HostCostModel costs_;
@@ -248,6 +282,9 @@ class CanonicalPool {
   /// Per reference item: canonical digest established by the first
   /// differing-base eligible partner (rva-sensitive items only).
   std::vector<std::optional<crypto::Digest>> canonical_;
+  /// The post-Algorithm-2 bytes canonical_[i] was digested from; later
+  /// copies that reduce to them take canonical_[i] without hashing.
+  std::vector<Bytes> canonical_bytes_;
   std::vector<crypto::Digest> ref_digests_;  // valid after finalize()
   bool finalized_ = false;
   bool reelected_ = false;
@@ -256,6 +293,8 @@ class CanonicalPool {
   telemetry::OwnedCounter eligible_count_;
   telemetry::OwnedCounter ineligible_count_;
   telemetry::OwnedCounter canonicals_established_;
+  telemetry::OwnedCounter hashes_;
+  telemetry::OwnedCounter hash_skips_;
 };
 
 }  // namespace mc::core

@@ -161,6 +161,9 @@ AdmitResult ShardCoordinator::route(QueuedSweep run, std::size_t* routed_to) {
         // A queued recurring tick yielded its slot; its chain ends here.
         load_shed_.inc();
         shard.record_shed();
+        if (evicted) {
+          engine_.forget(evicted->id);
+        }
         break;
       case AdmitResult::kShed:
         load_shed_.inc();
@@ -194,6 +197,7 @@ bool ShardCoordinator::cancel(SweepId id) {
   }
   if (struck) {
     dropped_pending_.inc();
+    engine_.forget(id);  // the struck run was the chain's only live one
   }
   return struck;
 }
@@ -393,7 +397,11 @@ void ShardCoordinator::worker_loop(std::size_t shard_index) {
                              seen, due, std::memory_order_relaxed)) {
     }
     if (result.next) {
-      route(std::move(*result.next));
+      const SweepId id = result.next->id;
+      const AdmitResult routed = route(std::move(*result.next));
+      if (routed == AdmitResult::kRefused || routed == AdmitResult::kShed) {
+        engine_.forget(id);  // queue closed or tick shed: the chain ends
+      }
     }
     sweeps_in_flight_.add(-1);
     owner.queue().done();  // after the recurrence route — see wait_idle()

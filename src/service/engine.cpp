@@ -65,7 +65,8 @@ SweepEngine::SweepEngine(EngineConfig config)
       exhausted_runs_(metrics_->owned_counter("service.exhausted_runs")),
       sweeps_skipped_clean_(
           metrics_->owned_counter("fleet.sweeps_skipped_clean")),
-      event_runs_(metrics_->owned_counter("fleet.event_runs")) {}
+      event_runs_(metrics_->owned_counter("fleet.event_runs")),
+      event_states_gauge_(metrics_->gauge("service.event_states")) {}
 
 SweepEngine::~SweepEngine() = default;
 
@@ -217,7 +218,8 @@ SweepEngine::ExecuteResult SweepEngine::execute(
   result.cancelled = report.cancelled;
   // Recurrence: hand the next run on the sweep's simulated cadence back to
   // the caller for routing (the coordinator picks its shard and stamps the
-  // dirty hint); the chain ends on cancellation or the last repeat.
+  // dirty hint); the chain ends on cancellation or the last repeat, and
+  // with it the sweep's event state.
   if (!report.cancelled && run.run_index + 1 < run.spec.repeat) {
     QueuedSweep next;
     next.id = run.id;
@@ -225,8 +227,25 @@ SweepEngine::ExecuteResult SweepEngine::execute(
     next.due = run.due + next.spec.cadence;
     next.run_index = run.run_index + 1;
     result.next = std::move(next);
+  } else if (run.spec.event_driven) {
+    forget(run.id);
   }
   return result;
+}
+
+void SweepEngine::forget(SweepId id) {
+  std::lock_guard<std::mutex> ev_lock(event_mutex_);
+  if (event_states_.erase(id) > 0) {
+    event_states_gauge_.add(-1);
+  }
+}
+
+SweepEngine::EventState& SweepEngine::event_state_locked(SweepId id) {
+  const auto [it, inserted] = event_states_.try_emplace(id);
+  if (inserted) {
+    event_states_gauge_.add(1);
+  }
+  return it->second;
 }
 
 void SweepEngine::run_full_locked(Pool& pool, const QueuedSweep& run,
@@ -291,7 +310,7 @@ void SweepEngine::run_event_locked(Pool& pool, const QueuedSweep& run,
     // sites in this function), and nothing blocks under it.
     // mc-lint: allow(lock-order)
     std::lock_guard<std::mutex> ev_lock(event_mutex_);
-    EventState& state = event_states_[run.id];
+    EventState& state = event_state_locked(run.id);
     if (state.has_report && generations == state.generations) {
       // No write — watched or not — landed on any pool domain since the
       // last completed run, so every extraction, comparison and vote is
@@ -340,7 +359,7 @@ void SweepEngine::run_event_locked(Pool& pool, const QueuedSweep& run,
     // audit: same strict nesting as above.
     // mc-lint: allow(lock-order)
     std::lock_guard<std::mutex> ev_lock(event_mutex_);
-    EventState& state = event_states_[run.id];
+    EventState& state = event_state_locked(run.id);
     state.generations = std::move(generations);
     state.scans = report.scans;
     state.findings = report.findings;

@@ -99,6 +99,12 @@ class SweepEngine {
   /// parallel.
   ExecuteResult execute(QueuedSweep run, const CancelProbe& is_cancelled);
 
+  /// Drops the event state of sweep `id` — for a chain that ends outside
+  /// execute(): a recurrence the coordinator could not route (queue
+  /// closed, tick shed or evicted) or a pending run struck by cancel.
+  /// No-op for ids without state.  Thread-safe.
+  void forget(SweepId id);
+
   /// Dirty-prioritization hint for `run` at this instant: the summed
   /// per-domain write-generation advance on the run's pool since the
   /// sweep's last completed run (raw generation sum before the first run
@@ -168,6 +174,9 @@ class SweepEngine {
                         const CancelProbe& is_cancelled, SweepReport& report,
                         telemetry::SpanScope& span);
   void emit(const SweepReport& report);
+  /// The sweep's event state, created (and counted) on first use; caller
+  /// holds event_mutex_.
+  EventState& event_state_locked(SweepId id);
 
   EngineConfig config_;
   telemetry::MetricRegistry* metrics_;  // resolved, never null
@@ -179,10 +188,14 @@ class SweepEngine {
   telemetry::OwnedCounter exhausted_runs_;
   telemetry::OwnedCounter sweeps_skipped_clean_;
   telemetry::OwnedCounter event_runs_;
+  /// Live event states ("service.event_states"): one per event-driven
+  /// sweep whose chain has not ended.
+  telemetry::Gauge event_states_gauge_;
 
   std::vector<std::unique_ptr<Pool>> pools_;
   std::vector<std::unique_ptr<DirtyTracker>> trackers_;
   mutable std::mutex event_mutex_;  // guards event_states_
+  /// Erased when the sweep's chain ends, so only live sweeps hold reports.
   std::map<SweepId, EventState> event_states_;
   std::vector<std::shared_ptr<SweepSink>> sinks_;
   std::function<void(SweepId, std::size_t, const std::string&)> module_hook_;

@@ -18,6 +18,7 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <string>
 #include <vector>
@@ -36,6 +37,7 @@
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report_json.hpp"
 #include "service/fleet.hpp"
+#include "telemetry/registry.hpp"
 #include "util/bytes.hpp"
 
 namespace {
@@ -468,6 +470,86 @@ TEST(FleetEventDriven, ConcurrentEventSweepsAcrossPoolsAreRaceFree) {
   // Each sweep scanned once and skipped its three clean recurrences.
   EXPECT_EQ(fleet.stats().sweeps_skipped_clean, 6u);
   EXPECT_EQ(fleet.stats().event_runs, 2u);
+}
+
+/// Records the live event-state gauge each time a report is emitted.
+class EventStateProbe : public mc::service::SweepSink {
+ public:
+  explicit EventStateProbe(telemetry::MetricRegistry& reg)
+      : gauge_(reg.gauge("service.event_states")) {}
+
+  void on_sweep(const SweepReport& /*report*/) override {
+    std::lock_guard<std::mutex> lock(mutex_);
+    seen_.push_back(gauge_.value());
+  }
+
+  std::vector<std::int64_t> seen() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return seen_;
+  }
+
+ private:
+  telemetry::Gauge gauge_;
+  mutable std::mutex mutex_;
+  std::vector<std::int64_t> seen_;
+};
+
+TEST(FleetEventDriven, EventStateLivesExactlyAsLongAsItsChain) {
+  auto env = make_env(3);
+  {
+    // One-shot event-driven sweeps: each run's state exists while it
+    // reports and is gone once its chain ends.
+    telemetry::MetricRegistry reg;
+    FleetService fleet({/*workers=*/1, &reg});
+    const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
+    auto probe = std::make_shared<EventStateProbe>(reg);
+    fleet.add_sink(probe);
+    constexpr std::size_t kOneShots = 6;
+    for (std::size_t i = 0; i < kOneShots; ++i) {
+      std::string name = "once-";
+      name += std::to_string(i);
+      ASSERT_NE(fleet.submit(event_spec(std::move(name), pool, {"hal.dll"},
+                                        /*repeat=*/1)),
+                0u);
+    }
+    fleet.start();
+    fleet.drain();
+    EXPECT_EQ(probe->seen(), std::vector<std::int64_t>(kOneShots, 1));
+    EXPECT_EQ(reg.gauge("service.event_states").value(), 0);
+  }
+  {
+    // A live recurring sweep holds exactly one state across its ticks.
+    telemetry::MetricRegistry reg;
+    FleetService fleet({/*workers=*/1, &reg});
+    const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
+    auto probe = std::make_shared<EventStateProbe>(reg);
+    fleet.add_sink(probe);
+    ASSERT_NE(fleet.submit(event_spec("recurring", pool, {"hal.dll"},
+                                      /*repeat=*/4)),
+              0u);
+    fleet.start();
+    fleet.drain();
+    EXPECT_EQ(probe->seen(), std::vector<std::int64_t>(4, 1));
+    EXPECT_EQ(reg.gauge("service.event_states").value(), 0);
+  }
+  {
+    // Cancelled mid-run, after its last cancellation check: the run
+    // completes, its recurrence is refused, and the coordinator drops the
+    // state.
+    telemetry::MetricRegistry reg;
+    FleetService fleet({/*workers=*/1, &reg});
+    const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
+    fleet.set_module_hook(
+        [&](service::SweepId id, std::size_t /*run_index*/,
+            const std::string&) { fleet.cancel(id); });
+    ASSERT_NE(fleet.submit(event_spec("cancelled", pool, {"hal.dll"},
+                                      /*repeat=*/10)),
+              0u);
+    fleet.start();
+    fleet.drain();
+    EXPECT_EQ(fleet.stats().completed_runs, 1u);
+    EXPECT_EQ(reg.gauge("service.event_states").value(), 0);
+  }
 }
 
 TEST(FleetEventDriven, DirtierPoolScansFirstAtEqualPriority) {

@@ -6,13 +6,19 @@
 // demands bit-equal verdicts, flagged items and vote counts — across clean
 // pools of every size the paper used, the E1-E4 infections, and the
 // fallback corners (reference infected, unresolvable diffs, shape
-// mismatches).  CanonicalPool's eligibility rules get direct synthetic
-// coverage at the bottom.
+// mismatches).  Every such scan also recomputes each eligible copy's
+// digests from scratch: a copy the pool settled by a byte compare must
+// carry exactly the digest hashing it would give.  CanonicalPool's
+// eligibility rules get direct synthetic coverage at the bottom, followed
+// by ELF digest identity and the pool's hash accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "attacks/byte_patch.hpp"
@@ -22,9 +28,16 @@
 #include "attacks/opcode_replace.hpp"
 #include "attacks/stub_patch.hpp"
 #include "cloud/environment.hpp"
+#include "cloud/linux.hpp"
+#include "elf/parser.hpp"
+#include "guestos/kernel.hpp"
+#include "guestos/ko_loader.hpp"
 #include "modchecker/canonical.hpp"
 #include "modchecker/checker.hpp"
+#include "modchecker/item_content.hpp"
 #include "modchecker/modchecker.hpp"
+#include "modchecker/pipeline.hpp"
+#include "modchecker/rva_adjust.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -67,6 +80,120 @@ void expect_same_verdicts(const PoolScanReport& a, const PoolScanReport& b) {
   }
 }
 
+// ---- digest identity: byte compares never change a digest ----------------------
+//
+// The pool settles a copy by byte comparison (against the reference, or
+// against the bytes that established an item's canonical digest) before it
+// runs a hash.  Whatever path settled it, every eligible copy's digest must
+// be exactly the hash a from-scratch computation gives.
+
+/// Algorithm 2 of `r`'s item i against `x`'s on owned copies: returns the
+/// adjusted (reference side, copy side) buffers.
+std::pair<Bytes, Bytes> adjusted(const ParsedModule& r, const ParsedModule& x,
+                                 std::size_t i) {
+  Bytes ref = r.items[i].content_copy();
+  Bytes mod = x.items[i].content_copy();
+  const RvaAdjustResult adj = adjust_fixups(MutableByteView(ref), r.base,
+                                            MutableByteView(mod), x.base,
+                                            x.fixups);
+  EXPECT_EQ(adj.unresolved_diffs, 0u) << "vm " << x.domain << " item " << i;
+  return {std::move(ref), std::move(mod)};
+}
+
+/// The digest every eligible copy's item i must carry, computed from
+/// scratch: the raw hash for raw items; for rva-sensitive items the hash of
+/// the copy's adjusted bytes — for a copy at the reference's base, the
+/// reference adjusted against any eligible differing-base copy (raw when
+/// there is none).
+crypto::Digest fresh_digest(const CanonicalPool& pool,
+                            const std::vector<const ParsedModule*>& copies,
+                            const ParsedModule& r, const ParsedModule& x,
+                            std::size_t i) {
+  constexpr auto kMd5 = crypto::HashAlgorithm::kMd5;
+  if (!x.items[i].rva_sensitive) {
+    return hash_item_content(kMd5, x.items[i]);
+  }
+  if (x.base != r.base) {
+    return crypto::hash_bytes(kMd5, adjusted(r, x, i).second);
+  }
+  for (const ParsedModule* y : copies) {
+    if (y->base != r.base && pool.eligible(y->domain)) {
+      return crypto::hash_bytes(kMd5, adjusted(r, *y, i).first);
+    }
+  }
+  return hash_item_content(kMd5, x.items[i]);
+}
+
+/// Checks every eligible copy's digest vector against a fresh computation;
+/// returns the number of eligible copies.
+std::size_t expect_digests_fresh(const CanonicalPool& pool,
+                                 const std::vector<const ParsedModule*>& copies) {
+  const ParsedModule* r = nullptr;
+  for (const ParsedModule* copy : copies) {
+    if (copy->domain == pool.reference_domain()) {
+      r = copy;
+    }
+  }
+  EXPECT_NE(r, nullptr);
+  std::size_t eligible = 0;
+  for (const ParsedModule* x : copies) {
+    if (r == nullptr || !pool.eligible(x->domain)) {
+      continue;
+    }
+    ++eligible;
+    const std::vector<crypto::Digest>& got = pool.digests(x->domain);
+    EXPECT_EQ(got.size(), r->items.size());
+    for (std::size_t i = 0; i < got.size() && i < x->items.size(); ++i) {
+      EXPECT_EQ(got[i], fresh_digest(pool, copies, *r, *x, i))
+          << x->name << " vm " << x->domain << " item " << x->items[i].name;
+    }
+  }
+  return eligible;
+}
+
+/// Acquire + parse of every pool copy through `checker`'s own stages — the
+/// extractions pool_scan would normalize.
+std::vector<Extraction> extract_pool(ModChecker& checker,
+                                     const std::string& module,
+                                     const std::vector<vmm::DomainId>& vms) {
+  CheckPipeline& p = checker.pipeline();
+  std::vector<Extraction> out;
+  for (const vmm::DomainId vm : vms) {
+    Extraction ex;
+    SimClock clock;
+    const auto image = p.acquire().extract_with_retry(vm, module, clock,
+                                                      ex.faults, ex.attempts);
+    if (image && *image) {
+      p.parse().parse(**image, ex);
+    }
+    out.push_back(std::move(ex));
+  }
+  return out;
+}
+
+/// Elects the pool over `vms`' copies of `module` exactly as pool_scan does
+/// and checks its digests; returns the number of eligible copies.
+std::size_t expect_digests_fresh(const vmm::Hypervisor& hypervisor,
+                                 const std::string& module,
+                                 const std::vector<vmm::DomainId>& vms) {
+  ModChecker checker(hypervisor, fast_config());
+  const std::vector<Extraction> exs = extract_pool(checker, module, vms);
+  SimClock clock;
+  const std::optional<CanonicalPool> pool =
+      checker.pipeline().normalize().canonicalize(exs, clock);
+  EXPECT_TRUE(pool && !pool->empty()) << module;
+  if (!pool || pool->empty()) {
+    return 0;
+  }
+  std::vector<const ParsedModule*> copies;
+  for (const Extraction& ex : exs) {
+    if (ex.found && !ex.parse_failed) {
+      copies.push_back(&ex.parsed);
+    }
+  }
+  return expect_digests_fresh(*pool, copies);
+}
+
 /// Scans the same env with both configs and requires identical verdicts.
 /// Returns the fast report for extra assertions.
 PoolScanReport scan_both_ways(cloud::CloudEnvironment& env,
@@ -77,6 +204,7 @@ PoolScanReport scan_both_ways(cloud::CloudEnvironment& env,
   const auto b = faithful.scan_pool(module, env.guests());
   expect_same_verdicts(a, b);
   EXPECT_EQ(b.fastpath_pairs, 0u);  // the faithful config never fast-paths
+  expect_digests_fresh(env.hypervisor(), module, env.guests());
   return a;
 }
 
@@ -578,8 +706,155 @@ TEST(CanonicalPoolElect, DivergentCanonicalMatchesPairwiseInEveryOrder) {
     reelections += pool.reelected() ? 1u : 0u;
     EXPECT_TRUE(pool.eligible(pool.reference_domain()));
     expect_pool_matches_pairwise(pool, ordered);
+    expect_digests_fresh(pool, ordered);
   } while (std::next_permutation(order.begin(), order.end()));
   EXPECT_GT(reelections, 0u);
+}
+
+// ---- digest identity: ELF pools and synthetic corners ---------------------------
+
+/// Guest VA of `section` inside `module`'s mapped image on one Linux guest
+/// (the synthetic .ko layout has sh_addr == sh_offset).
+std::uint32_t section_va(cloud::LinuxEnvironment& env, vmm::DomainId vm,
+                         const std::string& module,
+                         const std::string& section) {
+  const guestos::LoadedKo* ko = env.loader(vm).find(module);
+  EXPECT_NE(ko, nullptr);
+  const elf::ElfImage image{ByteView(env.golden_file(module))};
+  const elf::Elf64Shdr* sh = image.find_section(section);
+  EXPECT_NE(sh, nullptr);
+  return ko->base + static_cast<std::uint32_t>(sh->sh_offset);
+}
+
+std::unique_ptr<cloud::LinuxEnvironment> make_linux_env(std::size_t guests) {
+  cloud::LinuxCloudConfig cfg;
+  cfg.guest_count = guests;
+  return std::make_unique<cloud::LinuxEnvironment>(cfg);
+}
+
+TEST(DigestIdentity, ElfCleanPoolsAndAttackAnalogues) {
+  {
+    auto env = make_linux_env(5);
+    for (const std::string module :
+         {"hello", "scsi_mod", "nf_conntrack", "ext3"}) {
+      EXPECT_EQ(
+          expect_digests_fresh(env->hypervisor(), module, env->guests()), 5u)
+          << module;
+    }
+  }
+  // .text byte patch on a peer and on the first VM (re-elected reference).
+  for (const std::size_t victim_index : {2u, 0u}) {
+    auto env = make_linux_env(6);
+    const vmm::DomainId victim = env->guests()[victim_index];
+    const Bytes patch = {0xCC};
+    env->kernel(victim).address_space().write_virtual(
+        section_va(*env, victim, "scsi_mod", ".text") + 3, ByteView(patch));
+    EXPECT_EQ(
+        expect_digests_fresh(env->hypervisor(), "scsi_mod", env->guests()), 5u)
+        << "victim " << victim_index;
+  }
+  {
+    // Redirected fixup pointer (first R_X86_64_64 slot of nf_conntrack).
+    auto env = make_linux_env(7);
+    const vmm::DomainId victim = env->guests()[4];
+    const std::uint32_t va =
+        section_va(*env, victim, "nf_conntrack", ".text") + 264;
+    Bytes slot(8, 0);
+    env->kernel(victim).address_space().read_virtual(va, MutableByteView(slot));
+    store_le64(MutableByteView(slot), 0, load_le64(ByteView(slot), 0) + 0x40);
+    env->kernel(victim).address_space().write_virtual(va, ByteView(slot));
+    EXPECT_EQ(
+        expect_digests_fresh(env->hypervisor(), "nf_conntrack", env->guests()),
+        6u);
+  }
+  {
+    // .rela.text tamper: a raw item differing from the reference.
+    auto env = make_linux_env(5);
+    const vmm::DomainId victim = env->guests()[1];
+    const Bytes tamper = {0x7F};
+    env->kernel(victim).address_space().write_virtual(
+        section_va(*env, victim, "ext3", ".rela.text") + 16, ByteView(tamper));
+    EXPECT_EQ(expect_digests_fresh(env->hypervisor(), "ext3", env->guests()),
+              5u);
+  }
+}
+
+TEST(DigestIdentity, SameBaseAndRawDivergentSyntheticCopies) {
+  std::vector<ParsedModule> copies;
+  copies.push_back(
+      synth_module(1, 0x00010000, text_with_reloc(0x00010000, 0x42)));
+  copies.push_back(
+      synth_module(2, 0x00010000, text_with_reloc(0x00010000, 0x42)));
+  copies.push_back(
+      synth_module(3, 0x00230000, text_with_reloc(0x00230000, 0x42)));
+  copies.push_back(
+      synth_module(4, 0x00570000, text_with_reloc(0x00570000, 0x42)));
+  copies.push_back(
+      synth_module(5, 0x00890000, text_with_reloc(0x00890000, 0x42)));
+  copies.back().items[0].bytes[3] ^= 0x40;  // raw header differs
+  SimClock clock;
+  const CanonicalPool pool = CanonicalPool::elect(
+      pointers(copies), clock, crypto::HashAlgorithm::kMd5,
+      vmi::HostCostModel{});
+  EXPECT_EQ(expect_digests_fresh(pool, pointers(copies)), 5u);
+  EXPECT_EQ(pool.digests(1), pool.digests(2));
+  EXPECT_EQ(pool.digests(1), pool.digests(4));
+  EXPECT_NE(pool.digests(1), pool.digests(5));
+}
+
+// ---- hash accounting -------------------------------------------------------------
+
+TEST(HashAccounting, CleanPoolRunsOneHashPerItem) {
+  constexpr std::size_t t = 15;
+  auto env = make_env(t);
+  for (const std::string module : {"hal.dll", "http.sys"}) {
+    ModChecker probe(env->hypervisor(), fast_config());
+    const std::vector<Extraction> exs =
+        extract_pool(probe, module, env->guests());
+    std::set<std::uint32_t> bases;
+    std::size_t rva_items = 0;
+    for (const Extraction& ex : exs) {
+      ASSERT_TRUE(ex.found && !ex.parse_failed);
+      bases.insert(ex.parsed.base);
+    }
+    ASSERT_EQ(bases.size(), t) << module << ": bases must be distinct";
+    const std::size_t items = exs[0].parsed.items.size();
+    for (const IntegrityItem& item : exs[0].parsed.items) {
+      rva_items += item.rva_sensitive ? 1u : 0u;
+    }
+
+    telemetry::MetricRegistry reg;
+    ModCheckerConfig cfg = fast_config();
+    cfg.metrics = &reg;
+    ModChecker checker(env->hypervisor(), std::move(cfg));
+    const PoolScanReport report = checker.scan_pool(module, env->guests());
+    EXPECT_EQ(report.fastpath_pairs, t * (t - 1) / 2);
+    // The reference hashes its raw items, the first differing-base copy
+    // establishes each rva-sensitive item's canonical; every other item
+    // copy is settled by a byte compare.
+    EXPECT_EQ(reg.counter("canonical.hashes").value(), items) << module;
+    EXPECT_EQ(reg.counter("canonical.hash_skips").value(),
+              (t - 1) * (items - rva_items) + (t - 2) * rva_items)
+        << module;
+  }
+}
+
+TEST(HashAccounting, RawItemDifferingFromTheReferenceIsHashed) {
+  // E3: the patched DOS stub is a raw item, so the victim stays eligible
+  // and its stub misses the byte compare — one hash beyond the clean
+  // pool's one per item.
+  auto env = make_env(5);
+  const auto hashes_of_scan = [&] {
+    telemetry::MetricRegistry reg;
+    ModCheckerConfig cfg = fast_config();
+    cfg.metrics = &reg;
+    ModChecker(env->hypervisor(), std::move(cfg))
+        .scan_pool("dummy.sys", env->guests());
+    return reg.counter("canonical.hashes").value();
+  };
+  const std::uint64_t clean = hashes_of_scan();
+  attacks::StubPatchAttack{}.apply(*env, env->guests()[1], "dummy.sys");
+  EXPECT_EQ(hashes_of_scan(), clean + 1);
 }
 
 }  // namespace

@@ -6,10 +6,12 @@
 #include <memory>
 
 #include "attacks/byte_patch.hpp"
+#include "attacks/guest_writer.hpp"
 #include "attacks/inline_hook.hpp"
 #include "cloud/environment.hpp"
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
+#include "telemetry/registry.hpp"
 
 namespace {
 
@@ -189,6 +191,36 @@ TEST(Incremental, ReloadAfterUnloadIsNeverServedStale) {
   const auto report = incremental.scan("dummy.sys", env->guests());
   expect_same_verdicts(report, fresh.scan_pool("dummy.sys", env->guests()));
   EXPECT_FALSE(report.verdicts[2].clean);
+}
+
+TEST(Incremental, SameValueRewriteRunsNoHash) {
+  // Rewriting every byte of a non-reference copy with the value already
+  // there dirties all its pages, so the tick re-canonicalizes every item of
+  // that copy — and each one is settled by a byte compare, not an MD5.
+  auto env = make_env(6);
+  telemetry::MetricRegistry reg;
+  ModCheckerConfig cfg;
+  cfg.metrics = &reg;
+  IncrementalScanner incremental(env->hypervisor(), std::move(cfg));
+  incremental.scan("http.sys", env->guests());
+  const telemetry::Counter hashes = reg.counter("canonical.hashes");
+  const telemetry::Counter skips = reg.counter("canonical.hash_skips");
+  const std::uint64_t items = hashes.value();  // one hash per item
+  const std::uint64_t skips_before = skips.value();
+  ASSERT_GT(items, 0u);
+
+  attacks::GuestMemoryWriter writer(*env, env->guests()[3]);
+  std::uint32_t base = 0;
+  const Bytes image = writer.read_module_image("http.sys", &base);
+  writer.write(base, ByteView(image));
+  const auto report = incremental.scan("http.sys", env->guests());
+
+  for (const auto& v : report.verdicts) {
+    EXPECT_TRUE(v.clean) << "vm " << v.vm;
+  }
+  EXPECT_EQ(report.fallback_pairs, 0u);
+  EXPECT_EQ(hashes.value(), items);
+  EXPECT_EQ(skips.value() - skips_before, items);
 }
 
 TEST(Incremental, RepeatedScansStayCheapAcrossManyRounds) {

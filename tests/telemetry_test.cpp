@@ -346,7 +346,7 @@ TEST(TelemetryDifferential, PipelineStagesLandInOneRegistry) {
   // digest memo, pipeline counters and stage histograms.
   for (const char* name :
        {"vmi.read_calls", "vmi.pool.created", "canonical.eligible",
-        "digest_memo.hits", "pipeline.checks", "pipeline.pool_scans",
+        "canonical.hashes", "digest_memo.hits", "pipeline.checks", "pipeline.pool_scans",
         "pipeline.acquire.attempts", "pipeline.acquire.sim_ns",
         "pipeline.compare.sim_ns"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
