@@ -31,6 +31,3 @@ mc_add_bench(bench_fault_overhead)
 mc_add_bench(bench_telemetry_overhead)
 mc_add_bench(bench_event_driven)
 mc_add_bench(bench_micro)
-mc_add_bench(bench_fleet_shards)
-# The fleet bench drives the sharded control plane itself.
-target_link_libraries(bench_fleet_shards PRIVATE mc_service)

@@ -1,21 +1,18 @@
-// Continuous monitoring — ModChecker as a long-running sharded fleet.
+// Continuous monitoring — ModChecker as a long-running fleet service.
 //
 // The paper frames ModChecker as a periodic light-weight consistency check
 // whose alarms trigger heavier analysis (§VI).  This example runs that
-// deployment through the sharded control plane (service/coordinator.hpp) —
-// the layer a production fleet would use directly, with the classic
-// FleetService as its shards=1 facade:
+// deployment through the fleet service (service/coordinator.hpp): one
+// priority queue feeding two workers.
 //
 //   * two pools carved from one cloud (critical front-line VMs vs. the
-//     long tail), routed to two worker shards by the consistent-hash ring,
+//     long tail), swept in parallel by the two workers,
 //   * a high-priority recurring sweep of critical modules and a slower
 //     background sweep of the long tail,
 //   * an infection planted before monitoring starts, surfaced as sweep
 //     findings by every run that scans the infected pool,
 //   * cancellation (an operator retracts a sweep before it runs) and
 //     graceful drain,
-//   * work stealing: an idle shard lifts queued runs off its busy sibling
-//     instead of letting a hot pool's backlog age,
 //   * pluggable report sinks: an in-memory ring for the checks below, a
 //     JSON-lines stream as the SIEM integration surface, and a Chrome
 //     trace sink — load the emitted JSON in chrome://tracing or
@@ -54,17 +51,12 @@ int main() {
 
   telemetry::TraceRecorder tracer;
   service::CoordinatorConfig fleet_cfg;
-  fleet_cfg.shards = 2;
-  fleet_cfg.workers_per_shard = 1;
+  fleet_cfg.workers_per_shard = 2;
   fleet_cfg.tracer = &tracer;  // every pool pipeline shares this recorder
   service::ShardCoordinator fleet(fleet_cfg);
   const std::size_t pool_critical = fleet.add_pool(env.hypervisor(),
                                                    frontline);
   const std::size_t pool_tail = fleet.add_pool(env.hypervisor(), longtail);
-  std::printf("[fleet] pool %zu (critical) -> shard %zu, "
-              "pool %zu (long tail) -> shard %zu\n\n",
-              pool_critical, fleet.shard_of(pool_critical), pool_tail,
-              fleet.shard_of(pool_tail));
 
   auto ring = std::make_shared<service::RingSink>();
   std::ostringstream siem;  // stands in for a SIEM/alerting socket
@@ -131,18 +123,8 @@ int main() {
       }
     }
   }
-  std::printf("\nper-shard accounting:\n");
-  std::uint64_t shard_completed = 0;
-  for (const auto& shard : fleet.shard_stats()) {
-    std::printf("  shard %zu: %llu runs (%llu stolen), %llu us busy\n",
-                shard.index,
-                static_cast<unsigned long long>(shard.completed_runs),
-                static_cast<unsigned long long>(shard.stolen_runs),
-                static_cast<unsigned long long>(shard.sim_busy / 1000));
-    shard_completed += shard.completed_runs;
-  }
   const std::string feed = siem.str();
-  std::printf("SIEM feed: %zu JSON lines\n",
+  std::printf("\nSIEM feed: %zu JSON lines\n",
               static_cast<std::size_t>(
                   std::count(feed.begin(), feed.end(), '\n')));
   trace->finish();
@@ -152,19 +134,16 @@ int main() {
               trace_stream.str().size());
 
   // Every critical run must flag exactly the infected guest; the clean
-  // long-tail pool must stay silent; the retracted sweep must never run;
-  // the per-shard accounting must add up to the fleet total.
+  // long-tail pool must stay silent; the retracted sweep must never run.
   const bool ok = hal_findings == 3 && tail_findings == 0 &&
                   stats.completed_runs == 4 && stats.cancelled_runs == 0 &&
                   stats.dropped_pending == 1 && reports.size() == 4 &&
-                  shard_completed == stats.completed_runs &&
                   trace->events_written() > 0;
   std::printf("monitoring outcome: %s (runs %llu, dropped %llu, "
-              "%llu steals, %llu us total simulated wall)\n",
+              "%llu us total simulated wall)\n",
               ok ? "OK" : "UNEXPECTED",
               static_cast<unsigned long long>(stats.completed_runs),
               static_cast<unsigned long long>(stats.dropped_pending),
-              static_cast<unsigned long long>(stats.steals),
               static_cast<unsigned long long>(total_wall / 1000));
   return ok ? 0 : 1;
 }

@@ -5,7 +5,7 @@
 // normalization (Algorithm 2) only need a format that can enumerate its
 // integrity-relevant pieces and describe its loader's fixup widths.
 // The format-plugin registry (src/modchecker/format.hpp) captures exactly
-// that seam, so one FleetService can sweep a PE32/Windows pool and an
+// that seam, so one ShardCoordinator can sweep a PE32/Windows pool and an
 // ELF64/Linux pool side by side — each module auto-detected from its
 // image header, no per-pool configuration.
 //
@@ -25,7 +25,7 @@
 #include "elf/parser.hpp"
 #include "guestos/kernel.hpp"
 #include "guestos/ko_loader.hpp"
-#include "service/fleet.hpp"
+#include "service/coordinator.hpp"
 
 int main() {
   using namespace mc;
@@ -59,7 +59,7 @@ int main() {
 
   // 3. One fleet, both pools.  Format detection is per module image, so
   // the service needs no telling which pool speaks which format.
-  service::FleetService fleet({/*workers=*/2});
+  service::ShardCoordinator fleet({/*workers=*/2});
   const std::size_t pe_pool =
       fleet.add_pool(pe_env.hypervisor(), pe_env.guests());
   const std::size_t elf_pool =

@@ -5,7 +5,7 @@
 // seeds randomize module bases, so identical modules differ only in their
 // loader-patched absolute addresses — the divergence the ELF64 fixup
 // policy normalizes.  Used by the cross-format tests and the mixed-fleet
-// scenario (one FleetService scanning a Windows pool and a Linux pool).
+// scenario (one ShardCoordinator scanning a Windows pool and a Linux pool).
 #pragma once
 
 #include <cstdint>

@@ -7,7 +7,7 @@
 // pooling, digest memo) had to be threaded through each path by hand.
 // This header is the one seam: each stage is a small object over a shared
 // CheckContext, and every public entry point — ModChecker's methods, the
-// IncrementalScanner, the FleetService sweeps — is a thin driver that
+// IncrementalScanner, the fleet service sweeps — is a thin driver that
 // composes the stages.
 //
 //   Acquire    guest-memory access: sessions (pooled or fresh), loader-list
@@ -152,7 +152,7 @@ struct ModCheckerConfig {
   /// Span recorder for per-stage traces.  Null (the default) records
   /// nothing and costs nothing on the hot path.
   telemetry::TraceRecorder* tracer = nullptr;
-  /// Chrome trace "pid" spans from this pipeline carry (FleetService
+  /// Chrome trace "pid" spans from this pipeline carry (the fleet service
   /// assigns one per pool so multi-pool traces get separate lanes).
   std::uint64_t trace_pid = 0;
   /// Attach a registry snapshot to PoolScanReport ("telemetry" JSON field).
@@ -486,7 +486,7 @@ class VoteStage {
 
 /// The staged pipeline.  Drivers (`check`, `pool_scan`, `compare_lists`)
 /// compose the stages end to end; callers with bespoke front halves (the
-/// IncrementalScanner's dirty-frame cache, the FleetService) use the stage
+/// IncrementalScanner's dirty-frame cache, the fleet service) use the stage
 /// accessors directly.
 class CheckPipeline {
  public:

@@ -72,11 +72,10 @@ class ScanScheduler {
 
   /// Models `count` parallel checker instances in Dom0 (the paper's §V-C.1
   /// parallel-access extension).  Modules are assigned to instances by a
-  /// consistent-hash ring over the module name — the same partitioning
-  /// primitive the sharded fleet coordinator uses for pools — so one
-  /// module's scans stay serial on one instance (its warm session is
-  /// instance-local) while different modules overlap.  count == 1 (the
-  /// default) reproduces the classic serial timeline exactly.
+  /// consistent-hash ring over the module name, so one module's scans stay
+  /// serial on one instance (its warm session is instance-local) while
+  /// different modules overlap.  count == 1 (the default) reproduces the
+  /// classic serial timeline exactly.
   void set_partitions(std::size_t count);
 
   /// Runs the schedule on the simulated timeline until `horizon`.

@@ -158,7 +158,7 @@ std::uint64_t SweepEngine::dirty_score(const QueuedSweep& run) const {
   return score;
 }
 
-SweepEngine::ExecuteResult SweepEngine::execute(
+std::optional<QueuedSweep> SweepEngine::execute(
     QueuedSweep run, const CancelProbe& is_cancelled) {
   Pool& pool = *pools_[run.spec.pool_index];
 
@@ -174,7 +174,6 @@ SweepEngine::ExecuteResult SweepEngine::execute(
   report.pool_index = run.spec.pool_index;
   report.run_index = run.run_index;
   report.due = run.due;
-  report.rescheduled_from_shard = run.rescheduled_from;
 
   {
     // One sweep at a time per pool: scans of different pools proceed in
@@ -213,24 +212,22 @@ SweepEngine::ExecuteResult SweepEngine::execute(
   }
   emit(report);
 
-  ExecuteResult result;
-  result.wall_time = report.wall_time;
-  result.cancelled = report.cancelled;
   // Recurrence: hand the next run on the sweep's simulated cadence back to
-  // the caller for routing (the coordinator picks its shard and stamps the
-  // dirty hint); the chain ends on cancellation or the last repeat, and
-  // with it the sweep's event state.
+  // the caller to queue (the coordinator stamps the dirty hint); the chain
+  // ends on cancellation or the last repeat, and with it the sweep's event
+  // state.
   if (!report.cancelled && run.run_index + 1 < run.spec.repeat) {
     QueuedSweep next;
     next.id = run.id;
     next.spec = std::move(run.spec);
     next.due = run.due + next.spec.cadence;
     next.run_index = run.run_index + 1;
-    result.next = std::move(next);
-  } else if (run.spec.event_driven) {
+    return next;
+  }
+  if (run.spec.event_driven) {
     forget(run.id);
   }
-  return result;
+  return std::nullopt;
 }
 
 void SweepEngine::forget(SweepId id) {

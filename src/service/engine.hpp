@@ -1,24 +1,21 @@
-// SweepEngine — the shard-independent execution core of the fleet.
+// SweepEngine — the execution core of the fleet.
 //
-// The sharded control plane splits the old monolithic FleetService into
-// layers; the engine is the bottom one.  It owns everything a run needs
-// regardless of which shard's worker executes it: the registered pools
-// (each with its own CheckContext/CheckPipeline/IncrementalScanner and a
-// per-pool mutex), the report sinks, the module hook, the per-sweep event
-// state used by the WriteWatch skip optimization, the fleet-wide
-// DirtyTracker subscribers, and the run-level counters.
+// The coordinator (service/coordinator.hpp) owns the queue and the
+// workers; the engine owns everything a run needs regardless of which
+// worker executes it: the registered pools (each with its own
+// CheckContext/CheckPipeline/IncrementalScanner and a per-pool mutex), the
+// report sinks, the module hook, the per-sweep event state used by the
+// WriteWatch skip optimization, the fleet-wide DirtyTracker subscribers,
+// and the run-level counters.
 //
-// Because every per-pool warm cache and event state lives here — below the
-// shard layer — a sweep's simulated cost depends only on the order of runs
-// *within its pool* (serialized by the pool mutex), never on which shard
-// popped it.  That is the invariant behind the differential guarantee:
-// shards=1 reproduces the classic FleetService byte-for-byte, and a chaos
-// re-shard moves work between shards without perturbing any pool timeline.
+// Because every per-pool warm cache and event state lives here, a sweep's
+// simulated cost depends only on the order of runs *within its pool*
+// (serialized by the pool mutex), never on which worker popped it.
 //
-// The engine does not own a queue, workers, or cancellation state — those
-// are per-shard concerns.  execute() takes a cancellation probe (backed by
-// the owning shard's queue) and returns the run's recurrence, if any, for
-// the coordinator to route; it never schedules anything itself.
+// The engine does not own a queue, workers, or cancellation state.
+// execute() takes a cancellation probe (backed by the queue) and returns
+// the run's recurrence, if any, for the coordinator to queue; it never
+// schedules anything itself.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +49,8 @@ struct EngineConfig {
 
 class SweepEngine {
  public:
-  /// Answers "has this sweep been cancelled?" — backed by the owning
-  /// shard's queue; consulted between module scans of an in-flight run.
+  /// Answers "has this sweep been cancelled?" — backed by the queue;
+  /// consulted between module scans of an in-flight run.
   using CancelProbe = std::function<bool(SweepId)>;
 
   explicit SweepEngine(EngineConfig config);
@@ -82,26 +79,19 @@ class SweepEngine {
   /// callback outlives the service.
   void detach_trackers();
 
-  /// Outcome of one execute(): the recurrence to route (nullopt ends the
-  /// chain) plus the accounting the shard layer needs without re-parsing
-  /// the report.
-  struct ExecuteResult {
-    std::optional<QueuedSweep> next;
-    SimNanos wall_time = 0;  // summed simulated scan time of this run
-    bool cancelled = false;
-  };
-
   /// Executes one run to completion: scans (full or event-driven), bumps
   /// the run counters, emits the report to every sink, and returns the
-  /// recurrence run (due += cadence) for the caller to route — absent
+  /// recurrence run (due += cadence) for the caller to queue — nullopt
   /// when the chain ends (last run, or cancelled).  Thread-safe: the
   /// per-pool mutex serializes same-pool runs, cross-pool runs proceed in
   /// parallel.
-  ExecuteResult execute(QueuedSweep run, const CancelProbe& is_cancelled);
+  std::optional<QueuedSweep> execute(QueuedSweep run,
+                                     const CancelProbe& is_cancelled);
 
   /// Drops the event state of sweep `id` — for a chain that ends outside
-  /// execute(): a recurrence the coordinator could not route (queue
-  /// closed, tick shed or evicted) or a pending run struck by cancel.
+  /// execute(): a recurrence the coordinator could not queue (queue
+  /// closed, tick shed or evicted), a pending run struck by cancel, or a
+  /// backlog run dropped by stop().
   /// No-op for ids without state.  Thread-safe.
   void forget(SweepId id);
 

@@ -44,11 +44,6 @@ std::string to_json(const SweepReport& report) {
   if (report.skipped_clean) {
     os << ",\"skipped_clean\":true";
   }
-  // Re-shard provenance, only on runs the chaos machinery rescued from a
-  // dead shard — every normally-scheduled run's line is unchanged.
-  if (report.rescheduled_from_shard != kNoShard) {
-    os << ",\"rescheduled_from_shard\":" << report.rescheduled_from_shard;
-  }
   if (!report.telemetry_json.empty()) {
     os << ",\"telemetry\":" << report.telemetry_json;
   }

@@ -1,10 +1,8 @@
 // SweepReport and the pluggable report sinks — the output surface of the
-// fleet control plane, split out of fleet.hpp so the sharded coordinator,
-// the classic FleetService facade, and the sinks all share one schema
-// definition.  The JSON emitted by to_json is a stability contract:
-// optional fields (quarantine, skip, re-shard provenance, telemetry) are
-// emitted only when set, so a healthy single-shard run's line stays
-// byte-identical to the historical schema.
+// fleet service, shared by the engine that fills reports and the sinks
+// that consume them.  The JSON emitted by to_json is a stability contract:
+// optional fields (quarantine, skip, telemetry) are emitted only when set,
+// so a healthy run's line stays byte-identical to the historical schema.
 #pragma once
 
 #include <cstdint>
@@ -54,10 +52,6 @@ struct SweepReport {
   /// write landed on any pool domain since the previous completed run, so
   /// `scans`/`findings` re-emit that run's (byte-identical) results.
   bool skipped_clean = false;
-  /// The chaos re-shard rescued this run from a dead shard and re-emitted
-  /// it onto a survivor; kNoShard on every normally-scheduled run (the
-  /// field is then absent from the JSON line).
-  std::size_t rescheduled_from_shard = kNoShard;
   SimNanos wall_time = 0;  // summed simulated scan wall time
   core::ComponentTimes cpu_times;
   /// Registry snapshot JSON, filled only when the service's emit_telemetry
@@ -121,7 +115,7 @@ class JsonLinesSink : public SweepSink {
 
 /// Streams completed trace spans as Chrome trace_event JSONL (the JSON
 /// Array Format) — point it at a file, hand the same TraceRecorder to the
-/// FleetConfig, and the whole multi-pool sweep timeline opens in
+/// CoordinatorConfig, and the whole multi-pool sweep timeline opens in
 /// chrome://tracing / Perfetto.  Each on_sweep drains the recorder, so the
 /// file grows as the fleet runs; finish() (or destruction) drains one last
 /// time and closes the JSON array.

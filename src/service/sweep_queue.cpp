@@ -9,22 +9,7 @@ bool SweepQueue::push_locked(QueuedSweep&& sweep) {
   sweep.seq = next_seq_++;
   heap_.push_back(std::move(sweep));
   std::push_heap(heap_.begin(), heap_.end(), Order{});
-  peak_ = std::max(peak_, heap_.size());
   return true;
-}
-
-std::optional<QueuedSweep> SweepQueue::take_top_locked() {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), Order{});
-    QueuedSweep top = std::move(heap_.back());
-    heap_.pop_back();
-    if (cancelled_.count(top.id) > 0) {
-      cv_.notify_all();  // heap may now be empty — wake wait_idle
-      continue;          // struck while pending
-    }
-    return top;
-  }
-  return std::nullopt;
 }
 
 bool SweepQueue::push(QueuedSweep sweep) {
@@ -46,6 +31,9 @@ AdmitResult SweepQueue::admit(QueuedSweep sweep, std::size_t capacity,
     if (closed_ || cancelled_.count(sweep.id) > 0) {
       return AdmitResult::kRefused;
     }
+    // The seq push_locked would assign: an incoming tick orders after
+    // every queued equal, so equals never churn-swap.
+    sweep.seq = next_seq_;
     if (capacity == 0 || heap_.size() < capacity) {
       push_locked(std::move(sweep));
       result = AdmitResult::kAdmitted;
@@ -55,7 +43,7 @@ AdmitResult SweepQueue::admit(QueuedSweep sweep, std::size_t capacity,
       // last (Order's minimum: lowest priority, then latest due).
       auto victim = heap_.end();
       for (auto it = heap_.begin(); it != heap_.end(); ++it) {
-        if (!it->spec.sheddable() || cancelled_.count(it->id) > 0) {
+        if (!it->spec.sheddable()) {
           continue;
         }
         if (victim == heap_.end() || Order{}(*it, *victim)) {
@@ -98,38 +86,17 @@ AdmitResult SweepQueue::admit(QueuedSweep sweep, std::size_t capacity,
 
 std::optional<QueuedSweep> SweepQueue::pop() {
   std::unique_lock<std::mutex> lock(mutex_);
-  for (;;) {
-    cv_.wait(lock, [&] { return !heap_.empty() || closed_; });
-    if (std::optional<QueuedSweep> top = take_top_locked()) {
-      ++active_;
-      return top;
-    }
-    if (closed_) {
-      return std::nullopt;  // closed and drained
-    }
-    // Every pending entry was cancelled; wait for real work.
+  cv_.wait(lock, [&] { return !heap_.empty() || closed_; });
+  if (heap_.empty()) {
+    return std::nullopt;  // closed and drained
   }
-}
-
-std::optional<QueuedSweep> SweepQueue::try_pop() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::optional<QueuedSweep> top = take_top_locked();
-  if (top) {
-    ++active_;
-  }
+  // cancel() strikes pending runs and push refuses cancelled ids, so the
+  // top is always live.
+  std::pop_heap(heap_.begin(), heap_.end(), Order{});
+  QueuedSweep top = std::move(heap_.back());
+  heap_.pop_back();
+  ++active_;
   return top;
-}
-
-std::vector<QueuedSweep> SweepQueue::drain_pending() {
-  std::vector<QueuedSweep> drained;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    while (std::optional<QueuedSweep> top = take_top_locked()) {
-      drained.push_back(std::move(*top));
-    }
-  }
-  cv_.notify_all();  // the backlog is gone — wake wait_idle
-  return drained;
 }
 
 void SweepQueue::done() {
@@ -172,49 +139,19 @@ void SweepQueue::close() {
   cv_.notify_all();
 }
 
-std::size_t SweepQueue::clear() {
-  std::size_t dropped;
+std::vector<QueuedSweep> SweepQueue::clear() {
+  std::vector<QueuedSweep> dropped;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    dropped = heap_.size();
-    heap_.clear();
+    dropped.swap(heap_);
   }
   cv_.notify_all();  // wake wait_idle — the backlog is gone
   return dropped;
 }
 
-bool SweepQueue::closed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return closed_;
-}
-
 std::size_t SweepQueue::pending() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return heap_.size();
-}
-
-bool SweepQueue::idle() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return heap_.empty() && active_ == 0;
-}
-
-std::optional<SimNanos> SweepQueue::min_due() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::optional<SimNanos> earliest;
-  for (const QueuedSweep& s : heap_) {
-    if (cancelled_.count(s.id) > 0) {
-      continue;
-    }
-    if (!earliest || s.due < *earliest) {
-      earliest = s.due;
-    }
-  }
-  return earliest;
-}
-
-std::size_t SweepQueue::peak_pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return peak_;
 }
 
 }  // namespace mc::service

@@ -1,4 +1,4 @@
-// SweepQueue — one shard's thread-safe priority queue of pending sweeps.
+// SweepQueue — the fleet's one thread-safe priority queue of pending sweeps.
 //
 // Ordering: highest priority first; within a priority class, earliest
 // simulated due time; within a due tie, dirtiest first (the coordinator
@@ -10,22 +10,32 @@
 // primitive: pushes are refused afterwards, but everything already queued
 // is still handed out, so workers drain the backlog before seeing the
 // nullopt that stops their loop.  clear() is the fast-stop primitive: it
-// drops the backlog and returns how many sweeps were discarded.
+// drops the backlog and hands the dropped runs back to the caller.
 //
-// The sharded control plane adds three surfaces on top of the classic
-// push/pop pair:
-//   * admit() — capacity-bounded push implementing the load-shedding
-//     policy in service/admission.hpp (recurring ticks yield to one-shot
-//     and alerted sweeps);
-//   * try_pop() — non-blocking pop for the coordinator's work-stealing
-//     path (an idle shard's worker lifts the next run off a lagging
-//     sibling's queue);
-//   * drain_pending() — atomically empties the queue, returning the runs
-//     in pop order; the chaos re-shard uses it to move a dead shard's
-//     backlog onto the survivors without losing a sweep.
+// Admission.  admit() is the capacity-bounded push the coordinator routes
+// every run through.  A production checker fleet is permanently
+// oversubscribed: recurring monitors are cheap to submit and expensive to
+// run, so without a bound the queue — and every sweep's queue age — grows
+// without limit.  The decision table:
 //
-// Cancellation of *pending* runs is queue-side (cancel(id) marks the id;
-// marked entries are silently dropped on pop).  Cancellation of a sweep
+//   * under capacity          → admit;
+//   * full, incoming matters  → evict the lowest-priority recurring tick
+//                               (never a one-shot or alerted sweep) and
+//                               admit in its place;
+//   * full, incoming is the   → shed the incoming tick itself (its
+//     cheapest thing queued     recurrence chain ends; the shed counter is
+//                               the operator's saturation signal);
+//   * full of unsheddable     → admit anyway and count the overflow —
+//     work                      one-shot and alerted sweeps are NEVER
+//                               dropped, the bound bends instead.
+//
+// Shedding a recurring tick drops the remainder of its chain: recurrences
+// are pushed on completion of the previous run, so an evicted run has no
+// successor.  A saturated fleet stops servicing its cheapest monitors
+// first and says so, instead of stretching every sweep's latency.
+//
+// Cancellation of *pending* runs is queue-side (cancel(id) strikes the
+// id's pending runs and refuses its later pushes).  Cancellation of a sweep
 // already handed to a worker is the coordinator's job — the queue cannot
 // reach in-flight work.
 #pragma once
@@ -39,16 +49,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "service/admission.hpp"
 #include "util/sim_clock.hpp"
 
 namespace mc::service {
 
 /// Stable identifier of one submitted sweep (all its recurrences share it).
 using SweepId = std::uint64_t;
-
-/// Sentinel shard index: "not rescheduled" / "no shard".
-inline constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
 /// What to sweep: a module set on one registered pool, how urgently, and
 /// how often.
@@ -72,8 +78,7 @@ struct SweepSpec {
   /// machinery); pools with fault injection should use full sweeps.
   bool event_driven = false;
   /// Alerted sweeps (e.g. a watch-driven off-cadence scan of a pool that
-  /// just took writes) are exempt from load shedding even when recurring —
-  /// see service/admission.hpp.
+  /// just took writes) are exempt from load shedding even when recurring.
   bool alerted = false;
 
   /// Load-shedding class: only non-alerted recurring ticks may be shed.
@@ -90,8 +95,15 @@ struct QueuedSweep {
   /// Pool write-generation delta stamped by the coordinator at push time;
   /// orders equal-(priority, due) runs dirtiest-first.  0 for full sweeps.
   std::uint64_t dirty_hint = 0;
-  /// Set by the chaos re-shard: the dead shard this run was rescued from.
-  std::size_t rescheduled_from = kNoShard;
+};
+
+/// Outcome of one admission decision (SweepQueue::admit).
+enum class AdmitResult {
+  kAdmitted,         // queued, under capacity
+  kAdmittedEvicted,  // queued; a lower-priority recurring tick was shed
+  kOverflow,         // queued past capacity (unsheddable backlog)
+  kShed,             // the incoming recurring tick itself was shed
+  kRefused,          // queue closed or sweep cancelled (classic push refusal)
 };
 
 class SweepQueue {
@@ -100,27 +112,17 @@ class SweepQueue {
   /// is closed — a recurring sweep re-enqueued after drain() simply ends.
   bool push(QueuedSweep sweep);
 
-  /// Capacity-bounded push implementing the admission policy: under
+  /// Capacity-bounded push implementing the admission table above: under
   /// `capacity` (0 = unbounded) behaves like push(); at capacity the
-  /// lowest-priority recurring tick yields — see service/admission.hpp for
-  /// the full decision table.  When a queued tick is evicted to make room
-  /// it is returned through `evicted` (for the caller's shed accounting).
+  /// lowest-priority recurring tick yields.  When a queued tick is evicted
+  /// to make room it is returned through `evicted` (for the caller's shed
+  /// accounting).
   AdmitResult admit(QueuedSweep sweep, std::size_t capacity,
                     std::optional<QueuedSweep>* evicted = nullptr);
 
   /// Blocks until a run is available or the queue is closed and empty
-  /// (nullopt → the worker loop should exit).  Cancelled pending runs are
-  /// dropped here, never returned.
+  /// (nullopt → the worker loop should exit).
   std::optional<QueuedSweep> pop();
-
-  /// Non-blocking pop: the next runnable sweep, or nullopt when the queue
-  /// is empty (never waits).  Used by workers driven off the coordinator's
-  /// shared wake signal and by the work-stealing path.
-  std::optional<QueuedSweep> try_pop();
-
-  /// Atomically removes and returns every pending run in pop order
-  /// (cancelled entries dropped).  The chaos re-shard primitive.
-  std::vector<QueuedSweep> drain_pending();
 
   /// Marks every pending (and future re-enqueued) run of `id` cancelled.
   /// Returns true if at least one pending run was struck.
@@ -131,9 +133,9 @@ class SweepQueue {
   bool is_cancelled(SweepId id) const;
 
   /// Marks the run handed out by the matching pop() finished.  Workers
-  /// must call this after run_sweep (and after any recurrence push) so
-  /// wait_idle() can tell "empty because drained" from "empty because
-  /// every pending run is currently executing".
+  /// must call this after executing the run (and after any recurrence
+  /// push) so wait_idle() can tell "empty because drained" from "empty
+  /// because every pending run is currently executing".
   void done();
 
   /// Blocks until the queue is empty *and* no popped run is still
@@ -146,25 +148,11 @@ class SweepQueue {
   /// nullopt to every waiter.
   void close();
 
-  /// Drops every pending run; returns how many were discarded (cancelled
-  /// entries included).  Does not close the queue.
-  std::size_t clear();
+  /// Drops every pending run and returns them, so the caller can release
+  /// whatever state their chains held.  Does not close the queue.
+  std::vector<QueuedSweep> clear();
 
-  bool closed() const;
   std::size_t pending() const;
-
-  /// Empty with no popped run outstanding (the wait_idle predicate,
-  /// sampled).  The coordinator's drain barrier polls this per shard.
-  bool idle() const;
-
-  /// Earliest simulated due time among pending runs; nullopt when empty.
-  /// The coordinator's queue-age probe: `frontier - min_due()` is how far
-  /// the shard's oldest work lags the fleet.
-  std::optional<SimNanos> min_due() const;
-
-  /// High-water mark of pending() over the queue's lifetime — evidence for
-  /// the backpressure gate that shedding kept the bound.
-  std::size_t peak_pending() const;
 
  private:
   struct Order {
@@ -184,17 +172,15 @@ class SweepQueue {
   };
 
   bool push_locked(QueuedSweep&& sweep);
-  std::optional<QueuedSweep> take_top_locked();
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   /// Heap over Order (std::push_heap/pop_heap); a plain vector so
-  /// cancel/evict/min_due can walk the pending set in place.
+  /// cancel/evict can walk the pending set in place.
   std::vector<QueuedSweep> heap_;
   std::unordered_set<SweepId> cancelled_;
   std::uint64_t next_seq_ = 0;
   std::size_t active_ = 0;  // runs popped but not yet done()
-  std::size_t peak_ = 0;
   bool closed_ = false;
 };
 

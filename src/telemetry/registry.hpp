@@ -2,7 +2,7 @@
 //
 // Before this substrate existed, timing and counters were scattered across
 // six unrelated ad-hoc structs (VmiStats, SessionPoolStats,
-// CanonicalPool::Stats, DigestTable::Stats, FleetService::Stats,
+// CanonicalPool::Stats, DigestTable::Stats, ShardCoordinator::Stats,
 // PerturbationStats), each with its own locking story.  The registry
 // replaces all of that with three primitives:
 //
@@ -30,7 +30,7 @@
 // Lifetime rule: handles (Counter/Gauge/Histogram/OwnedCounter) must not
 // outlive the registry they came from.  The process-wide default registry
 // (process_default()) lives forever; custom registries (e.g. one per
-// FleetService) must outlive every pipeline/session built on them.
+// ShardCoordinator) must outlive every pipeline/session built on them.
 //
 // Disabling: MetricRegistry::disabled() returns a sentinel registry whose
 // handles are permanently detached no-ops — the mechanism behind the

@@ -12,7 +12,7 @@
 //     is the number the paper's figures are built from.
 //
 // Spans carry a (process, track) pair that maps onto Chrome's (pid, tid):
-// FleetService assigns one process per pool and the pipeline uses the
+// ShardCoordinator assigns one process per pool and the pipeline uses the
 // guest DomainId as the track, so a multi-pool sweep opens in
 // chrome://tracing / Perfetto as one lane per guest per pool.
 //

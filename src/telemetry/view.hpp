@@ -1,10 +1,9 @@
 // MetricView — a namespaced window onto a MetricRegistry.
 //
-// The sharded fleet coordinator gives every shard its own view
-// ("shard3.") over the one fleet registry: the shard's code mints
-// counters and gauges through the view without knowing (or being able to
-// collide with) the global namespace, and an operator can snapshot just
-// one shard's metrics by prefix.  A view is a naming convention plus a
+// A component handed a view ("pool3.") over a shared registry mints
+// counters and gauges through it without knowing (or being able to collide
+// with) the global namespace, and an operator can snapshot just that
+// component's metrics by prefix.  A view is a naming convention plus a
 // filter — it allocates nothing and adds no indirection on the hot path
 // (the returned handles are ordinary registry handles bound to the
 // prefixed name).
@@ -19,7 +18,7 @@ namespace mc::telemetry {
 class MetricView {
  public:
   /// A view over `registry` whose metric names all start with `prefix`
-  /// (convention: "shard<i>." — the trailing separator is the caller's
+  /// (convention: "<component>." — the trailing separator is the caller's
   /// choice, the view just concatenates).
   MetricView(MetricRegistry& registry, std::string prefix)
       : registry_(&registry), prefix_(std::move(prefix)) {}

@@ -1,11 +1,10 @@
 // Consistent-hash ring with virtual nodes.
 //
-// The sharded control plane (service/coordinator) assigns pools to worker
-// shards, and the partitioned scheduler assigns modules to simulated
-// checker instances.  Both need the same property: when the node set
-// changes by one (a shard dies, a checker is added), only ~1/N of the keys
-// move — a modulo assignment would reshuffle almost everything and throw
-// away every warm cache on the survivors.  The classic fix is a hash ring:
+// The partitioned scheduler assigns modules to simulated checker
+// instances.  It needs the property that when the node set changes by one
+// (a checker is added or removed), only ~1/N of the keys move — a modulo
+// assignment would reshuffle almost everything and throw away every warm
+// cache on the survivors.  The classic fix is a hash ring:
 // each node projects `virtual_nodes` points onto a 64-bit circle, and a
 // key belongs to the first node point at or clockwise of the key's own
 // hash.  Virtual nodes smooth the per-node share (the standard deviation
@@ -13,7 +12,7 @@
 //
 // Everything is deterministic: FNV-1a over stable strings, no seeds, no
 // host entropy — the same node set always yields the same assignment, which
-// is what makes the chaos re-shard replayable under SimClock.
+// keeps scheduler timelines replayable under SimClock.
 #pragma once
 
 #include <algorithm>

@@ -1,54 +1,39 @@
 #include "util/thread_pool.hpp"
 
-#include <algorithm>
-
 #include "util/error.hpp"
 
 namespace mc {
 
-ThreadPool::ThreadPool(std::size_t partitions,
-                       std::size_t threads_per_partition) {
-  MC_CHECK(partitions >= 1, "thread pool needs at least one partition");
-  MC_CHECK(threads_per_partition >= 1,
-           "thread pool needs at least one worker per partition");
-  slices_.reserve(partitions);
-  for (std::size_t p = 0; p < partitions; ++p) {
-    slices_.push_back(std::make_unique<Slice>());
-  }
-  workers_.reserve(partitions * threads_per_partition);
-  for (std::size_t p = 0; p < partitions; ++p) {
-    for (std::size_t i = 0; i < threads_per_partition; ++i) {
-      Slice& slice = *slices_[p];
-      workers_.emplace_back([this, &slice] { worker_loop(slice); });
-    }
+ThreadPool::ThreadPool(std::size_t threads) {
+  MC_CHECK(threads >= 1, "thread pool needs at least one worker");
+  workers_.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  for (auto& slice : slices_) {
-    {
-      std::lock_guard<std::mutex> lock(slice->mutex);
-      slice->stopping = true;
-    }
-    slice->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    stopping_ = true;
   }
+  cv_.notify_all();
   for (auto& w : workers_) {
     w.join();
   }
 }
 
-void ThreadPool::worker_loop(Slice& slice) {
+void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
-      std::unique_lock<std::mutex> lock(slice.mutex);
-      slice.cv.wait(lock,
-                    [&] { return slice.stopping || !slice.tasks.empty(); });
-      if (slice.tasks.empty()) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return stopping_ || !tasks_.empty(); });
+      if (tasks_.empty()) {
         return;  // stopping and drained
       }
-      task = std::move(slice.tasks.front());
-      slice.tasks.pop();
+      task = std::move(tasks_.front());
+      tasks_.pop();
     }
     task();
   }

@@ -2,12 +2,8 @@
 //
 // Used by the parallel pool-scan mode of ModChecker — the extension the
 // paper proposes in §V-C.1 ("the modular design of ModChecker can support
-// parallel access of virtual machines' memory") — and, in partitioned
-// form, by the sharded fleet coordinator: a pool built with
-// `ThreadPool(partitions, threads_per_partition)` gives every partition
-// its own task queue and a dedicated worker slice, so one shard's backlog
-// can never starve another shard's workers.  The classic single-queue
-// constructor is partition count 1.
+// parallel access of virtual machines' memory") — and to host the fleet
+// coordinator's worker loops.
 #pragma once
 
 #include <condition_variable>
@@ -26,12 +22,7 @@ namespace mc {
 class ThreadPool {
  public:
   /// Creates a pool with `threads` workers (>= 1) sharing one task queue.
-  explicit ThreadPool(std::size_t threads) : ThreadPool(1, threads) {}
-
-  /// Creates a partitioned pool: `partitions` independent task queues
-  /// (>= 1), each drained by its own `threads_per_partition` workers
-  /// (>= 1).  Tasks submitted to partition p run only on p's workers.
-  ThreadPool(std::size_t partitions, std::size_t threads_per_partition);
+  explicit ThreadPool(std::size_t threads);
 
   /// Joins all workers; pending tasks are completed first.
   ~ThreadPool();
@@ -40,48 +31,32 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   std::size_t size() const { return workers_.size(); }
-  std::size_t partitions() const { return slices_.size(); }
 
-  /// Enqueues a callable on partition 0 and returns a future for its
-  /// result (the classic single-queue surface).
+  /// Enqueues a callable and returns a future for its result.
   template <typename F>
   auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    return submit_to(0, std::forward<F>(f));
-  }
-
-  /// Enqueues a callable on the given partition's queue.
-  template <typename F>
-  auto submit_to(std::size_t partition, F&& f)
-      -> std::future<std::invoke_result_t<F>> {
     using R = std::invoke_result_t<F>;
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> result = task->get_future();
-    Slice& slice = *slices_.at(partition);
     {
-      std::lock_guard<std::mutex> lock(slice.mutex);
-      if (slice.stopping) {
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (stopping_) {
         throw std::runtime_error("ThreadPool::submit after shutdown");
       }
-      slice.tasks.emplace([task]() { (*task)(); });
+      tasks_.emplace([task]() { (*task)(); });
     }
-    slice.cv.notify_one();
+    cv_.notify_one();
     return result;
   }
 
  private:
-  /// One partition: queue, lock, and stop flag.  Workers are bound to a
-  /// slice at construction and never touch another slice's queue.
-  struct Slice {
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::queue<std::function<void()>> tasks;
-    bool stopping = false;
-  };
+  void worker_loop();
 
-  void worker_loop(Slice& slice);
-
-  std::vector<std::unique_ptr<Slice>> slices_;
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::queue<std::function<void()>> tasks_;
+  bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
 

@@ -22,7 +22,7 @@
 //     (watched or not) and on every bulk invalidate.  An unchanged
 //     generation therefore proves the domain's memory is byte-identical
 //     to the last observation — the strong "nothing can have changed"
-//     signal FleetService uses to skip whole sweeps.
+//     signal the fleet service uses to skip whole sweeps.
 //   * Subscribers are notified synchronously, under the watch lock, on
 //     every domain write and on each clean->dirty watch transition.
 //     Callbacks must be cheap and must NOT call back into WriteWatch

@@ -2,7 +2,7 @@
 // verdicts and report JSON byte-identical to a full ModChecker::scan_pool
 // in every state — clean pools at every paper pool size, E1-E4 attacks
 // landing between ticks on PE and ELF guests, and fuzzed write-weather),
-// plus FleetService dirty-scheduling: clean cadence ticks are skipped via
+// plus fleet-service dirty-scheduling: clean cadence ticks are skipped via
 // the WriteWatch generation check and re-emit the previous results, an
 // attack between ticks un-skips exactly the dirty tick, and event/full
 // sweeps over the same pool stay report-identical.
@@ -17,10 +17,12 @@
 
 #include <array>
 #include <atomic>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "attacks/byte_patch.hpp"
@@ -36,7 +38,7 @@
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report_json.hpp"
-#include "service/fleet.hpp"
+#include "service/coordinator.hpp"
 #include "telemetry/registry.hpp"
 #include "util/bytes.hpp"
 
@@ -44,7 +46,7 @@ namespace {
 
 using namespace mc;
 using namespace mc::core;
-using mc::service::FleetService;
+using mc::service::ShardCoordinator;
 using mc::service::RingSink;
 using mc::service::SweepReport;
 using mc::service::SweepSpec;
@@ -259,7 +261,7 @@ TEST(EventDrivenDifferential, FuzzedWriteWeather) {
   }
 }
 
-// ---- FleetService dirty scheduling --------------------------------------------
+// ---- fleet service dirty scheduling -------------------------------------------
 
 SweepSpec event_spec(std::string name, std::size_t pool,
                      std::vector<std::string> modules, std::size_t repeat,
@@ -276,7 +278,7 @@ SweepSpec event_spec(std::string name, std::size_t pool,
 
 TEST(FleetEventDriven, CleanTicksAreSkippedAndReemitPreviousResults) {
   auto env = make_env(4);
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
   auto ring = std::make_shared<RingSink>();
   fleet.add_sink(ring);
@@ -305,7 +307,7 @@ TEST(FleetEventDriven, CleanTicksAreSkippedAndReemitPreviousResults) {
 
 TEST(FleetEventDriven, AttackBetweenTicksUnskipsExactlyTheDirtyTick) {
   auto env = make_env(4);
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
   // A skipped event tick never reaches the module hook (nothing runs), so
   // the "between ticks" writer is a second, full sweep on its own pool:
@@ -369,7 +371,7 @@ TEST(FleetEventDriven, AttackBetweenTicksUnskipsExactlyTheDirtyTick) {
 
 TEST(FleetEventDriven, EventAndFullSweepsStayReportIdentical) {
   auto env = make_env(5);
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   // Two pools over the same guests: one swept event-driven, one full —
   // plus a two-VM trigger pool whose full sweep applies the attack from
   // its module hook (event ticks that skip never reach the hook).
@@ -448,7 +450,7 @@ TEST(FleetEventDriven, ConcurrentEventSweepsAcrossPoolsAreRaceFree) {
                                          env->guests().begin() + 3);
   const std::vector<vmm::DomainId> back(env->guests().begin() + 3,
                                         env->guests().end());
-  FleetService fleet({/*workers=*/2});
+  ShardCoordinator fleet({/*workers=*/2});
   const std::size_t p0 = fleet.add_pool(env->hypervisor(), front);
   const std::size_t p1 = fleet.add_pool(env->hypervisor(), back);
   auto ring = std::make_shared<RingSink>();
@@ -500,7 +502,7 @@ TEST(FleetEventDriven, EventStateLivesExactlyAsLongAsItsChain) {
     // One-shot event-driven sweeps: each run's state exists while it
     // reports and is gone once its chain ends.
     telemetry::MetricRegistry reg;
-    FleetService fleet({/*workers=*/1, &reg});
+    ShardCoordinator fleet({/*workers=*/1, &reg});
     const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
     auto probe = std::make_shared<EventStateProbe>(reg);
     fleet.add_sink(probe);
@@ -520,7 +522,7 @@ TEST(FleetEventDriven, EventStateLivesExactlyAsLongAsItsChain) {
   {
     // A live recurring sweep holds exactly one state across its ticks.
     telemetry::MetricRegistry reg;
-    FleetService fleet({/*workers=*/1, &reg});
+    ShardCoordinator fleet({/*workers=*/1, &reg});
     const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
     auto probe = std::make_shared<EventStateProbe>(reg);
     fleet.add_sink(probe);
@@ -537,7 +539,7 @@ TEST(FleetEventDriven, EventStateLivesExactlyAsLongAsItsChain) {
     // completes, its recurrence is refused, and the coordinator drops the
     // state.
     telemetry::MetricRegistry reg;
-    FleetService fleet({/*workers=*/1, &reg});
+    ShardCoordinator fleet({/*workers=*/1, &reg});
     const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
     fleet.set_module_hook(
         [&](service::SweepId id, std::size_t /*run_index*/,
@@ -550,6 +552,49 @@ TEST(FleetEventDriven, EventStateLivesExactlyAsLongAsItsChain) {
     EXPECT_EQ(fleet.stats().completed_runs, 1u);
     EXPECT_EQ(reg.gauge("service.event_states").value(), 0);
   }
+}
+
+TEST(FleetEventDriven, StopMidChainReleasesEventState) {
+  // stop() drops a recurring event-driven sweep's queued follow-up; the
+  // dropped run was its chain's only live one, so its state must go too.
+  auto env = make_env(3);
+  telemetry::MetricRegistry reg;
+  ShardCoordinator fleet({/*workers=*/1, &reg});
+  const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
+  auto ring = std::make_shared<RingSink>();
+  fleet.add_sink(ring);
+  // The one-shot blocker (due 0) runs after the chain's first tick and
+  // before its second (due one cadence later).  It holds the only worker
+  // until stop() has emptied the queue, so stop() finds the follow-up
+  // pending.
+  std::promise<void> blocker_started;
+  std::atomic<service::SweepId> blocker{0};
+  ShardCoordinator* fleet_ptr = &fleet;
+  fleet.set_module_hook([&](service::SweepId id, std::size_t,
+                            const std::string&) {
+    if (id != blocker.load()) {
+      return;
+    }
+    blocker_started.set_value();
+    while (fleet_ptr->pending_sweeps() != 0) {
+      std::this_thread::yield();
+    }
+  });
+  ASSERT_NE(fleet.submit(event_spec("chain", pool, {"hal.dll"},
+                                    /*repeat=*/5)),
+            0u);
+  blocker.store(fleet.submit(event_spec("blocker", pool, {"ntfs.sys"},
+                                        /*repeat=*/1,
+                                        /*event_driven=*/false)));
+  ASSERT_NE(blocker.load(), 0u);
+  fleet.start();
+  blocker_started.get_future().wait();
+  EXPECT_EQ(reg.gauge("service.event_states").value(), 1);
+  fleet.stop();
+
+  EXPECT_EQ(fleet.stats().dropped_pending, 1u);
+  EXPECT_EQ(ring->total_seen(), 2u);  // the chain's first tick + blocker
+  EXPECT_EQ(reg.gauge("service.event_states").value(), 0);
 }
 
 TEST(FleetEventDriven, DirtierPoolScansFirstAtEqualPriority) {
@@ -565,7 +610,7 @@ TEST(FleetEventDriven, DirtierPoolScansFirstAtEqualPriority) {
     busy_env->hypervisor().domain(d).memory().write(0, ByteView(b));
   }
 
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   const std::size_t quiet =
       fleet.add_pool(quiet_env->hypervisor(), quiet_env->guests());
   const std::size_t busy =

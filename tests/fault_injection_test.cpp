@@ -7,7 +7,7 @@
 //     unchanged, the FaultRecords are kept as evidence);
 //   * a guest that never answers is quarantined — the sweep completes,
 //     the healthy majority still votes, and the quarantine is visible in
-//     the text, JSON and FleetService surfaces;
+//     the text, JSON and fleet-service surfaces;
 //   * when too few peers answer, verdicts carry quorum_lost instead of
 //     pretending the paper's majority rule still holds.
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report.hpp"
 #include "modchecker/report_json.hpp"
-#include "service/fleet.hpp"
+#include "service/coordinator.hpp"
 #include "vmi/session.hpp"
 #include "vmm/fault_injection.hpp"
 
@@ -352,14 +352,14 @@ TEST(FaultJson, FaultRecordSchema) {
   EXPECT_NE(json.find("\"stage\":\"acquire\""), std::string::npos);
 }
 
-// ---- FleetService quarantine surface ------------------------------------------
+// ---- fleet service quarantine surface -----------------------------------------
 
 TEST(FleetFaults, QuarantineSurfacesAndRecurrenceRetries) {
   auto env = make_env(4);
   const vmm::DomainId faulty = env->guests()[2];
   env->hypervisor().fault_injector().arm(faulty, always_fault());
 
-  service::FleetService fleet({/*workers=*/1});
+  service::ShardCoordinator fleet({/*workers=*/1});
   const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
   auto ring = std::make_shared<service::RingSink>();
   fleet.add_sink(ring);

@@ -1,4 +1,4 @@
-// Mixed-format fleet: one FleetService sweeping a Windows/PE32 pool and a
+// Mixed-format fleet: one ShardCoordinator sweeping a Windows/PE32 pool and a
 // Linux/ELF64 pool concurrently, with format auto-detection doing the
 // per-module plugin routing.  Runs under the tsan ctest label — the two
 // pools' sweeps interleave on the worker pool, so the format registry and
@@ -15,7 +15,7 @@
 #include "elf/parser.hpp"
 #include "guestos/kernel.hpp"
 #include "guestos/ko_loader.hpp"
-#include "service/fleet.hpp"
+#include "service/coordinator.hpp"
 
 namespace {
 
@@ -63,7 +63,7 @@ TEST(MixedFleet, CleanPoolsOfBothFormatsDrainSilently) {
   auto pe_env = make_pe_env(4);
   auto elf_env = make_elf_env(4);
 
-  FleetService fleet({/*workers=*/4});
+  ShardCoordinator fleet({/*workers=*/4});
   const std::size_t pe_pool =
       fleet.add_pool(pe_env->hypervisor(), pe_env->guests());
   const std::size_t elf_pool =
@@ -103,7 +103,7 @@ TEST(MixedFleet, InfectionsLocalizedPerFormatUnderConcurrency) {
   attacks::InlineHookAttack{}.apply(*pe_env, pe_victim, "hal.dll");
   patch_ko_text(*elf_env, elf_victim, "scsi_mod");
 
-  FleetService fleet({/*workers=*/4});
+  ShardCoordinator fleet({/*workers=*/4});
   const std::size_t pe_pool =
       fleet.add_pool(pe_env->hypervisor(), pe_env->guests());
   const std::size_t elf_pool =

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "cloud/environment.hpp"
-#include "service/fleet.hpp"
+#include "service/coordinator.hpp"
 #include "vmm/fault_injection.hpp"
 
 namespace {
@@ -61,7 +61,7 @@ TEST(JsonLinesSinkEdge, FailingStreamNeverStopsTheFleet) {
   os.setstate(std::ios::badbit);  // broken from the start
   auto sink = std::make_shared<JsonLinesSink>(os);
 
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
   fleet.add_sink(sink);
   SweepSpec spec;
@@ -92,7 +92,7 @@ TEST(SweepQueueEdge, PushAfterCloseIsRefused) {
 
 TEST(FleetEdge, SubmitAfterDrainReturnsZero) {
   auto env = make_env(3);
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
   fleet.start();
   fleet.drain();
@@ -115,7 +115,7 @@ TEST(FleetEdge, FullyQuarantinedPoolExhaustsInsteadOfSpinning) {
     env->hypervisor().fault_injector().arm(vm, always);
   }
 
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
   auto ring = std::make_shared<RingSink>();
   fleet.add_sink(ring);
@@ -147,7 +147,7 @@ TEST(FleetEdge, CancellingASweepOnAQuarantiningPoolStopsItMidRun) {
   env->hypervisor().fault_injector().arm(env->guests()[1],
                                          vmm::FaultProfile{1.0});
 
-  FleetService fleet({/*workers=*/1});
+  ShardCoordinator fleet({/*workers=*/1});
   const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
   auto ring = std::make_shared<RingSink>();
   fleet.add_sink(ring);
@@ -156,7 +156,7 @@ TEST(FleetEdge, CancellingASweepOnAQuarantiningPoolStopsItMidRun) {
   // scan, the cancellation is observed at the next module boundary — the
   // run ends after exactly one (quarantining) scan, deterministically.
   std::atomic<bool> cancelled_once{false};
-  FleetService* fleet_ptr = &fleet;
+  ShardCoordinator* fleet_ptr = &fleet;
   fleet.set_module_hook([&cancelled_once, fleet_ptr](
                             SweepId id, std::size_t, const std::string&) {
     if (!cancelled_once.exchange(true)) {

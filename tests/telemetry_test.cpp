@@ -15,6 +15,7 @@
 #include "modchecker/report_json.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
+#include "telemetry/view.hpp"
 #include "util/thread_pool.hpp"
 #include "vmi/session.hpp"
 
@@ -139,6 +140,23 @@ TEST(MetricRegistry, ResolveMapsNullToProcessDefault) {
             &telemetry::MetricRegistry::process_default());
   telemetry::MetricRegistry mine;
   EXPECT_EQ(&telemetry::resolve(&mine), &mine);
+}
+
+TEST(MetricView, SnapshotFiltersByPrefix) {
+  telemetry::MetricRegistry reg;
+  reg.counter("service.submitted").inc(3);
+  telemetry::MetricView shard0(reg, "shard0.");
+  telemetry::MetricView shard1(reg, "shard1.");
+  shard0.counter("completed_runs").inc(2);
+  shard1.counter("completed_runs").inc(5);
+
+  EXPECT_EQ(shard0.prefix(), "shard0.");
+  const auto snap = shard0.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].name, "shard0.completed_runs");
+  EXPECT_EQ(snap.counters[0].value, 2u);
+  // The full registry still sees every namespace.
+  EXPECT_EQ(reg.snapshot().counters.size(), 3u);
 }
 
 // ---- tracing ---------------------------------------------------------------

@@ -1,15 +1,18 @@
 // Unit tests for mc_util: byte helpers, RNG determinism, simulated clock,
-// thread pool, UTF-16, hexdump.
+// thread pool, consistent-hash ring, UTF-16, hexdump.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <map>
 #include <set>
 #include <stdexcept>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/error.hpp"
+#include "util/hash_ring.hpp"
 #include "util/hexdump.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
@@ -213,42 +216,99 @@ TEST(ThreadPool, DrainsPendingTasksOnDestruction) {
 
 TEST(ThreadPool, RejectsZeroWorkers) {
   EXPECT_THROW(ThreadPool(0), InvalidArgument);
-  EXPECT_THROW(ThreadPool(0, 1), InvalidArgument);
 }
 
-TEST(ThreadPool, PartitionedTasksStayOnTheirWorkers) {
-  ThreadPool pool(2, 1);
-  EXPECT_EQ(pool.partitions(), 2u);
-  EXPECT_EQ(pool.size(), 2u);
-  const auto worker_id = [&](std::size_t partition) {
-    return pool.submit_to(partition,
-                          [] { return std::this_thread::get_id(); })
-        .get();
-  };
-  const std::thread::id id0 = worker_id(0);
-  const std::thread::id id1 = worker_id(1);
-  EXPECT_NE(id0, id1);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_EQ(worker_id(0), id0);  // partition 0 never runs elsewhere
-    EXPECT_EQ(worker_id(1), id1);
+// ---- HashRing --------------------------------------------------------------------
+
+std::vector<std::string> pool_keys(std::size_t count) {
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < count; ++i) {
+    keys.push_back("pool-" + std::to_string(i));
+  }
+  return keys;
+}
+
+// Regression for the FNV-1a clustering bug: keys differing only in their
+// trailing digits must not all land on one node.  Raw FNV-1a put every
+// "pool-N" key within a ~2^48 arc (the last byte never avalanches), so one
+// shard owned the whole fleet; ring_hash's fmix64 finalizer spreads them.
+TEST(HashRing, TrailingDigitKeysSpreadAcrossNodes) {
+  HashRing ring;
+  for (std::size_t n = 0; n < 4; ++n) {
+    ring.add_node(n);
+  }
+  std::map<std::size_t, std::size_t> load;
+  for (const std::string& key : pool_keys(24)) {
+    ++load[ring.owner(key)];
+  }
+  EXPECT_EQ(load.size(), 4u) << "every node must own at least one key";
+  for (const auto& [node, count] : load) {
+    EXPECT_LT(count, 24u / 2) << "node " << node << " owns half the keys";
   }
 }
 
-TEST(ThreadPool, BlockedPartitionDoesNotStarveSiblings) {
-  ThreadPool pool(2, 1);
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  auto blocked = pool.submit_to(0, [gate] { gate.wait(); });
-  // Partition 0's only worker is parked on the gate; partition 1's queue
-  // is independent, so its task completes regardless.
-  EXPECT_EQ(pool.submit_to(1, [] { return 42; }).get(), 42);
-  release.set_value();
-  blocked.get();
+TEST(HashRing, OwnerIsDeterministicAcrossRings) {
+  HashRing a;
+  HashRing b;
+  for (std::size_t n = 0; n < 5; ++n) {
+    a.add_node(n);
+    b.add_node(n);
+  }
+  for (const std::string& key : pool_keys(50)) {
+    EXPECT_EQ(a.owner(key), b.owner(key)) << key;
+  }
+  EXPECT_EQ(a.owner_of_index("pool", 7), a.owner("pool-7"));
 }
 
-TEST(ThreadPool, RejectsUnknownPartition) {
-  ThreadPool pool(2, 1);
-  EXPECT_THROW(pool.submit_to(5, [] {}), std::out_of_range);
+TEST(HashRing, AddNodeMovesOnlyKeysItNowOwns) {
+  HashRing ring;
+  for (std::size_t n = 0; n < 8; ++n) {
+    ring.add_node(n);
+  }
+  const auto keys = pool_keys(200);
+  std::vector<std::size_t> before;
+  for (const std::string& key : keys) {
+    before.push_back(ring.owner(key));
+  }
+
+  ring.add_node(8);
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::size_t now = ring.owner(keys[i]);
+    if (now != before[i]) {
+      EXPECT_EQ(now, 8u) << "a moved key may only move to the new node";
+      ++moved;
+    }
+  }
+  // The new node's fair share is 1/9 of the keys; allow generous slack but
+  // reject a reshuffle (modulo assignment would move ~8/9 of them).
+  EXPECT_GT(moved, 0u);
+  EXPECT_LT(moved, keys.size() / 2);
+}
+
+TEST(HashRing, RemoveNodeLeavesSurvivorAssignmentsUntouched) {
+  HashRing ring;
+  for (std::size_t n = 0; n < 4; ++n) {
+    ring.add_node(n);
+  }
+  const auto keys = pool_keys(100);
+  std::vector<std::size_t> before;
+  for (const std::string& key : keys) {
+    before.push_back(ring.owner(key));
+  }
+  const std::size_t dead = ring.owner(keys[0]);
+
+  ring.remove_node(dead);
+  EXPECT_FALSE(ring.contains(dead));
+  EXPECT_EQ(ring.node_count(), 3u);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::size_t now = ring.owner(keys[i]);
+    EXPECT_NE(now, dead);
+    if (before[i] != dead) {
+      EXPECT_EQ(now, before[i])
+          << keys[i] << " was not on the dead node and must not move";
+    }
+  }
 }
 
 // ---- UTF-16 ------------------------------------------------------------------------

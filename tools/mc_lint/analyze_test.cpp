@@ -76,12 +76,12 @@ std::vector<std::string> tree_files(const std::string& root) {
 
 // ---- Catalog ---------------------------------------------------------------
 
-TEST(AnalyzeCatalog, SeventeenRules) {
+TEST(AnalyzeCatalog, SixteenRules) {
   const auto ids = mc::lint::all_rule_ids();
-  ASSERT_EQ(ids.size(), 17u);
+  ASSERT_EQ(ids.size(), 16u);
   for (const char* rule :
        {"fallible-discard", "lock-order", "sim-determinism", "guest-taint",
-        "hotpath-copy", "watch-bypass", "shard-bypass"}) {
+        "hotpath-copy", "watch-bypass"}) {
     EXPECT_NE(std::find(ids.begin(), ids.end(), rule), ids.end()) << rule;
   }
   // The tier-1 catalog rides along unchanged.
@@ -240,31 +240,6 @@ TEST(AnalyzeFixtures, WatchBypassSanctionedTus) {
     Analyzer a;
     a.add_source(name, body);
     EXPECT_TRUE(lines_of(a.run(), "watch-bypass").empty()) << name;
-  }
-}
-
-// ---- shard-bypass ----------------------------------------------------------
-
-TEST(AnalyzeFixtures, ShardBypass) {
-  const auto result = analyze_fixture("shard_bypass.cpp");
-  // Stack, new and make_unique/make_shared constructions fire; the
-  // ShardCoordinator path, the reference parameter, the qualified nested
-  // type and the suppressed harness stay quiet.
-  EXPECT_EQ(lines_of(result, "shard-bypass"),
-            (std::vector<int>{9, 14, 19, 20}));
-  EXPECT_EQ(result.findings.size(), 4u);
-}
-
-TEST(AnalyzeFixtures, ShardBypassSanctionedTus) {
-  // The service layer owns the guarded types, and tests exercise their
-  // internals on purpose: both path families are exempt wholesale.
-  const std::string body = read_file(fixture("shard_bypass.cpp"));
-  for (const char* name :
-       {"src/service/coordinator.cpp", "src/service/fleet_extra.hpp",
-        "tests/shard_coordinator_test.cpp"}) {
-    Analyzer a;
-    a.add_source(name, body);
-    EXPECT_TRUE(lines_of(a.run(), "shard-bypass").empty()) << name;
   }
 }
 

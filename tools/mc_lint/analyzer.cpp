@@ -16,7 +16,6 @@ const std::vector<std::string>& analyzer_rule_ids() {
       "guest-taint",
       "hotpath-copy",
       "watch-bypass",
-      "shard-bypass",
   };
   return kIds;
 }
@@ -61,7 +60,6 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& opts) {
     rules::guest_taint(u.tokens, u.file, per_file[u.file]);
     rules::hotpath_copy(u.tokens, u.file, per_file[u.file]);
     rules::watch_bypass(u.tokens, u.file, per_file[u.file]);
-    rules::shard_bypass(u.tokens, u.file, per_file[u.file]);
   }
   std::vector<Finding> global;
   rules::lock_order(index_, report_files, global);

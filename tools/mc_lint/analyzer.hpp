@@ -6,7 +6,7 @@
 //
 //   * the token-stream port of all nine tier-1 rules (byte-identical
 //     findings — proven by the differential self-test), and
-//   * seven semantic rules the line scanner cannot express:
+//   * six semantic rules the line scanner cannot express:
 //
 //   fallible-discard   a call to a function indexed as returning
 //                      Fallible<T>/MaybeFault whose result is discarded as
@@ -38,11 +38,6 @@
 //   watch-bypass       frame_version()/write_counter() polling outside
 //                      vmm/write_watch + vmm/phys_mem — dirty checks must
 //                      go through WatchSets / domain write generations.
-//   shard-bypass       direct FleetService/SweepQueue construction outside
-//                      src/service/ and tests — sweeps must enter through
-//                      a ShardCoordinator (or the facade) so admission
-//                      control, SLO accounting and chaos re-sharding
-//                      see them.
 //
 // `// mc-lint: allow(rule)` suppressions work unchanged for every rule.
 #pragma once
@@ -74,10 +69,10 @@ struct AnalyzeResult {
   std::vector<std::string> errors;
 };
 
-/// The seven semantic rule ids introduced by this engine.
+/// The six semantic rule ids introduced by this engine.
 const std::vector<std::string>& analyzer_rule_ids();
 
-/// Full catalog: the ten tier-1 ids plus the seven semantic ids.
+/// Full catalog: the ten tier-1 ids plus the six semantic ids.
 std::vector<std::string> all_rule_ids();
 
 class Analyzer {

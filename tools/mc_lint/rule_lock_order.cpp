@@ -1,7 +1,7 @@
 // lock-order — deadlock and held-lock-blocking analysis over the index.
 //
-// The sweep path takes locks in three layers (FleetService pool registry,
-// SweepQueue, pipeline stage state) and the TSan matrix only proves the
+// The sweep path takes locks in three layers (the coordinator's pool
+// registry, SweepQueue, pipeline stage state) and the TSan matrix only proves the
 // orders that a particular run happened to exercise.  This rule checks the
 // whole index statically:
 //

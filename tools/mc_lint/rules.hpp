@@ -34,9 +34,6 @@ void hotpath_copy(const std::vector<Token>& toks, const std::string& file,
 void watch_bypass(const std::vector<Token>& toks, const std::string& file,
                   std::vector<Finding>& out);
 
-void shard_bypass(const std::vector<Token>& toks, const std::string& file,
-                  std::vector<Finding>& out);
-
 /// Global rule: needs the complete index.  Emits findings only for files
 /// in `report_files` (the analyzed set — indexed-only files are context).
 void lock_order(const FunctionIndex& idx,

@@ -8,10 +8,9 @@
 //   attack  --module M --attack T [--victim N] then re-check
 //   list    [--guests G]                      (loader list of Dom1)
 //   validate --module M                       (PE validator on golden file)
-//   fleet   [--pools P] [--shards S] [--repeat R] [--chaos [--chaos-seed X]]
-//           (sharded control plane: run P pools' recurring sweeps over S
-//           shards, optionally killing one shard mid-run; exits nonzero if
-//           any sweep was lost)
+//   fleet   [--pools P] [--repeat R]
+//           (fleet service: run P pools' recurring sweeps through one
+//           queue; exits nonzero if any sweep was lost)
 //
 // Everything runs against a freshly built deterministic environment; the
 // tool exists to make the library explorable without writing code.
@@ -77,12 +76,9 @@ struct Options {
   // command runs (see DESIGN.md §9).
   std::string telemetry_out;
   std::string trace_out;
-  // Sharded fleet quickstart (see DESIGN.md §14).
+  // Fleet quickstart (see DESIGN.md §14).
   std::size_t pools = 4;
-  std::size_t shards = 2;
   std::size_t repeat = 3;
-  bool chaos = false;
-  std::uint64_t chaos_seed = 1;
 };
 
 void usage() {
@@ -112,12 +108,7 @@ void usage() {
       "  --telemetry-out <f> write a metric-registry JSON snapshot to f\n"
       "  --trace-out <f>     write a Chrome trace (chrome://tracing) to f\n"
       "  --pools <n>         fleet: pool count (default 4)\n"
-      "  --shards <n>        fleet: worker shards (default 2)\n"
-      "  --repeat <n>        fleet: runs per sweep (default 3)\n"
-      "  --chaos             fleet: kill one shard mid-run (needs >= 2\n"
-      "                      shards; the backlog re-shards, no sweep lost)\n"
-      "  --chaos-seed <s>    fleet: chaos victim-selection seed "
-      "(default 1)\n");
+      "  --repeat <n>        fleet: runs per sweep (default 3)\n");
 }
 
 std::unique_ptr<attacks::Attack> make_attack(const std::string& name) {
@@ -155,19 +146,15 @@ core::ModCheckerConfig make_config(const Options& options,
   return cfg;
 }
 
-// `fleet`: the sharded control plane end to end.  P pools (each its own
-// deterministic cloud) are routed over S shards; every pool gets one
-// recurring sweep.  With --chaos one shard dies mid-run and its backlog
-// re-shards onto the survivors — the exit code then *proves* no sweep was
-// lost (expected = pools × repeat completed runs).
+// `fleet`: the fleet service end to end.  P pools (each its own
+// deterministic cloud) share one queue and its workers; every pool gets
+// one recurring sweep.  The exit code proves no sweep was lost (expected =
+// pools × repeat completed runs).
 int run_fleet(const Options& options, telemetry::TraceRecorder* tracer) {
   MC_CHECK(options.pools >= 1, "--pools must be >= 1");
   MC_CHECK(options.repeat >= 1, "--repeat must be >= 1");
   service::CoordinatorConfig cfg;
-  cfg.shards = options.shards;
   cfg.tracer = tracer;
-  cfg.chaos.enabled = options.chaos;
-  cfg.chaos.seed = options.chaos_seed;
   service::ShardCoordinator coordinator(cfg);
 
   std::vector<std::unique_ptr<cloud::CloudEnvironment>> pools;
@@ -181,9 +168,6 @@ int run_fleet(const Options& options, telemetry::TraceRecorder* tracer) {
         std::vector<vmm::DomainId>(pools.back()->guests()),
         make_config(options, tracer));
   }
-  const auto ring = std::make_shared<service::RingSink>(
-      options.pools * options.repeat + 1);
-  coordinator.add_sink(ring);
   coordinator.start();
 
   for (std::size_t p = 0; p < options.pools; ++p) {
@@ -198,39 +182,16 @@ int run_fleet(const Options& options, telemetry::TraceRecorder* tracer) {
   coordinator.drain();
 
   const auto stats = coordinator.stats();
-  std::printf("fleet: %zu pool(s) x %zu run(s) over %zu shard(s)%s\n",
-              options.pools, options.repeat, coordinator.shard_count(),
-              options.chaos ? " [chaos]" : "");
-  for (const auto& s : coordinator.shard_stats()) {
-    std::printf("  shard %zu%s  %6llu run(s)  %4llu stolen  %4llu rescued"
-                "  busy %s\n",
-                s.index, s.dead ? " [dead]" : "       ",
-                static_cast<unsigned long long>(s.completed_runs),
-                static_cast<unsigned long long>(s.stolen_runs),
-                static_cast<unsigned long long>(s.rescued_runs),
-                format_sim_nanos(s.sim_busy).c_str());
-  }
-  std::uint64_t rescued_reports = 0;
-  for (const auto& report : ring->snapshot()) {
-    if (report.rescheduled_from_shard != service::kNoShard) {
-      ++rescued_reports;
-    }
-  }
   const std::uint64_t expected =
       static_cast<std::uint64_t>(options.pools) *
       static_cast<std::uint64_t>(options.repeat);
   const std::uint64_t lost =
       expected - std::min(expected, stats.completed_runs);
-  std::printf("completed %llu/%llu  steals %llu  reshards %llu  "
-              "rescheduled %llu (%llu flagged in reports)  "
-              "deadline misses %llu  lost %llu\n",
+  std::printf("fleet: %zu pool(s) x %zu run(s)\n", options.pools,
+              options.repeat);
+  std::printf("completed %llu/%llu  lost %llu\n",
               static_cast<unsigned long long>(stats.completed_runs),
               static_cast<unsigned long long>(expected),
-              static_cast<unsigned long long>(stats.steals),
-              static_cast<unsigned long long>(stats.reshards),
-              static_cast<unsigned long long>(stats.rescheduled),
-              static_cast<unsigned long long>(rescued_reports),
-              static_cast<unsigned long long>(stats.deadline_misses),
               static_cast<unsigned long long>(lost));
   return lost == 0 ? 0 : 2;
 }
@@ -471,14 +432,8 @@ int main(int argc, char** argv) {
         options.trace_out = next();
       } else if (arg == "--pools") {
         options.pools = std::stoul(next());
-      } else if (arg == "--shards") {
-        options.shards = std::stoul(next());
       } else if (arg == "--repeat") {
         options.repeat = std::stoul(next());
-      } else if (arg == "--chaos") {
-        options.chaos = true;
-      } else if (arg == "--chaos-seed") {
-        options.chaos_seed = std::stoull(next());
       } else {
         std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
         usage();
