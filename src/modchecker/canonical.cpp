@@ -87,13 +87,6 @@ std::uint32_t DigestTable::crc(vmm::DomainId domain,
   return *entry.crc;
 }
 
-DigestTable::Stats DigestTable::stats() const {
-  Stats snap;
-  snap.hits = hits_.value();
-  snap.misses = misses_.value();
-  return snap;
-}
-
 CanonicalPool CanonicalPool::elect(
     const std::vector<const ParsedModule*>& copies, SimClock& clock,
     crypto::HashAlgorithm algorithm, const vmi::HostCostModel& costs,

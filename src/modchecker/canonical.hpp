@@ -97,14 +97,6 @@ class DigestTable {
   std::uint32_t crc(vmm::DomainId domain, const IntegrityItem& item,
                     SimClock& clock);
 
-  /// Deprecated view over the registry aggregates "digest_memo.*".
-  // mc-lint: allow(adhoc-stats)
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-  };
-  Stats stats() const;
-
  private:
   struct Entry {
     std::optional<crypto::Digest> digest;
@@ -186,8 +178,8 @@ class CanonicalPool {
   /// entry that shares it.  Call after the last add().
   void finalize(SimClock& clock);
 
-  /// Post-finalize re-canonicalization of ONE VM's copy — the incremental
-  /// scanner's partial-refresh hook.  Replaces (or inserts) the VM's
+  /// Post-finalize re-canonicalization of ONE VM's copy — the scan
+  /// cache's partial-refresh hook (NormalizeStage::normalize).  Replaces (or inserts) the VM's
   /// entry, charging only this copy's adjustment/hashing to `clock`; the
   /// unchanged members keep their vectors, so a pool whose reference is
   /// stable re-normalizes O(changed copies) instead of O(t) per tick.
@@ -200,7 +192,7 @@ class CanonicalPool {
   ///
   /// `changed_rvas` (optional) are the [lo, hi) image-relative byte
   /// ranges known to cover EVERY byte that changed since this VM's
-  /// previous entry (the incremental scanner's dirty-page mask).  Items
+  /// previous entry (the scan cache's dirty-page mask).  Items
   /// whose span misses every range — and whose span matched last time —
   /// reuse the previous entry's digest for free: their bytes are
   /// untouched, and any fixup-table change implies some overlapping
@@ -225,23 +217,6 @@ class CanonicalPool {
   /// Post-finalize: per-item digests in reference item order.  Two
   /// eligible VMs' modules pairwise-match iff their vectors are equal.
   const std::vector<crypto::Digest>& digests(vmm::DomainId vm) const;
-
-  /// Deprecated view over the registry aggregates "canonical.*".
-  // mc-lint: allow(adhoc-stats)
-  struct Stats {
-    std::uint64_t eligible = 0;
-    std::uint64_t ineligible = 0;
-    /// rva-sensitive items whose canonical digest got established by a
-    /// differing-base partner.
-    std::uint64_t canonicals_established = 0;
-  };
-  Stats stats() const {
-    Stats snap;
-    snap.eligible = eligible_count_.value();
-    snap.ineligible = ineligible_count_.value();
-    snap.canonicals_established = canonicals_established_.value();
-    return snap;
-  }
 
  private:
   struct Entry {

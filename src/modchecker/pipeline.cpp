@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "modchecker/incremental.hpp"
 #include "modchecker/searcher.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -78,6 +79,39 @@ std::optional<T> acquire_with_retry(const RetryPolicy& retry,
   return std::nullopt;
 }
 
+/// Runs task(0) .. task(n - 1) into `out`, on a ThreadPool when
+/// config.parallel and n > 1, and returns the simulated wall time: the
+/// summed task costs sequentially, the list-scheduling makespan
+/// max(longest task, total work / workers) in parallel.
+template <typename R, typename Task, typename Cost>
+SimNanos run_tasks(const ModCheckerConfig& config, std::size_t n, Task&& task,
+                   Cost&& cost, std::vector<R>& out) {
+  out.reserve(n);
+  SimNanos longest = 0;
+  SimNanos total = 0;
+  const auto tally = [&](const R& result) {
+    longest = std::max(longest, cost(result));
+    total += cost(result);
+  };
+  if (!config.parallel || n <= 1) {
+    for (std::size_t k = 0; k < n; ++k) {
+      tally(out.emplace_back(task(k)));
+    }
+    return total;
+  }
+  const std::size_t workers = std::min(config.worker_threads, n);
+  ThreadPool tp(workers);
+  std::vector<std::future<R>> futures;
+  futures.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    futures.push_back(tp.submit([&task, k] { return task(k); }));
+  }
+  for (auto& f : futures) {
+    tally(out.emplace_back(f.get()));
+  }
+  return std::max(longest, total / workers);
+}
+
 }  // namespace
 
 // ---- Acquire ---------------------------------------------------------------
@@ -96,36 +130,17 @@ vmi::VmiSession& AcquireStage::Session::session() {
   return lease_ ? lease_->session() : *local_;
 }
 
-std::vector<ModuleInfo> AcquireStage::list_modules(Session& s) const {
-  return ModuleSearcher(s.session()).list_modules();
-}
-
-std::optional<ModuleInfo> AcquireStage::find_module(
+Fallible<std::optional<ModuleInfo>> AcquireStage::try_find_module(
     Session& s, const std::string& module_name) const {
-  return ModuleSearcher(s.session()).find_module(module_name);
-}
-
-std::optional<ModuleImage> AcquireStage::extract_module(
-    Session& s, const std::string& module_name) const {
-  // Always an owned copy: the throwing wrapper serves consumers whose
-  // extraction outlives the scan (the incremental cache, forensics).
-  ctx_->pm.materializations.inc();
-  return ModuleSearcher(s.session()).extract_module(module_name);
-}
-
-Fallible<std::vector<ModuleInfo>> AcquireStage::try_list_modules(
-    Session& s) const {
-  return ModuleSearcher(s.session()).try_list_modules();
+  return ModuleSearcher(s.session()).try_find_module(module_name);
 }
 
 Fallible<std::optional<ModuleImage>> AcquireStage::try_extract_module(
-    Session& s, const std::string& module_name) const {
-  if (ctx_->config.zero_copy_acquire) {
-    return ModuleSearcher(s.session())
-        .try_extract_module(module_name, ExtractMode::kView);
+    Session& s, const std::string& module_name, ExtractMode mode) const {
+  if (mode == ExtractMode::kCopy) {
+    ctx_->pm.materializations.inc();
   }
-  ctx_->pm.materializations.inc();
-  return ModuleSearcher(s.session()).try_extract_module(module_name);
+  return ModuleSearcher(s.session()).try_extract_module(module_name, mode);
 }
 
 std::optional<std::optional<ModuleImage>> AcquireStage::extract_with_retry(
@@ -146,11 +161,15 @@ std::optional<std::vector<ModuleInfo>> AcquireStage::list_with_retry(
       ctx_->config.retry, vm, clock, faults, attempts,
       [&]() -> Fallible<std::vector<ModuleInfo>> {
         Session session(*ctx_, vm, clock);
-        return try_list_modules(session);
+        return ModuleSearcher(session.session()).try_list_modules();
       });
 }
 
 // ---- Parse -----------------------------------------------------------------
+
+const ParsedModule& Extraction::copy() const {
+  return cached != nullptr ? cached->parsed : parsed;
+}
 
 void ParseStage::parse(const ModuleImage& image, Extraction& ex) const {
   // Host CPU work, contention-scaled (Dom0 shares the physical cores with
@@ -160,11 +179,10 @@ void ParseStage::parse(const ModuleImage& image, Extraction& ex) const {
   parser_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
   try {
     ex.parsed = ctx_->parser.parse(image, parser_clock);
-  } catch (const FormatError& e) {
+  } catch (const FormatError&) {
     // Corrupted PE structure (e.g. a tampered magic or header field that
     // breaks the walk): not a crash, a *finding*.
     ex.parse_failed = true;
-    ex.parse_error = e.what();
   }
   ex.times.parser = parser_clock.now();
 }
@@ -177,21 +195,77 @@ bool NormalizeStage::enabled() const {
   return ctx_->config.pool_fastpath && !ctx_->config.crc_prefilter;
 }
 
-std::optional<CanonicalPool> NormalizeStage::canonicalize(
-    const std::vector<Extraction>& extractions, SimClock& clock) const {
+const CanonicalPool* NormalizeStage::normalize(
+    const std::vector<Extraction>& extractions, CanonicalState& state,
+    SimClock& clock) const {
   if (!enabled()) {
-    return std::nullopt;
+    return nullptr;
   }
-  std::vector<const ParsedModule*> copies;
-  copies.reserve(extractions.size());
-  for (const auto& ex : extractions) {
-    if (ex.found && !ex.parse_failed) {
-      copies.push_back(&ex.parsed);
+  const auto usable = [](const Extraction& ex) {
+    return ex.found && !ex.parse_failed;
+  };
+  const auto generation = [](const Extraction& ex) {
+    return ex.cached != nullptr ? ex.cached->generation : 0;
+  };
+  const auto ref = std::find_if(
+      extractions.begin(), extractions.end(), [&](const Extraction& ex) {
+        return state.pool && usable(ex) && ex.copy().domain == state.ref_vm;
+      });
+
+  if (ref == extractions.end() || state.ref_generation != generation(*ref)) {
+    // No pool yet, or the borrowed reference changed content or left the
+    // pool: O(t) rebuild with a fresh election, the cost a fresh scan pays
+    // every time (an infected reference is voted out on the scan it does).
+    std::vector<const ParsedModule*> copies;
+    copies.reserve(extractions.size());
+    state.generations.clear();
+    for (const Extraction& ex : extractions) {
+      if (usable(ex)) {
+        copies.push_back(&ex.copy());
+        state.generations[ex.copy().domain] = generation(ex);
+      }
+    }
+    if (copies.empty()) {
+      state.pool.reset();
+      return nullptr;
+    }
+    state.pool.emplace(CanonicalPool::elect(
+        copies, clock, ctx_->config.algorithm, ctx_->config.host_costs,
+        ctx_->metrics, ctx_->policy()));
+    state.ref_vm = state.pool->reference_domain();
+    state.ref_generation = state.generations.at(state.ref_vm);
+    return &*state.pool;
+  }
+
+  // Stable reference: only changed copies re-normalize (O(changed)).
+  for (const Extraction& ex : extractions) {
+    if (&ex == &*ref || !usable(ex)) {
+      continue;
+    }
+    const vmm::DomainId vm = ex.copy().domain;
+    const auto it = state.generations.find(vm);
+    const std::uint64_t have = it == state.generations.end() ? 0 : it->second;
+    if (have != generation(ex)) {
+      // The dirty-range mask is a faithful delta only when the pool saw
+      // the generation just before one partial refresh; anything else
+      // (full re-extraction, missed generations) updates every item.
+      const bool masked = !ex.cached->last_changed_rvas.empty() &&
+                          have + 1 == ex.cached->generation;
+      state.pool->update(ex.copy(), clock,
+                         masked ? &ex.cached->last_changed_rvas : nullptr);
+      state.generations[vm] = ex.cached->generation;
     }
   }
-  return CanonicalPool::elect(copies, clock, ctx_->config.algorithm,
-                              ctx_->config.host_costs, ctx_->metrics,
-                              ctx_->policy());
+  return &*state.pool;
+}
+
+std::optional<CanonicalPool> NormalizeStage::canonicalize(
+    const std::vector<Extraction>& extractions, SimClock& clock) const {
+  CanonicalState state;
+  if (normalize(extractions, state, clock) == nullptr) {
+    return std::nullopt;
+  }
+  return std::move(state.pool);
 }
 
 // ---- Compare ---------------------------------------------------------------
@@ -216,8 +290,10 @@ void VoteStage::finalize(std::vector<PoolVmVerdict>& verdicts) const {
 // ---- Drivers ---------------------------------------------------------------
 
 Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
-                                            const std::string& module_name) {
+                                            const std::string& module_name,
+                                            CachedCopy* cached) {
   Extraction ex;
+  ex.cached = cached;
   const std::uint64_t pid = ctx_->config.trace_pid;
 
   // Module-Searcher: all guest-memory access happens here.  With session
@@ -231,8 +307,41 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   telemetry::SpanScope acquire_span = telemetry::span(
       ctx_->tracer, "acquire", "pipeline", pid, vm, &searcher_clock);
   acquire_span.arg("module", module_name);
-  std::optional<std::optional<ModuleImage>> image = acquire_.extract_with_retry(
-      vm, module_name, searcher_clock, ex.faults, ex.attempts);
+  // Engaged when the VM answered; then true when the module is loaded.
+  std::optional<bool> loaded;
+  std::optional<std::optional<ModuleImage>> fresh;
+  const ModuleImage* to_parse = nullptr;  // null: nothing new to parse
+  if (cached == nullptr) {
+    fresh = acquire_.extract_with_retry(vm, module_name, searcher_clock,
+                                        ex.faults, ex.attempts);
+    if (fresh) {
+      loaded = fresh->has_value();
+      to_parse = *fresh ? &**fresh : nullptr;
+    }
+  } else {
+    // An unchanged domain write generation replaces the session and the
+    // list walk with one O(1) query; otherwise the cache fetch runs in the
+    // retry loop like any acquire.
+    vmm::WriteWatch& watches = ctx_->hypervisor->write_watch();
+    const std::uint64_t generation = watches.domain_write_generation(vm);
+    if (cached->reuse_if_current(generation)) {
+      searcher_clock.advance_raw(ctx_->config.vmi_costs.watch_query);
+      loaded = true;
+    } else {
+      loaded = acquire_with_retry<bool>(
+          ctx_->config.retry, vm, searcher_clock, ex.faults, ex.attempts,
+          [&]() -> Fallible<bool> {
+            AcquireStage::Session session(*ctx_, vm, searcher_clock);
+            return cached->refresh(acquire_, session, watches, module_name,
+                                   generation);
+          });
+    }
+    if (!loaded) {
+      cached->drop(watches);  // quarantined: re-extracted next scan
+    } else if (cached->last.outcome != CachedCopy::Outcome::kReused) {
+      to_parse = &cached->image;
+    }
+  }
   ex.times.searcher = searcher_clock.now();
 
   ctx_->pm.acquire_attempts.inc(ex.attempts);
@@ -248,21 +357,26 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
     acquire_span.arg("faults", std::uint64_t{ex.faults.size()});
   }
 
-  if (!image) {
+  if (!loaded) {
     ex.unavailable = true;  // never answered; found stays false
     ctx_->pm.quarantines.inc();
     acquire_span.arg("quarantined", std::uint64_t{1});
     return ex;
   }
   acquire_span.end();
-  if (!*image) {
+  if (!*loaded) {
     return ex;  // answered: module not loaded here
+  }
+  if (to_parse == nullptr) {
+    ex.found = true;  // the cached parse still holds
+    ex.parse_failed = cached->parse_failed;
+    return ex;
   }
   {
     telemetry::SpanScope parse_span =
         telemetry::span(ctx_->tracer, "parse", "pipeline", pid, vm);
     parse_span.arg("module", module_name);
-    parse_.parse(**image, ex);
+    parse_.parse(*to_parse, ex);
     parse_span.arg("sim_ns", ex.times.parser);
     if (ex.parse_failed) {
       parse_span.arg("parse_failed", std::uint64_t{1});
@@ -271,6 +385,10 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   ctx_->pm.parse_ns.observe(ex.times.parser);
   if (ex.parse_failed) {
     ctx_->pm.parse_failures.inc();
+  }
+  if (cached != nullptr) {
+    cached->parse_failed = ex.parse_failed;
+    cached->parsed = std::move(ex.parsed);
   }
   return ex;
 }
@@ -372,34 +490,13 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
   };
 
   std::vector<PerVm> results;
-  results.reserve(others.size());
-
+  const SimNanos makespan = run_tasks(
+      config, others.size(),
+      [&](std::size_t k) { return process_other(others[k]); },
+      [](const PerVm& r) { return r.ex.times.total() + r.checker_time; },
+      results);
   if (config.parallel && others.size() > 1) {
-    ThreadPool pool(std::min(config.worker_threads, others.size()));
-    std::vector<std::future<PerVm>> futures;
-    futures.reserve(others.size());
-    for (const vmm::DomainId vm : others) {
-      futures.push_back(pool.submit([&, vm] { return process_other(vm); }));
-    }
-    // Simulated makespan on `worker_threads` workers: the list-scheduling
-    // estimate max(longest task, total work / workers).
-    SimNanos longest_task = 0;
-    SimNanos total_work = 0;
-    for (auto& f : futures) {
-      results.push_back(f.get());
-      const PerVm& r = results.back();
-      const SimNanos task = r.ex.times.total() + r.checker_time;
-      longest_task = std::max(longest_task, task);
-      total_work += task;
-    }
-    const SimNanos makespan = std::max(
-        longest_task, total_work / std::min<SimNanos>(config.worker_threads,
-                                                      others.size()));
     report.wall_time = subject_ex.times.total() + memo_preload + makespan;
-  } else {
-    for (const vmm::DomainId vm : others) {
-      results.push_back(process_other(vm));
-    }
   }
 
   // Report aggregation.
@@ -466,8 +563,9 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
   return report;
 }
 
-PoolScanReport CheckPipeline::pool_scan(
-    const std::string& module_name, const std::vector<vmm::DomainId>& pool) {
+PoolScanReport CheckPipeline::pool_scan(const std::string& module_name,
+                                        const std::vector<vmm::DomainId>& pool,
+                                        ScanCache* cache) {
   const ModCheckerConfig& config = ctx_->config;
   ctx_->pm.pool_scans.inc();
   telemetry::SpanScope scan_span = telemetry::span(
@@ -477,35 +575,27 @@ PoolScanReport CheckPipeline::pool_scan(
   PoolScanReport report;
   report.module_name = module_name;
 
-  // Acquire + Parse every VM once.
-  std::vector<Extraction> extractions;
-  extractions.reserve(pool.size());
-
-  if (config.parallel && pool.size() > 1) {
-    ThreadPool tp(std::min(config.worker_threads, pool.size()));
-    std::vector<std::future<Extraction>> futures;
-    for (const vmm::DomainId vm : pool) {
-      futures.push_back(
-          tp.submit([&, vm] { return acquire_and_parse(vm, module_name); }));
-    }
-    SimNanos longest = 0;
-    SimNanos total_work = 0;
-    for (auto& f : futures) {
-      extractions.push_back(f.get());
-      longest = std::max(longest, extractions.back().times.total());
-      total_work += extractions.back().times.total();
-    }
-    report.wall_time = std::max(
-        longest, total_work / std::min<SimNanos>(config.worker_threads,
-                                                 pool.size()));
-  } else {
-    for (const vmm::DomainId vm : pool) {
-      extractions.push_back(acquire_and_parse(vm, module_name));
-      report.wall_time += extractions.back().times.total();
-    }
+  // Acquire + Parse every VM once, fresh or through its cache slot.  Slots
+  // are inserted here, on the orchestrating thread, so parallel fetches
+  // each touch only their own.
+  ScanCache::Module* cached =
+      cache != nullptr ? &cache->module(module_name) : nullptr;
+  std::vector<CachedCopy*> slots(pool.size(), nullptr);
+  for (std::size_t i = 0; cached != nullptr && i < pool.size(); ++i) {
+    slots[i] = &cached->copies[pool[i]];
   }
+  std::vector<Extraction> extractions;
+  report.wall_time = run_tasks(
+      config, pool.size(),
+      [&](std::size_t i) {
+        return acquire_and_parse(pool[i], module_name, slots[i]);
+      },
+      [](const Extraction& ex) { return ex.times.total(); }, extractions);
   for (const auto& ex : extractions) {
     report.cpu_times += ex.times;
+    if (ex.cached != nullptr) {
+      cache->account(*ex.cached);
+    }
   }
 
   // Pairwise comparisons; each unordered pair evaluated once and credited
@@ -534,7 +624,8 @@ PoolScanReport CheckPipeline::pool_scan(
   }
 
   // Normalize: canonical-RVA reduction against an elected reference copy
-  // (O(t) image work); eligible pairs are then decided by digest-vector
+  // (O(t) image work fresh, O(changed copies) against a cache's stable
+  // reference); eligible pairs are then decided by digest-vector
   // comparison.  Any copy that does not reduce cleanly drops its pairs to
   // the exact pairwise fallback below — verdict-identical to the slow
   // path.
@@ -543,12 +634,14 @@ PoolScanReport CheckPipeline::pool_scan(
   telemetry::SpanScope normalize_span = telemetry::span(
       ctx_->tracer, "normalize", "pipeline", config.trace_pid, 0,
       &canon_clock);
-  std::optional<CanonicalPool> canon =
-      normalize_.canonicalize(extractions, canon_clock);
+  CanonicalState fresh_state;
+  const CanonicalPool* canon = normalize_.normalize(
+      extractions, cached != nullptr ? cached->canon : fresh_state,
+      canon_clock);
   const SimNanos normalize_ns = canon_clock.now();
   normalize_span.arg("fastpath_enabled",
-                     std::uint64_t{canon.has_value() ? 1u : 0u});
-  if (canon && !canon->empty()) {
+                     std::uint64_t{canon != nullptr ? 1u : 0u});
+  if (canon != nullptr) {
     normalize_span.arg("reference_vm",
                        std::uint64_t{canon->reference_domain()});
     normalize_span.arg("reelected",
@@ -558,15 +651,24 @@ PoolScanReport CheckPipeline::pool_scan(
   ctx_->pm.normalize_ns.observe(normalize_ns);
 
   // Compare covers the rest of canon_clock (the fast-path digest-vector
-  // decisions) plus every exact fallback pair.
+  // decisions) plus every exact fallback pair.  A cache answers a fallback
+  // pair whose two copies kept their generations since it was compared.
   telemetry::SpanScope compare_span = telemetry::span(
       ctx_->tracer, "compare", "pipeline", config.trace_pid, 0, &canon_clock);
 
-  struct PairRef {
-    std::size_t i;
-    std::size_t j;
+  // Eligible copies' digest vectors, looked up once per copy, not per pair.
+  std::vector<const std::vector<crypto::Digest>*> digests(pool.size());
+  for (std::size_t i = 0; canon != nullptr && i < pool.size(); ++i) {
+    digests[i] = canon->eligible(pool[i]) ? &canon->digests(pool[i]) : nullptr;
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> fallback;
+  std::size_t reused_pairs = 0;
+  const auto credit = [&](std::size_t i, std::size_t j, bool all_match) {
+    if (all_match) {
+      ++verdicts[i].successes;
+      ++verdicts[j].successes;
+    }
   };
-  std::vector<PairRef> fallback;
   for (std::size_t i = 0; i < pool.size(); ++i) {
     if (!extractions[i].found) {
       continue;
@@ -580,65 +682,53 @@ PoolScanReport CheckPipeline::pool_scan(
       if (extractions[i].parse_failed || extractions[j].parse_failed) {
         continue;  // an unparseable copy never matches anything
       }
-      if (canon && canon->eligible(pool[i]) && canon->eligible(pool[j])) {
+      if (digests[i] != nullptr && digests[j] != nullptr) {
         ++report.fastpath_pairs;
         canon_clock.charge(config.host_costs.digest_pair_fixed);
-        if (canon->digests(pool[i]) == canon->digests(pool[j])) {
-          ++verdicts[i].successes;
-          ++verdicts[j].successes;
-        }
+        credit(i, j, *digests[i] == *digests[j]);
+        continue;
+      }
+      const ScanCache::PairVerdict* known =
+          cached != nullptr
+              ? cached->verdict({pool[i], pool[j]},
+                                {slots[i]->generation, slots[j]->generation})
+              : nullptr;
+      if (known != nullptr) {
+        ++reused_pairs;
+        credit(i, j, known->all_match);
       } else {
         fallback.push_back({i, j});
       }
     }
   }
-  report.fallback_pairs = fallback.size();
+  report.fallback_pairs = fallback.size() + reused_pairs;
   report.cpu_times.checker += canon_clock.now();
   report.wall_time += canon_clock.now();
 
-  // Exact pairwise comparisons for the fallback set.  In parallel mode
-  // each pair is an independent task with its own clock and the wall cost
-  // is the list-scheduling makespan.
-  auto run_fallback_pair = [&](const PairRef& p) {
-    SimClock pair_clock;
-    pair_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
-    const PairComparison cmp = compare_.compare(
-        extractions[p.i].parsed, extractions[p.j].parsed, pair_clock);
-    return std::pair<bool, SimNanos>(cmp.all_match, pair_clock.now());
-  };
-
-  if (config.parallel && fallback.size() > 1) {
-    ThreadPool tp(std::min(config.worker_threads, fallback.size()));
-    std::vector<std::future<std::pair<bool, SimNanos>>> futures;
-    futures.reserve(fallback.size());
-    for (const PairRef& p : fallback) {
-      futures.push_back(tp.submit([&, p] { return run_fallback_pair(p); }));
+  // Exact pairwise comparisons for the rest, each on its own clock.
+  std::vector<std::pair<bool, SimNanos>> outcomes;
+  report.wall_time += run_tasks(
+      config, fallback.size(),
+      [&](std::size_t k) {
+        SimClock pair_clock;
+        pair_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
+        const auto [i, j] = fallback[k];
+        const PairComparison cmp = compare_.compare(
+            extractions[i].copy(), extractions[j].copy(), pair_clock);
+        return std::pair<bool, SimNanos>(cmp.all_match, pair_clock.now());
+      },
+      [](const std::pair<bool, SimNanos>& o) { return o.second; }, outcomes);
+  for (std::size_t k = 0; k < fallback.size(); ++k) {
+    const auto [i, j] = fallback[k];
+    credit(i, j, outcomes[k].first);
+    report.cpu_times.checker += outcomes[k].second;
+    if (cached != nullptr) {
+      cached->pairs[{pool[i], pool[j]}] = {
+          {slots[i]->generation, slots[j]->generation}, outcomes[k].first};
     }
-    SimNanos longest = 0;
-    SimNanos total_work = 0;
-    for (std::size_t k = 0; k < fallback.size(); ++k) {
-      const auto [all_match, task_time] = futures[k].get();
-      if (all_match) {
-        ++verdicts[fallback[k].i].successes;
-        ++verdicts[fallback[k].j].successes;
-      }
-      longest = std::max(longest, task_time);
-      total_work += task_time;
-    }
-    report.cpu_times.checker += total_work;
-    report.wall_time += std::max(
-        longest, total_work / std::min<SimNanos>(config.worker_threads,
-                                                 fallback.size()));
-  } else {
-    for (const PairRef& p : fallback) {
-      const auto [all_match, task_time] = run_fallback_pair(p);
-      if (all_match) {
-        ++verdicts[p.i].successes;
-        ++verdicts[p.j].successes;
-      }
-      report.cpu_times.checker += task_time;
-      report.wall_time += task_time;
-    }
+  }
+  if (cache != nullptr) {
+    cache->account_pairs(reused_pairs, fallback.size());
   }
 
   compare_span.arg("fastpath_pairs", std::uint64_t{report.fastpath_pairs});

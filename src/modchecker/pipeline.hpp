@@ -8,7 +8,9 @@
 // This header is the one seam: each stage is a small object over a shared
 // CheckContext, and every public entry point — ModChecker's methods, the
 // IncrementalScanner, the fleet service sweeps — is a thin driver that
-// composes the stages.
+// composes the stages.  A pool scan has exactly one driver, pool_scan;
+// the IncrementalScanner and event-driven sweeps hand it a watch-backed
+// ScanCache (incremental.hpp) instead of running a second scan loop.
 //
 //   Acquire    guest-memory access: sessions (pooled or fresh), loader-list
 //              walks, whole-image extraction.  The ONLY place that may
@@ -33,6 +35,7 @@
 #pragma once
 
 #include <cstddef>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,6 +43,7 @@
 #include "modchecker/canonical.hpp"
 #include "modchecker/checker.hpp"
 #include "modchecker/parser.hpp"
+#include "modchecker/searcher.hpp"
 #include "modchecker/types.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
@@ -50,6 +54,9 @@
 #include "vmm/hypervisor.hpp"
 
 namespace mc::core {
+
+struct CachedCopy;
+class ScanCache;
 
 /// Acquire-stage retry policy: how hard to push a faulting guest before
 /// quarantining it for the rest of the sweep.  Backoff is deterministic
@@ -130,14 +137,6 @@ struct ModCheckerConfig {
   /// Memoize per-item digests within one check so the subject's items are
   /// hashed once instead of once per peer.
   bool digest_memo = true;
-  /// Acquire whole-image extractions as borrowed GuestViews over the
-  /// guest's frames instead of copying SizeOfImage bytes into an owned
-  /// buffer.  Simulated charges are identical (the per-byte access cost is
-  /// the introspection, not the host memcpy); the saving is host time and
-  /// allocations.  Views live for one scan, so consumers that outlive it
-  /// (the incremental cache, forensic dumps) always take the copy path
-  /// regardless of this flag.
-  bool zero_copy_acquire = true;
   /// Pin every diff/compare kernel to the scalar implementation (same
   /// effect as the MC_FORCE_SCALAR environment variable, scoped to this
   /// pipeline).  Verdicts are bit-identical at every dispatch level; this
@@ -280,6 +279,9 @@ struct CheckContext {
           parse_failures(reg.counter("pipeline.parse.failures")),
           fastpath_pairs(reg.counter("pipeline.compare.fastpath_pairs")),
           fallback_pairs(reg.counter("pipeline.compare.fallback_pairs")),
+          cache_reuses(reg.counter("incremental.cache_reuses")),
+          partial_refreshes(reg.counter("incremental.partial_refreshes")),
+          frames_reread(reg.counter("incremental.frames_reread")),
           acquire_ns(reg.histogram("pipeline.acquire.sim_ns")),
           parse_ns(reg.histogram("pipeline.parse.sim_ns")),
           normalize_ns(reg.histogram("pipeline.normalize.sim_ns")),
@@ -290,15 +292,19 @@ struct CheckContext {
     telemetry::Counter list_scans;
     telemetry::Counter acquire_attempts;
     telemetry::Counter acquire_retries;
-    /// Whole-image extractions that produced an owned copy instead of a
-    /// borrowed view (kCopy mode or zero_copy_acquire off).  Zero across a
-    /// clean zero-copy scan — the bench gate asserts exactly that.
+    /// Whole-image extractions that produced an owned copy (kCopy: the
+    /// scan cache's copies) instead of a borrowed view.  Zero across a
+    /// clean fresh scan — the bench gate asserts exactly that.
     telemetry::Counter materializations;
     telemetry::Counter quarantines;
     telemetry::Counter faults;
     telemetry::Counter parse_failures;
     telemetry::Counter fastpath_pairs;
     telemetry::Counter fallback_pairs;
+    /// Scan-cache economics (ScanCache::account).
+    telemetry::Counter cache_reuses;
+    telemetry::Counter partial_refreshes;
+    telemetry::Counter frames_reread;
     telemetry::Histogram acquire_ns;
     telemetry::Histogram parse_ns;
     telemetry::Histogram normalize_ns;
@@ -342,7 +348,6 @@ struct Extraction {
   ComponentTimes times;
   bool found = false;
   bool parse_failed = false;
-  std::string parse_error;
   ParsedModule parsed;
   /// Every fault observed across the acquire attempts (empty on a clean
   /// run — the usual case allocates nothing).
@@ -352,6 +357,11 @@ struct Extraction {
   bool unavailable = false;
   /// Acquire attempts consumed (1 on the clean path).
   std::uint32_t attempts = 1;
+  /// The scan-cache slot holding this VM's copy; `parsed` is then empty.
+  const CachedCopy* cached = nullptr;
+
+  /// The parsed copy, wherever it lives.
+  const ParsedModule& copy() const;
 };
 
 /// Stage 1 — Acquire: all guest-memory access.  Hands out RAII session
@@ -374,26 +384,17 @@ class AcquireStage {
     std::optional<vmi::VmiSession> local_;
   };
 
-  Session open(vmm::DomainId vm, SimClock& clock) const {
-    return Session(*ctx_, vm, clock);
-  }
-
-  /// Loader-list walk: every module's basic facts.
-  std::vector<ModuleInfo> list_modules(Session& s) const;
-
-  /// Loader-list lookup of one module; nullopt if not loaded.
-  std::optional<ModuleInfo> find_module(Session& s,
-                                        const std::string& module_name) const;
-
-  /// Whole-image copy out of guest memory; nullopt if not loaded.
-  std::optional<ModuleImage> extract_module(
+  /// Loader-list lookup of one module; disengaged if not loaded.  Every
+  /// searcher call returns a guest fault (injected or real) as a
+  /// FaultRecord instead of unwinding the scan.
+  Fallible<std::optional<ModuleInfo>> try_find_module(
       Session& s, const std::string& module_name) const;
 
-  /// Fault-returning variants: a guest fault (injected or real) comes back
-  /// as a FaultRecord instead of unwinding the scan.
-  Fallible<std::vector<ModuleInfo>> try_list_modules(Session& s) const;
+  /// Whole-image extraction; disengaged if not loaded.  kView borrows the
+  /// guest's frames; kCopy (a counted materialization) is for the cache.
   Fallible<std::optional<ModuleImage>> try_extract_module(
-      Session& s, const std::string& module_name) const;
+      Session& s, const std::string& module_name,
+      ExtractMode mode = ExtractMode::kView) const;
 
   /// One retried acquire under the config's RetryPolicy: runs `attempt`
   /// (session open + searcher work on `clock`) up to max_attempts times,
@@ -406,6 +407,7 @@ class AcquireStage {
       vmm::DomainId vm, const std::string& module_name, SimClock& clock,
       std::vector<FaultRecord>& faults, std::uint32_t& attempts) const;
 
+  /// The loader-list walk under the same retry policy.
   std::optional<std::vector<ModuleInfo>> list_with_retry(
       vmm::DomainId vm, SimClock& clock, std::vector<FaultRecord>& faults,
       std::uint32_t& attempts) const;
@@ -429,6 +431,16 @@ class ParseStage {
   CheckContext* ctx_;
 };
 
+/// Canonical pool of one module plus what it was built from: empty for a
+/// fresh scan, kept per module by a scan cache.  The pool borrows the
+/// reference copy, which must stay put while `ref_generation` holds.
+struct CanonicalState {
+  std::optional<CanonicalPool> pool;
+  vmm::DomainId ref_vm = 0;
+  std::uint64_t ref_generation = 0;
+  std::map<vmm::DomainId, std::uint64_t> generations;
+};
+
 /// Stage 3 — Normalize: canonical-RVA reduction of a pool of parsed copies
 /// (Algorithm 2 against one elected reference; see canonical.hpp).
 class NormalizeStage {
@@ -439,9 +451,15 @@ class NormalizeStage {
   /// prefilter in the way).
   bool enabled() const;
 
-  /// Builds the canonical pool over every successfully parsed extraction
-  /// against an elected reference (CanonicalPool::elect), charging
-  /// normalization to `clock`.  Disengaged when !enabled().
+  /// Brings `state` up to date with the parsed copies, charging `clock`.
+  /// With no pool yet, or a reference that changed or left, elects afresh
+  /// (the O(t) cost of a fresh scan); otherwise re-normalizes only cached
+  /// copies whose generation moved, via update() with their dirty-range
+  /// mask.  Null when !enabled() or nothing parsed.
+  const CanonicalPool* normalize(const std::vector<Extraction>& extractions,
+                                 CanonicalState& state, SimClock& clock) const;
+
+  /// normalize() from a fresh state; disengaged when it returns null.
   std::optional<CanonicalPool> canonicalize(
       const std::vector<Extraction>& extractions, SimClock& clock) const;
 
@@ -485,9 +503,7 @@ class VoteStage {
 };
 
 /// The staged pipeline.  Drivers (`check`, `pool_scan`, `compare_lists`)
-/// compose the stages end to end; callers with bespoke front halves (the
-/// IncrementalScanner's dirty-frame cache, the fleet service) use the stage
-/// accessors directly.
+/// compose the stages end to end.
 class CheckPipeline {
  public:
   explicit CheckPipeline(CheckContext& ctx)
@@ -507,8 +523,12 @@ class CheckPipeline {
   const VoteStage& vote() const { return vote_; }
 
   /// Acquire + Parse for one VM: the shared front half of every check.
+  /// With `cached` (its ScanCache slot), the copy is reused, patched or
+  /// re-extracted inside the same retry loop and parsed in place; a VM
+  /// that exhausts its retries loses its slot.
   Extraction acquire_and_parse(vmm::DomainId vm,
-                               const std::string& module_name);
+                               const std::string& module_name,
+                               CachedCopy* cached = nullptr);
 
   /// Subject-vs-peers driver (ModChecker::check_module).  `raw_others` is
   /// sanitized against self-comparison and duplicates.  Throws
@@ -516,10 +536,13 @@ class CheckPipeline {
   CheckReport check(vmm::DomainId subject, const std::string& module_name,
                     const std::vector<vmm::DomainId>& raw_others);
 
-  /// Whole-pool cross-check driver (ModChecker::scan_pool): every VM takes
-  /// the subject role; canonical fast path + exact fallback.
+  /// The whole-pool cross-check driver (ModChecker::scan_pool,
+  /// IncrementalScanner::scan, fleet sweeps): every VM takes the subject
+  /// role; canonical fast path + exact fallback.  Null `cache` scans
+  /// fresh; otherwise copies, canonical pool and pair verdicts are cached.
   PoolScanReport pool_scan(const std::string& module_name,
-                           const std::vector<vmm::DomainId>& pool);
+                           const std::vector<vmm::DomainId>& pool,
+                           ScanCache* cache = nullptr);
 
   /// Loader-list presence comparison driver
   /// (ModChecker::compare_module_lists).

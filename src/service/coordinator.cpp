@@ -1,5 +1,6 @@
 #include "service/coordinator.hpp"
 
+#include <exception>
 #include <utility>
 
 #include "util/error.hpp"
@@ -136,6 +137,11 @@ void ShardCoordinator::drain() {
 }
 
 void ShardCoordinator::stop() {
+  close_and_clear();
+  join_workers();
+}
+
+void ShardCoordinator::close_and_clear() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     draining_ = true;
@@ -149,36 +155,65 @@ void ShardCoordinator::stop() {
     dropped_pending_.inc(dropped.size());
   }
   queue_depth_.set(0);
-  join_workers();
 }
 
 void ShardCoordinator::join_workers() {
   if (!workers_) {
     return;
   }
-  for (auto& f : worker_futures_) {
-    f.get();  // propagate any worker exception
-  }
+  std::vector<std::future<void>> futures = std::move(worker_futures_);
   worker_futures_.clear();
   workers_.reset();           // joins the threads
   engine_.detach_trackers();  // unsubscribes from each WriteWatch
+  for (auto& f : futures) {
+    f.get();  // the first worker exception propagates; later ones drop
+  }
 }
+
+namespace {
+
+/// Runs `fn` when the scope ends, unwinding included.
+template <typename Fn>
+class OnExit {
+ public:
+  explicit OnExit(Fn fn) : fn_(std::move(fn)) {}
+  OnExit(const OnExit&) = delete;
+  OnExit& operator=(const OnExit&) = delete;
+  ~OnExit() { fn_(); }
+
+ private:
+  Fn fn_;
+};
+
+}  // namespace
 
 void ShardCoordinator::worker_loop() {
   while (std::optional<QueuedSweep> run = queue_.pop()) {
     queue_depth_.set(static_cast<std::int64_t>(queue_.pending()));
     sweeps_in_flight_.add(1);
+    // The run's slot is released however execute() leaves.  An exception
+    // keeps unwinding into this worker's future, but first ends the run's
+    // chain and drops the backlog, which no worker may be left to pop.
+    const SweepId id = run->id;
+    const int unwinding = std::uncaught_exceptions();
+    const OnExit release([&] {
+      if (std::uncaught_exceptions() > unwinding) {
+        engine_.forget(id);
+        close_and_clear();
+      }
+      sweeps_in_flight_.add(-1);
+      queue_.done();  // after the recurrence admit — see wait_idle()
+    });
     std::optional<QueuedSweep> next = engine_.execute(
-        std::move(*run), [this](SweepId id) { return queue_.is_cancelled(id); });
+        std::move(*run), [this](SweepId sweep) {
+          return queue_.is_cancelled(sweep);
+        });
     if (next) {
-      const SweepId id = next->id;
       const AdmitResult result = admit(std::move(*next));
       if (result == AdmitResult::kRefused || result == AdmitResult::kShed) {
         engine_.forget(id);  // queue closed or tick shed: the chain ends
       }
     }
-    sweeps_in_flight_.add(-1);
-    queue_.done();  // after the recurrence admit — see wait_idle()
   }
 }
 

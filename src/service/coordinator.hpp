@@ -10,7 +10,7 @@
 // graceful drain, and emits one SweepReport per run to every registered
 // sink.  Sweeps marked event_driven consult the hypervisor's WriteWatch at
 // each cadence tick: provably-clean ticks re-emit the last results without
-// scanning, dirty ticks scan incrementally.
+// scanning, dirty ticks scan through the pool's watch-backed cache.
 //
 // Layering (top to bottom):
 //
@@ -34,6 +34,12 @@
 // Lifecycle: add_pool()/add_sink() → start() → submit()/cancel() →
 // drain() (run everything queued, then stop) or stop() (drop the backlog,
 // finish in-flight module scans, then stop).
+//
+// Failure: an exception escaping a run (a throwing module hook, an
+// MC_CHECK, bad_alloc) fails the coordinator fast.  The worker releases
+// the run's slot and drops the backlog as stop() would, so drain() never
+// waits on a run no worker is left to pop; the next drain() or stop()
+// rethrows the first such exception, once.
 //
 // The class name, CoordinatorConfig::shards / workers_per_shard and
 // Stats::steals survive only because the host-clock benchmark
@@ -115,11 +121,12 @@ class ShardCoordinator {
 
   /// Graceful drain: refuse new submissions, run every queued sweep —
   /// including the remaining runs of finite repeat chains — to
-  /// completion, then join the workers.
+  /// completion, then join the workers.  Rethrows a worker's exception.
   void drain();
 
   /// Fast stop: drop the backlog (releasing the dropped chains' event
   /// state), let in-flight module scans finish, join the workers.
+  /// Rethrows a worker's exception unless drain() already did.
   void stop();
 
   std::size_t pool_count() const { return engine_.pool_count(); }
@@ -141,7 +148,7 @@ class ShardCoordinator {
     /// Event-driven runs that re-emitted the previous results because the
     /// watch layer proved every pool domain unchanged.
     std::uint64_t sweeps_skipped_clean = 0;
-    /// Event-driven runs that actually scanned (incrementally).
+    /// Event-driven runs that actually scanned (through the cache).
     std::uint64_t event_runs = 0;
     /// Always 0: one queue has nothing to steal from.
     std::uint64_t steals = 0;
@@ -158,6 +165,10 @@ class ShardCoordinator {
   /// Admits one run into the queue, stamping its dirty hint and counting
   /// the admission outcome.  An evicted tick's chain ends here.
   AdmitResult admit(QueuedSweep run);
+  /// Refuses new work and drops the backlog (stop() minus the join).
+  void close_and_clear();
+  /// Joins the workers, then rethrows the first worker exception.  The
+  /// futures are consumed first, so a later call finds nothing to join.
   void join_workers();
 
   CoordinatorConfig config_;

@@ -89,15 +89,10 @@ std::size_t SweepEngine::add_pool(const vmm::Hypervisor& hypervisor,
   auto pool = std::make_unique<Pool>();
   pool->hypervisor = &hypervisor;
   pool->vms = std::move(vms);
-  // The incremental scanner gets its own copy of the (already fleet-wired)
-  // config: it owns a separate CheckContext so its watch-backed caches and
-  // warm sessions persist across cadence ticks independent of `pipeline`.
-  core::ModCheckerConfig incremental_config = config;
   pool->context =
       std::make_unique<core::CheckContext>(hypervisor, std::move(config));
   pool->pipeline = std::make_unique<core::CheckPipeline>(*pool->context);
-  pool->incremental = std::make_unique<core::IncrementalScanner>(
-      hypervisor, std::move(incremental_config));
+  pool->cache = std::make_unique<core::ScanCache>(*pool->context);
   pools_.push_back(std::move(pool));
   return pools_.size() - 1;
 }
@@ -177,8 +172,8 @@ std::optional<QueuedSweep> SweepEngine::execute(
 
   {
     // One sweep at a time per pool: scans of different pools proceed in
-    // parallel, scans of the same pool serialize (shared warm sessions,
-    // and the event path's incremental caches).
+    // parallel, scans of the same pool serialize (shared warm sessions
+    // and scan cache).
     std::lock_guard<std::mutex> pool_lock(pool.mutex);
     // audit: holding pool.mutex across the scan body IS the serialization
     // contract — per-pool scans must not interleave; other pools use other
@@ -188,7 +183,7 @@ std::optional<QueuedSweep> SweepEngine::execute(
       run_event_locked(pool, run, is_cancelled, report, sweep_span);
     } else {
       // mc-lint: allow(lock-order)
-      run_full_locked(pool, run, is_cancelled, report);
+      run_modules_locked(pool, run, is_cancelled, report);
     }
   }
   if (report.cancelled) {
@@ -245,9 +240,10 @@ SweepEngine::EventState& SweepEngine::event_state_locked(SweepId id) {
   return it->second;
 }
 
-void SweepEngine::run_full_locked(Pool& pool, const QueuedSweep& run,
-                                  const CancelProbe& is_cancelled,
-                                  SweepReport& report) {
+void SweepEngine::run_modules_locked(Pool& pool, const QueuedSweep& run,
+                                     const CancelProbe& is_cancelled,
+                                     SweepReport& report) {
+  core::ScanCache* cache = run.spec.event_driven ? pool.cache.get() : nullptr;
   // VMs quarantined by one module scan sit out the rest of *this run*
   // (re-polling a dead guest per module would just burn retries); the
   // recurrence in execute restarts from the full pool, so a guest that
@@ -268,10 +264,11 @@ void SweepEngine::run_full_locked(Pool& pool, const QueuedSweep& run,
     }
     // audit: holding pool.mutex across the scan IS the serialization
     // contract documented in execute — per-pool scans must not
-    // interleave (shared warm sessions); other pools use other mutexes
-    // and proceed in parallel.
+    // interleave (shared warm sessions and cache); other pools use other
+    // mutexes and proceed in parallel.
     // mc-lint: allow(lock-order)
-    core::PoolScanReport scan = pool.pipeline->pool_scan(module, active);
+    core::PoolScanReport scan =
+        pool.pipeline->pool_scan(module, active, cache);
     report.wall_time += scan.wall_time;
     report.cpu_times += scan.cpu_times;
     for (const core::PoolVmVerdict& v : scan.verdicts) {
@@ -328,39 +325,19 @@ void SweepEngine::run_event_locked(Pool& pool, const QueuedSweep& run,
   }
   span.arg("dirty_domains", static_cast<std::uint64_t>(dirty_domains));
 
-  for (const std::string& module : run.spec.modules) {
-    if (is_cancelled(run.id)) {
-      report.cancelled = true;
-      break;
-    }
-    if (module_hook_) {
-      module_hook_(run.id, run.run_index, module);
-    }
-    // The incremental scanner keeps the non-faulting throwing contract —
-    // no quarantine machinery (see SweepSpec::event_driven).  Clean
-    // domains cost an O(1) watch query; dirty modules re-read only their
-    // dirty pages.
-    // mc-lint: allow(lock-order)
-    core::PoolScanReport scan = pool.incremental->scan(module, pool.vms);
-    report.wall_time += scan.wall_time;
-    report.cpu_times += scan.cpu_times;
-    for (const core::PoolVmVerdict& v : scan.verdicts) {
-      if (!v.clean && v.total > 0) {
-        report.findings.push_back({module, v.vm, v.successes, v.total});
-      }
-    }
-    report.scans.push_back(std::move(scan));
-  }
+  run_modules_locked(pool, run, is_cancelled, report);
   event_runs_.inc();
   if (!report.cancelled) {
     // audit: same strict nesting as above.
     // mc-lint: allow(lock-order)
     std::lock_guard<std::mutex> ev_lock(event_mutex_);
     EventState& state = event_state_locked(run.id);
+    // Only an undegraded run proves a clean tick's answer: a quarantined
+    // guest can recover without writing to memory.
+    state.has_report = report.quarantined.empty();
     state.generations = std::move(generations);
     state.scans = report.scans;
     state.findings = report.findings;
-    state.has_report = true;
   }
 }
 

@@ -2,8 +2,8 @@
 //
 // The coordinator (service/coordinator.hpp) owns the queue and the
 // workers; the engine owns everything a run needs regardless of which
-// worker executes it: the registered pools (each with its own
-// CheckContext/CheckPipeline/IncrementalScanner and a per-pool mutex), the
+// worker executes it: the registered pools (each with one CheckContext,
+// CheckPipeline and ScanCache, and a per-pool mutex), the
 // report sinks, the module hook, the per-sweep event state used by the
 // WriteWatch skip optimization, the fleet-wide DirtyTracker subscribers,
 // and the run-level counters.
@@ -122,7 +122,7 @@ class SweepEngine {
     /// Event-driven runs that re-emitted the previous results because the
     /// watch layer proved every pool domain unchanged.
     std::uint64_t sweeps_skipped_clean = 0;
-    /// Event-driven runs that actually scanned (incrementally).
+    /// Event-driven runs that actually scanned (through the cache).
     std::uint64_t event_runs = 0;
   };
   RunStats run_stats() const;
@@ -133,16 +133,16 @@ class SweepEngine {
     std::vector<vmm::DomainId> vms;
     std::unique_ptr<core::CheckContext> context;
     std::unique_ptr<core::CheckPipeline> pipeline;
-    /// Event-driven sweeps scan through this instead of `pipeline` — its
-    /// per-module caches persist across cadence ticks (guarded by `mutex`
-    /// like every other per-pool scan).
-    std::unique_ptr<core::IncrementalScanner> incremental;
+    /// Event-driven sweeps scan through this (full sweeps scan fresh); it
+    /// persists across cadence ticks, guarded by `mutex`.
+    std::unique_ptr<core::ScanCache> cache;
     std::mutex mutex;  // serializes sweeps targeting this pool
   };
 
   /// What an event-driven sweep remembers between cadence ticks: the
-  /// per-domain write generations observed before its last completed run
-  /// and that run's results (re-emitted verbatim on clean ticks).
+  /// per-domain write generations observed before its last completed,
+  /// undegraded run and that run's results (re-emitted verbatim on clean
+  /// ticks).
   struct EventState {
     bool has_report = false;
     std::map<vmm::DomainId, std::uint64_t> generations;
@@ -155,11 +155,13 @@ class SweepEngine {
   /// distinct hypervisor, live between attach and detach.
   class DirtyTracker;
 
-  /// The classic full-scan body (caller holds pool.mutex).
-  void run_full_locked(Pool& pool, const QueuedSweep& run,
-                       const CancelProbe& is_cancelled, SweepReport& report);
+  /// The per-module scan loop of every run: fresh for full sweeps, over
+  /// the pool's cache for event-driven ones (caller holds pool.mutex).
+  void run_modules_locked(Pool& pool, const QueuedSweep& run,
+                          const CancelProbe& is_cancelled,
+                          SweepReport& report);
   /// The event-driven body: skip-if-clean via per-domain write
-  /// generations, else incremental scan (caller holds pool.mutex).
+  /// generations, else run_modules_locked (caller holds pool.mutex).
   void run_event_locked(Pool& pool, const QueuedSweep& run,
                         const CancelProbe& is_cancelled, SweepReport& report,
                         telemetry::SpanScope& span);

@@ -71,11 +71,11 @@ struct SweepSpec {
   /// Event-driven scheduling: runs consult the hypervisor's WriteWatch at
   /// each cadence tick — a tick on which nothing was written to any pool
   /// domain re-emits the previous run's (provably unchanged) verdicts
-  /// without scanning (SweepReport::skipped_clean), and dirty ticks go
-  /// through the pool's IncrementalScanner so clean domains cost an O(1)
-  /// watch query and dirty modules re-read only their dirty pages.
-  /// Event-driven sweeps assume the non-faulting path (no quarantine
-  /// machinery); pools with fault injection should use full sweeps.
+  /// without scanning (SweepReport::skipped_clean), and dirty ticks scan
+  /// through the pool's ScanCache so clean domains cost an O(1) watch
+  /// query and dirty modules re-read only their dirty pages.  Retry and
+  /// quarantine work as in full sweeps; a tick after a quarantine always
+  /// scans.
   bool event_driven = false;
   /// Alerted sweeps (e.g. a watch-driven off-cadence scan of a pool that
   /// just took writes) are exempt from load shedding even when recurring.

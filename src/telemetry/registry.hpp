@@ -18,8 +18,10 @@
 //                observe() is a branchless-ish linear scan over <= 16 edges
 //                plus two relaxed adds.  No allocation, ever.
 //
-// Per-object views.  The legacy stats() accessors survive as *views* over
-// the registry: each instrumented object (a VmiSession, a DigestTable, ...)
+// Per-object views.  The remaining stats() accessors (VmiSession,
+// VmiSessionPool, ShardCoordinator) are *views* over the registry; the
+// DigestTable and CanonicalPool views are gone — read their "digest_memo.*"
+// and "canonical.*" aggregates from the registry.  Each instrumented object
 // holds OwnedCounter cells allocated from the registry.  An OwnedCounter
 // counts for exactly one object — stats() reads only its own cells — while
 // the named aggregate it belongs to accumulates fleet-wide: live cells are

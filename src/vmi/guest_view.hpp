@@ -11,8 +11,8 @@
 //     into PhysicalMemory frames, which are stable once materialized but
 //     are REPLACED by snapshot restore_from().  Views are therefore valid
 //     for the duration of one scan and must not be cached across scans
-//     (the incremental scanner keeps owned copies for exactly this
-//     reason).
+//     (the scan cache under pool_scan keeps owned copies for exactly
+//     this reason; Acquire borrows everywhere else).
 //   * materialize()/read_into() are the only copy points.  Production
 //     code may materialize only on fault, tamper-evidence, or dump paths;
 //     the clean-scan path is gated to zero materializations.

@@ -261,6 +261,36 @@ TEST(EventDrivenDifferential, FuzzedWriteWeather) {
   }
 }
 
+// ---- Parallel fetches over the scan cache -------------------------------------
+
+TEST(EventDrivenDifferential, ParallelCachedScanMatchesSequential) {
+  // parallel = true fetches every VM's cached copy on its own worker; the
+  // cache map is only touched on the orchestrating thread, so this must be
+  // TSan-clean and verdict-identical to the sequential cached scan.
+  auto env = make_env(6);
+  ModCheckerConfig parallel_config;
+  parallel_config.parallel = true;
+  parallel_config.worker_threads = 4;
+  IncrementalScanner parallel(env->hypervisor(), parallel_config);
+  IncrementalScanner sequential(env->hypervisor());
+  attacks::InlineHookAttack hook;
+  for (int tick = 0; tick < 4; ++tick) {
+    if (tick == 2) {
+      hook.apply(*env, env->guests()[3], "hal.dll");
+    }
+    for (const std::string module : {"hal.dll", "ntfs.sys"}) {
+      EXPECT_EQ(normalized_json(parallel.scan(module, env->guests())),
+                normalized_json(sequential.scan(module, env->guests())))
+          << module << " tick " << tick;
+    }
+  }
+  EXPECT_EQ(parallel.stats().full_extractions,
+            sequential.stats().full_extractions);
+  EXPECT_EQ(parallel.stats().cache_reuses, sequential.stats().cache_reuses);
+  EXPECT_EQ(parallel.stats().partial_refreshes,
+            sequential.stats().partial_refreshes);
+}
+
 // ---- fleet service dirty scheduling -------------------------------------------
 
 SweepSpec event_spec(std::string name, std::size_t pool,
@@ -439,6 +469,33 @@ TEST(FleetEventDriven, EventAndFullSweepsStayReportIdentical) {
     EXPECT_EQ(event_runs[r]->findings[0].vm, env->guests()[2]);
   }
   EXPECT_TRUE(event_runs[2]->skipped_clean);
+}
+
+TEST(FleetEventDriven, EventScansCarryTelemetryLikeFullScans) {
+  // One pipeline per pool serves both sweep kinds, so a pool whose config
+  // asks for emit_telemetry gets the registry snapshot on every scan.
+  auto env = make_env(3);
+  ShardCoordinator fleet({/*workers=*/1});
+  ModCheckerConfig config;
+  config.emit_telemetry = true;
+  const std::size_t pool =
+      fleet.add_pool(env->hypervisor(), env->guests(), config);
+  auto ring = std::make_shared<RingSink>();
+  fleet.add_sink(ring);
+  fleet.start();
+  fleet.submit(event_spec("event", pool, {"hal.dll"}, /*repeat=*/1));
+  fleet.submit(event_spec("full", pool, {"hal.dll"}, /*repeat=*/1,
+                          /*event_driven=*/false));
+  fleet.drain();
+
+  const auto reports = ring->snapshot();
+  ASSERT_EQ(reports.size(), 2u);
+  for (const auto& report : reports) {
+    ASSERT_EQ(report.scans.size(), 1u) << report.name;
+    EXPECT_NE(report.scans[0].telemetry_json.find("\"pipeline.pool_scans\""),
+              std::string::npos)
+        << report.name;
+  }
 }
 
 TEST(FleetEventDriven, ConcurrentEventSweepsAcrossPoolsAreRaceFree) {

@@ -465,7 +465,8 @@ TEST(CanonicalPoolUnit, HonestRelocationsShareOneCanonical) {
   const auto moved = synth_module(3, 0x00230000, text_with_reloc(0x00230000, 0x42));
   const auto moved2 = synth_module(4, 0x00570000, text_with_reloc(0x00570000, 0x42));
 
-  CanonicalPool pool(crypto::HashAlgorithm::kMd5, vmi::HostCostModel{});
+  telemetry::MetricRegistry reg;
+  CanonicalPool pool(crypto::HashAlgorithm::kMd5, vmi::HostCostModel{}, &reg);
   SimClock clock;
   pool.add(ref, clock);
   pool.add(same, clock);
@@ -477,7 +478,7 @@ TEST(CanonicalPoolUnit, HonestRelocationsShareOneCanonical) {
   EXPECT_TRUE(pool.eligible(2));
   EXPECT_TRUE(pool.eligible(3));
   EXPECT_TRUE(pool.eligible(4));
-  EXPECT_EQ(pool.stats().canonicals_established, 1u);
+  EXPECT_EQ(reg.counter("canonical.canonicals_established").value(), 1u);
   // All four reduce to the same digest vector — including the same-base
   // copy, whose digest must be the *canonical* one, not the raw one.
   EXPECT_EQ(pool.digests(1), pool.digests(2));
@@ -554,13 +555,14 @@ TEST(CanonicalPoolUnit, ShapeMismatchIsIneligible) {
   const auto ref = synth_module(1, 0x00010000, text_with_reloc(0x00010000, 0x42));
   auto odd = synth_module(2, 0x00230000, text_with_reloc(0x00230000, 0x42));
   odd.items[0].name = "IMAGE_DOS_HEADER_EX";  // renamed item
-  CanonicalPool pool(crypto::HashAlgorithm::kMd5, vmi::HostCostModel{});
+  telemetry::MetricRegistry reg;
+  CanonicalPool pool(crypto::HashAlgorithm::kMd5, vmi::HostCostModel{}, &reg);
   SimClock clock;
   pool.add(ref, clock);
   pool.add(odd, clock);
   pool.finalize(clock);
   EXPECT_FALSE(pool.eligible(2));
-  EXPECT_EQ(pool.stats().ineligible, 1u);
+  EXPECT_EQ(reg.counter("canonical.ineligible").value(), 1u);
 }
 
 // ---- CanonicalPool::elect ------------------------------------------------------

@@ -7,7 +7,8 @@
 //     unchanged, the FaultRecords are kept as evidence);
 //   * a guest that never answers is quarantined — the sweep completes,
 //     the healthy majority still votes, and the quarantine is visible in
-//     the text, JSON and fleet-service surfaces;
+//     the text, JSON and fleet-service surfaces, for event-driven sweeps
+//     over the scan cache as for fresh ones;
 //   * when too few peers answer, verdicts carry quorum_lost instead of
 //     pretending the paper's majority rule still holds.
 #include <gtest/gtest.h>
@@ -19,10 +20,12 @@
 #include <vector>
 
 #include "attacks/dll_import_inject.hpp"
+#include "attacks/guest_writer.hpp"
 #include "attacks/inline_hook.hpp"
 #include "attacks/opcode_replace.hpp"
 #include "attacks/stub_patch.hpp"
 #include "cloud/environment.hpp"
+#include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report.hpp"
 #include "modchecker/report_json.hpp"
@@ -151,6 +154,49 @@ TEST(Retry, TransientFaultRecoversWithoutQuarantine) {
   EXPECT_EQ(scan.faults[0].domain, env->guests()[1]);
   EXPECT_EQ(scan.faults[0].attempt, 1u);
   EXPECT_EQ(scan.faults[0].stage, CheckStage::kAcquire);
+}
+
+/// Rewrites the first 16 bytes of `vm`'s `module` with the values already
+/// there: the cached copy's watch goes dirty, the content does not change.
+void same_value_rewrite(cloud::CloudEnvironment& env, vmm::DomainId vm,
+                        const std::string& module) {
+  attacks::GuestMemoryWriter writer(env, vm);
+  std::uint32_t base = 0;
+  const Bytes image = writer.read_module_image(module, &base);
+  writer.write(base, ByteView(image.data(), 16));
+}
+
+TEST(Retry, TransientFaultOnDirtyCachedCopyRecovers) {
+  auto env = make_env(4);
+  const vmm::DomainId victim = env->guests()[1];
+  IncrementalScanner incremental(env->hypervisor());
+  ModChecker fresh(env->hypervisor());
+  (void)incremental.scan("hal.dll", env->guests());  // warm the cache
+
+  same_value_rewrite(*env, victim, "hal.dll");
+  vmm::FaultProfile transient;
+  transient.fail_first_reads = 1;
+  env->hypervisor().fault_injector().arm(victim, transient);
+  const PoolScanReport scan = incremental.scan("hal.dll", env->guests());
+
+  EXPECT_TRUE(scan.quarantined.empty());
+  ASSERT_EQ(scan.faults.size(), 1u);
+  EXPECT_EQ(scan.faults[0].domain, victim);
+  EXPECT_EQ(scan.faults[0].attempt, 1u);
+  EXPECT_EQ(incremental.stats().partial_refreshes, 1u);  // attempt 2 patched
+
+  const PoolScanReport expected = fresh.scan_pool("hal.dll", env->guests());
+  ASSERT_EQ(scan.verdicts.size(), expected.verdicts.size());
+  for (std::size_t i = 0; i < scan.verdicts.size(); ++i) {
+    const PoolVmVerdict& got = scan.verdicts[i];
+    const PoolVmVerdict& want = expected.verdicts[i];
+    EXPECT_EQ(got.vm, want.vm);
+    EXPECT_EQ(got.clean, want.clean) << "Dom" << got.vm;
+    EXPECT_EQ(got.successes, want.successes) << "Dom" << got.vm;
+    EXPECT_EQ(got.total, want.total) << "Dom" << got.vm;
+    EXPECT_FALSE(got.quarantined) << "Dom" << got.vm;
+    EXPECT_FALSE(got.quorum_lost) << "Dom" << got.vm;
+  }
 }
 
 TEST(Retry, BackoffScheduleIsBoundedAndDeterministic) {
@@ -391,6 +437,62 @@ TEST(FleetFaults, QuarantineSurfacesAndRecurrenceRetries) {
   }
   EXPECT_EQ(fleet.stats().quarantine_events, 2u);
   EXPECT_EQ(fleet.stats().exhausted_runs, 0u);
+}
+
+TEST(FleetFaults, EventDrivenSweepQuarantinesFaultingVm) {
+  // Before run 0 scans ntfs.sys, VM 3's copy is dirtied (same values) and
+  // the VM stops answering.  The event-driven sweep must quarantine it
+  // like a full sweep does: every run reports, nothing unwinds out of the
+  // worker, and drain() returns.
+  auto env = make_env(4);
+  const vmm::DomainId faulty = env->guests()[3];
+  service::ShardCoordinator fleet({/*workers=*/1});
+  const std::size_t pool = fleet.add_pool(env->hypervisor(), env->guests());
+  auto ring = std::make_shared<service::RingSink>();
+  fleet.add_sink(ring);
+  fleet.set_module_hook([&](service::SweepId, std::size_t run_index,
+                            const std::string& module) {
+    if (run_index == 0 && module == "ntfs.sys") {
+      same_value_rewrite(*env, faulty, module);
+      env->hypervisor().fault_injector().arm(faulty, always_fault());
+    }
+  });
+
+  service::SweepSpec spec;
+  spec.name = "event-faulty";
+  spec.pool_index = pool;
+  spec.modules = {"hal.dll", "ntfs.sys"};
+  spec.repeat = 3;
+  spec.cadence = sim_ms(500);
+  spec.event_driven = true;
+  fleet.start();
+  ASSERT_NE(fleet.submit(spec), 0u);
+  fleet.drain();
+
+  const auto reports = ring->snapshot();
+  ASSERT_EQ(reports.size(), 3u);
+  for (const auto& report : reports) {
+    // A tick after a quarantine never skips: the guest could recover
+    // without writing to memory.
+    EXPECT_FALSE(report.skipped_clean) << "run " << report.run_index;
+    ASSERT_EQ(report.quarantined.size(), 1u) << "run " << report.run_index;
+    EXPECT_EQ(report.quarantined[0], faulty);
+    EXPECT_FALSE(report.pool_exhausted);
+    ASSERT_EQ(report.scans.size(), 2u);
+    for (const auto& scan : report.scans) {
+      for (const auto& v : scan.verdicts) {
+        EXPECT_TRUE(v.quarantined || v.clean) << "Dom" << v.vm;
+      }
+    }
+  }
+  // Run 0 quarantines VM 3 on ntfs.sys (hal.dll was scanned before the
+  // fault); later runs lose it on hal.dll and scan ntfs.sys without it.
+  EXPECT_TRUE(reports[0].scans[0].quarantined.empty());
+  EXPECT_EQ(reports[0].scans[1].quarantined.size(), 1u);
+  EXPECT_EQ(reports[1].scans[0].quarantined.size(), 1u);
+  EXPECT_EQ(reports[1].scans[1].verdicts.size(), 3u);
+  EXPECT_EQ(fleet.stats().quarantine_events, 3u);
+  EXPECT_EQ(fleet.stats().event_runs, 3u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <memory>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -693,6 +694,44 @@ TEST(SweepReportJson, SchemaSubstrings) {
   }
   // The sink wrote exactly that line.
   EXPECT_EQ(out.str(), line + "\n");
+}
+
+// ---- worker failure ------------------------------------------------------------
+
+TEST(ShardCoordinatorFailure, ThrowingRunSurfacesOnceAndNeverHangs) {
+  // A module hook that throws on run 0 escapes SweepEngine::execute.  The
+  // worker must release the run's slot (drain() returns instead of waiting
+  // forever), drain() rethrows that exception exactly once, and a later
+  // stop() and the destructor stay quiet.
+  auto env = make_env(3);
+  auto fleet = std::make_unique<ShardCoordinator>(
+      CoordinatorConfig{/*workers_per_shard=*/2});
+  const std::size_t pool = fleet->add_pool(env->hypervisor(), env->guests());
+  auto ring = std::make_shared<RingSink>();
+  fleet->add_sink(ring);
+  fleet->set_module_hook(
+      [](SweepId, std::size_t run_index, const std::string&) {
+        if (run_index == 0) {
+          throw std::runtime_error("hook failed on run 0");
+        }
+      });
+  SweepSpec chain = spec("doomed", pool, {"hal.dll"});
+  chain.repeat = 3;
+  chain.cadence = sim_ms(100);
+  chain.event_driven = true;
+  fleet->start();
+  ASSERT_NE(fleet->submit(chain), 0u);
+
+  try {
+    fleet->drain();
+    FAIL() << "drain() must rethrow the worker's exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "hook failed on run 0");
+  }
+  EXPECT_NO_THROW(fleet->stop());
+  EXPECT_TRUE(ring->snapshot().empty());  // the failed run reported nothing
+  EXPECT_EQ(fleet->submit(chain), 0u);    // a failed coordinator takes no work
+  fleet.reset();  // the destructor's stop() must not rethrow or abort
 }
 
 TEST(RingSink, CapacityEvictsOldest) {
