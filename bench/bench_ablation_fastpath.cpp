@@ -46,9 +46,7 @@ constexpr double kRequiredNormalizeSpeedup = 2.0;
 
 core::ModCheckerConfig faithful_config() {
   core::ModCheckerConfig cfg;
-  cfg.pool_fastpath = false;
-  cfg.digest_memo = false;
-  cfg.reuse_sessions = false;
+  cfg.paper_faithful = true;
   return cfg;
 }
 

@@ -26,12 +26,9 @@ void print_table() {
   cfg.guest_count = 15;
   cloud::CloudEnvironment env(cfg);
 
-  core::ModCheckerConfig seq_cfg;
-  seq_cfg.parallel = false;
-  core::ModChecker sequential(env.hypervisor(), seq_cfg);
+  core::ModChecker sequential(env.hypervisor());
 
   core::ModCheckerConfig par_cfg;
-  par_cfg.parallel = true;
   par_cfg.worker_threads = 8;  // one per virtual core of the testbed
   core::ModChecker parallel(env.hypervisor(), par_cfg);
 
@@ -74,7 +71,7 @@ void BM_ParallelScan(benchmark::State& state) {
   cfg.guest_count = 15;
   cloud::CloudEnvironment env(cfg);
   core::ModCheckerConfig mcfg;
-  mcfg.parallel = true;
+  mcfg.worker_threads = 8;
   core::ModChecker checker(env.hypervisor(), mcfg);
   for (auto _ : state) {
     auto report = checker.check_module(env.guests()[0], kModule);

@@ -1,6 +1,7 @@
 // Performance tuning — the knobs a deployment would turn:
 //
-//   * sequential vs parallel pool access (the paper's proposed extension),
+//   * sequential vs parallel pool access (`worker_threads` 1 vs 8; the
+//     paper's proposed extension),
 //   * digest algorithm (paper's MD5 vs hardened SHA-256),
 //   * behaviour under guest load (the Fig. 8 contention regime).
 //
@@ -18,8 +19,7 @@ using namespace mc;
 double run_once(cloud::CloudEnvironment& env, bool parallel,
                 crypto::HashAlgorithm algorithm) {
   core::ModCheckerConfig cfg;
-  cfg.parallel = parallel;
-  cfg.worker_threads = 8;
+  cfg.worker_threads = parallel ? 8 : 1;
   cfg.algorithm = algorithm;
   core::ModChecker checker(env.hypervisor(), cfg);
   const auto report = checker.check_module(env.guests()[0], "http.sys");

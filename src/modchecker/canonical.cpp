@@ -3,24 +3,15 @@
 #include <algorithm>
 #include <utility>
 
-#include "crypto/crc32.hpp"
 #include "modchecker/item_content.hpp"
 #include "modchecker/rva_adjust.hpp"
 #include "util/arena.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace mc::core {
 
 namespace {
-
-std::string table_key(vmm::DomainId domain, const IntegrityItem& item) {
-  std::string key = std::to_string(domain);
-  key += '\x1f';
-  key += std::to_string(static_cast<int>(item.kind));
-  key += '\x1f';
-  key += item.name;
-  return key;
-}
 
 SimNanos hash_charge(const vmi::HostCostModel& costs,
                      crypto::HashAlgorithm algorithm, std::size_t bytes) {
@@ -52,46 +43,26 @@ bool span_touched(
 
 }  // namespace
 
-DigestTable::Entry& DigestTable::entry_for(vmm::DomainId domain,
-                                           const IntegrityItem& item) {
-  return entries_[table_key(domain, item)];
-}
-
-crypto::Digest DigestTable::digest(vmm::DomainId domain,
+crypto::Digest DigestTable::digest(vmm::DomainId domain, std::size_t index,
                                    const IntegrityItem& item,
                                    SimClock& clock) {
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entry_for(domain, item);
-  if (entry.digest) {
+  const auto [it, inserted] = entries_.try_emplace({domain, index});
+  if (!inserted) {
     hits_.inc();
-    return *entry.digest;
+    return it->second;
   }
   misses_.inc();
-  entry.digest = hash_item_content(algorithm_, item);
+  it->second = hash_item_content(algorithm_, item);
   clock.charge(hash_charge(costs_, algorithm_, item.content_size()));
-  return *entry.digest;
-}
-
-std::uint32_t DigestTable::crc(vmm::DomainId domain,
-                               const IntegrityItem& item,
-                               SimClock& clock) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Entry& entry = entry_for(domain, item);
-  if (entry.crc) {
-    hits_.inc();
-    return *entry.crc;
-  }
-  misses_.inc();
-  entry.crc = crc_item_content(item);
-  clock.charge(costs_.crc_per_byte * item.content_size());
-  return *entry.crc;
+  return it->second;
 }
 
 CanonicalPool CanonicalPool::elect(
     const std::vector<const ParsedModule*>& copies, SimClock& clock,
     crypto::HashAlgorithm algorithm, const vmi::HostCostModel& costs,
-    telemetry::MetricRegistry* metrics, simd::Policy policy) {
-  CanonicalPool first(algorithm, costs, metrics, policy);
+    telemetry::MetricRegistry* metrics) {
+  CanonicalPool first(algorithm, costs, metrics);
   if (copies.empty()) {
     return first;
   }
@@ -116,7 +87,7 @@ CanonicalPool CanonicalPool::elect(
   // out.  Rebuild once against the first copy that failed to reduce; the
   // rebuild is abandoned the moment its ineligible count rules out beating
   // the first build (a tie keeps the first).
-  CanonicalPool second(algorithm, costs, metrics, policy);
+  CanonicalPool second(algorithm, costs, metrics);
   second.add(*challenger, clock);
   std::size_t second_ineligible = 0;
   for (const ParsedModule* copy : copies) {
@@ -250,7 +221,7 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
     // Bytes equal to the reference's share its digest without hashing.
     clock.charge(costs_.rva_scan_per_byte *
                  std::max(a.content_size(), r.content_size()));
-    if (item_content_equal(a, r, policy_)) {
+    if (item_content_equal(a, r)) {
       hash_skips_.inc();
       entry.ref_items.push_back(i);
       if (finalized_) {
@@ -273,7 +244,7 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   MutableByteView mod_copy = arena_content_copy(scratch_arena(), a);
   const RvaAdjustResult adj =
       adjust_fixups(ref_copy, reference_->base, mod_copy, module.base,
-                    module.fixups, policy_);
+                    module.fixups);
   clock.charge(costs_.rva_scan_per_byte *
                std::max(ref_copy.size(), mod_copy.size()));
   if (adj.unresolved_diffs > 0) {
@@ -286,7 +257,7 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   // *different* canonical bytes is treated as divergent.
   if (canonical_[i]) {
     clock.charge(costs_.rva_scan_per_byte * mod_copy.size());
-    if (simd::equal(mod_copy, canonical_bytes_[i], policy_)) {
+    if (simd::equal(mod_copy, canonical_bytes_[i])) {
       hash_skips_.inc();
       entry.digests[i] = *canonical_[i];
       return true;

@@ -42,15 +42,12 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "crypto/hasher.hpp"
 #include "modchecker/types.hpp"
 #include "util/bytes.hpp"
-#include "util/simd.hpp"
 #include "telemetry/registry.hpp"
 #include "util/sim_clock.hpp"
 #include "vmi/cost_model.hpp"
@@ -71,12 +68,13 @@ constexpr double digest_cost_factor(crypto::HashAlgorithm algorithm) {
   return 1.0;
 }
 
-/// Memo of raw-byte digests (and CRC32s) keyed by (domain, item kind,
-/// item name).  Scoped to ONE scan operation: item bytes are re-extracted
-/// on the next scan and may have changed, so entries must not outlive the
-/// extractions they were computed from.  Thread-safe; a miss charges the
-/// hashing cost to the *caller's* clock, a hit charges nothing (the work
-/// truly happened once).
+/// Memo of raw-byte digests keyed by (domain, the item's index in
+/// ParsedModule::items) — never by the item's name, which the guest
+/// controls: two sections sharing a name must not share a digest.  Scoped
+/// to ONE scan operation: item bytes are re-extracted on the next scan and
+/// may have changed, so entries must not outlive the extractions they were
+/// computed from.  Thread-safe; a miss charges the hashing cost to the
+/// *caller's* clock, a hit charges nothing (the work truly happened once).
 class DigestTable {
  public:
   /// `metrics` backs the hit/miss counters ("digest_memo.*"; null = the
@@ -89,26 +87,16 @@ class DigestTable {
     misses_ = reg.owned_counter("digest_memo.misses");
   }
 
-  /// Digest of the item's raw bytes (memoized).
-  crypto::Digest digest(vmm::DomainId domain, const IntegrityItem& item,
-                        SimClock& clock);
-
-  /// CRC32 of the item's raw bytes (memoized; used by the prefilter).
-  std::uint32_t crc(vmm::DomainId domain, const IntegrityItem& item,
-                    SimClock& clock);
+  /// Digest of the raw bytes of `item`, which is item `index` of
+  /// `domain`'s parsed copy (memoized).
+  crypto::Digest digest(vmm::DomainId domain, std::size_t index,
+                        const IntegrityItem& item, SimClock& clock);
 
  private:
-  struct Entry {
-    std::optional<crypto::Digest> digest;
-    std::optional<std::uint32_t> crc;
-  };
-
-  Entry& entry_for(vmm::DomainId domain, const IntegrityItem& item);
-
   crypto::HashAlgorithm algorithm_;
   vmi::HostCostModel costs_;
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, Entry> entries_;
+  std::map<std::pair<vmm::DomainId, std::size_t>, crypto::Digest> entries_;
   telemetry::OwnedCounter hits_;
   telemetry::OwnedCounter misses_;
 };
@@ -149,17 +137,14 @@ class CanonicalPool {
   static CanonicalPool elect(const std::vector<const ParsedModule*>& copies,
                              SimClock& clock, crypto::HashAlgorithm algorithm,
                              const vmi::HostCostModel& costs,
-                             telemetry::MetricRegistry* metrics = nullptr,
-                             simd::Policy policy = simd::Policy::kAuto);
+                             telemetry::MetricRegistry* metrics = nullptr);
 
   /// `metrics` backs the eligibility counters ("canonical.*"; null = the
-  /// process default registry).  `policy` pins the pool's diff/compare
-  /// kernels scalar (verdicts are dispatch-invariant either way).
+  /// process default registry).
   CanonicalPool(crypto::HashAlgorithm algorithm,
                 const vmi::HostCostModel& costs,
-                telemetry::MetricRegistry* metrics = nullptr,
-                simd::Policy policy = simd::Policy::kAuto)
-      : algorithm_(algorithm), costs_(costs), policy_(policy) {
+                telemetry::MetricRegistry* metrics = nullptr)
+      : algorithm_(algorithm), costs_(costs) {
     telemetry::MetricRegistry& reg = telemetry::resolve(metrics);
     eligible_count_ = reg.owned_counter("canonical.eligible");
     ineligible_count_ = reg.owned_counter("canonical.ineligible");
@@ -251,7 +236,6 @@ class CanonicalPool {
 
   crypto::HashAlgorithm algorithm_;
   vmi::HostCostModel costs_;
-  simd::Policy policy_;
 
   const ParsedModule* reference_ = nullptr;
   /// Per reference item: canonical digest established by the first

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "crypto/crc32.hpp"
 #include "modchecker/item_content.hpp"
 #include "util/arena.hpp"
 
@@ -42,77 +42,48 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
     other_by_key[pair_key(other.items[j])].push_back(j);
   }
   std::unordered_map<std::string, std::size_t> next_candidate;
-  auto find_match = [&](const IntegrityItem& a) -> const IntegrityItem* {
+  // Index of `a`'s partner in other.items, or other.items.size() if none.
+  auto find_match = [&](const IntegrityItem& a) -> std::size_t {
     const auto it = other_by_key.find(pair_key(a));
     if (it == other_by_key.end()) {
-      return nullptr;
+      return other.items.size();
     }
     std::size_t& cursor = next_candidate[it->first];
     if (cursor >= it->second.size()) {
-      return nullptr;
+      return other.items.size();
     }
     const std::size_t j = it->second[cursor++];
     other_used[j] = true;
-    return &other.items[j];
+    return j;
   };
 
-  // Prefilter + digest decision over one contiguous buffer pair
-  // (post-adjustment scratch buffers of rva-sensitive items).
-  auto compare_buffers = [&](ItemComparison& cmp, ByteView buf_a,
-                             ByteView buf_b) {
-    if (crc_prefilter_) {
-      clock.charge(costs_.crc_per_byte * (buf_a.size() + buf_b.size()));
-      if (crypto::crc32(buf_a) == crypto::crc32(buf_b) &&
-          buf_a.size() == buf_b.size()) {
-        // Cheap path: CRCs agree — accept the match without the digest.
-        cmp.match = true;
-        return;
-      }
-    }
-    cmp.digest_subject = crypto::hash_bytes(algorithm_, buf_a);
-    cmp.digest_other = crypto::hash_bytes(algorithm_, buf_b);
+  // Records both digests, charges hashing `bytes` of content and decides
+  // the item on digest equality.
+  auto decide = [&](ItemComparison& cmp, crypto::Digest digest_a,
+                    crypto::Digest digest_b, std::size_t bytes) {
+    cmp.digest_subject = std::move(digest_a);
+    cmp.digest_other = std::move(digest_b);
     clock.charge(static_cast<SimNanos>(
-        static_cast<double>(costs_.hash_per_byte *
-                            (buf_a.size() + buf_b.size())) *
+        static_cast<double>(costs_.hash_per_byte * bytes) *
         digest_cost_factor(algorithm_)));
     cmp.match = cmp.digest_subject == cmp.digest_other;
   };
 
-  // Same decision over two items' raw contents (owned or view-backed):
-  // CRCs/digests stream the spans, so view-backed items never flatten.
-  auto compare_items = [&](ItemComparison& cmp, const IntegrityItem& ia,
-                           const IntegrityItem& ib) {
-    if (crc_prefilter_) {
-      clock.charge(costs_.crc_per_byte *
-                   (ia.content_size() + ib.content_size()));
-      if (crc_item_content(ia) == crc_item_content(ib) &&
-          ia.content_size() == ib.content_size()) {
-        cmp.match = true;
-        return;
-      }
-    }
-    cmp.digest_subject = hash_item_content(algorithm_, ia);
-    cmp.digest_other = hash_item_content(algorithm_, ib);
-    clock.charge(static_cast<SimNanos>(
-        static_cast<double>(costs_.hash_per_byte *
-                            (ia.content_size() + ib.content_size())) *
-        digest_cost_factor(algorithm_)));
-    cmp.match = cmp.digest_subject == cmp.digest_other;
-  };
-
-  for (const IntegrityItem& a : subject.items) {
+  for (std::size_t i = 0; i < subject.items.size(); ++i) {
+    const IntegrityItem& a = subject.items[i];
     ItemComparison cmp;
     cmp.item_name = a.name;
     cmp.kind = a.kind;
 
-    const IntegrityItem* b = find_match(a);
-    if (b == nullptr) {
+    const std::size_t j = find_match(a);
+    if (j == other.items.size()) {
       // Present on the subject only (e.g. an attacker-added section).
       cmp.match = false;
       all_match = false;
       result.items.push_back(std::move(cmp));
       continue;
     }
+    const IntegrityItem& b = other.items[j];
 
     if (a.rva_sensitive) {
       // Work on arena scratch copies: Algorithm 2 mutates the buffers, and
@@ -120,31 +91,27 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
       // The scope recycles the space per pair — zero heap traffic.
       ArenaScope scope(scratch_arena());
       MutableByteView buf_a = arena_content_copy(scratch_arena(), a);
-      MutableByteView buf_b = arena_content_copy(scratch_arena(), *b);
-      const RvaAdjustResult adj = adjust_fixups(
-          buf_a, subject.base, buf_b, other.base, subject.fixups, policy_);
+      MutableByteView buf_b = arena_content_copy(scratch_arena(), b);
+      const RvaAdjustResult adj = adjust_fixups(buf_a, subject.base, buf_b,
+                                                other.base, subject.fixups);
       cmp.rvas_adjusted = adj.adjusted;
       cmp.unresolved_diffs = adj.unresolved_diffs;
       clock.charge(costs_.rva_scan_per_byte *
                    std::max(buf_a.size(), buf_b.size()));
-      compare_buffers(cmp, buf_a, buf_b);
+      decide(cmp, crypto::hash_bytes(algorithm_, buf_a),
+             crypto::hash_bytes(algorithm_, buf_b),
+             buf_a.size() + buf_b.size());
     } else if (memo != nullptr) {
-      // Raw-byte item: the match criterion is digest (or CRC) equality of
-      // the unmodified extractions, so memoized values are exact.
-      if (crc_prefilter_) {
-        const std::uint32_t crc_a = memo->crc(subject.domain, a, clock);
-        const std::uint32_t crc_b = memo->crc(other.domain, *b, clock);
-        if (crc_a == crc_b && a.content_size() == b->content_size()) {
-          cmp.match = true;
-          result.items.push_back(std::move(cmp));
-          continue;
-        }
-      }
-      cmp.digest_subject = memo->digest(subject.domain, a, clock);
-      cmp.digest_other = memo->digest(other.domain, *b, clock);
+      // Raw-byte item: the match criterion is digest equality of the
+      // unmodified extractions, so memoized values are exact.
+      cmp.digest_subject = memo->digest(subject.domain, i, a, clock);
+      cmp.digest_other = memo->digest(other.domain, j, b, clock);
       cmp.match = cmp.digest_subject == cmp.digest_other;
     } else {
-      compare_items(cmp, a, *b);
+      // Digests stream the spans, so view-backed items never flatten.
+      decide(cmp, hash_item_content(algorithm_, a),
+             hash_item_content(algorithm_, b),
+             a.content_size() + b.content_size());
     }
 
     all_match = all_match && cmp.match;

@@ -40,39 +40,23 @@ struct PairComparison {
 
 class IntegrityChecker {
  public:
-  /// `crc_prefilter`: compare cheap CRC32s first and compute the full
-  /// digest only on CRC mismatch (evidence for the report).  Saves ~75 %
-  /// of checker hashing cost on clean pools; the tradeoff is that a CRC
-  /// collision could mask a difference — acceptable for the paper's
-  /// accidental-divergence surface, NOT against an adversary who can
-  /// target CRC32, hence off by default.
-  ///
-  /// `policy` pins every diff/compare kernel this checker runs to the
-  /// scalar implementation (kScalar); the default honors runtime dispatch
-  /// and the MC_FORCE_SCALAR escape hatch.  Verdicts are bit-identical
-  /// either way.
   explicit IntegrityChecker(
       crypto::HashAlgorithm algorithm = crypto::HashAlgorithm::kMd5,
-      const vmi::HostCostModel& costs = {}, bool crc_prefilter = false,
-      simd::Policy policy = simd::Policy::kAuto)
-      : algorithm_(algorithm),
-        costs_(costs),
-        crc_prefilter_(crc_prefilter),
-        policy_(policy) {}
+      const vmi::HostCostModel& costs = {})
+      : algorithm_(algorithm), costs_(costs) {}
 
   crypto::HashAlgorithm algorithm() const { return algorithm_; }
-  bool crc_prefilter() const { return crc_prefilter_; }
 
   /// Compares `subject` with `other` item by item.  Item lists can differ
   /// in shape when headers were tampered with (e.g. an injected section):
   /// items are matched by position and name; unmatched items count as
   /// mismatches.  Charges hashing/scan time to `clock`.
   ///
-  /// With `memo`, digests (and prefilter CRCs) of items that are NOT
-  /// rva-sensitive are served from the table instead of being recomputed
-  /// per pair — match decisions are identical because those items compare
-  /// raw bytes.  rva-sensitive items always take the exact per-pair
-  /// adjustment path (their buffers are pair-specific after Algorithm 2).
+  /// With `memo`, digests of items that are NOT rva-sensitive are served
+  /// from the table instead of being recomputed per pair — match decisions
+  /// are identical because those items compare raw bytes.  rva-sensitive
+  /// items always take the exact per-pair adjustment path (their buffers
+  /// are pair-specific after Algorithm 2).
   PairComparison compare(const ParsedModule& subject,
                          const ParsedModule& other, SimClock& clock,
                          DigestTable* memo = nullptr) const;
@@ -80,8 +64,6 @@ class IntegrityChecker {
  private:
   crypto::HashAlgorithm algorithm_;
   vmi::HostCostModel costs_;
-  bool crc_prefilter_;
-  simd::Policy policy_;
 };
 
 }  // namespace mc::core

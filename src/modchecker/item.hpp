@@ -86,7 +86,7 @@ struct IntegrityItem {
   Bytes content_copy() const {
     return view_backed() ? view.materialize() : bytes;
   }
-  /// Walks the content as borrowed spans in order (streaming hash/CRC).
+  /// Walks the content as borrowed spans in order (streaming hash).
   template <typename Fn>
   void for_each_span(Fn&& fn) const {
     if (view_backed()) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "crypto/crc32.hpp"
-
 namespace mc::core {
 
 crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
@@ -18,12 +16,6 @@ crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
   const std::unique_ptr<crypto::Hasher> hasher = crypto::make_hasher(algorithm);
   item.for_each_span([&](ByteView span) { hasher->update(span); });
   return hasher->finish();
-}
-
-std::uint32_t crc_item_content(const IntegrityItem& item) {
-  std::uint32_t crc = 0;
-  item.for_each_span([&](ByteView span) { crc = crypto::crc32(span, crc); });
-  return crc;
 }
 
 bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,

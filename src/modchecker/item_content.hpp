@@ -2,16 +2,15 @@
 //
 // An item's content is either an owned buffer or a borrowed scatter-gather
 // GuestView (see modchecker/item.hpp).  The checker, digest memo and canonical
-// pool never need to know which: these helpers hash, checksum, compare and
+// pool never need to know which: these helpers hash, compare and
 // scratch-copy the content through the item's span walk, so the zero-copy
 // Acquire path feeds the exact same downstream code as the owned path.
 //
-// Digests and CRCs are computed by streaming the spans through the
-// incremental hasher / seeded CRC continuation, so a view-backed item is
-// never flattened into a temporary buffer just to be hashed.
+// Digests are computed by streaming the spans through the incremental
+// hasher, so a view-backed item is never flattened into a temporary buffer
+// just to be hashed.
 #pragma once
 
-#include <cstdint>
 
 #include "crypto/hasher.hpp"
 #include "modchecker/item.hpp"
@@ -23,9 +22,6 @@ namespace mc::core {
 /// Digest of the item's content, identical to hash_bytes over a flat copy.
 crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
                                  const IntegrityItem& item);
-
-/// CRC32 of the item's content (seeded continuation across spans).
-std::uint32_t crc_item_content(const IntegrityItem& item);
 
 /// Byte equality of two items' contents, span pair by span pair, using the
 /// word-wise comparison kernels.  `policy` pins the call scalar.

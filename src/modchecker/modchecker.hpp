@@ -11,11 +11,12 @@
 // check_module_sampled) lives here — it is input selection, not checking.
 //
 // Two execution modes:
-//   * sequential — the paper's prototype: VMs are visited one after
-//     another; total runtime grows linearly with the pool size (Fig. 7).
-//   * parallel   — the extension the paper proposes in §V-C.1: per-VM
-//     extraction/parsing/comparison run as independent tasks on a thread
-//     pool; the simulated wall time is the critical path.
+//   * sequential (worker_threads = 1) — the paper's prototype: VMs are
+//     visited one after another; total runtime grows linearly with the
+//     pool size (Fig. 7).
+//   * parallel (worker_threads > 1) — the extension the paper proposes in
+//     §V-C.1: per-VM extraction/parsing/comparison run as independent
+//     tasks on a thread pool; the simulated wall time is the critical path.
 #pragma once
 
 #include <cstddef>
@@ -71,7 +72,7 @@ class ModChecker {
   /// PE magics/headers are corrupted) — a definite integrity violation.
   static constexpr const char* kUnparseableItem = core::kUnparseableItem;
 
-  /// Cross-call session reuse counters (meaningful with reuse_sessions).
+  /// Cross-call session reuse counters (all zero when paper_faithful).
   vmi::SessionPoolStats session_pool_stats() const {
     return context_.session_pool.stats();
   }

@@ -80,8 +80,8 @@ std::optional<T> acquire_with_retry(const RetryPolicy& retry,
 }
 
 /// Runs task(0) .. task(n - 1) into `out`, on a ThreadPool when
-/// config.parallel and n > 1, and returns the simulated wall time: the
-/// summed task costs sequentially, the list-scheduling makespan
+/// config.worker_threads > 1 and n > 1, and returns the simulated wall
+/// time: the summed task costs sequentially, the list-scheduling makespan
 /// max(longest task, total work / workers) in parallel.
 template <typename R, typename Task, typename Cost>
 SimNanos run_tasks(const ModCheckerConfig& config, std::size_t n, Task&& task,
@@ -93,7 +93,7 @@ SimNanos run_tasks(const ModCheckerConfig& config, std::size_t n, Task&& task,
     longest = std::max(longest, cost(result));
     total += cost(result);
   };
-  if (!config.parallel || n <= 1) {
+  if (config.worker_threads <= 1 || n <= 1) {
     for (std::size_t k = 0; k < n; ++k) {
       tally(out.emplace_back(task(k)));
     }
@@ -118,11 +118,11 @@ SimNanos run_tasks(const ModCheckerConfig& config, std::size_t n, Task&& task,
 
 AcquireStage::Session::Session(CheckContext& ctx, vmm::DomainId vm,
                                SimClock& clock) {
-  if (ctx.config.reuse_sessions) {
-    lease_.emplace(ctx.session_pool.acquire(vm, clock));
-  } else {
+  if (ctx.config.paper_faithful) {
     local_.emplace(*ctx.hypervisor, vm, clock, ctx.config.vmi_costs,
                    ctx.metrics);
+  } else {
+    lease_.emplace(ctx.session_pool.acquire(vm, clock));
   }
 }
 
@@ -190,9 +190,7 @@ void ParseStage::parse(const ModuleImage& image, Extraction& ex) const {
 // ---- Normalize -------------------------------------------------------------
 
 bool NormalizeStage::enabled() const {
-  // The CRC prefilter accepts on CRC equality, which digests cannot
-  // reproduce, so the fast path stands down when it is enabled.
-  return ctx_->config.pool_fastpath && !ctx_->config.crc_prefilter;
+  return !ctx_->config.paper_faithful;
 }
 
 const CanonicalPool* NormalizeStage::normalize(
@@ -231,7 +229,7 @@ const CanonicalPool* NormalizeStage::normalize(
     }
     state.pool.emplace(CanonicalPool::elect(
         copies, clock, ctx_->config.algorithm, ctx_->config.host_costs,
-        ctx_->metrics, ctx_->policy()));
+        ctx_->metrics));
     state.ref_vm = state.pool->reference_domain();
     state.ref_generation = state.generations.at(state.ref_vm);
     return &*state.pool;
@@ -296,9 +294,9 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   ex.cached = cached;
   const std::uint64_t pid = ctx_->config.trace_pid;
 
-  // Module-Searcher: all guest-memory access happens here.  With session
-  // reuse the per-domain session (and its V2P cache) survives across
-  // calls; otherwise attach fresh, as the paper's prototype does.  A guest
+  // Module-Searcher: all guest-memory access happens here.  By default the
+  // per-domain session (and its V2P cache) survives across calls;
+  // paper_faithful attaches fresh, as the paper's prototype does.  A guest
   // fault is retried under the config's RetryPolicy; a VM that exhausts
   // its attempts comes back `unavailable` (quarantined), never as an
   // exception.  On a fault-free run attempt 1 succeeds and the charges are
@@ -446,18 +444,16 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
   // happened to miss the shared table first.
   std::optional<DigestTable> memo;
   SimNanos memo_preload = 0;
-  if (config.digest_memo && !subject_ex.parse_failed) {
+  if (!config.paper_faithful && !subject_ex.parse_failed) {
     memo.emplace(config.algorithm, config.host_costs, ctx_->metrics);
     SimClock preload_clock;
     preload_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
-    for (const IntegrityItem& item : subject_ex.parsed.items) {
-      if (item.rva_sensitive) {
+    const std::vector<IntegrityItem>& items = subject_ex.parsed.items;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].rva_sensitive) {
         continue;  // pair-specific after Algorithm 2; never memoized
       }
-      if (config.crc_prefilter) {
-        memo->crc(subject, item, preload_clock);
-      }
-      memo->digest(subject, item, preload_clock);
+      memo->digest(subject, i, items[i], preload_clock);
     }
     memo_preload = preload_clock.now();
     report.cpu_times.checker += memo_preload;
@@ -495,7 +491,7 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
       [&](std::size_t k) { return process_other(others[k]); },
       [](const PerVm& r) { return r.ex.times.total() + r.checker_time; },
       results);
-  if (config.parallel && others.size() > 1) {
+  if (config.worker_threads > 1 && others.size() > 1) {
     report.wall_time = subject_ex.times.total() + memo_preload + makespan;
   }
 
@@ -557,7 +553,7 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
   report.quorum_lost =
       VoteStage::quorum_lost(report.peers_answered, report.peers_total);
 
-  if (!config.parallel || others.size() <= 1) {
+  if (config.worker_threads <= 1 || others.size() <= 1) {
     report.wall_time = report.cpu_times.total();
   }
   return report;

@@ -47,6 +47,7 @@
 #include "modchecker/types.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
+#include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/sim_clock.hpp"
 #include "vmi/cost_model.hpp"
@@ -115,33 +116,22 @@ struct ModCheckerConfig {
   /// pools can even mix in one fleet); an explicit value pins one plugin
   /// and rejects everything else as a parse failure.
   ModuleFormatId format = ModuleFormatId::kAuto;
-  bool parallel = false;
-  std::size_t worker_threads = 8;
-  /// CRC32 prefilter: skip the full digest when cheap checksums agree
-  /// (see IntegrityChecker for the tradeoff).
-  bool crc_prefilter = false;
-  /// Keep one VMI session per domain alive across calls (VmiSessionPool):
-  /// repeat scans skip the attach + debug-block scan and reuse the warm
-  /// V2P cache.  Sessions auto-invalidate when a domain's epoch/CR3 moves
-  /// (snapshot restore, clone-into).  Off reproduces the paper's
-  /// attach-per-check prototype.
-  bool reuse_sessions = true;
-  /// Canonical-RVA fast path for pool scans: normalize every copy against
-  /// one elected reference, then decide each pair by comparing precomputed
-  /// digest vectors — O(t) image work instead of O(t^2).  Pairs involving any
-  /// copy that does not reduce cleanly fall back to the exact pairwise
-  /// comparison, so verdicts are identical to the slow path (see
-  /// canonical.hpp).  Disabled automatically with crc_prefilter (the
-  /// prefilter's CRC-collision acceptance is not digest-equivalent).
-  bool pool_fastpath = true;
-  /// Memoize per-item digests within one check so the subject's items are
-  /// hashed once instead of once per peer.
-  bool digest_memo = true;
-  /// Pin every diff/compare kernel to the scalar implementation (same
-  /// effect as the MC_FORCE_SCALAR environment variable, scoped to this
-  /// pipeline).  Verdicts are bit-identical at every dispatch level; this
-  /// exists for A/B benchmarking and CI cross-checking.
-  bool force_scalar = false;
+  /// Pool-access threads.  1 (the default) runs every per-VM acquire and
+  /// fallback comparison sequentially, so wall_time == cpu_times.total();
+  /// N > 1 runs them on a ThreadPool of N workers and charges the
+  /// list-scheduling makespan.  0 is rejected when the CheckContext is
+  /// built.
+  std::size_t worker_threads = 1;
+  /// The paper's prototype: attach a fresh VMI session per check, hash
+  /// every item per pair, and send every pool pair through Algorithm 2.
+  /// Off (the default) keeps one session per domain alive across calls
+  /// (VmiSessionPool; it auto-invalidates when a domain's epoch/CR3
+  /// moves), memoizes the subject's raw-item digests within one check,
+  /// and decides pool pairs by canonical-RVA digest vectors (see
+  /// canonical.hpp) — O(t) image work instead of O(t^2), with any copy
+  /// that does not reduce cleanly falling back to the exact pairwise
+  /// comparison, so verdicts are identical either way.
+  bool paper_faithful = false;
   /// Acquire-stage retry/quarantine policy (see RetryPolicy).
   RetryPolicy retry{};
   /// Registry backing every pipeline/VMI counter and histogram.  Null means
@@ -317,19 +307,14 @@ struct CheckContext {
         metrics(&telemetry::resolve(config.metrics)),
         tracer(config.tracer),
         parser(config.host_costs, config.format),
-        checker(config.algorithm, config.host_costs, config.crc_prefilter,
-                config.force_scalar ? simd::Policy::kScalar
-                                    : simd::Policy::kAuto),
+        checker(config.algorithm, config.host_costs),
         session_pool(hv, config.vmi_costs, metrics),
-        pm(*metrics) {}
+        pm(*metrics) {
+    MC_CHECK(config.worker_threads >= 1, "worker_threads must be >= 1");
+  }
 
   CheckContext(const CheckContext&) = delete;
   CheckContext& operator=(const CheckContext&) = delete;
-
-  /// Dispatch policy every stage's diff/compare kernels run under.
-  simd::Policy policy() const {
-    return config.force_scalar ? simd::Policy::kScalar : simd::Policy::kAuto;
-  }
 
   const vmm::Hypervisor* hypervisor;
   ModCheckerConfig config;
@@ -338,7 +323,7 @@ struct CheckContext {
   telemetry::TraceRecorder* tracer;
   ModuleParser parser;
   IntegrityChecker checker;
-  /// Per-domain persistent sessions (used when config.reuse_sessions).
+  /// Per-domain persistent sessions (unused when config.paper_faithful).
   vmi::VmiSessionPool session_pool;
   PipelineMetrics pm;
 };
@@ -365,7 +350,7 @@ struct Extraction {
 };
 
 /// Stage 1 — Acquire: all guest-memory access.  Hands out RAII session
-/// scopes (pooled lease when reuse_sessions, fresh attach otherwise) and
+/// scopes (pooled lease by default, fresh attach when paper_faithful) and
 /// runs the Module-Searcher operations against them.
 class AcquireStage {
  public:
@@ -447,8 +432,7 @@ class NormalizeStage {
  public:
   explicit NormalizeStage(CheckContext& ctx) : ctx_(&ctx) {}
 
-  /// True when the config wants the fast path (pool_fastpath and no CRC
-  /// prefilter in the way).
+  /// True unless the config is paper_faithful.
   bool enabled() const;
 
   /// Brings `state` up to date with the parsed copies, charging `clock`.

@@ -39,7 +39,4 @@ std::string to_json(const AuditReport& report);
 /// independently).
 std::string cpu_ns_json(const ComponentTimes& times);
 
-/// Escapes a string for embedding in JSON output.
-std::string json_escape(const std::string& s);
-
 }  // namespace mc::core

@@ -4,6 +4,7 @@
 
 #include "modchecker/report_json.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace mc::service {
 
@@ -11,7 +12,7 @@ namespace mc::service {
 
 std::string to_json(const SweepReport& report) {
   std::ostringstream os;
-  os << "{\"sweep\":\"" << core::json_escape(report.name) << "\""
+  os << "{\"sweep\":\"" << json_escape(report.name) << "\""
      << ",\"id\":" << report.id << ",\"pool\":" << report.pool_index
      << ",\"run\":" << report.run_index << ",\"due_ns\":" << report.due
      << ",\"cancelled\":" << (report.cancelled ? "true" : "false")
@@ -19,7 +20,7 @@ std::string to_json(const SweepReport& report) {
   for (std::size_t i = 0; i < report.findings.size(); ++i) {
     const SweepFinding& f = report.findings[i];
     os << (i == 0 ? "" : ",") << "{\"module\":\""
-       << core::json_escape(f.module) << "\",\"vm\":" << f.vm
+       << json_escape(f.module) << "\",\"vm\":" << f.vm
        << ",\"successes\":" << f.successes << ",\"total\":" << f.total
        << "}";
   }

@@ -3,6 +3,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/json.hpp"
+
 namespace mc::telemetry {
 
 namespace {
@@ -11,28 +13,6 @@ namespace {
 // only — it annotates SpanRecord::depth); spans must begin and end on the
 // same thread for it to mean anything, which every pipeline stage satisfies.
 thread_local std::uint32_t t_depth = 0;
-
-std::string json_escape_min(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-        break;
-    }
-  }
-  return out;
-}
 
 }  // namespace
 
@@ -110,18 +90,18 @@ std::string chrome_trace_event(const SpanRecord& record) {
     v << frac / 100 << (frac / 10) % 10 << frac % 10;
     return v.str();
   };
-  out << "{\"name\":\"" << json_escape_min(record.name) << "\",\"cat\":\""
-      << json_escape_min(record.category) << "\",\"ph\":\"X\",\"ts\":"
+  out << "{\"name\":\"" << json_escape(record.name) << "\",\"cat\":\""
+      << json_escape(record.category) << "\",\"ph\":\"X\",\"ts\":"
       << us(record.wall_start_ns) << ",\"dur\":" << us(record.wall_dur_ns)
       << ",\"pid\":" << record.process << ",\"tid\":" << record.track
       << ",\"args\":{\"sim_start_ns\":" << record.sim_start
       << ",\"sim_dur_ns\":" << record.sim_dur << ",\"depth\":" << record.depth;
   for (const auto& arg : record.args) {
-    out << ",\"" << json_escape_min(arg.key) << "\":";
+    out << ",\"" << json_escape(arg.key) << "\":";
     if (arg.is_number) {
       out << arg.value;
     } else {
-      out << '"' << json_escape_min(arg.value) << '"';
+      out << '"' << json_escape(arg.value) << '"';
     }
   }
   out << "}}";

@@ -10,9 +10,9 @@
 //     pins the whole process to the scalar kernels, which is how the CI
 //     force-scalar leg and the differential suites prove every level
 //     produces bit-identical results;
-//   * Policy::kScalar on an individual call, which is how a checker
-//     configured with force_scalar=true stays scalar regardless of the
-//     process default.
+//   * Policy::kScalar on an individual call, which is how a kernel
+//     benchmark or equivalence test runs the scalar reference next to the
+//     dispatched kernel in one process.
 //
 // The kernels are pure byte functions: they never touch the SimClock, so
 // dispatch level cannot perturb simulated costs (the differential suites
@@ -36,8 +36,8 @@ enum class Policy {
 enum class Level { kScalar, kSwar, kAvx2 };
 
 /// Process-wide force-scalar switch.  Initialized from MC_FORCE_SCALAR
-/// ("", unset and "0" mean off) on first use; tests and config plumbing
-/// may override programmatically.
+/// ("", unset and "0" mean off) on first use; tests and benchmarks may
+/// override it programmatically.
 bool force_scalar();
 void set_force_scalar(bool on);
 

@@ -57,8 +57,6 @@ struct HostCostModel {
   SimNanos parse_fixed = sim_us(15);
   /// Integrity-Checker: MD5 hashing per byte.
   SimNanos hash_per_byte = 4;  // ns
-  /// Integrity-Checker: CRC32 prefilter per byte (when enabled).
-  SimNanos crc_per_byte = 1;  // ns
   /// Integrity-Checker: RVA-adjustment diff scan per byte (pairwise).
   SimNanos rva_scan_per_byte = 2;  // ns
   /// Fixed per-comparison overhead.

@@ -117,7 +117,6 @@ TEST(ConcurrencyStress, ParallelModeCheckersRaceEachOther) {
   const vmm::Hypervisor& hv = env->hypervisor();
 
   core::ModCheckerConfig config;
-  config.parallel = true;
   config.worker_threads = 3;
 
   std::vector<std::thread> threads;

@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "crypto/crc32.hpp"
 #include "crypto/digest.hpp"
 #include "crypto/hasher.hpp"
 #include "crypto/md5.hpp"
@@ -86,22 +85,6 @@ TEST(Sha256, MillionAs) {
   }
   EXPECT_EQ(h.finish().hex(),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
-}
-
-// ---- CRC32 ----------------------------------------------------------------------
-TEST(Crc32, KnownValues) {
-  EXPECT_EQ(crc32(sv("")), 0x00000000u);
-  EXPECT_EQ(crc32(sv("123456789")), 0xCBF43926u);  // the classic check value
-  EXPECT_EQ(crc32(sv("The quick brown fox jumps over the lazy dog")),
-            0x414FA339u);
-}
-
-TEST(Crc32, SeedChaining) {
-  const std::string all = "hello world";
-  const std::uint32_t direct = crc32(sv(all));
-  const std::uint32_t first = crc32(sv("hello "));
-  const std::uint32_t chained = crc32(sv("world"), first);
-  EXPECT_EQ(chained, direct);
 }
 
 // ---- streaming == one-shot across chunkings (property) --------------------------

@@ -36,9 +36,7 @@ ModCheckerConfig fast_config() {
 
 ModCheckerConfig faithful_config() {
   ModCheckerConfig cfg;
-  cfg.pool_fastpath = false;
-  cfg.digest_memo = false;
-  cfg.reuse_sessions = false;
+  cfg.paper_faithful = true;
   return cfg;
 }
 

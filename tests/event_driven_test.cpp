@@ -264,12 +264,11 @@ TEST(EventDrivenDifferential, FuzzedWriteWeather) {
 // ---- Parallel fetches over the scan cache -------------------------------------
 
 TEST(EventDrivenDifferential, ParallelCachedScanMatchesSequential) {
-  // parallel = true fetches every VM's cached copy on its own worker; the
+  // worker_threads > 1 fetches every VM's cached copy on its own worker; the
   // cache map is only touched on the orchestrating thread, so this must be
   // TSan-clean and verdict-identical to the sequential cached scan.
   auto env = make_env(6);
   ModCheckerConfig parallel_config;
-  parallel_config.parallel = true;
   parallel_config.worker_threads = 4;
   IncrementalScanner parallel(env->hypervisor(), parallel_config);
   IncrementalScanner sequential(env->hypervisor());

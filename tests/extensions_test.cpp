@@ -74,53 +74,6 @@ TEST(Pioneer, NeedsTrustedCopy) {
   EXPECT_TRUE(pioneer.check(*env, env->guests()[0], "hal.dll").flagged);
 }
 
-// ---- CRC prefilter -----------------------------------------------------------------
-TEST(CrcPrefilter, VerdictsIdenticalCostLower) {
-  auto env = make_env(6);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[2], "hal.dll");
-
-  ModCheckerConfig plain_cfg;
-  ModCheckerConfig fast_cfg;
-  fast_cfg.crc_prefilter = true;
-  ModChecker plain(env->hypervisor(), plain_cfg);
-  ModChecker fast(env->hypervisor(), fast_cfg);
-
-  for (const auto vm : env->guests()) {
-    const auto a = plain.check_module(vm, "hal.dll");
-    const auto b = fast.check_module(vm, "hal.dll");
-    EXPECT_EQ(a.subject_clean, b.subject_clean) << "Dom" << vm;
-    EXPECT_EQ(a.successes, b.successes);
-    EXPECT_EQ(a.flagged_items, b.flagged_items);
-    if (vm == env->guests()[2]) {
-      // The infected subject mismatches everyone: the prefilter pays the
-      // CRC on top of the full digest, so it may cost slightly MORE.
-      EXPECT_LE(static_cast<double>(b.cpu_times.checker),
-                1.3 * static_cast<double>(a.cpu_times.checker));
-    } else {
-      // Clean subjects match most peers: the prefilter must win.
-      EXPECT_LT(b.cpu_times.checker, a.cpu_times.checker) << "Dom" << vm;
-    }
-  }
-}
-
-TEST(CrcPrefilter, MismatchStillCarriesDigestEvidence) {
-  auto env = make_env(3);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
-  ModCheckerConfig cfg;
-  cfg.crc_prefilter = true;
-  ModChecker checker(env->hypervisor(), cfg);
-  const auto report = checker.check_module(env->guests()[0], "hal.dll");
-  for (const auto& pair : report.comparisons) {
-    for (const auto& item : pair.items) {
-      if (!item.match) {
-        // Fallback to the full digest happened: evidence present.
-        EXPECT_FALSE(item.digest_subject.empty()) << item.item_name;
-        EXPECT_FALSE(item.digest_other.empty());
-      }
-    }
-  }
-}
-
 // ---- string extraction -----------------------------------------------------------------
 TEST(Strings, AsciiExtraction) {
   const std::string raw = std::string("\x01\x02") + "Hello, driver!" +

@@ -1,16 +1,16 @@
 // Differential suite: the canonical-RVA fast path and the digest memo must
 // be *verdict-identical* to the paper-faithful pairwise implementation.
 //
-// Every test runs the same pool through a fast checker (pool_fastpath +
-// digest_memo + reuse_sessions) and a faithful one (everything off) and
-// demands bit-equal verdicts, flagged items and vote counts — across clean
-// pools of every size the paper used, the E1-E4 infections, and the
-// fallback corners (reference infected, unresolvable diffs, shape
-// mismatches).  Every such scan also recomputes each eligible copy's
-// digests from scratch: a copy the pool settled by a byte compare must
-// carry exactly the digest hashing it would give.  CanonicalPool's
-// eligibility rules get direct synthetic coverage at the bottom, followed
-// by ELF digest identity and the pool's hash accounting.
+// Every test runs the same pool through a fast checker (the default config:
+// canonical fast path, digest memo, session reuse) and a paper_faithful one
+// (all three off) and demands bit-equal verdicts, flagged items and vote
+// counts — across clean pools of every size the paper used, the E1-E4
+// infections, and the fallback corners (reference infected, unresolvable
+// diffs, shape mismatches).  Every such scan also recomputes each
+// eligible copy's digests from scratch: a copy the pool settled by a byte
+// compare must carry exactly the digest hashing it would give.
+// CanonicalPool's eligibility rules get direct synthetic coverage at the
+// bottom, followed by ELF digest identity and the pool's hash accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,6 +38,8 @@
 #include "modchecker/modchecker.hpp"
 #include "modchecker/pipeline.hpp"
 #include "modchecker/rva_adjust.hpp"
+#include "pe/builder.hpp"
+#include "pe/constants.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
 
@@ -54,17 +56,13 @@ std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
 
 ModCheckerConfig fast_config() {
   ModCheckerConfig cfg;  // fast path, memo and session reuse are defaults
-  EXPECT_TRUE(cfg.pool_fastpath);
-  EXPECT_TRUE(cfg.digest_memo);
-  EXPECT_TRUE(cfg.reuse_sessions);
+  EXPECT_FALSE(cfg.paper_faithful);
   return cfg;
 }
 
 ModCheckerConfig faithful_config() {
   ModCheckerConfig cfg;
-  cfg.pool_fastpath = false;
-  cfg.digest_memo = false;
-  cfg.reuse_sessions = false;
+  cfg.paper_faithful = true;
   return cfg;
 }
 
@@ -384,29 +382,102 @@ TEST(DigestMemo, CheckModuleBitIdenticalCleanAndInfected) {
   }
 }
 
-TEST(DigestMemo, CrcPrefilterDecisionsUnchanged) {
-  auto env = make_env(5);
-  attacks::StubPatchAttack{}.apply(*env, env->guests()[1], "dummy.sys");
-  ModCheckerConfig fast = fast_config();
-  fast.crc_prefilter = true;
-  ModCheckerConfig faithful = faithful_config();
-  faithful.crc_prefilter = true;
-  ModChecker a(env->hypervisor(), fast);
-  ModChecker b(env->hypervisor(), faithful);
-  for (const std::string module : {"dummy.sys", "tcpip.sys"}) {
-    expect_same_check(a.check_module(env->guests()[0], module),
-                      b.check_module(env->guests()[0], module));
-  }
+// ---- duplicate item names ------------------------------------------------------
+//
+// Section names are guest-controlled and need not be unique, so the memo
+// must never let two items that share a name share a digest.
+
+IntegrityItem raw_item(const std::string& name, Bytes bytes) {
+  IntegrityItem item;
+  item.kind = ItemKind::kSectionData;
+  item.name = name;
+  item.bytes = std::move(bytes);
+  item.rva_sensitive = false;
+  return item;
 }
 
-TEST(DigestMemo, CrcPrefilterDisablesPoolFastpath) {
+TEST(DigestMemo, DuplicateItemNamesAreMemoizedApart) {
+  // Both copies carry two ".rdata" items; only the subject's second one
+  // differs.  Keyed by name, the memo served the first item's digest for
+  // the second on both sides and the patch matched.
+  const auto make = [](vmm::DomainId dom, std::uint8_t second_fill) {
+    ParsedModule m;
+    m.domain = dom;
+    m.name = "dup.sys";
+    m.base = 0x10000;
+    m.items.push_back(raw_item(".rdata", Bytes(64, 0x11)));
+    m.items.push_back(raw_item(".rdata", Bytes(64, second_fill)));
+    return m;
+  };
+  const ParsedModule subject = make(1, 0x99);
+  const ParsedModule other = make(2, 0x22);
+  const IntegrityChecker checker;
+  SimClock clock;
+  EXPECT_FALSE(checker.compare(subject, other, clock).all_match);
+
+  telemetry::MetricRegistry reg;
+  DigestTable memo(checker.algorithm(), {}, &reg);
+  const PairComparison memoized =
+      checker.compare(subject, other, clock, &memo);
+  EXPECT_FALSE(memoized.all_match);
+  ASSERT_EQ(memoized.items.size(), 2u);
+  EXPECT_TRUE(memoized.items[0].match);
+  EXPECT_FALSE(memoized.items[1].match);
+}
+
+TEST(DigestMemo, DuplicateSectionNamesCheckMatchesFaithful) {
+  // The same shape end to end: a driver with two ".rdata" sections loaded
+  // on every guest, the subject's second section patched in guest memory.
   auto env = make_env(4);
-  ModCheckerConfig cfg = fast_config();
-  cfg.crc_prefilter = true;
-  const auto report =
-      ModChecker(env->hypervisor(), cfg).scan_pool("hal.dll", env->guests());
-  EXPECT_EQ(report.fastpath_pairs, 0u);
-  EXPECT_EQ(report.fallback_pairs, 6u);
+  pe::PeBuilder builder("dup.sys");
+  builder.set_image_base(0x00010000);
+  builder.set_entry_point(builder.next_section_rva());
+  builder.add_section(".text", Bytes(0x200, 0x90),
+                      pe::kScnCntCode | pe::kScnMemExecute | pe::kScnMemRead);
+  builder.add_section(".rdata", Bytes(0x100, 0x11),
+                      pe::kScnCntInitializedData | pe::kScnMemRead);
+  const std::uint32_t second_rva = builder.next_section_rva();
+  builder.add_section(".rdata", Bytes(0x100, 0x22),
+                      pe::kScnCntInitializedData | pe::kScnMemRead);
+  builder.add_reloc_section();
+  const Bytes file = builder.build();
+  for (const vmm::DomainId vm : env->guests()) {
+    env->loader(vm).load("dup.sys", file);
+  }
+  const vmm::DomainId subject = env->guests()[0];
+  attacks::BytePatchAttack(second_rva + 8).apply(*env, subject, "dup.sys");
+
+  const CheckReport fast = ModChecker(env->hypervisor(), fast_config())
+                               .check_module(subject, "dup.sys");
+  const CheckReport faithful =
+      ModChecker(env->hypervisor(), faithful_config())
+          .check_module(subject, "dup.sys");
+  EXPECT_FALSE(faithful.subject_clean);
+  expect_same_check(fast, faithful);
+}
+
+// ---- paper_faithful -------------------------------------------------------------
+
+TEST(PaperFaithful, OneSwitchTurnsOffAllThreeFastPaths) {
+  auto env = make_env(4);
+  for (const bool faithful : {true, false}) {
+    telemetry::MetricRegistry reg;
+    ModCheckerConfig cfg;
+    cfg.paper_faithful = faithful;
+    cfg.metrics = &reg;
+    ModChecker checker(env->hypervisor(), std::move(cfg));
+    const PoolScanReport scan = checker.scan_pool("hal.dll", env->guests());
+    checker.check_module(env->guests()[0], "hal.dll");
+    const std::uint64_t memo_traffic =
+        reg.counter("digest_memo.hits").value() +
+        reg.counter("digest_memo.misses").value();
+    SCOPED_TRACE(faithful ? "paper_faithful" : "default");
+    // C(4, 2) = 6 pairs: all through Algorithm 2, or all by digest vector.
+    EXPECT_EQ(scan.fastpath_pairs, faithful ? 0u : 6u);
+    EXPECT_EQ(scan.fallback_pairs, faithful ? 6u : 0u);
+    EXPECT_EQ(memo_traffic == 0, faithful);
+    EXPECT_EQ(checker.session_pool_stats().created == 0, faithful);
+  }
 }
 
 // ---- parallel fallback accounting (the wall-time fix) --------------------------
@@ -414,7 +485,6 @@ TEST(DigestMemo, CrcPrefilterDisablesPoolFastpath) {
 TEST(FastpathEquivalence, ParallelFallbackWallBelowCpu) {
   auto env = make_env(8);
   ModCheckerConfig cfg = faithful_config();  // every pair falls back
-  cfg.parallel = true;
   cfg.worker_threads = 8;
   const auto report =
       ModChecker(env->hypervisor(), cfg).scan_pool("http.sys", env->guests());

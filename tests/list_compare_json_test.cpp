@@ -14,6 +14,8 @@
 #include "pe/mapper.hpp"
 #include "pe/parser.hpp"
 #include "pe/reloc.hpp"
+#include "json_validator.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -102,6 +104,40 @@ TEST(Json, EscapingControlCharactersAndQuotes) {
   EXPECT_EQ(json_escape("a\\b"), "a\\\\b");
   EXPECT_EQ(json_escape("a\nb"), "a\\nb");
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(Json, EscaperKeepsUtf8AndEscapesEveryOtherByte) {
+  EXPECT_EQ(json_escape("a\rb\tc"), "a\\rb\\tc");
+  EXPECT_EQ(json_escape(std::string(1, '\x1f')), "\\u001f");
+  const std::string printable = "hal.dll [.text] ~!@#$%^&*()_+{}|:<>?";
+  EXPECT_EQ(json_escape(printable), printable);
+  // Well-formed UTF-8 (an em dash, U+10FFFF) passes through unchanged.
+  EXPECT_EQ(json_escape("a\xE2\x80\x94" "b"), "a\xE2\x80\x94" "b");
+  EXPECT_EQ(json_escape("\xF4\x8F\xBF\xBF"), "\xF4\x8F\xBF\xBF");
+  // Each byte of an ill-formed sequence is escaped on its own: a stray
+  // continuation byte, an overlong form, a surrogate, a truncated
+  // sequence, and a lead byte above U+10FFFF.
+  EXPECT_EQ(json_escape("\x80"), "\\u0080");
+  EXPECT_EQ(json_escape("\xC0\xAF"), "\\u00c0\\u00af");
+  EXPECT_EQ(json_escape("\xED\xA0\x80"), "\\u00ed\\u00a0\\u0080");
+  EXPECT_EQ(json_escape("\xE2\x80"), "\\u00e2\\u0080");
+  EXPECT_EQ(json_escape("\xF5\x80\x80\x80x"),
+            "\\u00f5\\u0080\\u0080\\u0080x");
+}
+
+TEST(Json, GuestControlledItemNameStaysValidJson) {
+  // A guest can rename a section to any bytes; the flagged item name must
+  // still serialize as valid JSON (no raw control or high bytes).
+  CheckReport report;
+  report.module_name = "hal.dll";
+  report.flagged_items = {"\xff\x01.rdata"};
+  const std::string json = to_json(report);
+  for (const char c : json) {
+    const auto byte = static_cast<unsigned char>(c);
+    EXPECT_TRUE(byte >= 0x20 && byte < 0x80) << "raw byte " << int{byte};
+  }
+  EXPECT_NE(json.find("\"\\u00ff\\u0001.rdata\""), std::string::npos);
+  EXPECT_TRUE(testutil::is_valid_json(json)) << json;
 }
 
 // ---- Algorithm 2 cross-validation against relocation metadata ---------------------

@@ -114,9 +114,7 @@ TEST(ModCheckerParallel, VerdictsMatchSequential) {
   attacks::InlineHookAttack{}.apply(*env, env->guests()[3], "hal.dll");
 
   ModCheckerConfig seq;
-  seq.parallel = false;
   ModCheckerConfig par;
-  par.parallel = true;
   par.worker_threads = 4;
 
   ModChecker sequential(env->hypervisor(), seq);
@@ -135,7 +133,6 @@ TEST(ModCheckerParallel, VerdictsMatchSequential) {
 TEST(ModCheckerParallel, WallTimeBelowCpuTime) {
   auto env = make_env(10);
   ModCheckerConfig par;
-  par.parallel = true;
   par.worker_threads = 8;
   ModChecker checker(env->hypervisor(), par);
   const auto report = checker.check_module(env->guests()[0], "http.sys");
@@ -150,13 +147,18 @@ TEST(ModCheckerParallel, SequentialWallEqualsCpu) {
   EXPECT_EQ(report.wall_time, report.cpu_times.total());
 }
 
+TEST(ModCheckerParallel, ZeroWorkerThreadsRejectedAtConstruction) {
+  auto env = make_env(2);
+  ModCheckerConfig cfg;
+  cfg.worker_threads = 0;
+  EXPECT_THROW(ModChecker(env->hypervisor(), cfg), InvalidArgument);
+}
+
 TEST(ModCheckerParallel, MoreWorkersNoSlowerWall) {
   auto env = make_env(12);
   ModCheckerConfig two;
-  two.parallel = true;
   two.worker_threads = 2;
   ModCheckerConfig eight;
-  eight.parallel = true;
   eight.worker_threads = 8;
   const auto slow =
       ModChecker(env->hypervisor(), two).check_module(env->guests()[0],
@@ -203,7 +205,7 @@ TEST(PoolScan, ParallelMatchesSequentialVerdicts) {
   auto env = make_env(6);
   attacks::InlineHookAttack{}.apply(*env, env->guests()[2], "hal.dll");
   ModCheckerConfig par;
-  par.parallel = true;
+  par.worker_threads = 8;
   const auto seq =
       ModChecker(env->hypervisor()).scan_pool("hal.dll", env->guests());
   const auto parl = ModChecker(env->hypervisor(), par)
@@ -219,10 +221,10 @@ TEST(PoolScan, ParallelMatchesSequentialVerdicts) {
 TEST(Timing, SearcherDominatesEveryModule) {
   auto env = make_env(5);
   // Searcher dominance (paper Fig. 7) is a property of a *cold* scan: pin
-  // attach-per-check so pooled warm sessions don't mask the page-wise
-  // extraction cost across the loop's later modules.
+  // the paper's attach-per-check so pooled warm sessions don't mask the
+  // page-wise extraction cost across the loop's later modules.
   ModCheckerConfig cfg;
-  cfg.reuse_sessions = false;
+  cfg.paper_faithful = true;
   ModChecker checker(env->hypervisor(), cfg);
   for (const auto& module : env->config().load_order) {
     const auto report = checker.check_module(env->guests()[0], module);
@@ -248,10 +250,11 @@ TEST(Timing, RuntimeGrowsWithPoolSize) {
 
 TEST(Timing, HeavyLoadInflatesRuntime) {
   auto env = make_env(10);
-  // Contention inflation must compare equal work: pin attach-per-check so
-  // the loaded run isn't quietly cheaper from warm pooled sessions.
+  // Contention inflation must compare equal work: pin the paper's
+  // attach-per-check so the loaded run isn't quietly cheaper from warm
+  // pooled sessions.
   ModCheckerConfig cfg;
-  cfg.reuse_sessions = false;
+  cfg.paper_faithful = true;
   ModChecker checker(env->hypervisor(), cfg);
   const auto idle = checker.check_module(env->guests()[0], "http.sys");
 

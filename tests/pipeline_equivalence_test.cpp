@@ -55,9 +55,7 @@ std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
 /// memo, no fast path — the mode the legacy oracle reproduces.
 ModCheckerConfig faithful_config() {
   ModCheckerConfig cfg;
-  cfg.pool_fastpath = false;
-  cfg.digest_memo = false;
-  cfg.reuse_sessions = false;
+  cfg.paper_faithful = true;
   return cfg;
 }
 
@@ -104,7 +102,7 @@ CheckReport legacy_check(cloud::CloudEnvironment& env, vmm::DomainId subject,
                          const std::string& module,
                          const std::vector<vmm::DomainId>& others) {
   const ModCheckerConfig cfg = faithful_config();
-  IntegrityChecker checker(cfg.algorithm, cfg.host_costs, cfg.crc_prefilter);
+  IntegrityChecker checker(cfg.algorithm, cfg.host_costs);
 
   CheckReport report;
   report.module_name = module;
@@ -395,10 +393,6 @@ TEST(PipelineStages, NormalizeStandsDownWhenDisabled) {
   auto env = make_env(3);
   ModChecker faithful(env->hypervisor(), faithful_config());
   EXPECT_FALSE(faithful.pipeline().normalize().enabled());
-  ModCheckerConfig crc = {};
-  crc.crc_prefilter = true;  // CRC acceptance is digest-incompatible
-  ModChecker prefiltered(env->hypervisor(), crc);
-  EXPECT_FALSE(prefiltered.pipeline().normalize().enabled());
   ModChecker fast(env->hypervisor(), ModCheckerConfig{});
   EXPECT_TRUE(fast.pipeline().normalize().enabled());
 }

@@ -6,7 +6,7 @@
 // Coverage: the raw mismatch kernel across sizes/alignments/diff positions,
 // adjust_rvas at every dispatch level, relocation candidates straddling a
 // page boundary inside a scatter-gather GuestView, view-backed vs owned
-// item content (hash/CRC/equality), and whole-pool scans of the paper's
+// item content (hash/equality), and whole-pool scans of the paper's
 // E1-E4 attacks with vectorization on vs. forced off.
 #include <gtest/gtest.h>
 
@@ -20,7 +20,6 @@
 #include "attacks/opcode_replace.hpp"
 #include "attacks/stub_patch.hpp"
 #include "cloud/environment.hpp"
-#include "crypto/crc32.hpp"
 #include "crypto/hasher.hpp"
 #include "modchecker/item_content.hpp"
 #include "modchecker/modchecker.hpp"
@@ -258,8 +257,6 @@ TEST(SimdItems, ViewBackedContentHashesAndCrcsMatchOwned) {
     EXPECT_EQ(hash_item_content(alg, owned),
               crypto::hash_bytes(alg, content));
   }
-  EXPECT_EQ(crc_item_content(viewed), crypto::crc32(content));
-  EXPECT_EQ(crc_item_content(owned), crypto::crc32(content));
 
   EXPECT_TRUE(item_content_equal(owned, viewed));
   EXPECT_TRUE(item_content_equal(owned, viewed, simd::Policy::kScalar));
@@ -302,17 +299,17 @@ void expect_same_reports(const PoolScanReport& a, const PoolScanReport& b) {
       << "dispatch level perturbed simulated cost";
 }
 
-/// Scans with vectorization on (config default) and forced off; both
-/// reports must be bit-identical, including simulated times.
+/// Scans with the process-wide switch off (runtime dispatch) and on
+/// (every kernel scalar); both reports must be bit-identical, including
+/// simulated times.
 void scan_both_dispatch_levels(cloud::CloudEnvironment& env,
                                const std::string& module) {
-  ModCheckerConfig vec_cfg;
-  ModCheckerConfig sca_cfg;
-  sca_cfg.force_scalar = true;
-  ModChecker vectorized(env.hypervisor(), vec_cfg);
-  ModChecker scalar(env.hypervisor(), sca_cfg);
-  const auto a = vectorized.scan_pool(module, env.guests());
-  const auto b = scalar.scan_pool(module, env.guests());
+  const bool saved = simd::force_scalar();
+  simd::set_force_scalar(false);
+  const auto a = ModChecker(env.hypervisor()).scan_pool(module, env.guests());
+  simd::set_force_scalar(true);
+  const auto b = ModChecker(env.hypervisor()).scan_pool(module, env.guests());
+  simd::set_force_scalar(saved);
   expect_same_reports(a, b);
 }
 
@@ -344,23 +341,6 @@ TEST(SimdPool, E4HeaderTamperVerdictsIdentical) {
   auto env = make_env(5);
   attacks::HeaderTamperAttack{}.apply(*env, env->guests()[3], "ntfs.sys");
   scan_both_dispatch_levels(*env, "ntfs.sys");
-}
-
-TEST(SimdPool, ProcessWideForceScalarMatchesConfigFlag) {
-  auto env = make_env(4);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[1], "hal.dll");
-
-  ModCheckerConfig cfg;
-  ModChecker a(env->hypervisor(), cfg);
-  const auto vec_report = a.scan_pool("hal.dll", env->guests());
-
-  const bool saved = simd::force_scalar();
-  simd::set_force_scalar(true);
-  ModChecker b(env->hypervisor(), cfg);  // kAuto policy, but process pinned
-  const auto sca_report = b.scan_pool("hal.dll", env->guests());
-  simd::set_force_scalar(saved);
-
-  expect_same_reports(vec_report, sca_report);
 }
 
 }  // namespace

@@ -7,10 +7,12 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cloud/environment.hpp"
+#include "json_validator.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report_json.hpp"
 #include "telemetry/registry.hpp"
@@ -257,6 +259,21 @@ TEST(TraceRecorder, ChromeTraceIsAValidJsonArray) {
   EXPECT_NE(trace.find("\"module\":\"hal.dll\""), std::string::npos);
   EXPECT_NE(trace.find("\"pairs\":14"), std::string::npos);
   EXPECT_EQ(trace.find('\''), std::string::npos);
+  EXPECT_TRUE(testutil::is_valid_json(trace)) << trace;
+}
+
+TEST(TraceRecorder, ChromeTraceEscapesControlBytesInArgs) {
+  telemetry::TraceRecorder rec;
+  {
+    telemetry::SpanScope s = rec.span("scan", "pipeline", 1, 2);
+    s.arg("module", std::string("hal\t.dll\r\x01"));
+  }
+  std::ostringstream os;
+  telemetry::write_chrome_trace(os, rec.drain());
+  const std::string trace = os.str();
+  EXPECT_TRUE(testutil::is_valid_json(trace)) << trace;
+  EXPECT_NE(trace.find("\"module\":\"hal\\t.dll\\r\\u0001\""),
+            std::string::npos);
 }
 
 // ---- VmiSession torn-snapshot regression -----------------------------------

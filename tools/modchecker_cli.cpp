@@ -97,7 +97,7 @@ void usage() {
       "  --format <fmt>      auto | pe32 | elf64 (default auto: sniff the\n"
       "                      image header per module)\n"
       "  --horizon <ms>      simulated monitor horizon (default 10000)\n"
-      "  --parallel          use the parallel pool-scan engine\n"
+      "  --parallel          scan with 8 pool-access worker threads\n"
       "  --json              machine-readable output (check/scan/audit)\n"
       "  --file <path>       dump file for dump/checkdump\n"
       "  --fault-rate <p>    inject guest read faults with probability p\n"
@@ -141,7 +141,7 @@ core::ModCheckerConfig make_config(const Options& options,
   core::ModCheckerConfig cfg;
   cfg.algorithm = crypto::parse_hash_algorithm(options.algorithm);
   cfg.format = core::parse_module_format(options.format);
-  cfg.parallel = options.parallel;
+  cfg.worker_threads = options.parallel ? 8 : 1;
   cfg.tracer = tracer;
   return cfg;
 }
