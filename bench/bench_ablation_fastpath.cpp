@@ -8,6 +8,9 @@
 // size, checks verdict equivalence at every point, and emits a
 // machine-readable BENCH_modchecker.json consumed by CI.
 //
+// Two infected t=15 rows (a .text patch on the first VM, PE and ELF) show
+// the exact fallback's cost; their verdicts must match too.
+//
 // Exit status: non-zero if the checker-phase speedup at t=15 falls below
 // 5x or any verdict diverges, so the bench doubles as a regression gate.
 #include <benchmark/benchmark.h>
@@ -22,12 +25,17 @@
 #include <x86intrin.h>
 #endif
 
+#include "attacks/byte_patch.hpp"
 #include "cloud/environment.hpp"
 #include "cloud/linux.hpp"
+#include "elf/parser.hpp"
+#include "guestos/kernel.hpp"
+#include "guestos/ko_loader.hpp"
 #include "modchecker/item_content.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/rva_adjust.hpp"
 #include "modchecker/searcher.hpp"
+#include "pe/parser.hpp"
 #include "telemetry/registry.hpp"
 #include "util/arena.hpp"
 #include "util/simd.hpp"
@@ -112,6 +120,34 @@ std::vector<Row> elf_sweep() {
     rows.push_back(sweep_point(env.hypervisor(), env.guests(), kElfModule));
   }
   return rows;
+}
+
+/// The infected legs: t=15 with one .text byte patched on the first VM
+/// (offset 3 precedes every relocation slot, so it is a pure code
+/// change).  The victim's t-1 pairs take the exact fallback, which the
+/// clean sweeps never reach; faithful and fast verdicts must still match.
+Row infected_row() {
+  cloud::CloudConfig cfg;
+  cfg.guest_count = 15;
+  cloud::CloudEnvironment env(cfg);
+  const pe::ParsedImage image{ByteView(env.golden().file(kModule))};
+  const std::uint32_t text = image.find_section(".text")->VirtualAddress;
+  attacks::BytePatchAttack(text + 3).apply(env, env.guests()[0], kModule);
+  return sweep_point(env.hypervisor(), env.guests(), kModule);
+}
+
+Row infected_elf_row() {
+  cloud::LinuxCloudConfig cfg;
+  cfg.guest_count = 15;
+  cloud::LinuxEnvironment env(cfg);
+  const vmm::DomainId victim = env.guests()[0];
+  const elf::ElfImage image{ByteView(env.golden_file(kElfModule))};
+  const std::uint32_t va =
+      env.loader(victim).find(kElfModule)->base +
+      static_cast<std::uint32_t>(image.find_section(".text")->sh_offset) + 3;
+  const Bytes patch = {0xCC};
+  env.kernel(victim).address_space().write_virtual(va, ByteView(patch));
+  return sweep_point(env.hypervisor(), env.guests(), kElfModule);
 }
 
 // ---- hot-path microprobes -----------------------------------------------------
@@ -358,6 +394,7 @@ void print_rows(std::FILE* f, const std::vector<Row>& rows) {
 
 bool write_json(const std::string& path, const std::vector<Row>& rows,
                 const std::vector<Row>& elf_rows,
+                const std::vector<Row>& infected_rows,
                 const vmi::SessionPoolStats& pool_stats,
                 double warm_rescan_searcher_ms, const HotpathReport& hp,
                 const ZeroCopyAudit& zc, bool pass) {
@@ -377,6 +414,9 @@ bool write_json(const std::string& path, const std::vector<Row>& rows,
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"elf_rows\": [\n");
   print_rows(f, elf_rows);
+  std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"infected_rows\": [\n");
+  print_rows(f, infected_rows);
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
                "  \"session_pool\": {\"created\": %llu, \"reused\": %llu, "
@@ -436,6 +476,11 @@ int run_ablation(const std::string& json_path) {
   std::printf("\n=== A8/elf: same ablation, Linux pool (module %s) ===\n",
               kElfModule);
   print_table(elf_rows);
+  const std::vector<Row> infected_rows = {infected_row(), infected_elf_row()};
+  std::printf("\n=== A8/infected: .text patch on the first VM "
+              "(%s, then %s) ===\n",
+              kModule, kElfModule);
+  print_table(infected_rows);
 
   // Warm-rescan probe: a second scan through the same checker reuses the
   // pooled sessions, eliminating attach + debug-block scan per VM.
@@ -495,6 +540,9 @@ int run_ablation(const std::string& json_path) {
   for (const Row& r : elf_rows) {
     pass = pass && r.verdicts_match;
   }
+  for (const Row& r : infected_rows) {
+    pass = pass && r.verdicts_match;
+  }
   pass = pass && hp.normalize_kernel_speedup >= kRequiredNormalizeSpeedup;
   pass = pass && zc.clean;
   std::printf("checker speedup at t=15: pe32 %.2fx, elf64 %.2fx "
@@ -502,7 +550,8 @@ int run_ablation(const std::string& json_path) {
               checker_speedup(last), checker_speedup(elf_last),
               kRequiredSpeedupAt15, pass ? "PASS" : "FAIL");
 
-  if (!write_json(json_path, rows, elf_rows, warm.session_pool_stats(),
+  if (!write_json(json_path, rows, elf_rows, infected_rows,
+                  warm.session_pool_stats(),
                   to_ms(warm_scan.cpu_times.searcher), hp, zc, pass)) {
     return 1;
   }

@@ -8,6 +8,7 @@
 #include "util/arena.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
+#include "util/wordload.hpp"
 
 namespace mc::core {
 
@@ -41,6 +42,35 @@ bool span_touched(
   return false;
 }
 
+/// Cheap 64-bit fingerprint that buckets DigestTable's forms: four
+/// independent multiply-xor lanes over 8-byte words.  Each step is a
+/// bijection of the lane, so two inputs differing in one word never
+/// collide; any collision only costs a byte compare, never a wrong digest.
+std::uint64_t fingerprint(ByteView bytes) {
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  std::uint64_t lanes[4] = {1, 2, 3, 4};
+  const std::uint8_t* p = bytes.data();
+  const std::size_t n = bytes.size();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    for (std::size_t k = 0; k < 4; ++k) {
+      lanes[k] = (lanes[k] ^ load_word64(p + i + 8 * k)) * kMul;
+    }
+  }
+  for (; i + 8 <= n; i += 8) {
+    lanes[0] = (lanes[0] ^ load_word64(p + i)) * kMul;
+  }
+  for (; i < n; ++i) {
+    lanes[1] = (lanes[1] ^ p[i]) * kMul;
+  }
+  std::uint64_t h = 0;
+  for (const std::uint64_t lane : lanes) {
+    h = ((h << 23) | (h >> 41)) ^ lane;
+    h *= kMul;
+  }
+  return h;
+}
+
 }  // namespace
 
 crypto::Digest DigestTable::digest(vmm::DomainId domain, std::size_t index,
@@ -56,6 +86,48 @@ crypto::Digest DigestTable::digest(vmm::DomainId domain, std::size_t index,
   it->second = hash_item_content(algorithm_, item);
   clock.charge(hash_charge(costs_, algorithm_, item.content_size()));
   return it->second;
+}
+
+const crypto::Digest* DigestTable::find_form(const FormKey& key,
+                                             ByteView bytes) const {
+  const auto it = forms_.find(key);
+  if (it == forms_.end()) {
+    return nullptr;
+  }
+  for (const Form& form : it->second) {
+    if (simd::equal(form.bytes, bytes)) {
+      return &form.digest;
+    }
+  }
+  return nullptr;
+}
+
+crypto::Digest DigestTable::form_digest(std::size_t index, ByteView bytes,
+                                        SimClock& clock) {
+  clock.charge(costs_.rva_scan_per_byte * bytes.size());
+  const FormKey key{index, bytes.size(), fingerprint(bytes)};
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (const crypto::Digest* known = find_form(key, bytes)) {
+      return *known;
+    }
+  }
+  // Hash outside the lock.  A concurrent lookup of the same form may hash
+  // it too; whichever insert lands first keeps it and alone pays.
+  crypto::Digest d = crypto::hash_bytes(algorithm_, bytes);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const crypto::Digest* known = find_form(key, bytes)) {
+    return *known;
+  }
+  forms_[key].push_back({Bytes(bytes.begin(), bytes.end()), d});
+  ++form_hashes_;
+  clock.charge(hash_charge(costs_, algorithm_, bytes.size()));
+  return d;
+}
+
+std::uint64_t DigestTable::form_hashes() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return form_hashes_;
 }
 
 CanonicalPool CanonicalPool::elect(

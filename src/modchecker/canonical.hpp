@@ -42,6 +42,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -68,13 +69,21 @@ constexpr double digest_cost_factor(crypto::HashAlgorithm algorithm) {
   return 1.0;
 }
 
-/// Memo of raw-byte digests keyed by (domain, the item's index in
-/// ParsedModule::items) — never by the item's name, which the guest
-/// controls: two sections sharing a name must not share a digest.  Scoped
-/// to ONE scan operation: item bytes are re-extracted on the next scan and
-/// may have changed, so entries must not outlive the extractions they were
-/// computed from.  Thread-safe; a miss charges the hashing cost to the
-/// *caller's* clock, a hit charges nothing (the work truly happened once).
+/// Memo of digests for one scan operation, in two kinds of entry:
+///
+///   * raw-byte digests keyed by (domain, the item's index in
+///     ParsedModule::items) — check_module's subject memo;
+///   * content-verified *forms* keyed by (item index, the bytes
+///     themselves) — the pool scan's exact fallback, which digests an item
+///     only when a pair's bytes differ and meets the same form (typically
+///     an infected copy's adjusted item) against every peer.
+///
+/// Never keyed by the item's name, which the guest controls: two sections
+/// sharing a name must not share a digest.  Item bytes are re-extracted on
+/// the next scan and may have changed, so entries must not outlive the
+/// extractions they were computed from.  Thread-safe; a miss charges the
+/// hashing cost to the *caller's* clock, a hit charges no hash (the work
+/// truly happened once).
 class DigestTable {
  public:
   /// `metrics` backs the hit/miss counters ("digest_memo.*"; null = the
@@ -92,11 +101,41 @@ class DigestTable {
   crypto::Digest digest(vmm::DomainId domain, std::size_t index,
                         const IntegrityItem& item, SimClock& clock);
 
+  /// Digest of `bytes`, item `index`'s content as a pairwise compare sees
+  /// it (raw, or after Algorithm 2).  A stored digest is returned only
+  /// after a byte-for-byte equality check, so each distinct form is hashed
+  /// once per table however many pairs meet it.  Charges `clock` one byte
+  /// compare per lookup, however many entries it scans, plus one hash
+  /// when this call's insert wins — so the total charged over any set of
+  /// lookups does not depend on their order or interleaving.
+  crypto::Digest form_digest(std::size_t index, ByteView bytes,
+                             SimClock& clock);
+
+  /// Distinct forms form_digest() has hashed.
+  std::uint64_t form_hashes() const;
+
  private:
+  /// One owned copy per distinct form: the bytes its digest is verified
+  /// against (a few items per scan, only where copies differ).
+  struct Form {
+    Bytes bytes;  // mc-lint: allow(hotpath-copy)
+    crypto::Digest digest;
+  };
+  /// (item index, size, fingerprint): a bucket holds more than one form
+  /// only on a fingerprint collision, so lookups stay O(1) when every
+  /// copy differs.
+  using FormKey = std::tuple<std::size_t, std::size_t, std::uint64_t>;
+
+  /// The stored digest of exactly `bytes` under `key`, or null.  Caller
+  /// holds mutex_.
+  const crypto::Digest* find_form(const FormKey& key, ByteView bytes) const;
+
   crypto::HashAlgorithm algorithm_;
   vmi::HostCostModel costs_;
   mutable std::mutex mutex_;
   std::map<std::pair<vmm::DomainId, std::size_t>, crypto::Digest> entries_;
+  std::map<FormKey, std::vector<Form>> forms_;
+  std::uint64_t form_hashes_ = 0;
   telemetry::OwnedCounter hits_;
   telemetry::OwnedCounter misses_;
 };

@@ -7,6 +7,7 @@
 
 #include "modchecker/item_content.hpp"
 #include "util/arena.hpp"
+#include "util/simd.hpp"
 
 namespace mc::core {
 
@@ -19,6 +20,59 @@ std::string pair_key(const IntegrityItem& item) {
   key += item.name;
   return key;
 }
+
+/// Partner of each subject item in other.items: the first unused item
+/// with the same (kind, name), or other.items.size() when none is left.
+/// Identical module structure yields a 1:1 pairing; structural attacks
+/// (an injected section, E4) leave unmatched items.
+std::vector<std::size_t> pair_items(const ParsedModule& subject,
+                                    const ParsedModule& other) {
+  const std::size_t none = other.items.size();
+  std::vector<std::size_t> partner(subject.items.size(), none);
+  // Same keys at every position — the clean and the content-patched case —
+  // is exactly the identity under first-unused pairing.
+  bool positional = subject.items.size() == other.items.size();
+  for (std::size_t i = 0; positional && i < subject.items.size(); ++i) {
+    positional = subject.items[i].kind == other.items[i].kind &&
+                 subject.items[i].name == other.items[i].name;
+  }
+  if (positional) {
+    for (std::size_t i = 0; i < partner.size(); ++i) {
+      partner[i] = i;
+    }
+    return partner;
+  }
+  // Indexing the other side once keeps the pairing O(n), not O(n^2).
+  std::unordered_map<std::string, std::vector<std::size_t>> other_by_key;
+  other_by_key.reserve(other.items.size());
+  for (std::size_t j = 0; j < other.items.size(); ++j) {
+    other_by_key[pair_key(other.items[j])].push_back(j);
+  }
+  std::unordered_map<std::string, std::size_t> next_candidate;
+  for (std::size_t i = 0; i < subject.items.size(); ++i) {
+    const auto it = other_by_key.find(pair_key(subject.items[i]));
+    if (it == other_by_key.end()) {
+      continue;
+    }
+    std::size_t& cursor = next_candidate[it->first];
+    if (cursor < it->second.size()) {
+      partner[i] = it->second[cursor++];
+    }
+  }
+  return partner;
+}
+
+/// The item's content as one contiguous span: in place when it already is
+/// one, otherwise an `arena` copy.
+ByteView flat_content(Arena& arena, const IntegrityItem& item) {
+  if (!item.view_backed()) {
+    return item.bytes;
+  }
+  if (item.view.contiguous()) {
+    return item.view.as_contiguous();
+  }
+  return arena_content_copy(arena, item);
+}
 }  // namespace
 
 PairComparison IntegrityChecker::compare(const ParsedModule& subject,
@@ -30,36 +84,12 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
   clock.charge(costs_.compare_fixed);
 
   bool all_match = true;
-
-  // Items are matched by (kind, name): identical module structure yields a
-  // 1:1 pairing; structural attacks (an injected section, E4) leave
-  // unmatched items, which are definite mismatches.  Indexing the other
-  // side once keeps the pairing O(n) instead of O(n^2).
+  const std::vector<std::size_t> partner = pair_items(subject, other);
   std::vector<bool> other_used(other.items.size(), false);
-  std::unordered_map<std::string, std::vector<std::size_t>> other_by_key;
-  other_by_key.reserve(other.items.size());
-  for (std::size_t j = 0; j < other.items.size(); ++j) {
-    other_by_key[pair_key(other.items[j])].push_back(j);
-  }
-  std::unordered_map<std::string, std::size_t> next_candidate;
-  // Index of `a`'s partner in other.items, or other.items.size() if none.
-  auto find_match = [&](const IntegrityItem& a) -> std::size_t {
-    const auto it = other_by_key.find(pair_key(a));
-    if (it == other_by_key.end()) {
-      return other.items.size();
-    }
-    std::size_t& cursor = next_candidate[it->first];
-    if (cursor >= it->second.size()) {
-      return other.items.size();
-    }
-    const std::size_t j = it->second[cursor++];
-    other_used[j] = true;
-    return j;
-  };
 
   // Records both digests, charges hashing `bytes` of content and decides
   // the item on digest equality.
-  auto decide = [&](ItemComparison& cmp, crypto::Digest digest_a,
+  auto settle = [&](ItemComparison& cmp, crypto::Digest digest_a,
                     crypto::Digest digest_b, std::size_t bytes) {
     cmp.digest_subject = std::move(digest_a);
     cmp.digest_other = std::move(digest_b);
@@ -75,7 +105,7 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
     cmp.item_name = a.name;
     cmp.kind = a.kind;
 
-    const std::size_t j = find_match(a);
+    const std::size_t j = partner[i];
     if (j == other.items.size()) {
       // Present on the subject only (e.g. an attacker-added section).
       cmp.match = false;
@@ -84,6 +114,7 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
       continue;
     }
     const IntegrityItem& b = other.items[j];
+    other_used[j] = true;
 
     if (a.rva_sensitive) {
       // Work on arena scratch copies: Algorithm 2 mutates the buffers, and
@@ -98,7 +129,7 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
       cmp.unresolved_diffs = adj.unresolved_diffs;
       clock.charge(costs_.rva_scan_per_byte *
                    std::max(buf_a.size(), buf_b.size()));
-      decide(cmp, crypto::hash_bytes(algorithm_, buf_a),
+      settle(cmp, crypto::hash_bytes(algorithm_, buf_a),
              crypto::hash_bytes(algorithm_, buf_b),
              buf_a.size() + buf_b.size());
     } else if (memo != nullptr) {
@@ -109,7 +140,7 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
       cmp.match = cmp.digest_subject == cmp.digest_other;
     } else {
       // Digests stream the spans, so view-backed items never flatten.
-      decide(cmp, hash_item_content(algorithm_, a),
+      settle(cmp, hash_item_content(algorithm_, a),
              hash_item_content(algorithm_, b),
              a.content_size() + b.content_size());
     }
@@ -133,6 +164,61 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
 
   result.all_match = all_match;
   return result;
+}
+
+bool IntegrityChecker::decide(const ParsedModule& subject,
+                              const ParsedModule& other, SimClock& clock,
+                              DigestTable& forms,
+                              std::size_t* items_decided) const {
+  clock.charge(costs_.compare_fixed);
+  const std::vector<std::size_t> partner = pair_items(subject, other);
+  // With every subject item paired, nothing is left over on the other
+  // side exactly when the lists have the same length.
+  if (subject.items.size() != other.items.size() ||
+      std::find(partner.begin(), partner.end(), other.items.size()) !=
+          partner.end()) {
+    return false;
+  }
+
+  for (std::size_t i = 0; i < subject.items.size(); ++i) {
+    const std::size_t j = partner[i];
+    const IntegrityItem& a = subject.items[i];
+    const IntegrityItem& b = other.items[j];
+    if (items_decided != nullptr) {
+      ++*items_decided;
+    }
+    const std::size_t span = std::max(a.content_size(), b.content_size());
+    ArenaScope scope(scratch_arena());
+    ByteView form_a;
+    ByteView form_b;
+    if (a.rva_sensitive) {
+      // compare()'s own Algorithm 2 on the same scratch copies, then one
+      // byte compare of the adjusted buffers.
+      MutableByteView buf_a = arena_content_copy(scratch_arena(), a);
+      MutableByteView buf_b = arena_content_copy(scratch_arena(), b);
+      adjust_fixups(buf_a, subject.base, buf_b, other.base, subject.fixups);
+      clock.charge(2 * costs_.rva_scan_per_byte * span);
+      if (simd::equal(buf_a, buf_b)) {
+        continue;
+      }
+      form_a = buf_a;
+      form_b = buf_b;
+    } else {
+      clock.charge(costs_.rva_scan_per_byte * span);
+      if (item_content_equal(a, b)) {
+        continue;
+      }
+      form_a = flat_content(scratch_arena(), a);
+      form_b = flat_content(scratch_arena(), b);
+    }
+    // Equal bytes have equal digests; differing bytes decide by digest,
+    // exactly as compare() does, collisions included.
+    if (forms.form_digest(i, form_a, clock) !=
+        forms.form_digest(j, form_b, clock)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace mc::core

@@ -4,7 +4,9 @@
 // executable content so the same code hashes identically across VMs
 // (Algorithm 2, see rva_adjust.hpp), and (2) compute the MD5 of every
 // header and every section-data item and compare the values pairwise
-// between the subject VM's module and each other VM's copy.
+// between the subject VM's module and each other VM's copy.  compare()
+// reports every item's digests; decide() returns only the pair's verdict
+// and hashes only items whose bytes differ.
 #pragma once
 
 #include <string>
@@ -49,8 +51,9 @@ class IntegrityChecker {
 
   /// Compares `subject` with `other` item by item.  Item lists can differ
   /// in shape when headers were tampered with (e.g. an injected section):
-  /// items are matched by position and name; unmatched items count as
-  /// mismatches.  Charges hashing/scan time to `clock`.
+  /// items are paired by (kind, name), the first unused item winning;
+  /// unmatched items count as mismatches.  Charges hashing/scan time to
+  /// `clock`.
   ///
   /// With `memo`, digests of items that are NOT rva-sensitive are served
   /// from the table instead of being recomputed per pair — match decisions
@@ -60,6 +63,21 @@ class IntegrityChecker {
   PairComparison compare(const ParsedModule& subject,
                          const ParsedModule& other, SimClock& clock,
                          DigestTable* memo = nullptr) const;
+
+  /// compare(subject, other, clock).all_match, deciding only what the
+  /// verdict needs.  Items pair exactly as in compare(), and an item
+  /// unmatched on either side fails the pair.  Each paired item is
+  /// compared byte for byte: raw items in place, rva-sensitive items
+  /// after Algorithm 2 on arena copies.  Equal bytes decide the item as a
+  /// match; differing bytes decide by digest equality, with each side's
+  /// digest served by `forms` (content-verified, so a form met by many
+  /// pairs is hashed once per table).  Returns at the first mismatching
+  /// item.  A byte compare is charged rva_scan_per_byte, a form lookup as
+  /// DigestTable::form_digest says.  `items_decided`, if given, is
+  /// incremented once per item examined.
+  bool decide(const ParsedModule& subject, const ParsedModule& other,
+              SimClock& clock, DigestTable& forms,
+              std::size_t* items_decided = nullptr) const;
 
  private:
   crypto::HashAlgorithm algorithm_;

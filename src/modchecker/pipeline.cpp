@@ -275,6 +275,13 @@ PairComparison CompareStage::compare(const ParsedModule& subject,
   return ctx_->checker.compare(subject, other, clock, memo);
 }
 
+bool CompareStage::decide(const ParsedModule& subject,
+                          const ParsedModule& other, SimClock& clock,
+                          DigestTable& forms,
+                          std::size_t* items_decided) const {
+  return ctx_->checker.decide(subject, other, clock, forms, items_decided);
+}
+
 // ---- Vote ------------------------------------------------------------------
 
 void VoteStage::finalize(std::vector<PoolVmVerdict>& verdicts) const {
@@ -559,10 +566,20 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
   return report;
 }
 
-PoolScanReport CheckPipeline::pool_scan(const std::string& module_name,
-                                        const std::vector<vmm::DomainId>& pool,
-                                        ScanCache* cache) {
+PoolScanReport CheckPipeline::pool_scan(
+    const std::string& module_name,
+    const std::vector<vmm::DomainId>& requested, ScanCache* cache) {
   const ModCheckerConfig& config = ctx_->config;
+  // One vote per VM: a repeated id would be compared with itself and vote
+  // once per occurrence (and, cached, hand two parallel fetches one slot).
+  // The first occurrence wins.
+  std::vector<vmm::DomainId> pool;
+  pool.reserve(requested.size());
+  for (const vmm::DomainId vm : requested) {
+    if (std::find(pool.begin(), pool.end(), vm) == pool.end()) {
+      pool.push_back(vm);
+    }
+  }
   ctx_->pm.pool_scans.inc();
   telemetry::SpanScope scan_span = telemetry::span(
       ctx_->tracer, "pool_scan", "pipeline", config.trace_pid, 0);
@@ -701,26 +718,56 @@ PoolScanReport CheckPipeline::pool_scan(const std::string& module_name,
   report.cpu_times.checker += canon_clock.now();
   report.wall_time += canon_clock.now();
 
-  // Exact pairwise comparisons for the rest, each on its own clock.
-  std::vector<std::pair<bool, SimNanos>> outcomes;
+  // Exact pairwise comparisons for the rest, each on its own clock.  They
+  // share one table of content-verified digests, so a form many pairs
+  // meet (typically an infected copy's adjusted item) is hashed once.  The
+  // paper_faithful scan keeps the paper's full compare() per pair.
+  struct Outcome {
+    bool all_match = false;
+    SimNanos ns = 0;
+    std::size_t items = 0;
+    std::size_t hashes = 0;
+  };
+  std::optional<DigestTable> forms;
+  if (normalize_.enabled() && !fallback.empty()) {
+    forms.emplace(config.algorithm, config.host_costs, ctx_->metrics);
+  }
+  std::vector<Outcome> outcomes;
   report.wall_time += run_tasks(
       config, fallback.size(),
       [&](std::size_t k) {
         SimClock pair_clock;
         pair_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
         const auto [i, j] = fallback[k];
-        const PairComparison cmp = compare_.compare(
-            extractions[i].copy(), extractions[j].copy(), pair_clock);
-        return std::pair<bool, SimNanos>(cmp.all_match, pair_clock.now());
+        const ParsedModule& a = extractions[i].copy();
+        const ParsedModule& b = extractions[j].copy();
+        Outcome o;
+        if (forms) {
+          o.all_match = compare_.decide(a, b, pair_clock, *forms, &o.items);
+        } else {
+          const PairComparison cmp = compare_.compare(a, b, pair_clock);
+          o.all_match = cmp.all_match;
+          o.items = cmp.items.size();
+          for (const ItemComparison& item : cmp.items) {
+            o.hashes += item.digest_subject.empty() ? 0u : 2u;
+          }
+        }
+        o.ns = pair_clock.now();
+        return o;
       },
-      [](const std::pair<bool, SimNanos>& o) { return o.second; }, outcomes);
+      [](const Outcome& o) { return o.ns; }, outcomes);
+  std::size_t fallback_items = 0;
+  std::size_t fallback_hashes = forms ? forms->form_hashes() : 0;
   for (std::size_t k = 0; k < fallback.size(); ++k) {
     const auto [i, j] = fallback[k];
-    credit(i, j, outcomes[k].first);
-    report.cpu_times.checker += outcomes[k].second;
+    credit(i, j, outcomes[k].all_match);
+    report.cpu_times.checker += outcomes[k].ns;
+    fallback_items += outcomes[k].items;
+    fallback_hashes += outcomes[k].hashes;
     if (cached != nullptr) {
       cached->pairs[{pool[i], pool[j]}] = {
-          {slots[i]->generation, slots[j]->generation}, outcomes[k].first};
+          {slots[i]->generation, slots[j]->generation},
+          outcomes[k].all_match};
     }
   }
   if (cache != nullptr) {
@@ -729,9 +776,13 @@ PoolScanReport CheckPipeline::pool_scan(const std::string& module_name,
 
   compare_span.arg("fastpath_pairs", std::uint64_t{report.fastpath_pairs});
   compare_span.arg("fallback_pairs", std::uint64_t{report.fallback_pairs});
+  compare_span.arg("fallback_items", std::uint64_t{fallback_items});
+  compare_span.arg("fallback_hashes", std::uint64_t{fallback_hashes});
   compare_span.end();
   ctx_->pm.fastpath_pairs.inc(report.fastpath_pairs);
   ctx_->pm.fallback_pairs.inc(report.fallback_pairs);
+  ctx_->pm.fallback_items.inc(fallback_items);
+  ctx_->pm.fallback_hashes.inc(fallback_hashes);
   ctx_->pm.compare_ns.observe(report.cpu_times.checker - normalize_ns);
 
   {

@@ -269,6 +269,8 @@ struct CheckContext {
           parse_failures(reg.counter("pipeline.parse.failures")),
           fastpath_pairs(reg.counter("pipeline.compare.fastpath_pairs")),
           fallback_pairs(reg.counter("pipeline.compare.fallback_pairs")),
+          fallback_items(reg.counter("pipeline.compare.fallback_items")),
+          fallback_hashes(reg.counter("pipeline.compare.fallback_hashes")),
           cache_reuses(reg.counter("incremental.cache_reuses")),
           partial_refreshes(reg.counter("incremental.partial_refreshes")),
           frames_reread(reg.counter("incremental.frames_reread")),
@@ -291,6 +293,9 @@ struct CheckContext {
     telemetry::Counter parse_failures;
     telemetry::Counter fastpath_pairs;
     telemetry::Counter fallback_pairs;
+    /// Items the exact fallback examined, and the digests it computed.
+    telemetry::Counter fallback_items;
+    telemetry::Counter fallback_hashes;
     /// Scan-cache economics (ScanCache::account).
     telemetry::Counter cache_reuses;
     telemetry::Counter partial_refreshes;
@@ -461,6 +466,13 @@ class CompareStage {
                          const ParsedModule& other, SimClock& clock,
                          DigestTable* memo = nullptr) const;
 
+  /// compare(...).all_match without the per-item report: byte compares
+  /// first, digests from `forms` only where bytes differ, stopping at the
+  /// first mismatching item (IntegrityChecker::decide).
+  bool decide(const ParsedModule& subject, const ParsedModule& other,
+              SimClock& clock, DigestTable& forms,
+              std::size_t* items_decided = nullptr) const;
+
  private:
   CheckContext* ctx_;
 };
@@ -522,7 +534,10 @@ class CheckPipeline {
 
   /// The whole-pool cross-check driver (ModChecker::scan_pool,
   /// IncrementalScanner::scan, fleet sweeps): every VM takes the subject
-  /// role; canonical fast path + exact fallback.  Null `cache` scans
+  /// role; canonical fast path + exact fallback.  The fallback decides
+  /// pairs with CompareStage::decide over one scan-scoped DigestTable, or
+  /// with compare() when paper_faithful.  A VM listed more than once is
+  /// scanned and votes once (the first occurrence).  Null `cache` scans
   /// fresh; otherwise copies, canonical pool and pair verdicts are cached.
   PoolScanReport pool_scan(const std::string& module_name,
                            const std::vector<vmm::DomainId>& pool,

@@ -383,7 +383,8 @@ TEST(TelemetryDifferential, PipelineStagesLandInOneRegistry) {
        {"vmi.read_calls", "vmi.pool.created", "canonical.eligible",
         "canonical.hashes", "digest_memo.hits", "pipeline.checks", "pipeline.pool_scans",
         "pipeline.acquire.attempts", "pipeline.acquire.sim_ns",
-        "pipeline.compare.sim_ns"}) {
+        "pipeline.compare.sim_ns", "pipeline.compare.fallback_items",
+        "pipeline.compare.fallback_hashes"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
   }
 
