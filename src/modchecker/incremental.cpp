@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/simd.hpp"
 #include "vmm/phys_mem.hpp"
 #include "vmm/write_watch.hpp"
 
@@ -9,14 +10,37 @@ namespace mc::core {
 
 namespace {
 
-/// Re-reads the `dirty` pages into the copy's image.  False if a page's
-/// backing frame moved (a snapshot restore replaced the page tables): the
-/// frame map and its watch are stale, so the copy must be re-extracted.
+/// One past the last index in [from, n) at which `a` and `b` differ, or
+/// `from` when they agree there: equal 64-byte blocks are skipped from the
+/// back with the word-wise compare, the last differing block bytewise.
+std::size_t mismatch_end(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t from, std::size_t n) {
+  constexpr std::size_t kBlock = 64;
+  std::size_t end = n;
+  while (end - from > kBlock &&
+         simd::mismatch(a + end - kBlock, b + end - kBlock, kBlock, 0) ==
+             kBlock) {
+    end -= kBlock;
+  }
+  while (end > from && a[end - 1] == b[end - 1]) {
+    --end;
+  }
+  return end;
+}
+
+/// Re-reads the `dirty` pages and compares each with the cached image in
+/// place (charged `compare_per_byte` per compared byte).  Only the
+/// differing run of a page, first to last mismatching byte, is copied in
+/// and appended to `changed`, so a same-value rewrite changes nothing.
+/// False if a page's backing frame moved (a snapshot restore replaced the
+/// page tables): the frame map and its watch are stale, so the copy must
+/// be re-extracted.
 Fallible<bool> patch_dirty_pages(vmi::VmiSession& s, CachedCopy& copy,
-                                 const std::vector<std::uint32_t>& dirty) {
+                                 const std::vector<std::uint32_t>& dirty,
+                                 SimNanos compare_per_byte,
+                                 CanonicalPool::ByteRanges& changed) {
   const std::uint32_t page_base = copy.base & ~(vmm::kFrameSize - 1);
   const auto image_size = static_cast<std::uint32_t>(copy.image.bytes.size());
-  copy.last_changed_rvas.clear();
   for (const std::uint32_t page : dirty) {
     if (page >= copy.frames.size()) {
       return false;  // registration no longer matches the cached layout
@@ -30,17 +54,31 @@ Fallible<bool> patch_dirty_pages(vmi::VmiSession& s, CachedCopy& copy,
         copy.frames[page]) {
       return false;
     }
-    // Patch only the slice of this page that lies inside the image.
+    // Only the slice of this page that lies inside the image counts.
     const std::uint32_t lo = std::max(page_va, copy.base);
     const std::uint32_t hi =
         std::min(page_va + vmm::kFrameSize, copy.base + image_size);
-    if (MaybeFault fault = s.try_read_va(
-            lo, MutableByteView(copy.image.bytes.data(), image_size)
-                    .subspan(lo - copy.base, hi - lo))) {
-      return std::move(*fault);
+    Fallible<vmi::GuestView> guest = s.try_read_view(lo, hi - lo);
+    if (!guest.ok()) {
+      return std::move(guest.fault());
     }
-    copy.last_changed_rvas.emplace_back(lo - copy.base, hi - copy.base);
+    // The slice lies inside one page, so the view is one frame's span.
+    const ByteView fresh = guest.value().as_contiguous();
+    MC_CHECK(fresh.size() == hi - lo, "page view must be one span");
+    s.clock().charge(compare_per_byte * fresh.size());
     ++copy.last.frames_reread;
+    std::uint8_t* cached = copy.image.bytes.data() + (lo - copy.base);
+    const std::size_t first =
+        simd::mismatch(fresh.data(), cached, fresh.size(), 0);
+    if (first != fresh.size()) {
+      const std::size_t end =
+          mismatch_end(fresh.data(), cached, first, fresh.size());
+      copy_bytes(MutableByteView(cached + first, end - first),
+                 fresh.subspan(first, end - first));
+      const std::uint32_t rva = lo - copy.base;
+      changed.emplace_back(rva + static_cast<std::uint32_t>(first),
+                           rva + static_cast<std::uint32_t>(end));
+    }
   }
   return true;
 }
@@ -51,7 +89,8 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
                                    AcquireStage::Session& session,
                                    vmm::WriteWatch& watches,
                                    const std::string& module_name,
-                                   std::uint64_t domain_write_generation) {
+                                   std::uint64_t domain_write_generation,
+                                   SimNanos compare_per_byte) {
   last = {};
   vmi::VmiSession& s = session.session();
 
@@ -83,14 +122,22 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
     // The drain consumed the dirty set: until the patch lands, only a full
     // re-extraction may serve this copy (a fault below leaves it so).
     found = false;
-    Fallible<bool> patched = patch_dirty_pages(s, *this, dirty);
+    CanonicalPool::ByteRanges changed;
+    Fallible<bool> patched =
+        patch_dirty_pages(s, *this, dirty, compare_per_byte, changed);
     if (!patched.ok()) {
       return std::move(patched.fault());
     }
     if (patched.value()) {
-      ++generation;
       last.outcome = Outcome::kPartial;
       need_full = false;
+      // Equal bytes are no change: the generation, and with it the parse,
+      // canonical entry and pair verdicts keyed by it, still holds.
+      if (!changed.empty()) {
+        ++generation;
+        last_changed_rvas = std::move(changed);
+        last.content_changed = true;
+      }
     }
   } else if (found) {
     last.invalidated = true;  // rebased/resized — cache unusable
@@ -120,6 +167,7 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
     ++generation;
     image = std::move(*copy.value());
     last.outcome = Outcome::kFull;
+    last.content_changed = true;
   }
   found = true;
   domain_generation = domain_write_generation;
@@ -154,6 +202,10 @@ void ScanCache::account(const CachedCopy& copy) {
   } else if (last.outcome == CachedCopy::Outcome::kPartial) {
     ++stats_.partial_refreshes;
     context_->pm.partial_refreshes.inc();
+    if (!last.content_changed) {
+      ++stats_.unchanged_refreshes;
+      context_->pm.unchanged_refreshes.inc();
+    }
   } else if (last.outcome == CachedCopy::Outcome::kFull) {
     ++stats_.full_extractions;
   }

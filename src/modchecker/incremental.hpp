@@ -1,8 +1,11 @@
 // Incremental pool scanning: a write-watch-backed cache under the one
 // pool-scan driver.  Each cached copy carries a WatchSet over its module's
 // frames (vmm/write_watch.hpp), so a clean check is one O(1) dirty query
-// and a dirty module costs O(changed bytes): the dirty pages are patched
-// into the owned image in place and re-parsed.  CheckPipeline::pool_scan
+// and a dirty module costs O(dirty bytes): each dirty page is re-read and
+// compared with the owned image in place, only differing bytes are copied
+// in, and only a copy whose content changed is re-parsed (a same-value
+// write keeps its generation, so nothing downstream redoes work).
+// CheckPipeline::pool_scan
 // takes the ScanCache and runs the same retry/quarantine, normalize,
 // compare, vote and telemetry path as a fresh scan; the cache supplies the
 // copies, a persistent canonical pool (a changed copy re-normalizes alone)
@@ -29,6 +32,8 @@ struct IncrementalStats {
   std::uint64_t invalidations = 0;  // cache present but dirty/base-changed
   /// Invalidations served by patching only the dirty pages.
   std::uint64_t partial_refreshes = 0;
+  /// Partial refreshes whose re-read bytes all matched the cached copy.
+  std::uint64_t unchanged_refreshes = 0;
   std::uint64_t frames_reread = 0;  // pages re-read by partial refreshes
   std::uint64_t comparisons_computed = 0;
   std::uint64_t comparisons_reused = 0;
@@ -41,6 +46,9 @@ struct CachedCopy {
   struct Fetch {
     Outcome outcome = Outcome::kNone;
     bool invalidated = false;
+    /// The fetch bumped `generation`: a full extraction, or a partial
+    /// refresh that found at least one differing byte.
+    bool content_changed = false;
     std::uint32_t frames_reread = 0;
   };
 
@@ -55,13 +63,16 @@ struct CachedCopy {
 
   /// One fetch attempt, run inside the driver's acquire retry loop: walks
   /// the loader list, then reuses a clean copy, patches its dirty pages or
-  /// re-extracts it.  Returns whether the module is loaded.  A fault
-  /// leaves the copy unusable, so the retry re-extracts it.
+  /// re-extracts it.  A dirty page is compared with the copy before it is
+  /// patched, charged `compare_per_byte` per byte.  Returns whether the
+  /// module is loaded.  A fault leaves the copy unusable, so the retry
+  /// re-extracts it.
   Fallible<bool> refresh(const AcquireStage& acquire,
                          AcquireStage::Session& session,
                          vmm::WriteWatch& watches,
                          const std::string& module_name,
-                         std::uint64_t domain_write_generation);
+                         std::uint64_t domain_write_generation,
+                         SimNanos compare_per_byte);
 
   /// Forgets the copy and its watch; keeps `generation` and `last`.
   void drop(vmm::WriteWatch& watches);
@@ -72,13 +83,15 @@ struct CachedCopy {
   /// Backing frames in VA-page order: frames[i] backs page i of the image.
   std::vector<std::uint32_t> frames;
   vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
-  /// Bumped on every refresh, never reset: (vm, generation) names one
-  /// content for pair verdicts and the canonical pool.
+  /// Bumped on every refresh that changed the content, never reset:
+  /// (vm, generation) names one content for pair verdicts and the
+  /// canonical pool.
   std::uint64_t generation = 0;
   /// Domain write generation read before the fetch that produced the copy.
   std::uint64_t domain_generation = 0;
   /// Non-empty when the refresh that produced `generation` was partial:
-  /// the [lo, hi) image offsets it re-read (the canonical update's mask).
+  /// the [lo, hi) image offsets it changed, one differing run per page
+  /// (the canonical update's mask).
   CanonicalPool::ByteRanges last_changed_rvas;
   ModuleImage image;  // owned: the partial refresh patches it in place
   ParsedModule parsed;

@@ -338,13 +338,14 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
           [&]() -> Fallible<bool> {
             AcquireStage::Session session(*ctx_, vm, searcher_clock);
             return cached->refresh(acquire_, session, watches, module_name,
-                                   generation);
+                                   generation,
+                                   ctx_->config.host_costs.rva_scan_per_byte);
           });
     }
     if (!loaded) {
       cached->drop(watches);  // quarantined: re-extracted next scan
-    } else if (cached->last.outcome != CachedCopy::Outcome::kReused) {
-      to_parse = &cached->image;
+    } else if (cached->last.content_changed) {
+      to_parse = &cached->image;  // unchanged bytes keep the cached parse
     }
   }
   ex.times.searcher = searcher_clock.now();
@@ -360,6 +361,10 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   acquire_span.arg("attempts", std::uint64_t{ex.attempts});
   if (!ex.faults.empty()) {
     acquire_span.arg("faults", std::uint64_t{ex.faults.size()});
+  }
+  if (cached != nullptr && loaded) {
+    acquire_span.arg("content_changed",
+                     std::uint64_t{cached->last.content_changed ? 1u : 0u});
   }
 
   if (!loaded) {

@@ -273,6 +273,8 @@ struct CheckContext {
           fallback_hashes(reg.counter("pipeline.compare.fallback_hashes")),
           cache_reuses(reg.counter("incremental.cache_reuses")),
           partial_refreshes(reg.counter("incremental.partial_refreshes")),
+          unchanged_refreshes(
+              reg.counter("incremental.unchanged_refreshes")),
           frames_reread(reg.counter("incremental.frames_reread")),
           acquire_ns(reg.histogram("pipeline.acquire.sim_ns")),
           parse_ns(reg.histogram("pipeline.parse.sim_ns")),
@@ -299,6 +301,8 @@ struct CheckContext {
     /// Scan-cache economics (ScanCache::account).
     telemetry::Counter cache_reuses;
     telemetry::Counter partial_refreshes;
+    /// Partial refreshes whose bytes all matched: no re-parse.
+    telemetry::Counter unchanged_refreshes;
     telemetry::Counter frames_reread;
     telemetry::Histogram acquire_ns;
     telemetry::Histogram parse_ns;

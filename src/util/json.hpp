@@ -1,13 +1,16 @@
 // The one JSON string escaper.  Every JSON writer in the tree (reports,
-// Chrome traces, sweep JSON lines, mc_lint's SARIF) embeds strings through
-// it, so its output is always valid JSON whatever bytes a guest put into a
-// section name.  Header-only: mc_lint includes it without linking src/.
+// Chrome traces, sweep JSON lines, mc_lint's SARIF, the bench JSON) embeds
+// strings through it, so its output is always valid JSON whatever bytes a
+// guest put into a section name.  JsonWriter builds compact documents on
+// top of it.  Header-only: mc_lint includes it without linking src/.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
+#include <type_traits>
 
 namespace mc {
 
@@ -103,5 +106,82 @@ inline std::string json_escape(std::string_view s) {
   }
   return out;
 }
+
+/// Builds one compact JSON document in order.  Commas are placed for the
+/// caller; keys and string values go through json_escape; a double prints
+/// as "%g" does (six significant digits).  An object inside an array
+/// takes no key.  The caller keeps begin/end balanced.
+class JsonWriter {
+ public:
+  JsonWriter& begin_object(std::string_view key = {}) {
+    return open(key, '{');
+  }
+  JsonWriter& end_object() { return close('}'); }
+  JsonWriter& begin_array(std::string_view key) {
+    return open(key, '[');
+  }
+  JsonWriter& end_array() { return close(']'); }
+
+  JsonWriter& field(std::string_view key, std::string_view value) {
+    prefix(key);
+    out_ += '"';
+    out_ += json_escape(value);
+    out_ += '"';
+    return *this;
+  }
+  JsonWriter& field(std::string_view key, const char* value) {
+    return field(key, std::string_view(value));
+  }
+  JsonWriter& field(std::string_view key, bool value) {
+    prefix(key);
+    out_ += value ? "true" : "false";
+    return *this;
+  }
+  JsonWriter& field(std::string_view key, double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", value);
+    prefix(key);
+    out_ += buf;
+    return *this;
+  }
+  template <typename Int,
+            std::enable_if_t<std::is_integral_v<Int> &&
+                                 !std::is_same_v<Int, bool>,
+                             int> = 0>
+  JsonWriter& field(std::string_view key, Int value) {
+    prefix(key);
+    out_ += std::to_string(value);
+    return *this;
+  }
+
+  const std::string& str() const { return out_; }
+
+ private:
+  void prefix(std::string_view key) {
+    if (!first_) {
+      out_ += ',';
+    }
+    first_ = false;
+    if (!key.empty()) {
+      out_ += '"';
+      out_ += json_escape(key);
+      out_ += "\":";
+    }
+  }
+  JsonWriter& open(std::string_view key, char bracket) {
+    prefix(key);
+    out_ += bracket;
+    first_ = true;
+    return *this;
+  }
+  JsonWriter& close(char bracket) {
+    out_ += bracket;
+    first_ = false;
+    return *this;
+  }
+
+  std::string out_;
+  bool first_ = true;
+};
 
 }  // namespace mc

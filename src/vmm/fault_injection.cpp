@@ -42,6 +42,8 @@ bool FaultInjector::should_fault_read(DomainId domain) {
   } else if (s.profile.fail_after_reads != 0 &&
              s.reads > s.profile.fail_after_reads) {
     fault = true;
+  } else if (s.profile.fail_read_at != 0 && s.reads == s.profile.fail_read_at) {
+    fault = true;
   } else if (s.profile.read_fault_rate > 0.0 &&
              s.rng.chance(s.profile.read_fault_rate)) {
     fault = true;

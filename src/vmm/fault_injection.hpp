@@ -28,12 +28,15 @@ namespace mc::vmm {
 /// V2P walk), not per byte.  Counter triggers compose with rates:
 /// `fail_first_reads` faults the first N read calls then recovers (the
 /// retry-then-succeed scenario); `fail_after_reads` lets the first N calls
-/// succeed then faults every later one (the mid-sweep death scenario).
+/// succeed then faults every later one (the mid-sweep death scenario);
+/// `fail_read_at` faults read N alone (a fault at a chosen point inside
+/// one operation, which the retry then outlives).
 struct FaultProfile {
   double read_fault_rate = 0.0;         // P(read_va call faults)
   double translation_fault_rate = 0.0;  // P(V2P walk faults)
   std::uint64_t fail_first_reads = 0;   // fault reads 1..N, then recover
   std::uint64_t fail_after_reads = 0;   // 0 = off; fault every read > N
+  std::uint64_t fail_read_at = 0;       // 0 = off; fault read N only
   std::uint64_t seed = 1;               // per-domain RNG stream
 };
 

@@ -15,6 +15,7 @@
 // byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <future>
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "attacks/byte_patch.hpp"
+#include "attacks/guest_writer.hpp"
 #include "attacks/dll_import_inject.hpp"
 #include "attacks/inline_hook.hpp"
 #include "attacks/opcode_replace.hpp"
@@ -37,10 +39,14 @@
 #include "guestos/ko_loader.hpp"
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
+#include "modchecker/pipeline.hpp"
 #include "modchecker/report_json.hpp"
 #include "service/coordinator.hpp"
 #include "telemetry/registry.hpp"
+#include "telemetry/trace.hpp"
 #include "util/bytes.hpp"
+#include "vmm/address_space.hpp"
+#include "vmm/phys_mem.hpp"
 
 namespace {
 
@@ -694,6 +700,399 @@ TEST(FleetEventDriven, DirtierPoolScansFirstAtEqualPriority) {
   for (const auto& report : reports) {
     EXPECT_TRUE(report.findings.empty());
   }
+}
+
+// ---- Content-verified refresh -------------------------------------------------
+// A dirty page whose re-read bytes equal the cached copy is no change: the
+// copy keeps its generation, parse, canonical entry and pair verdicts.
+// Every case checks the cached verdicts against a fresh scan at each step.
+
+/// One pipeline over one ScanCache, with the cache open for inspection.
+struct CachedPool {
+  explicit CachedPool(const vmm::Hypervisor& hv, ModCheckerConfig config = {})
+      : context(hv, std::move(config)), pipeline(context), cache(context) {}
+
+  PoolScanReport scan(const std::string& module,
+                      const std::vector<vmm::DomainId>& pool) {
+    return pipeline.pool_scan(module, pool, &cache);
+  }
+  const CachedCopy& copy(const std::string& module, vmm::DomainId vm) {
+    return cache.module(module).copies.at(vm);
+  }
+
+  CheckContext context;
+  CheckPipeline pipeline;
+  ScanCache cache;
+};
+
+ModCheckerConfig with_metrics(telemetry::MetricRegistry& reg,
+                              std::size_t workers = 1) {
+  ModCheckerConfig cfg;
+  cfg.metrics = &reg;
+  cfg.worker_threads = workers;
+  return cfg;
+}
+
+/// A cached tick checked against a fresh scan of the same guest state.
+PoolScanReport checked_tick(CachedPool& cached, ModChecker& fresh,
+                            const std::string& module,
+                            const std::vector<vmm::DomainId>& pool,
+                            const std::string& context) {
+  PoolScanReport report = cached.scan(module, pool);
+  EXPECT_EQ(normalized_json(report),
+            normalized_json(fresh.scan_pool(module, pool)))
+      << context;
+  return report;
+}
+
+/// Rewrites guest [va, va + len) with the bytes already there.
+void rewrite_same(vmm::AddressSpace& aspace, std::uint32_t va,
+                  std::size_t len) {
+  Bytes bytes(len, 0);
+  aspace.read_virtual(va, MutableByteView(bytes));
+  aspace.write_virtual(va, ByteView(bytes));
+}
+
+std::uint32_t module_base(cloud::CloudEnvironment& env, vmm::DomainId vm,
+                          const std::string& module, std::size_t* size) {
+  attacks::GuestMemoryWriter writer(env, vm);
+  std::uint32_t base = 0;
+  *size = writer.read_module_image(module, &base).size();
+  return base;
+}
+
+/// The `content_changed` arg of every acquire span drained from `rec`.
+std::vector<std::string> content_changed_args(telemetry::TraceRecorder& rec) {
+  std::vector<std::string> values;
+  for (const telemetry::SpanRecord& span : rec.drain()) {
+    for (const telemetry::SpanArg& arg : span.args) {
+      if (span.name == "acquire" && arg.key == "content_changed") {
+        values.push_back(arg.value);
+      }
+    }
+  }
+  return values;
+}
+
+TEST(ContentVerifiedRefresh, ByteChangedThenRestoredReadsUnchanged) {
+  auto env = make_env(5);
+  telemetry::MetricRegistry reg;
+  telemetry::TraceRecorder rec;
+  ModCheckerConfig cfg = with_metrics(reg);
+  cfg.tracer = &rec;
+  CachedPool cached(env->hypervisor(), std::move(cfg));
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "hal.dll";
+  const vmm::DomainId vm = env->guests()[2];
+  checked_tick(cached, fresh, module, env->guests(), "warm");
+  EXPECT_EQ(content_changed_args(rec), std::vector<std::string>(5, "1"));
+  const std::uint64_t generation = cached.copy(module, vm).generation;
+
+  // The flip and its undo both land between two ticks: the page is dirty,
+  // its bytes are what the cache already holds.
+  attacks::BytePatchAttack(0x1100, 0x5A).apply(*env, vm, module);
+  attacks::BytePatchAttack(0x1100, 0x5A).apply(*env, vm, module);
+  const PoolScanReport report =
+      checked_tick(cached, fresh, module, env->guests(), "restored");
+  for (const PoolVmVerdict& v : report.verdicts) {
+    EXPECT_TRUE(v.clean) << "vm " << v.vm;
+  }
+  EXPECT_EQ(cached.copy(module, vm).generation, generation);
+  EXPECT_EQ(cached.cache.stats().partial_refreshes, 1u);
+  EXPECT_EQ(cached.cache.stats().unchanged_refreshes, 1u);
+  EXPECT_EQ(cached.cache.stats().frames_reread, 1u);
+  EXPECT_EQ(reg.counter("incremental.unchanged_refreshes").value(), 1u);
+  EXPECT_EQ(content_changed_args(rec), std::vector<std::string>(5, "0"));
+}
+
+TEST(ContentVerifiedRefresh, RealPatchUnderSameValueWeatherIsFlaggedAndMasked) {
+  auto env = make_env(5);
+  telemetry::MetricRegistry reg;
+  CachedPool cached(env->hypervisor(), with_metrics(reg));
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "http.sys";
+  const vmm::DomainId victim = env->guests()[3];
+  const vmm::DomainId bystander = env->guests()[1];
+  checked_tick(cached, fresh, module, env->guests(), "warm");
+  const CachedCopy& copy = cached.copy(module, victim);
+  const auto text = std::find_if(
+      copy.parsed.items.begin(), copy.parsed.items.end(),
+      [](const IntegrityItem& item) { return item.name == ".text"; });
+  ASSERT_NE(text, copy.parsed.items.end());
+  const std::uint64_t generation = copy.generation;
+
+  // Same-value weather over the .text page and the page after it, on the
+  // victim and on a bystander; then three real bytes on the victim.
+  const std::uint32_t rva = text->rva + 0x40;
+  auto& victim_as = env->kernel(victim).address_space();
+  const std::uint32_t page_va =
+      (copy.base + rva) & ~(vmm::kFrameSize - 1);
+  rewrite_same(victim_as, page_va,
+               2 * vmm::kFrameSize);
+  std::size_t size = 0;
+  const std::uint32_t bystander_base =
+      module_base(*env, bystander, module, &size);
+  rewrite_same(env->kernel(bystander).address_space(), bystander_base,
+               size);
+  Bytes patch(3, 0);
+  victim_as.read_virtual(copy.base + rva, MutableByteView(patch));
+  for (std::uint8_t& b : patch) {
+    b ^= 0xFF;
+  }
+  victim_as.write_virtual(copy.base + rva, ByteView(patch));
+
+  const PoolScanReport report =
+      checked_tick(cached, fresh, module, env->guests(), "patched");
+  for (const PoolVmVerdict& v : report.verdicts) {
+    EXPECT_EQ(v.clean, v.vm != victim) << "vm " << v.vm;
+  }
+  const CachedCopy& after = cached.copy(module, victim);
+  EXPECT_EQ(after.generation, generation + 1);
+  ASSERT_EQ(after.last_changed_rvas.size(), 1u);
+  EXPECT_EQ(after.last_changed_rvas[0],
+            std::make_pair(rva, rva + 3u));
+  EXPECT_EQ(cached.cache.stats().partial_refreshes, 2u);
+  EXPECT_EQ(cached.cache.stats().unchanged_refreshes, 1u);  // bystander
+
+  // Undo the patch: the victim reads clean again.
+  for (std::uint8_t& b : patch) {
+    b ^= 0xFF;
+  }
+  victim_as.write_virtual(copy.base + rva, ByteView(patch));
+  const PoolScanReport undone =
+      checked_tick(cached, fresh, module, env->guests(), "undone");
+  for (const PoolVmVerdict& v : undone.verdicts) {
+    EXPECT_TRUE(v.clean) << "vm " << v.vm;
+  }
+}
+
+TEST(ContentVerifiedRefresh, SameValueRewriteOfUnparseableCopyStaysAFinding) {
+  auto env = make_linux_env(5);
+  telemetry::MetricRegistry reg;
+  CachedPool cached(env->hypervisor(), with_metrics(reg));
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "e1000";
+  const vmm::DomainId victim = env->guests()[2];
+  checked_tick(cached, fresh, module, env->guests(), "warm");
+
+  const guestos::LoadedKo* ko = env->loader(victim).find(module);
+  ASSERT_NE(ko, nullptr);
+  auto& aspace = env->kernel(victim).address_space();
+  const Bytes garbage = {'X', 'X', 'X', 'X'};
+  aspace.write_virtual(ko->base, ByteView(garbage));
+  PoolScanReport report =
+      checked_tick(cached, fresh, module, env->guests(), "corrupted");
+  EXPECT_FALSE(report.verdicts[2].clean);
+  ASSERT_TRUE(cached.copy(module, victim).parse_failed);
+
+  const telemetry::Histogram parses = reg.histogram("pipeline.parse.sim_ns");
+  const std::uint64_t parses_before = parses.count();
+  rewrite_same(aspace, ko->base, ko->size_of_image);
+  report = checked_tick(cached, fresh, module, env->guests(), "rewritten");
+  EXPECT_FALSE(report.verdicts[2].clean);
+  EXPECT_TRUE(cached.copy(module, victim).parse_failed);
+  EXPECT_EQ(parses.count(), parses_before);
+  EXPECT_EQ(cached.cache.stats().unchanged_refreshes, 1u);
+}
+
+TEST(ContentVerifiedRefresh, SameValueRewriteOfReferenceKeepsThePool) {
+  auto env = make_env(6);
+  telemetry::MetricRegistry reg;
+  CachedPool cached(env->hypervisor(), with_metrics(reg));
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "http.sys";
+  const PoolScanReport warm =
+      checked_tick(cached, fresh, module, env->guests(), "warm");
+  const vmm::DomainId ref = cached.cache.module(module).canon.ref_vm;
+  const telemetry::Counter hashes = reg.counter("canonical.hashes");
+  const telemetry::Counter skips = reg.counter("canonical.hash_skips");
+  const std::uint64_t hashes_before = hashes.value();
+  const std::uint64_t skips_before = skips.value();
+
+  std::size_t size = 0;
+  const std::uint32_t base = module_base(*env, ref, module, &size);
+  rewrite_same(env->kernel(ref).address_space(), base,
+               size);
+  const PoolScanReport report =
+      checked_tick(cached, fresh, module, env->guests(), "reference");
+  EXPECT_EQ(cached.cache.module(module).canon.ref_vm, ref);
+  EXPECT_EQ(hashes.value(), hashes_before);
+  EXPECT_EQ(skips.value(), skips_before);
+  EXPECT_EQ(normalized_json(report), normalized_json(warm));
+  EXPECT_EQ(cached.cache.stats().unchanged_refreshes, 1u);
+}
+
+TEST(ContentVerifiedRefresh, RestoreThatMovesFramesReextracts) {
+  auto env = make_env(4);
+  env->snapshot_all();
+  CachedPool cached(env->hypervisor());
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "hal.dll";
+  const vmm::DomainId vm = env->guests()[2];
+
+  // Back one module page with a fresh frame holding the same bytes, so the
+  // live guest's frame map differs from the snapshot's.
+  std::size_t size = 0;
+  const std::uint32_t base = module_base(*env, vm, module, &size);
+  ASSERT_GT(size, 2 * std::size_t{vmm::kFrameSize});
+  const std::uint32_t page_va =
+      (base & ~(vmm::kFrameSize - 1)) + vmm::kFrameSize;
+  auto& aspace = env->kernel(vm).address_space();
+  vmm::PhysicalMemory& memory = env->hypervisor().domain(vm).memory();
+  Bytes page(vmm::kFrameSize, 0);
+  aspace.read_virtual(page_va, MutableByteView(page));
+  const std::uint64_t moved = std::uint64_t{memory.alloc_frame()}
+                              << vmm::kFrameShift;
+  memory.write(moved, ByteView(page));
+  aspace.map_page(page_va, moved, true);
+
+  checked_tick(cached, fresh, module, env->guests(), "warm");
+  EXPECT_EQ(cached.cache.stats().full_extractions, 4u);
+
+  // The restore marks every watched page dirty and maps the page back to
+  // its old frame: the patch path sees the moved frame and re-extracts.
+  env->revert(vm);
+  checked_tick(cached, fresh, module, env->guests(), "reverted");
+  EXPECT_EQ(cached.cache.stats().full_extractions, 5u);
+  EXPECT_EQ(cached.cache.stats().partial_refreshes, 0u);
+
+  // A second restore keeps the frames: same bytes, so nothing changed.
+  const std::uint64_t generation = cached.copy(module, vm).generation;
+  env->revert(vm);
+  checked_tick(cached, fresh, module, env->guests(), "reverted again");
+  EXPECT_EQ(cached.cache.stats().full_extractions, 5u);
+  EXPECT_EQ(cached.cache.stats().unchanged_refreshes, 1u);
+  EXPECT_EQ(cached.copy(module, vm).generation, generation);
+}
+
+TEST(ContentVerifiedRefresh, FaultMidPatchRetriesIntoFullReextract) {
+  auto env = make_env(4);
+  CachedPool cached(env->hypervisor());
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "http.sys";
+  const vmm::DomainId victim = env->guests()[1];
+  checked_tick(cached, fresh, module, env->guests(), "warm");
+  std::size_t size = 0;
+  const std::uint32_t base = module_base(*env, victim, module, &size);
+  auto& aspace = env->kernel(victim).address_space();
+  const std::uint32_t page0 = base & ~(vmm::kFrameSize - 1);
+  const std::uint32_t page1 = page0 + vmm::kFrameSize;
+  auto& injector = env->hypervisor().fault_injector();
+
+  // Count the reads of one refresh that re-reads two pages.  Only the
+  // cached scan runs while the injector is armed.
+  const auto armed_tick = [&](const vmm::FaultProfile& profile,
+                              const std::string& where,
+                              std::uint64_t* reads) {
+    injector.arm(victim, profile);
+    const std::uint64_t before = injector.stats().reads_observed;
+    PoolScanReport report = cached.scan(module, env->guests());
+    *reads = injector.stats().reads_observed - before;
+    injector.disarm(victim);
+    PoolScanReport recovered = report;
+    recovered.faults.clear();  // the evidence a fault-free scan lacks
+    EXPECT_EQ(normalized_json(recovered),
+              normalized_json(fresh.scan_pool(module, env->guests())))
+        << where;
+    return report;
+  };
+  rewrite_same(aspace, page0 + 0x200, 1);
+  rewrite_same(aspace, page1 + 0x200, 1);
+  std::uint64_t reads = 0;
+  armed_tick(vmm::FaultProfile{}, "counted", &reads);
+  ASSERT_GT(reads, 2u);
+  EXPECT_EQ(cached.cache.stats().unchanged_refreshes, 1u);
+
+  // A real change on the first page, then a fault on the second page's
+  // read: the half-patched copy is not served, the retry re-extracts it.
+  attacks::BytePatchAttack(page0 + 0x200 - base, 0x11)
+      .apply(*env, victim, module);
+  rewrite_same(aspace, page1 + 0x200, 1);
+  vmm::FaultProfile mid_patch;
+  mid_patch.fail_read_at = reads;
+  std::uint64_t faulted_reads = 0;
+  const PoolScanReport report =
+      armed_tick(mid_patch, "faulted", &faulted_reads);
+  ASSERT_EQ(report.faults.size(), 1u);
+  EXPECT_EQ(report.faults[0].attempt, 1u);
+  EXPECT_TRUE(report.quarantined.empty());
+  EXPECT_EQ(cached.cache.stats().full_extractions, 5u);
+  EXPECT_EQ(cached.cache.stats().partial_refreshes, 1u);
+  for (const PoolVmVerdict& v : report.verdicts) {
+    EXPECT_EQ(v.clean, v.vm != victim) << "vm " << v.vm;
+  }
+  checked_tick(cached, fresh, module, env->guests(), "after");
+}
+
+TEST(ContentVerifiedRefresh, SeededMixMatchesFreshScanAtOneAndFourWorkers) {
+  // Same-value writes, real patches and their restores rain on a t=8 pool.
+  // A sequential and a 4-worker cache follow the same weather: both match
+  // a fresh scan at every tick, and their simulated CPU totals agree.
+  auto env = make_env(8);
+  telemetry::MetricRegistry seq_reg;
+  telemetry::MetricRegistry par_reg;
+  CachedPool sequential(env->hypervisor(), with_metrics(seq_reg, 1));
+  CachedPool parallel(env->hypervisor(), with_metrics(par_reg, 4));
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "ntfs.sys";
+  const std::vector<vmm::DomainId>& pool = env->guests();
+  std::vector<std::uint32_t> bases;
+  std::size_t size = 0;
+  for (const vmm::DomainId vm : pool) {
+    bases.push_back(module_base(*env, vm, module, &size));
+  }
+  struct Patch {
+    vmm::DomainId vm;
+    std::uint32_t va;
+    std::uint8_t saved;
+  };
+  std::vector<Patch> live;
+  std::mt19937 rng(0xC0DE);
+  std::uniform_int_distribution<std::size_t> pick_vm(0, pool.size() - 1);
+  std::uniform_int_distribution<std::uint32_t> pick_rva(
+      0, static_cast<std::uint32_t>(size - 1));
+  std::uniform_int_distribution<int> coin(0, 99);
+  std::uniform_int_distribution<int> pick_writes(1, 6);
+  std::uniform_int_distribution<std::size_t> pick_len(1, 4000);
+
+  for (int tick = 0; tick < 24; ++tick) {
+    const std::string where = "tick " + std::to_string(tick);
+    const int weather = coin(rng);
+    if (weather < 25 && !live.empty()) {
+      const Patch p = live.back();
+      live.pop_back();
+      const Bytes saved = {p.saved};
+      env->kernel(p.vm).address_space().write_virtual(p.va, ByteView(saved));
+    } else if (weather < 45) {
+      const std::size_t i = pick_vm(rng);
+      const std::uint32_t va = bases[i] + pick_rva(rng);
+      Bytes b(1, 0);
+      auto& aspace = env->kernel(pool[i]).address_space();
+      aspace.read_virtual(va, MutableByteView(b));
+      live.push_back({pool[i], va, b[0]});
+      b[0] ^= 0x80;
+      aspace.write_virtual(va, ByteView(b));
+    }
+    for (int w = pick_writes(rng); w > 0; --w) {
+      const std::size_t i = pick_vm(rng);
+      const std::uint32_t off = pick_rva(rng);
+      rewrite_same(env->kernel(pool[i]).address_space(), bases[i] + off,
+                   std::min<std::size_t>(size - off, pick_len(rng)));
+    }
+    const PoolScanReport a = checked_tick(sequential, fresh, module, pool,
+                                          where + " sequential");
+    const PoolScanReport b =
+        checked_tick(parallel, fresh, module, pool, where + " parallel");
+    EXPECT_EQ(a.cpu_times.total(), b.cpu_times.total()) << where;
+  }
+  const IncrementalStats& s = sequential.cache.stats();
+  const IncrementalStats& p = parallel.cache.stats();
+  EXPECT_GT(s.unchanged_refreshes, 0u);
+  EXPECT_GT(s.partial_refreshes, s.unchanged_refreshes);
+  EXPECT_EQ(s.partial_refreshes, p.partial_refreshes);
+  EXPECT_EQ(s.unchanged_refreshes, p.unchanged_refreshes);
+  EXPECT_EQ(s.full_extractions, p.full_extractions);
+  EXPECT_EQ(s.frames_reread, p.frames_reread);
 }
 
 }  // namespace

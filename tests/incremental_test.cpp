@@ -195,8 +195,9 @@ TEST(Incremental, ReloadAfterUnloadIsNeverServedStale) {
 
 TEST(Incremental, SameValueRewriteRunsNoHash) {
   // Rewriting every byte of a non-reference copy with the value already
-  // there dirties all its pages, so the tick re-canonicalizes every item of
-  // that copy — and each one is settled by a byte compare, not an MD5.
+  // there dirties all its pages, but the refresh compares each re-read
+  // page with the cached copy: no byte changed, so the copy keeps its
+  // generation and the tick does no parse and no canonical work at all.
   auto env = make_env(6);
   telemetry::MetricRegistry reg;
   ModCheckerConfig cfg;
@@ -205,9 +206,13 @@ TEST(Incremental, SameValueRewriteRunsNoHash) {
   incremental.scan("http.sys", env->guests());
   const telemetry::Counter hashes = reg.counter("canonical.hashes");
   const telemetry::Counter skips = reg.counter("canonical.hash_skips");
-  const std::uint64_t items = hashes.value();  // one hash per item
+  const telemetry::Counter unchanged =
+      reg.counter("incremental.unchanged_refreshes");
+  const telemetry::Histogram parses = reg.histogram("pipeline.parse.sim_ns");
+  const std::uint64_t hashes_before = hashes.value();
   const std::uint64_t skips_before = skips.value();
-  ASSERT_GT(items, 0u);
+  const std::uint64_t parses_before = parses.count();
+  ASSERT_GT(hashes_before, 0u);
 
   attacks::GuestMemoryWriter writer(*env, env->guests()[3]);
   std::uint32_t base = 0;
@@ -219,8 +224,13 @@ TEST(Incremental, SameValueRewriteRunsNoHash) {
     EXPECT_TRUE(v.clean) << "vm " << v.vm;
   }
   EXPECT_EQ(report.fallback_pairs, 0u);
-  EXPECT_EQ(hashes.value(), items);
-  EXPECT_EQ(skips.value() - skips_before, items);
+  EXPECT_EQ(hashes.value(), hashes_before);
+  EXPECT_EQ(skips.value(), skips_before);
+  EXPECT_EQ(parses.count(), parses_before);
+  EXPECT_EQ(unchanged.value(), 1u);
+  EXPECT_EQ(incremental.stats().partial_refreshes, 1u);
+  EXPECT_EQ(incremental.stats().unchanged_refreshes, 1u);
+  EXPECT_GT(incremental.stats().frames_reread, 1u);
 }
 
 TEST(Incremental, RepeatedScansStayCheapAcrossManyRounds) {

@@ -145,6 +145,26 @@ TEST(Json, GuestControlledItemNameStaysValidJson) {
 // byte-for-byte the same normalized .text as subtracting the base using
 // the image's own .reloc records — two independent implementations
 // agreeing on every module in the catalog.
+TEST(Json, WriterBuildsCompactNestedDocuments) {
+  JsonWriter json;
+  json.begin_object()
+      .field("name", "a\"b\n")
+      .field("count", std::uint64_t{3})
+      .field("negative", -2)
+      .field("ratio", 0.25)
+      .field("ok", true)
+      .begin_array("rows");
+  for (int i = 0; i < 2; ++i) {
+    json.begin_object().field("i", i).end_object();
+  }
+  json.end_array().begin_array("empty").end_array().end_object();
+  EXPECT_EQ(json.str(),
+            "{\"name\":\"a\\\"b\\n\",\"count\":3,\"negative\":-2,"
+            "\"ratio\":0.25,\"ok\":true,\"rows\":[{\"i\":0},{\"i\":1}],"
+            "\"empty\":[]}");
+  EXPECT_TRUE(testutil::is_valid_json(json.str())) << json.str();
+}
+
 TEST(RvaCrossValidation, DiffRecoveryMatchesRelocMetadata) {
   auto env = make_env(2);
   for (const auto& module : env->config().load_order) {

@@ -384,7 +384,8 @@ TEST(TelemetryDifferential, PipelineStagesLandInOneRegistry) {
         "canonical.hashes", "digest_memo.hits", "pipeline.checks", "pipeline.pool_scans",
         "pipeline.acquire.attempts", "pipeline.acquire.sim_ns",
         "pipeline.compare.sim_ns", "pipeline.compare.fallback_items",
-        "pipeline.compare.fallback_hashes"}) {
+        "pipeline.compare.fallback_hashes",
+        "incremental.unchanged_refreshes"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
   }
 
