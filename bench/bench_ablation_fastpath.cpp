@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,6 +39,7 @@
 #include "pe/parser.hpp"
 #include "telemetry/registry.hpp"
 #include "util/arena.hpp"
+#include "util/json.hpp"
 #include "util/simd.hpp"
 #include "vmi/session.hpp"
 
@@ -354,42 +356,40 @@ ZeroCopyAudit measure_zero_copy() {
   return zc;
 }
 
-void print_probe(std::FILE* f, const char* name, const Probe& p,
-                 bool trailing_comma) {
-  std::fprintf(f,
-               "      \"%s\": {\"ns_per_byte\": %.4f, "
-               "\"cycles_per_byte\": %.4f, \"bytes\": %zu}%s\n",
-               name, p.ns_per_byte, p.cycles_per_byte, p.bytes,
-               trailing_comma ? "," : "");
+void probe_json(JsonWriter& json, const char* name, const Probe& p) {
+  json.begin_object(name)
+      .field("ns_per_byte", p.ns_per_byte)
+      .field("cycles_per_byte", p.cycles_per_byte)
+      .field("bytes", p.bytes)
+      .end_object();
 }
 
-void print_component(std::FILE* f, const char* name,
-                     const core::PoolScanReport& r, bool trailing_comma) {
-  std::fprintf(f,
-               "      \"%s\": {\"searcher_ms\": %.6f, \"parser_ms\": %.6f, "
-               "\"checker_ms\": %.6f, \"total_cpu_ms\": %.6f, "
-               "\"wall_ms\": %.6f, \"fastpath_pairs\": %zu, "
-               "\"fallback_pairs\": %zu}%s\n",
-               name, to_ms(r.cpu_times.searcher), to_ms(r.cpu_times.parser),
-               to_ms(r.cpu_times.checker), to_ms(r.cpu_times.total()),
-               to_ms(r.wall_time), r.fastpath_pairs, r.fallback_pairs,
-               trailing_comma ? "," : "");
+void component_json(JsonWriter& json, const char* name,
+                    const core::PoolScanReport& r) {
+  json.begin_object(name)
+      .field("searcher_ms", to_ms(r.cpu_times.searcher))
+      .field("parser_ms", to_ms(r.cpu_times.parser))
+      .field("checker_ms", to_ms(r.cpu_times.checker))
+      .field("total_cpu_ms", to_ms(r.cpu_times.total()))
+      .field("wall_ms", to_ms(r.wall_time))
+      .field("fastpath_pairs", r.fastpath_pairs)
+      .field("fallback_pairs", r.fallback_pairs)
+      .end_object();
 }
 
-void print_rows(std::FILE* f, const std::vector<Row>& rows) {
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f, "    {\n      \"pool_size\": %zu,\n", r.pool_size);
-    print_component(f, "faithful", r.faithful, true);
-    print_component(f, "fast", r.fast, true);
-    std::fprintf(f,
-                 "      \"checker_speedup\": %.3f,\n"
-                 "      \"total_speedup\": %.3f,\n"
-                 "      \"verdicts_match\": %s\n    }%s\n",
-                 checker_speedup(r), total_speedup(r),
-                 r.verdicts_match ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
+void rows_json(JsonWriter& json, const char* key,
+               const std::vector<Row>& rows) {
+  json.begin_array(key);
+  for (const Row& r : rows) {
+    json.begin_object().field("pool_size", r.pool_size);
+    component_json(json, "faithful", r.faithful);
+    component_json(json, "fast", r.fast);
+    json.field("checker_speedup", checker_speedup(r))
+        .field("total_speedup", total_speedup(r))
+        .field("verdicts_match", r.verdicts_match)
+        .end_object();
   }
+  json.end_array();
 }
 
 bool write_json(const std::string& path, const std::vector<Row>& rows,
@@ -398,58 +398,49 @@ bool write_json(const std::string& path, const std::vector<Row>& rows,
                 const vmi::SessionPoolStats& pool_stats,
                 double warm_rescan_searcher_ms, const HotpathReport& hp,
                 const ZeroCopyAudit& zc, bool pass) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  std::ofstream os(path);
+  if (!os) {
     std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
     return false;
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"bench\": \"ablation_fastpath\",\n");
-  std::fprintf(f, "  \"module\": \"%s\",\n", kModule);
-  std::fprintf(f, "  \"elf_module\": \"%s\",\n", kElfModule);
-  std::fprintf(f, "  \"required_checker_speedup_at_15\": %.1f,\n",
-               kRequiredSpeedupAt15);
-  std::fprintf(f, "  \"rows\": [\n");
-  print_rows(f, rows);
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"elf_rows\": [\n");
-  print_rows(f, elf_rows);
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"infected_rows\": [\n");
-  print_rows(f, infected_rows);
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"session_pool\": {\"created\": %llu, \"reused\": %llu, "
-               "\"invalidated\": %llu},\n",
-               static_cast<unsigned long long>(pool_stats.created),
-               static_cast<unsigned long long>(pool_stats.reused),
-               static_cast<unsigned long long>(pool_stats.invalidated));
-  std::fprintf(f, "  \"warm_rescan_searcher_ms\": %.6f,\n",
-               warm_rescan_searcher_ms);
-  std::fprintf(f, "  \"hotpath\": {\n    \"stages\": {\n");
-  print_probe(f, "acquire_view", hp.acquire_view, true);
-  print_probe(f, "acquire_copy", hp.acquire_copy, true);
-  print_probe(f, "parse", hp.parse, true);
-  print_probe(f, "normalize_vec", hp.normalize_vec, true);
-  print_probe(f, "normalize_scalar", hp.normalize_scalar, true);
-  print_probe(f, "compare", hp.compare, true);
-  print_probe(f, "hash_md5", hp.hash_md5, false);
-  std::fprintf(f,
-               "    },\n    \"simd_level\": \"%s\",\n"
-               "    \"normalize_kernel_speedup\": %.3f,\n"
-               "    \"required_normalize_speedup\": %.1f\n  },\n",
-               hp.simd_level, hp.normalize_kernel_speedup,
-               kRequiredNormalizeSpeedup);
-  std::fprintf(f,
-               "  \"zero_copy\": {\"materializations\": %llu, "
-               "\"view_bytes\": %llu, \"bytes_copied\": %llu, "
-               "\"clean_scan_zero_materializations\": %s},\n",
-               static_cast<unsigned long long>(zc.materializations),
-               static_cast<unsigned long long>(zc.view_bytes),
-               static_cast<unsigned long long>(zc.bytes_copied),
-               zc.clean ? "true" : "false");
-  std::fprintf(f, "  \"pass\": %s\n}\n", pass ? "true" : "false");
-  std::fclose(f);
+  JsonWriter json;
+  json.begin_object()
+      .field("bench", "ablation_fastpath")
+      .field("module", kModule)
+      .field("elf_module", kElfModule)
+      .field("required_checker_speedup_at_15", kRequiredSpeedupAt15);
+  rows_json(json, "rows", rows);
+  rows_json(json, "elf_rows", elf_rows);
+  rows_json(json, "infected_rows", infected_rows);
+  json.begin_object("session_pool")
+      .field("created", pool_stats.created)
+      .field("reused", pool_stats.reused)
+      .field("invalidated", pool_stats.invalidated)
+      .end_object()
+      .field("warm_rescan_searcher_ms", warm_rescan_searcher_ms)
+      .begin_object("hotpath")
+      .begin_object("stages");
+  probe_json(json, "acquire_view", hp.acquire_view);
+  probe_json(json, "acquire_copy", hp.acquire_copy);
+  probe_json(json, "parse", hp.parse);
+  probe_json(json, "normalize_vec", hp.normalize_vec);
+  probe_json(json, "normalize_scalar", hp.normalize_scalar);
+  probe_json(json, "compare", hp.compare);
+  probe_json(json, "hash_md5", hp.hash_md5);
+  json.end_object()
+      .field("simd_level", hp.simd_level)
+      .field("normalize_kernel_speedup", hp.normalize_kernel_speedup)
+      .field("required_normalize_speedup", kRequiredNormalizeSpeedup)
+      .end_object()
+      .begin_object("zero_copy")
+      .field("materializations", zc.materializations)
+      .field("view_bytes", zc.view_bytes)
+      .field("bytes_copied", zc.bytes_copied)
+      .field("clean_scan_zero_materializations", zc.clean)
+      .end_object()
+      .field("pass", pass)
+      .end_object();
+  os << json.str() << '\n';
   return true;
 }
 

@@ -118,7 +118,7 @@ void CloudEnvironment::write_disk_file(vmm::DomainId id,
 void CloudEnvironment::set_busy_guests(std::size_t count) {
   MC_CHECK(count <= guests_.size(), "more busy guests than guests");
   for (std::size_t i = 0; i < guests_.size(); ++i) {
-    hypervisor_.domain(guests_[i]).set_load_level(i < count ? 1.0 : 0.0);
+    hypervisor_.set_load_level(guests_[i], i < count ? 1.0 : 0.0);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "guestos/winlike.hpp"
 #include "util/simd.hpp"
 #include "vmm/phys_mem.hpp"
 #include "vmm/write_watch.hpp"
@@ -32,18 +33,35 @@ std::size_t mismatch_end(const std::uint8_t* a, const std::uint8_t* b,
 /// place (charged `compare_per_byte` per compared byte).  Only the
 /// differing run of a page, first to last mismatching byte, is copied in
 /// and appended to `changed`, so a same-value rewrite changes nothing.
-/// False if a page's backing frame moved (a snapshot restore replaced the
-/// page tables): the frame map and its watch are stale, so the copy must
-/// be re-extracted.
+/// Indices past the page count name page-table frames: when one is dirty,
+/// every page re-translates (under revalidated session translations)
+/// before any is read.  False if a page's backing frame moved (a remap,
+/// or a snapshot restore that replaced the page tables): the frame map
+/// and its watch are stale, so the copy must be re-extracted.
 Fallible<bool> patch_dirty_pages(vmi::VmiSession& s, CachedCopy& copy,
                                  const std::vector<std::uint32_t>& dirty,
                                  SimNanos compare_per_byte,
                                  CanonicalPool::ByteRanges& changed) {
   const std::uint32_t page_base = copy.base & ~(vmm::kFrameSize - 1);
   const auto image_size = static_cast<std::uint32_t>(copy.image.bytes.size());
+  const std::size_t pages = copy.frames.size();
+  if (!dirty.empty() && dirty.back() >= pages) {  // ascending: tables last
+    s.revalidate_translations();
+    for (std::uint32_t page = 0; page < pages; ++page) {
+      Fallible<std::uint64_t> pa =
+          s.try_translate_kv2p(page_base + page * vmm::kFrameSize);
+      if (!pa.ok()) {
+        return std::move(pa.fault());
+      }
+      if (static_cast<std::uint32_t>(pa.value() >> vmm::kFrameShift) !=
+          copy.frames[page]) {
+        return false;
+      }
+    }
+  }
   for (const std::uint32_t page : dirty) {
-    if (page >= copy.frames.size()) {
-      return false;  // registration no longer matches the cached layout
+    if (page >= pages) {
+      break;  // the page-table frames, handled above
     }
     const std::uint32_t page_va = page_base + page * vmm::kFrameSize;
     Fallible<std::uint64_t> pa = s.try_translate_kv2p(page_va);
@@ -85,8 +103,58 @@ Fallible<bool> patch_dirty_pages(vmi::VmiSession& s, CachedCopy& copy,
 
 }  // namespace
 
+Fallible<std::optional<ModuleInfo>> LoaderSnapshot::find(
+    const AcquireStage& acquire, AcquireStage::Session& session,
+    vmm::WriteWatch& watches, const std::string& module_name, bool& walked) {
+  vmi::VmiSession& s = session.session();
+  const auto lookup = [&](const std::vector<ModuleInfo>& list) {
+    const auto it = std::find_if(
+        list.begin(), list.end(), [&](const ModuleInfo& m) {
+          return guestos::module_name_equals(m.name, module_name);
+        });
+    return it == list.end() ? std::optional<ModuleInfo>()
+                            : std::optional<ModuleInfo>(*it);
+  };
+  walked = watch == vmm::WriteWatch::kNoWatch || s.watch_dirty(watch);
+  if (!walked) {
+    return lookup(modules);
+  }
+  drop(watches);
+  // A dirty page-table frame means the walk must not reuse a translation.
+  s.revalidate_translations();
+  const std::uint64_t generation =
+      watches.domain_write_generation(s.domain_id());
+  std::vector<vmi::VmiSession::TouchedPage> touched;
+  s.record_touched(&touched);
+  Fallible<std::vector<ModuleInfo>> listed = acquire.try_list_modules(session);
+  s.record_touched(nullptr);
+  if (!listed.ok()) {
+    return std::move(listed.fault());
+  }
+  const vmm::WriteWatch::WatchId registered = s.watch_pages(touched);
+  std::optional<ModuleInfo> found = lookup(listed.value());
+  if (watches.domain_write_generation(s.domain_id()) == generation) {
+    watch = registered;
+    modules = std::move(listed.value());
+  } else {
+    // A write landed between the walk and the registration, possibly on a
+    // frame the walk had already read: serve this walk, do not keep it.
+    watches.unregister(registered);
+  }
+  return found;
+}
+
+void LoaderSnapshot::drop(vmm::WriteWatch& watches) {
+  if (watch != vmm::WriteWatch::kNoWatch) {
+    watches.unregister(watch);
+  }
+  watch = vmm::WriteWatch::kNoWatch;
+  modules.clear();
+}
+
 Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
                                    AcquireStage::Session& session,
+                                   LoaderSnapshot& loader,
                                    vmm::WriteWatch& watches,
                                    const std::string& module_name,
                                    std::uint64_t domain_write_generation,
@@ -94,10 +162,12 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
   last = {};
   vmi::VmiSession& s = session.session();
 
-  // The list walk is always needed (cheap next to a copy): the module may
-  // have been unloaded or rebased since the last scan.
+  // The module may have been unloaded or rebased since the last scan; the
+  // loader snapshot answers that without a walk while the list is unwritten.
+  bool walked = false;
   Fallible<std::optional<ModuleInfo>> listed =
-      acquire.try_find_module(session, module_name);
+      loader.find(acquire, session, watches, module_name, walked);
+  last.loader = walked ? Loader::kWalked : Loader::kSnapshot;
   if (!listed.ok()) {
     return std::move(listed.fault());
   }
@@ -154,18 +224,20 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
     }
     watch = registered.value();
     frames = watches.watched_frames(watch);
-    Fallible<std::optional<ModuleImage>> copy =
-        acquire.try_extract_module(session, module_name, ExtractMode::kCopy);
+    const std::uint32_t first_page = info.base >> vmm::kFrameShift;
+    const std::uint64_t end = std::uint64_t{info.base} + info.size_of_image;
+    frames.resize(info.size_of_image == 0
+                      ? 0
+                      : static_cast<std::size_t>(
+                            ((end - 1) >> vmm::kFrameShift) - first_page + 1));
+    Fallible<ModuleImage> copy =
+        acquire.try_extract(session, info, ExtractMode::kCopy);
     if (!copy.ok()) {
       return std::move(copy.fault());
     }
-    if (!copy.value()) {
-      drop(watches);  // unloaded between the list walk and the copy
-      return false;
-    }
     base = info.base;
     ++generation;
-    image = std::move(*copy.value());
+    image = std::move(copy.value());
     last.outcome = Outcome::kFull;
     last.content_changed = true;
   }
@@ -185,17 +257,26 @@ void CachedCopy::drop(vmm::WriteWatch& watches) {
 }
 
 ScanCache::~ScanCache() {
-  for (const auto& [name, module] : modules_) {
-    for (const auto& [vm, copy] : module.copies) {
-      if (copy.watch != vmm::WriteWatch::kNoWatch) {
-        context_->hypervisor->write_watch().unregister(copy.watch);
-      }
+  vmm::WriteWatch& watches = context_->hypervisor->write_watch();
+  for (auto& [name, module] : modules_) {
+    for (auto& [vm, copy] : module.copies) {
+      copy.drop(watches);
     }
+  }
+  for (auto& [vm, loader] : loaders_) {
+    loader.drop(watches);
   }
 }
 
 void ScanCache::account(const CachedCopy& copy) {
   const CachedCopy::Fetch& last = copy.last;
+  if (last.loader == CachedCopy::Loader::kWalked) {
+    ++stats_.loader_walks;
+    context_->pm.loader_walks.inc();
+  } else if (last.loader == CachedCopy::Loader::kSnapshot) {
+    ++stats_.loader_reuses;
+    context_->pm.loader_reuses.inc();
+  }
   if (last.outcome == CachedCopy::Outcome::kReused) {
     ++stats_.cache_reuses;
     context_->pm.cache_reuses.inc();

@@ -5,7 +5,9 @@
 // compared with the owned image in place, only differing bytes are copied
 // in, and only a copy whose content changed is re-parsed (a same-value
 // write keeps its generation, so nothing downstream redoes work).
-// CheckPipeline::pool_scan
+// The loader list is cached the same way: one snapshot per domain, watched
+// over every frame its walk read, so a tick whose writes missed the list
+// finds each module without a guest read.  CheckPipeline::pool_scan
 // takes the ScanCache and runs the same retry/quarantine, normalize,
 // compare, vote and telemetry path as a fresh scan; the cache supplies the
 // copies, a persistent canonical pool (a changed copy re-normalizes alone)
@@ -37,14 +39,46 @@ struct IncrementalStats {
   std::uint64_t frames_reread = 0;  // pages re-read by partial refreshes
   std::uint64_t comparisons_computed = 0;
   std::uint64_t comparisons_reused = 0;
+  /// Refreshes that walked the loader list, and those served by the
+  /// domain's loader snapshot instead.
+  std::uint64_t loader_walks = 0;
+  std::uint64_t loader_reuses = 0;
+};
+
+/// One domain's loader list as last walked, with a WatchSet over every
+/// frame the walk read (the list head, every entry, every name buffer)
+/// and the page-table frames that map them.  While that watch is clean a
+/// new walk would read the same bytes through the same translations, so
+/// a refresh looks its module up here instead of walking (DESIGN §13.5).
+struct LoaderSnapshot {
+  /// `module_name`'s entry, disengaged if it is not loaded.  A clean watch
+  /// answers from the snapshot (one `watch_query`, no guest read); else
+  /// the list is walked again and the walk is kept, under a new watch,
+  /// only if the domain took no write between the walk's first read and
+  /// the watch registration.  `walked` says which path answered.
+  Fallible<std::optional<ModuleInfo>> find(const AcquireStage& acquire,
+                                           AcquireStage::Session& session,
+                                           vmm::WriteWatch& watches,
+                                           const std::string& module_name,
+                                           bool& walked);
+
+  /// Forgets the list and its watch.
+  void drop(vmm::WriteWatch& watches);
+
+  std::vector<ModuleInfo> modules;
+  vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
 };
 
 /// One VM's cached copy of one module.
 struct CachedCopy {
   /// What the last fetch did (ScanCache::account tallies it).
   enum class Outcome : std::uint8_t { kNone, kReused, kPartial, kFull };
+  /// How the fetch found the module's loader entry (kNone: it did not
+  /// look, the domain took no write).
+  enum class Loader : std::uint8_t { kNone, kSnapshot, kWalked };
   struct Fetch {
     Outcome outcome = Outcome::kNone;
+    Loader loader = Loader::kNone;
     bool invalidated = false;
     /// The fetch bumped `generation`: a full extraction, or a partial
     /// refresh that found at least one differing byte.
@@ -61,15 +95,16 @@ struct CachedCopy {
     return current;
   }
 
-  /// One fetch attempt, run inside the driver's acquire retry loop: walks
-  /// the loader list, then reuses a clean copy, patches its dirty pages or
-  /// re-extracts it.  A dirty page is compared with the copy before it is
-  /// patched, charged `compare_per_byte` per byte.  Returns whether the
-  /// module is loaded.  A fault leaves the copy unusable, so the retry
-  /// re-extracts it.
+  /// One fetch attempt, run inside the driver's acquire retry loop: finds
+  /// the module through the domain's loader snapshot, then reuses a clean
+  /// copy, patches its dirty pages or re-extracts it.  A dirty page is
+  /// compared with the copy before it is patched, charged
+  /// `compare_per_byte` per byte; a written page-table frame makes every
+  /// page re-translate first.  Returns whether the module is loaded.  A
+  /// fault leaves the copy unusable, so the retry re-extracts it.
   Fallible<bool> refresh(const AcquireStage& acquire,
                          AcquireStage::Session& session,
-                         vmm::WriteWatch& watches,
+                         LoaderSnapshot& loader, vmm::WriteWatch& watches,
                          const std::string& module_name,
                          std::uint64_t domain_write_generation,
                          SimNanos compare_per_byte);
@@ -81,6 +116,7 @@ struct CachedCopy {
   bool parse_failed = false;  // present but unparseable: a finding
   std::uint32_t base = 0;
   /// Backing frames in VA-page order: frames[i] backs page i of the image.
+  /// The watch holds these first, then the page-table frames mapping them.
   std::vector<std::uint32_t> frames;
   vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
   /// Bumped on every refresh that changed the content, never reset:
@@ -135,6 +171,9 @@ class ScanCache {
 
   Module& module(const std::string& name) { return modules_[name]; }
 
+  /// `vm`'s loader snapshot, shared by every module's copies on it.
+  LoaderSnapshot& loader(vmm::DomainId vm) { return loaders_[vm]; }
+
   /// Tallies one copy's last fetch (orchestrating thread only).
   void account(const CachedCopy& copy);
   void account_pairs(std::size_t reused, std::size_t computed) {
@@ -147,6 +186,7 @@ class ScanCache {
  private:
   const CheckContext* context_;
   std::map<std::string, Module> modules_;
+  std::map<vmm::DomainId, LoaderSnapshot> loaders_;
   IncrementalStats stats_;
 };
 

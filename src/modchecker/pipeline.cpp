@@ -130,9 +130,9 @@ vmi::VmiSession& AcquireStage::Session::session() {
   return lease_ ? lease_->session() : *local_;
 }
 
-Fallible<std::optional<ModuleInfo>> AcquireStage::try_find_module(
-    Session& s, const std::string& module_name) const {
-  return ModuleSearcher(s.session()).try_find_module(module_name);
+Fallible<std::vector<ModuleInfo>> AcquireStage::try_list_modules(
+    Session& s) const {
+  return ModuleSearcher(s.session()).try_list_modules();
 }
 
 Fallible<std::optional<ModuleImage>> AcquireStage::try_extract_module(
@@ -141,6 +141,15 @@ Fallible<std::optional<ModuleImage>> AcquireStage::try_extract_module(
     ctx_->pm.materializations.inc();
   }
   return ModuleSearcher(s.session()).try_extract_module(module_name, mode);
+}
+
+Fallible<ModuleImage> AcquireStage::try_extract(Session& s,
+                                                const ModuleInfo& info,
+                                                ExtractMode mode) const {
+  if (mode == ExtractMode::kCopy) {
+    ctx_->pm.materializations.inc();
+  }
+  return ModuleSearcher(s.session()).try_extract(info, mode);
 }
 
 std::optional<std::optional<ModuleImage>> AcquireStage::extract_with_retry(
@@ -161,7 +170,7 @@ std::optional<std::vector<ModuleInfo>> AcquireStage::list_with_retry(
       ctx_->config.retry, vm, clock, faults, attempts,
       [&]() -> Fallible<std::vector<ModuleInfo>> {
         Session session(*ctx_, vm, clock);
-        return ModuleSearcher(session.session()).try_list_modules();
+        return try_list_modules(session);
       });
 }
 
@@ -296,7 +305,8 @@ void VoteStage::finalize(std::vector<PoolVmVerdict>& verdicts) const {
 
 Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
                                             const std::string& module_name,
-                                            CachedCopy* cached) {
+                                            CachedCopy* cached,
+                                            LoaderSnapshot* loader) {
   Extraction ex;
   ex.cached = cached;
   const std::uint64_t pid = ctx_->config.trace_pid;
@@ -337,13 +347,14 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
           ctx_->config.retry, vm, searcher_clock, ex.faults, ex.attempts,
           [&]() -> Fallible<bool> {
             AcquireStage::Session session(*ctx_, vm, searcher_clock);
-            return cached->refresh(acquire_, session, watches, module_name,
-                                   generation,
+            return cached->refresh(acquire_, session, *loader, watches,
+                                   module_name, generation,
                                    ctx_->config.host_costs.rva_scan_per_byte);
           });
     }
     if (!loaded) {
       cached->drop(watches);  // quarantined: re-extracted next scan
+      loader->drop(watches);
     } else if (cached->last.content_changed) {
       to_parse = &cached->image;  // unchanged bytes keep the cached parse
     }
@@ -365,6 +376,12 @@ Extraction CheckPipeline::acquire_and_parse(vmm::DomainId vm,
   if (cached != nullptr && loaded) {
     acquire_span.arg("content_changed",
                      std::uint64_t{cached->last.content_changed ? 1u : 0u});
+    if (cached->last.loader != CachedCopy::Loader::kNone) {
+      acquire_span.arg(
+          "loader",
+          std::uint64_t{
+              cached->last.loader == CachedCopy::Loader::kWalked ? 1u : 0u});
+    }
   }
 
   if (!loaded) {
@@ -599,14 +616,16 @@ PoolScanReport CheckPipeline::pool_scan(
   ScanCache::Module* cached =
       cache != nullptr ? &cache->module(module_name) : nullptr;
   std::vector<CachedCopy*> slots(pool.size(), nullptr);
+  std::vector<LoaderSnapshot*> loaders(pool.size(), nullptr);
   for (std::size_t i = 0; cached != nullptr && i < pool.size(); ++i) {
     slots[i] = &cached->copies[pool[i]];
+    loaders[i] = &cache->loader(pool[i]);
   }
   std::vector<Extraction> extractions;
   report.wall_time = run_tasks(
       config, pool.size(),
       [&](std::size_t i) {
-        return acquire_and_parse(pool[i], module_name, slots[i]);
+        return acquire_and_parse(pool[i], module_name, slots[i], loaders[i]);
       },
       [](const Extraction& ex) { return ex.times.total(); }, extractions);
   for (const auto& ex : extractions) {

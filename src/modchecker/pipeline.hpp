@@ -57,6 +57,7 @@
 namespace mc::core {
 
 struct CachedCopy;
+struct LoaderSnapshot;
 class ScanCache;
 
 /// Acquire-stage retry policy: how hard to push a faulting guest before
@@ -276,6 +277,8 @@ struct CheckContext {
           unchanged_refreshes(
               reg.counter("incremental.unchanged_refreshes")),
           frames_reread(reg.counter("incremental.frames_reread")),
+          loader_walks(reg.counter("incremental.loader_walks")),
+          loader_reuses(reg.counter("incremental.loader_reuses")),
           acquire_ns(reg.histogram("pipeline.acquire.sim_ns")),
           parse_ns(reg.histogram("pipeline.parse.sim_ns")),
           normalize_ns(reg.histogram("pipeline.normalize.sim_ns")),
@@ -304,6 +307,10 @@ struct CheckContext {
     /// Partial refreshes whose bytes all matched: no re-parse.
     telemetry::Counter unchanged_refreshes;
     telemetry::Counter frames_reread;
+    /// Cached fetches that walked the loader list, and those the domain's
+    /// loader snapshot answered without a guest read.
+    telemetry::Counter loader_walks;
+    telemetry::Counter loader_reuses;
     telemetry::Histogram acquire_ns;
     telemetry::Histogram parse_ns;
     telemetry::Histogram normalize_ns;
@@ -378,17 +385,20 @@ class AcquireStage {
     std::optional<vmi::VmiSession> local_;
   };
 
-  /// Loader-list lookup of one module; disengaged if not loaded.  Every
-  /// searcher call returns a guest fault (injected or real) as a
-  /// FaultRecord instead of unwinding the scan.
-  Fallible<std::optional<ModuleInfo>> try_find_module(
-      Session& s, const std::string& module_name) const;
+  /// One walk of the whole loader list.  Every searcher call returns a
+  /// guest fault (injected or real) as a FaultRecord instead of unwinding
+  /// the scan.
+  Fallible<std::vector<ModuleInfo>> try_list_modules(Session& s) const;
 
   /// Whole-image extraction; disengaged if not loaded.  kView borrows the
   /// guest's frames; kCopy (a counted materialization) is for the cache.
   Fallible<std::optional<ModuleImage>> try_extract_module(
       Session& s, const std::string& module_name,
       ExtractMode mode = ExtractMode::kView) const;
+
+  /// Extraction of a module a list walk already found (no second walk).
+  Fallible<ModuleImage> try_extract(Session& s, const ModuleInfo& info,
+                                    ExtractMode mode) const;
 
   /// One retried acquire under the config's RetryPolicy: runs `attempt`
   /// (session open + searcher work on `clock`) up to max_attempts times,
@@ -523,12 +533,14 @@ class CheckPipeline {
   const VoteStage& vote() const { return vote_; }
 
   /// Acquire + Parse for one VM: the shared front half of every check.
-  /// With `cached` (its ScanCache slot), the copy is reused, patched or
+  /// With `cached` (its ScanCache slot) and `loader` (the VM's loader
+  /// snapshot in the same cache), the copy is reused, patched or
   /// re-extracted inside the same retry loop and parsed in place; a VM
   /// that exhausts its retries loses its slot.
   Extraction acquire_and_parse(vmm::DomainId vm,
                                const std::string& module_name,
-                               CachedCopy* cached = nullptr);
+                               CachedCopy* cached = nullptr,
+                               LoaderSnapshot* loader = nullptr);
 
   /// Subject-vs-peers driver (ModChecker::check_module).  `raw_others` is
   /// sanitized against self-comparison and duplicates.  Throws

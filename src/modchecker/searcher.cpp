@@ -182,7 +182,15 @@ Fallible<std::optional<ModuleImage>> ModuleSearcher::try_extract_module(
   if (!found.value()) {
     return std::optional<ModuleImage>(std::nullopt);
   }
-  const ModuleInfo& info = *found.value();
+  Fallible<ModuleImage> image = try_extract(*found.value(), mode);
+  if (!image.ok()) {
+    return std::move(image.fault());
+  }
+  return std::optional<ModuleImage>(std::move(image.value()));
+}
+
+Fallible<ModuleImage> ModuleSearcher::try_extract(const ModuleInfo& info,
+                                                  ExtractMode mode) {
   ModuleImage image;
   image.domain = session_->domain_id();
   image.name = info.name;
@@ -202,7 +210,7 @@ Fallible<std::optional<ModuleImage>> ModuleSearcher::try_extract_module(
     }
     image.bytes = std::move(bytes.value());
   }
-  return std::optional<ModuleImage>(std::move(image));
+  return image;
 }
 
 // ---- Legacy throwing wrappers ----------------------------------------------

@@ -53,6 +53,11 @@ class ModuleSearcher {
   Fallible<std::optional<ModuleImage>> try_extract_module(
       const std::string& module_name, ExtractMode mode = ExtractMode::kCopy);
 
+  /// Acquires the image of a module already found in the list (`info`
+  /// from a walk), without walking again.
+  Fallible<ModuleImage> try_extract(const ModuleInfo& info,
+                                    ExtractMode mode = ExtractMode::kCopy);
+
   // ---- Legacy throwing wrappers --------------------------------------------
 
   std::vector<ModuleInfo> list_modules();

@@ -41,6 +41,18 @@ VmiSession::VmiSession(const vmm::Hypervisor& hypervisor,
   charge(costs_.attach);
 }
 
+bool VmiSession::revalidate_translations() {
+  if (!tables_seen_ || hypervisor_->write_watch().table_generation(
+                           domain_id_) == *tables_seen_) {
+    return false;
+  }
+  v2p_cache_.clear();
+  page_directory_.reset();
+  page_tables_.clear();
+  tables_seen_.reset();
+  return true;
+}
+
 VmiStats VmiSession::stats() const {
   VmiStats snap;
   snap.pages_mapped = counters_.pages_mapped.value();
@@ -146,7 +158,17 @@ Fallible<std::uint64_t> VmiSession::try_translate_kv2p(std::uint32_t va) {
                       "guest has no address space (not booted?)");
   }
   // VMI implements its own two-level walk over guest physical memory
-  // (exactly what LibVMI does: read CR3, then PDE, then PTE).
+  // (exactly what LibVMI does: read CR3, then PDE, then PTE).  Each table
+  // is noted before the entry in it is read, so a write after the read
+  // moves the table generation revalidate_translations() compares.
+  vmm::WriteWatch& watches = hypervisor_->write_watch();
+  if (!tables_seen_) {
+    tables_seen_ = watches.table_generation(domain_id_);
+  }
+  if (!page_directory_) {
+    page_directory_ = static_cast<std::uint32_t>(dom.cr3() >> vmm::kFrameShift);
+    watches.note_table_frame(domain_id_, *page_directory_);
+  }
   const vmm::PhysicalMemory& mem = dom.memory();
   const std::uint32_t pde = mem.read_u32(dom.cr3() + 4ull * (va >> 22));
   charge(costs_.translate_walk);
@@ -155,6 +177,12 @@ Fallible<std::uint64_t> VmiSession::try_translate_kv2p(std::uint32_t va) {
                       "unmapped guest VA (no PDE) in translate_kv2p");
   }
   const std::uint64_t pt_base = pde & ~std::uint64_t{kPageMask};
+  const auto pt_frame = static_cast<std::uint32_t>(pt_base >> vmm::kFrameShift);
+  const auto [table, added] = page_tables_.try_emplace(va >> 22, pt_frame);
+  if (added || table->second != pt_frame) {
+    table->second = pt_frame;
+    watches.note_table_frame(domain_id_, pt_frame);
+  }
   const std::uint32_t pte =
       mem.read_u32(pt_base + 4ull * ((va >> 12) & 0x3FF));
   if ((pte & vmm::kPtePresent) == 0) {
@@ -191,6 +219,10 @@ MaybeFault VmiSession::walk_guest_range(std::uint32_t va, std::size_t len,
     }
     const std::uint64_t pa = translated.value();
     const std::uint64_t frame = pa & ~std::uint64_t{kPageMask};
+    if (touched_ != nullptr) {
+      touched_->push_back({cur & ~kPageMask,
+                           static_cast<std::uint32_t>(pa >> vmm::kFrameShift)});
+    }
     // Map the frame into the privileged VM unless it is the one we already
     // have mapped (LibVMI keeps the last mapping hot).
     if (!last_mapped_frame_ || *last_mapped_frame_ != frame) {
@@ -218,6 +250,10 @@ MaybeFault VmiSession::walk_guest_range(std::uint32_t va, std::size_t len,
         const std::uint64_t next_pa = next_translated.value();
         if ((next_pa & ~std::uint64_t{kPageMask}) != next_frame) {
           break;  // physical discontinuity; next loop iteration remaps
+        }
+        if (touched_ != nullptr) {
+          touched_->push_back(
+              {next_va, static_cast<std::uint32_t>(next_frame >> vmm::kFrameShift)});
         }
         const std::size_t extra =
             std::min<std::size_t>(vmm::kFrameSize, len - done - take);
@@ -333,10 +369,28 @@ Fallible<std::string> VmiSession::try_read_unicode_string(
 
 // ---- Write-watch registration ----------------------------------------------
 
+vmm::WriteWatch::WatchId VmiSession::register_watch(
+    std::vector<std::uint32_t> frames, std::vector<std::uint32_t> regions) {
+  charge(costs_.watch_register_per_frame * frames.size());
+  std::sort(regions.begin(), regions.end());
+  regions.erase(std::unique(regions.begin(), regions.end()), regions.end());
+  if (!frames.empty() && page_directory_) {
+    frames.push_back(*page_directory_);
+  }
+  for (const std::uint32_t region : regions) {
+    const auto it = page_tables_.find(region);
+    if (it != page_tables_.end()) {
+      frames.push_back(it->second);
+    }
+  }
+  return hypervisor_->write_watch().register_watch(domain_id_,
+                                                   std::move(frames));
+}
+
 Fallible<vmm::WriteWatch::WatchId> VmiSession::try_watch_range(
     std::uint32_t va, std::size_t len) {
   std::vector<std::uint32_t> frames;
-  frames.reserve((len >> vmm::kFrameShift) + 2);
+  std::vector<std::uint32_t> regions;
   const std::uint32_t first_page = va & ~kPageMask;
   for (std::uint64_t page = first_page; page < std::uint64_t{va} + len;
        page += vmm::kFrameSize) {
@@ -346,10 +400,22 @@ Fallible<vmm::WriteWatch::WatchId> VmiSession::try_watch_range(
       return std::move(pa.fault());
     }
     frames.push_back(static_cast<std::uint32_t>(pa.value() >> vmm::kFrameShift));
+    regions.push_back(static_cast<std::uint32_t>(page >> 22));
   }
-  charge(costs_.watch_register_per_frame * frames.size());
-  return hypervisor_->write_watch().register_watch(domain_id_,
-                                                   std::move(frames));
+  return register_watch(std::move(frames), std::move(regions));
+}
+
+vmm::WriteWatch::WatchId VmiSession::watch_pages(
+    const std::vector<TouchedPage>& pages) {
+  std::vector<std::uint32_t> frames;
+  std::vector<std::uint32_t> regions;
+  for (const TouchedPage& page : pages) {
+    frames.push_back(page.frame);
+    regions.push_back(page.va >> 22);
+  }
+  std::sort(frames.begin(), frames.end());
+  frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
+  return register_watch(std::move(frames), std::move(regions));
 }
 
 bool VmiSession::watch_dirty(vmm::WriteWatch::WatchId watch) {

@@ -20,9 +20,19 @@
 // same record, so legacy callers and tests keep their contract; genuine
 // API misuse (nonexistent domain at attach, unknown symbol name) still
 // throws NotFoundError / VmiError directly.
+//
+// Translation validity: the V2P cache outlives a scan in a pooled session,
+// so the session notes every page-table frame it walks with the
+// hypervisor's WriteWatch (before the entry in it is read) and keeps the
+// domain's table generation from before its first cached walk.
+// revalidate_translations() drops every cached translation once that
+// generation moved; the pool calls it on every checkout, so a guest that
+// remaps a page through its page tables is seen at the next scan even
+// though the old frame was never written.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -96,6 +106,12 @@ class VmiSession {
   /// Pool bookkeeping: bumps the cross-scan reuse counter.
   void note_reuse() { counters_.session_reuses.inc(); }
 
+  /// Drops every cached translation if a page-table frame of the domain
+  /// that this session walked was written since its first cached walk (one
+  /// O(1) query, not charged: the check is the hypervisor's own
+  /// bookkeeping).  True when it dropped them.
+  bool revalidate_translations();
+
   // ---- Fault-returning core (the scan hot path) ----------------------------
 
   /// The guest OS build id from the debug block (triggers the scan).
@@ -137,9 +153,29 @@ class VmiSession {
   // then polls dirty state in O(1) instead of re-reading the range.
 
   /// Translates every page of [va, va+len) (charged like any walk; faults
-  /// propagate) and registers a WatchSet over the backing frames.
+  /// propagate) and registers a WatchSet over the backing frames.  The
+  /// page-table frames that map the range follow the page frames in the
+  /// watch (indices from the page count on), so a remap dirties it too;
+  /// only the page frames are charged `watch_register_per_frame` (guest
+  /// page tables are write-protected by the hypervisor anyway).
   Fallible<vmm::WriteWatch::WatchId> try_watch_range(std::uint32_t va,
                                                      std::size_t len);
+
+  /// A guest page one read touched: its kernel VA and backing frame.
+  struct TouchedPage {
+    std::uint32_t va = 0;
+    std::uint32_t frame = 0;
+  };
+
+  /// While `out` is non-null, every page a read touches is appended to it
+  /// (repeats included); null stops recording.
+  void record_touched(std::vector<TouchedPage>* out) { touched_ = out; }
+
+  /// Registers a WatchSet over the distinct frames of `pages` plus the
+  /// page-table frames that map them, charged like try_watch_range.  The
+  /// pages must have been translated by this session since the last
+  /// revalidate_translations() (a recorded read did that).
+  vmm::WriteWatch::WatchId watch_pages(const std::vector<TouchedPage>& pages);
 
   /// O(1) dirty query (charges `watch_query`).
   bool watch_dirty(vmm::WriteWatch::WatchId watch);
@@ -188,6 +224,13 @@ class VmiSession {
                                             Sink&& sink);
 
   [[nodiscard]] MaybeFault try_ensure_debug_block();
+
+  /// Registers a watch over `frames` (charged per frame) followed by the
+  /// page directory and the page table of each 4 MiB region in `regions`
+  /// (VA >> 22), as this session walked them.
+  vmm::WriteWatch::WatchId register_watch(std::vector<std::uint32_t> frames,
+                                          std::vector<std::uint32_t> regions);
+
   FaultRecord make_fault(FaultCode code, std::uint32_t va, std::uint64_t pa,
                          std::string detail);
 
@@ -218,6 +261,14 @@ class VmiSession {
   std::optional<std::uint32_t> guest_version_;
   std::unordered_map<std::uint32_t, std::uint64_t> v2p_cache_;  // page -> frame
   std::optional<std::uint64_t> last_mapped_frame_;
+  /// Page-table frames behind the cached translations, each noted with
+  /// the WriteWatch: the page directory and, per 4 MiB region (VA >> 22),
+  /// its page table.  `tables_seen_` is the domain's table generation
+  /// read before the first walk they came from.
+  std::optional<std::uint32_t> page_directory_;
+  std::map<std::uint32_t, std::uint32_t> page_tables_;
+  std::optional<std::uint64_t> tables_seen_;
+  std::vector<TouchedPage>* touched_ = nullptr;
 };
 
 }  // namespace mc::vmi

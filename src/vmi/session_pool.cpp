@@ -38,6 +38,7 @@ VmiSessionPool::Lease VmiSessionPool::acquire(vmm::DomainId domain,
   }
   if (entry->session) {
     entry->session->rebind_clock(clock);
+    entry->session->revalidate_translations();
     entry->session->note_reuse();
     reused_.inc();
   } else {

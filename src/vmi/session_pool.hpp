@@ -13,8 +13,10 @@
 // session when either moved.  Guest *content* writes leave page tables
 // untouched, so they correctly do not invalidate the V2P cache — the next
 // read sees the new bytes through the same translations, exactly as LibVMI
-// would.  Callers that know better (e.g. a test harness rewriting page
-// tables in place) can force the issue with invalidate().
+// would.  A write to a page-table frame the session walked (a remap) drops
+// its translations at the next checkout (VmiSession::
+// revalidate_translations); the session, debug block and all, is kept.
+// invalidate() still drops a session outright.
 //
 // Thread safety: acquire() returns an RAII Lease holding the per-domain
 // mutex, so two threads scanning the same guest serialize on the session
@@ -78,7 +80,8 @@ class VmiSessionPool {
   /// Checks out `domain`'s session, rebound to charge `clock`.  Builds (and
   /// charges attach for) a fresh session on first use or when the domain's
   /// epoch/CR3 says the cached one is stale; otherwise reuses the warm
-  /// session, V2P cache and all.
+  /// session, V2P cache and all, unless a page-table frame it walked was
+  /// written since (then its translations are dropped first).
   Lease acquire(vmm::DomainId domain, SimClock& clock);
 
   /// The hypervisor's write-watch facility.  Watch ids registered through

@@ -13,6 +13,9 @@ namespace mc::vmm {
 
 using DomainId = std::uint32_t;
 
+class DomainSnapshot;
+class Hypervisor;
+
 class Domain {
  public:
   Domain(DomainId id, std::string name, std::uint64_t memory_bytes);
@@ -32,12 +35,9 @@ class Domain {
   std::uint64_t cr3() const { return cr3_; }
   void set_cr3(std::uint64_t cr3) { cr3_ = cr3; }
 
-  /// 0.0 = idle, 1.0 = saturating all its vCPUs (HeavyLoad).
+  /// 0.0 = idle, 1.0 = saturating all its vCPUs (HeavyLoad).  Set through
+  /// Hypervisor::set_load_level, which keeps the busy-load total current.
   double load_level() const { return load_level_; }
-  void set_load_level(double level);
-
-  /// Deep-copies memory/CR3/load from `src` (used by clone & restore).
-  void copy_state_from(const Domain& src);
 
   /// Bulk-state generation: bumped by every copy_state_from (snapshot
   /// restore, clone-into).  Introspection caches keyed on guest layout
@@ -46,6 +46,15 @@ class Domain {
   std::uint64_t epoch() const { return epoch_; }
 
  private:
+  // Load changes go through the hypervisor (it caches the busy-load sum).
+  friend class DomainSnapshot;
+  friend class Hypervisor;
+
+  void set_load_level(double level);
+
+  /// Deep-copies memory/CR3/load from `src` (used by clone & restore).
+  void copy_state_from(const Domain& src);
+
   DomainId id_;
   std::string name_;
   PhysicalMemory memory_;

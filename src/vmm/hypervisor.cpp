@@ -45,6 +45,33 @@ Hypervisor::Hypervisor(const HardwareConfig& hardware) : hardware_(hardware) {
   ContentionParams params;
   params.virtual_cores = hardware_.virtual_cores();
   contention_ = ContentionModel(params);
+  refresh_busy_load();
+}
+
+void Hypervisor::set_contention(const ContentionModel& model) {
+  contention_ = model;
+  refresh_busy_load();
+}
+
+void Hypervisor::set_load_level(DomainId id, double level) {
+  Domain& dom = domain(id);
+  std::lock_guard<std::mutex> lock(load_mutex_);
+  dom.set_load_level(level);
+  publish_busy_load_locked();
+}
+
+void Hypervisor::refresh_busy_load() {
+  std::lock_guard<std::mutex> lock(load_mutex_);
+  publish_busy_load_locked();
+}
+
+void Hypervisor::publish_busy_load_locked() {
+  double total = 0.0;
+  for (const auto& [id, dom] : domains_) {
+    total += dom.load_level();
+  }
+  busy_load_.store(total, std::memory_order_relaxed);
+  slowdown_.store(contention_.dom0_slowdown(total), std::memory_order_relaxed);
 }
 
 DomainId Hypervisor::create_domain(const std::string& name,
@@ -52,6 +79,7 @@ DomainId Hypervisor::create_domain(const std::string& name,
   const DomainId id = next_id_++;
   domains_.emplace(id, Domain(id, name, memory_bytes));
   domain(id).memory().attach_watch(&write_watch_, id);
+  refresh_busy_load();
   domain_counters().created.inc();
   domain_counters().live.add(1);
   log_debug("created domain %u (%s), %llu MiB", id, name.c_str(),
@@ -63,6 +91,7 @@ DomainId Hypervisor::clone_domain(DomainId source, const std::string& name) {
   const Domain& src = domain(source);
   const DomainId id = create_domain(name, src.memory().size());
   domain(id).copy_state_from(src);
+  refresh_busy_load();
   domain_counters().cloned.inc();
   return id;
 }
@@ -72,6 +101,7 @@ void Hypervisor::destroy_domain(DomainId id) {
     throw NotFoundError("no such domain: " + std::to_string(id));
   }
   write_watch_.drop_domain(id);
+  refresh_busy_load();
   domain_counters().destroyed.inc();
   domain_counters().live.add(-1);
 }
@@ -101,14 +131,6 @@ std::vector<DomainId> Hypervisor::domain_ids() const {
   return ids;
 }
 
-double Hypervisor::total_busy_load() const {
-  double total = 0.0;
-  for (const auto& [id, dom] : domains_) {
-    total += dom.load_level();
-  }
-  return total;
-}
-
 DomainSnapshot Hypervisor::snapshot(DomainId id) const {
   domain_counters().snapshots.inc();
   return DomainSnapshot(id, domain(id));
@@ -116,6 +138,7 @@ DomainSnapshot Hypervisor::snapshot(DomainId id) const {
 
 void Hypervisor::restore(const DomainSnapshot& snap) {
   domain(snap.domain_id()).copy_state_from(snap.state());
+  refresh_busy_load();
   domain_counters().restores.inc();
 }
 

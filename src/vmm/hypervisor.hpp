@@ -6,9 +6,11 @@
 // how LibVMI maps DomU frames into a Dom0 process.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -49,7 +51,7 @@ class Hypervisor {
 
   const HardwareConfig& hardware() const { return hardware_; }
   const ContentionModel& contention() const { return contention_; }
-  void set_contention(const ContentionModel& model) { contention_ = model; }
+  void set_contention(const ContentionModel& model);
 
   /// Creates a fresh (empty-memory) domain; ids start at 1 ("Dom1").
   DomainId create_domain(const std::string& name, std::uint64_t memory_bytes);
@@ -68,12 +70,22 @@ class Hypervisor {
   std::vector<DomainId> domain_ids() const;
   std::size_t domain_count() const { return domains_.size(); }
 
-  /// Aggregate guest busy load (input to the contention model).
-  double total_busy_load() const;
+  /// Sets one domain's load level (0.0 idle .. 1.0 HeavyLoad; throws
+  /// InvalidArgument outside that range).  Every load change goes through
+  /// the hypervisor so the busy-load total below never goes stale.
+  void set_load_level(DomainId id, double level);
 
-  /// Slowdown Dom0 work currently experiences.
+  /// Aggregate guest busy load (input to the contention model).  Kept up
+  /// to date by every call that can change a load (set_load_level,
+  /// create/clone/destroy, restore), so reading it is one atomic load.
+  double total_busy_load() const {
+    return busy_load_.load(std::memory_order_relaxed);
+  }
+
+  /// Slowdown Dom0 work currently experiences.  Every VMI charge reads it,
+  /// so it is cached next to the total: one atomic load, no domain walk.
   double dom0_slowdown() const {
-    return contention_.dom0_slowdown(total_busy_load());
+    return slowdown_.load(std::memory_order_relaxed);
   }
 
   DomainSnapshot snapshot(DomainId id) const;
@@ -94,10 +106,21 @@ class Hypervisor {
   WriteWatch& write_watch() const { return write_watch_; }
 
  private:
+  /// Re-sums the domains' loads in id order (the same additions, in the
+  /// same order, as a walk at query time, so the double is bit-identical)
+  /// and republishes the total and the slowdown.  The _locked variant
+  /// expects load_mutex_ held.
+  void refresh_busy_load();
+  void publish_busy_load_locked();
+
   HardwareConfig hardware_;
   ContentionModel contention_;
   DomainId next_id_ = 1;
   std::map<DomainId, Domain> domains_;
+  /// Guards load writes and the re-sum; readers only load the atomics.
+  std::mutex load_mutex_;
+  std::atomic<double> busy_load_{0.0};
+  std::atomic<double> slowdown_{1.0};
   mutable FaultInjector fault_injector_;
   mutable WriteWatch write_watch_;
 };

@@ -176,6 +176,17 @@ std::uint64_t WriteWatch::domain_write_generation(DomainId domain) const {
   return it == domains_.end() ? 0 : it->second.write_generation;
 }
 
+void WriteWatch::note_table_frame(DomainId domain, std::uint32_t frame) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  domains_[domain].table_frames.insert(frame);
+}
+
+std::uint64_t WriteWatch::table_generation(DomainId domain) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = domains_.find(domain);
+  return it == domains_.end() ? 0 : it->second.table_generation;
+}
+
 void WriteWatch::subscribe(Subscriber* subscriber) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (std::find(subscribers_.begin(), subscribers_.end(), subscriber) ==
@@ -217,6 +228,10 @@ void WriteWatch::note_write(DomainId domain, std::uint32_t first_frame,
   std::lock_guard<std::mutex> lock(mutex_);
   DomainState& state = domains_[domain];
   ++state.write_generation;
+  const auto table = state.table_frames.lower_bound(first_frame);
+  if (table != state.table_frames.end() && *table <= last_frame) {
+    ++state.table_generation;
+  }
   // Only consult frame_watchers over the touched range: lower_bound makes
   // the common unwatched write O(log watched_frames).
   for (auto it = state.frame_watchers.lower_bound(first_frame);
@@ -235,6 +250,7 @@ void WriteWatch::note_bulk_invalidate(DomainId domain) {
   std::lock_guard<std::mutex> lock(mutex_);
   DomainState& state = domains_[domain];
   ++state.write_generation;
+  ++state.table_generation;
   watch_counters().bulk_invalidations.inc();
   for (auto& [id, watch] : watches_) {
     if (watch.domain != domain) {

@@ -23,6 +23,10 @@
 //     generation therefore proves the domain's memory is byte-identical
 //     to the last observation — the strong "nothing can have changed"
 //     signal the fleet service uses to skip whole sweeps.
+//   * table_generation() advances on every write to a frame some consumer
+//     noted as a page table (note_table_frame) and on every bulk
+//     invalidate: an unchanged value proves no noted page table changed,
+//     so translations walked through them still hold.
 //   * Subscribers are notified synchronously, under the watch lock, on
 //     every domain write and on each clean->dirty watch transition.
 //     Callbacks must be cheap and must NOT call back into WriteWatch
@@ -39,6 +43,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -108,6 +113,14 @@ class WriteWatch {
   /// observations prove the domain's memory did not change in between.
   std::uint64_t domain_write_generation(DomainId domain) const;
 
+  /// Page-table tracking, the shadow-paging side of the facility: a
+  /// consumer that walked guest page tables notes each table frame it read
+  /// (idempotent) and compares table generations instead of holding a
+  /// watch.  The generation advances on every write that touches a noted
+  /// frame of `domain`, and on every bulk invalidate.
+  void note_table_frame(DomainId domain, std::uint32_t frame);
+  std::uint64_t table_generation(DomainId domain) const;
+
   void subscribe(Subscriber* subscriber);
   void unsubscribe(Subscriber* subscriber);
 
@@ -144,6 +157,9 @@ class WriteWatch {
     std::map<std::uint32_t, std::vector<WatchId>> frame_watchers;
     std::uint64_t write_generation = 0;
     std::size_t dirty_watches = 0;
+    /// Frames noted as page tables, and the writes that touched them.
+    std::set<std::uint32_t> table_frames;
+    std::uint64_t table_generation = 0;
   };
 
   /// Marks index `index` of `watch` dirty; fires on_watch_dirty on the

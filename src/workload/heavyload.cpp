@@ -8,8 +8,8 @@ void HeavyLoad::stress_guests(std::size_t guest_count, double level) {
   const auto& guests = env_->guests();
   MC_CHECK(guest_count <= guests.size(), "stressing more guests than exist");
   for (std::size_t i = 0; i < guests.size(); ++i) {
-    env_->hypervisor().domain(guests[i]).set_load_level(
-        i < guest_count ? level : 0.0);
+    env_->hypervisor().set_load_level(guests[i],
+                                      i < guest_count ? level : 0.0);
   }
 }
 

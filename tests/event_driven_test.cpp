@@ -5,7 +5,9 @@
 // plus fleet-service dirty-scheduling: clean cadence ticks are skipped via
 // the WriteWatch generation check and re-emit the previous results, an
 // attack between ticks un-skips exactly the dirty tick, and event/full
-// sweeps over the same pool stay report-identical.
+// sweeps over the same pool stay report-identical.  The loader snapshot
+// and page-table remap cases hold the cached list lookup and the cached
+// translations to the same standard.
 //
 // Timing fields (wall_ns / cpu_ns) and the fastpath pair counters are
 // zeroed before comparing JSON: the incremental scanner deliberately pays
@@ -18,6 +20,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -37,6 +40,7 @@
 #include "elf/parser.hpp"
 #include "guestos/kernel.hpp"
 #include "guestos/ko_loader.hpp"
+#include "guestos/winlike.hpp"
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/pipeline.hpp"
@@ -980,7 +984,8 @@ TEST(ContentVerifiedRefresh, FaultMidPatchRetriesIntoFullReextract) {
   auto& injector = env->hypervisor().fault_injector();
 
   // Count the reads of one refresh that re-reads two pages.  Only the
-  // cached scan runs while the injector is armed.
+  // cached scan runs while the injector is armed.  The loader snapshot
+  // answers the list lookup, so the two page reads are all of them.
   const auto armed_tick = [&](const vmm::FaultProfile& profile,
                               const std::string& where,
                               std::uint64_t* reads) {
@@ -1000,7 +1005,7 @@ TEST(ContentVerifiedRefresh, FaultMidPatchRetriesIntoFullReextract) {
   rewrite_same(aspace, page1 + 0x200, 1);
   std::uint64_t reads = 0;
   armed_tick(vmm::FaultProfile{}, "counted", &reads);
-  ASSERT_GT(reads, 2u);
+  ASSERT_EQ(reads, 2u);
   EXPECT_EQ(cached.cache.stats().unchanged_refreshes, 1u);
 
   // A real change on the first page, then a fault on the second page's
@@ -1093,6 +1098,300 @@ TEST(ContentVerifiedRefresh, SeededMixMatchesFreshScanAtOneAndFourWorkers) {
   EXPECT_EQ(s.unchanged_refreshes, p.unchanged_refreshes);
   EXPECT_EQ(s.full_extractions, p.full_extractions);
   EXPECT_EQ(s.frames_reread, p.frames_reread);
+}
+
+// ---- Loader snapshot and page-table remaps ------------------------------------
+// A cached tick finds its module through the domain's loader snapshot while
+// no frame the last list walk read (nor a page table mapping one) was
+// written.  Every list change below must still be seen: each step is
+// checked against a fresh scan, at one and at four workers.
+
+/// Backs guest page `page_va` of `vm` with a fresh frame holding the
+/// page's bytes after `mutate`; the old frame is never written, only the
+/// page-table entry that maps it.
+void remap_page(vmm::Hypervisor& hv, vmm::AddressSpace& aspace,
+                vmm::DomainId vm, std::uint32_t page_va,
+                const std::function<void(Bytes&)>& mutate) {
+  Bytes page(vmm::kFrameSize, 0);
+  aspace.read_virtual(page_va, MutableByteView(page));
+  mutate(page);
+  vmm::PhysicalMemory& memory = hv.domain(vm).memory();
+  const std::uint64_t fresh = std::uint64_t{memory.alloc_frame()}
+                              << vmm::kFrameShift;
+  memory.write(fresh, ByteView(page));
+  aspace.map_page(page_va, fresh, true);
+}
+
+/// `module`'s loader-list entry on `kernel`.
+guestos::LdrEntry ldr_entry(const guestos::GuestKernel& kernel,
+                            const std::string& module) {
+  for (const guestos::LdrEntry& e : kernel.read_module_list()) {
+    if (guestos::module_name_equals(e.base_dll_name, module)) {
+      return e;
+    }
+  }
+  ADD_FAILURE() << module << " not in the loader list";
+  return {};
+}
+
+TEST(PageTableRemap, RemappedModulePageIsFlaggedByTheCachedScan) {
+  auto env = make_env(4);
+  IncrementalScanner incremental(env->hypervisor());
+  const std::string module = "hal.dll";
+  const vmm::DomainId victim = env->guests()[1];
+  const PoolScanReport warm = incremental.scan(module, env->guests());
+  for (const PoolVmVerdict& v : warm.verdicts) {
+    ASSERT_TRUE(v.clean) << "vm " << v.vm;
+  }
+
+  std::size_t size = 0;
+  const std::uint32_t base = module_base(*env, victim, module, &size);
+  ASSERT_GT(size, 2 * std::size_t{vmm::kFrameSize});
+  remap_page(env->hypervisor(), env->kernel(victim).address_space(), victim,
+             (base & ~(vmm::kFrameSize - 1)) + vmm::kFrameSize,
+             [](Bytes& page) { page[0x80] ^= 0x01; });
+
+  const PoolScanReport report = incremental.scan(module, env->guests());
+  ModChecker fresh(env->hypervisor());
+  EXPECT_EQ(normalized_json(report),
+            normalized_json(fresh.scan_pool(module, env->guests())));
+  for (const PoolVmVerdict& v : report.verdicts) {
+    EXPECT_EQ(v.clean, v.vm != victim) << "vm " << v.vm;
+  }
+}
+
+TEST(PageTableRemap, RemappedLoaderEntryPageIsSeen) {
+  auto env = make_env(4);
+  IncrementalScanner incremental(env->hypervisor());
+  ModChecker fresh(env->hypervisor());
+  const std::string module = "hal.dll";
+  const vmm::DomainId victim = env->guests()[2];
+  const std::string warm =
+      normalized_json(incremental.scan(module, env->guests()));
+  EXPECT_EQ(warm, normalized_json(fresh.scan_pool(module, env->guests())));
+
+  // The entry's page moves to a frame whose copy of the entry names the
+  // module "hal.dl": the old frame, which every earlier walk read, keeps
+  // the real name.
+  guestos::GuestKernel& kernel = env->kernel(victim);
+  const guestos::LdrEntry entry = ldr_entry(kernel, module);
+  const std::uint32_t length_va = entry.entry_va +
+                                  kernel.profile().off_base_dll_name +
+                                  guestos::kOffUsLength;
+  const std::uint32_t page_va = length_va & ~(vmm::kFrameSize - 1);
+  ASSERT_LT(length_va - page_va + 2, vmm::kFrameSize);
+  remap_page(env->hypervisor(), kernel.address_space(), victim, page_va,
+             [&](Bytes& page) {
+               const std::uint32_t at = length_va - page_va;
+               store_le16(MutableByteView(page), at,
+                          static_cast<std::uint16_t>(
+                              load_le16(ByteView(page), at) - 2));
+             });
+
+  const std::string event =
+      normalized_json(incremental.scan(module, env->guests()));
+  EXPECT_NE(event, warm);
+  EXPECT_EQ(event, normalized_json(fresh.scan_pool(module, env->guests())));
+  EXPECT_EQ(event,
+            normalized_json(ModChecker(env->hypervisor())
+                                .scan_pool(module, env->guests())));
+}
+
+TEST(PageTableRemap, OneCheckerScansBeforeAndAfterTheRemap) {
+  // The fresh path keeps its pooled sessions across scans: their cached
+  // translations must not outlive the page-table write.
+  auto env = make_env(4);
+  ModChecker checker(env->hypervisor());
+  const std::string module = "hal.dll";
+  const vmm::DomainId victim = env->guests()[3];
+  for (const PoolVmVerdict& v :
+       checker.scan_pool(module, env->guests()).verdicts) {
+    ASSERT_TRUE(v.clean) << "vm " << v.vm;
+  }
+  std::size_t size = 0;
+  const std::uint32_t base = module_base(*env, victim, module, &size);
+  remap_page(env->hypervisor(), env->kernel(victim).address_space(), victim,
+             (base & ~(vmm::kFrameSize - 1)) + vmm::kFrameSize,
+             [](Bytes& page) { page[0x80] ^= 0x01; });
+  const PoolScanReport report = checker.scan_pool(module, env->guests());
+  for (const PoolVmVerdict& v : report.verdicts) {
+    EXPECT_EQ(v.clean, v.vm != victim) << "vm " << v.vm;
+  }
+  EXPECT_EQ(normalized_json(report),
+            normalized_json(ModChecker(env->hypervisor())
+                                .scan_pool(module, env->guests())));
+}
+
+const Bytes& golden_of(cloud::CloudEnvironment& env,
+                       const std::string& module) {
+  return env.golden().file(module);
+}
+const Bytes& golden_of(cloud::LinuxEnvironment& env,
+                       const std::string& module) {
+  return env.golden_file(module);
+}
+
+/// Renames `module`'s loader entry in place to `name` (same length).
+void rename_entry(guestos::GuestKernel& kernel, const std::string& module,
+                  const std::string& name) {
+  ASSERT_EQ(name.size(), module.size());
+  const guestos::LdrEntry entry = ldr_entry(kernel, module);
+  const guestos::GuestProfile& profile = kernel.profile();
+  const std::uint32_t name_va = entry.entry_va + profile.off_base_dll_name;
+  vmm::AddressSpace& aspace = kernel.address_space();
+  if (profile.inline_names) {
+    aspace.write_virtual(name_va, as_bytes(name));
+    return;
+  }
+  Bytes buffer_va(4, 0);
+  aspace.read_virtual(name_va + guestos::kOffUsBuffer,
+                      MutableByteView(buffer_va));
+  Bytes utf16;
+  for (const char c : name) {
+    utf16.push_back(static_cast<std::uint8_t>(c));
+    utf16.push_back(0);
+  }
+  aspace.write_virtual(load_le32(ByteView(buffer_va), 0), ByteView(utf16));
+}
+
+/// Sequential and 4-worker caches following the same guest state; each
+/// tick matches a fresh scan and the two agree on simulated CPU time.
+struct LoaderPools {
+  LoaderPools(const vmm::Hypervisor& hv, telemetry::MetricRegistry& reg,
+              telemetry::MetricRegistry& par_reg)
+      : sequential(hv, with_metrics(reg, 1)),
+        parallel(hv, with_metrics(par_reg, 4)),
+        hypervisor(&hv) {}
+
+  std::string tick(const std::string& module,
+                   const std::vector<vmm::DomainId>& pool,
+                   const std::string& where) {
+    ModChecker fresh(*hypervisor);
+    const PoolScanReport a =
+        checked_tick(sequential, fresh, module, pool, where + " sequential");
+    const PoolScanReport b =
+        checked_tick(parallel, fresh, module, pool, where + " parallel");
+    EXPECT_EQ(a.cpu_times.total(), b.cpu_times.total()) << where;
+    return normalized_json(a);
+  }
+
+  CachedPool sequential;
+  CachedPool parallel;
+  const vmm::Hypervisor* hypervisor;
+};
+
+/// The loader-change script, PE or ELF: `module` on a pool of six.
+template <typename Env>
+void run_loader_script(Env& env, const std::string& module,
+                       const std::string& other_module,
+                       const std::string& renamed) {
+  const std::vector<vmm::DomainId>& pool = env.guests();
+  ASSERT_EQ(pool.size(), 6u);
+  std::vector<vmm::DomainSnapshot> snapshots;
+  for (const vmm::DomainId vm : pool) {
+    snapshots.push_back(env.hypervisor().snapshot(vm));
+  }
+  telemetry::MetricRegistry reg;
+  telemetry::MetricRegistry par_reg;
+  LoaderPools pools(env.hypervisor(), reg, par_reg);
+  const IncrementalStats& stats = pools.sequential.cache.stats();
+  const std::string warm = pools.tick(module, pool, "warm");
+  EXPECT_EQ(stats.loader_walks, pool.size());
+  EXPECT_EQ(stats.loader_reuses, 0u);
+
+  // Module-page weather only: the snapshot answers, no walk.
+  const auto weather = [&](vmm::DomainId vm) {
+    const guestos::LdrEntry e = ldr_entry(env.kernel(vm), module);
+    rewrite_same(env.kernel(vm).address_space(), e.dll_base + 0x200, 16);
+  };
+  weather(pool[0]);
+  EXPECT_EQ(pools.tick(module, pool, "weather"), warm);
+  EXPECT_EQ(stats.loader_walks, pool.size());
+  EXPECT_EQ(stats.loader_reuses, 1u);
+  EXPECT_EQ(reg.counter("incremental.loader_walks").value(), pool.size());
+  EXPECT_EQ(reg.counter("incremental.loader_reuses").value(), 1u);
+
+  // DKOM unlink.
+  ASSERT_TRUE(env.kernel(pool[1]).unlink_module_entry(module));
+  EXPECT_NE(pools.tick(module, pool, "unlinked"), warm);
+  EXPECT_EQ(stats.loader_walks, pool.size() + 1);
+
+  // Unload and reload at a different base.
+  const guestos::LdrEntry before = ldr_entry(env.kernel(pool[2]), module);
+  env.loader(pool[2]).unload(module);
+  env.loader(pool[2]).load(module, ByteView(golden_of(env, module)));
+  EXPECT_NE(ldr_entry(env.kernel(pool[2]), module).dll_base, before.dll_base);
+  pools.tick(module, pool, "reloaded elsewhere");
+
+  // Unload, then relink the entry over the pages still in place.
+  const guestos::LdrEntry same = ldr_entry(env.kernel(pool[3]), module);
+  ASSERT_TRUE(env.kernel(pool[3]).unlink_module_entry(module));
+  pools.tick(module, pool, "unloaded");
+  env.kernel(pool[3]).insert_module_entry(module, same.dll_base,
+                                          same.entry_point,
+                                          same.size_of_image);
+  pools.tick(module, pool, "reloaded in place");
+
+  // Entry-name rewrite: the module is gone by name.
+  rename_entry(env.kernel(pool[4]), module, renamed);
+  pools.tick(module, pool, "renamed");
+
+  // A loader write and module-page weather in the same tick.
+  const std::uint64_t walks = stats.loader_walks;
+  ASSERT_TRUE(env.kernel(pool[5]).unlink_module_entry(other_module));
+  weather(pool[5]);
+  pools.tick(module, pool, "loader and weather");
+  EXPECT_EQ(stats.loader_walks, walks + 1);
+
+  // Clone-into: one guest's whole state replaces another's.
+  env.hypervisor().restore(
+      vmm::DomainSnapshot(pool[4], env.hypervisor().domain(pool[0])));
+  pools.tick(module, pool, "cloned into");
+
+  // Restore: every guest back to its snapshot, all clean again.
+  for (const vmm::DomainSnapshot& snapshot : snapshots) {
+    env.hypervisor().restore(snapshot);
+  }
+  EXPECT_EQ(pools.tick(module, pool, "restored"), warm);
+  const IncrementalStats& p = pools.parallel.cache.stats();
+  EXPECT_EQ(stats.loader_walks, p.loader_walks);
+  EXPECT_EQ(stats.loader_reuses, p.loader_reuses);
+}
+
+TEST(LoaderSnapshot, ListChangesBetweenTicksPe) {
+  auto env = make_env(6);
+  run_loader_script(*env, "hal.dll", "ntfs.sys", "hbl.dll");
+}
+
+TEST(LoaderSnapshot, ListChangesBetweenTicksElf) {
+  auto env = make_linux_env(6);
+  run_loader_script(*env, "e1000", "scsi_mod", "e1001");
+}
+
+TEST(LoaderSnapshot, AcquireSpanSaysWhetherTheListWasWalked) {
+  auto env = make_env(3);
+  telemetry::TraceRecorder rec;
+  ModCheckerConfig cfg;
+  cfg.tracer = &rec;
+  CachedPool cached(env->hypervisor(), std::move(cfg));
+  const std::string module = "hal.dll";
+  const auto loader_args = [&] {
+    std::vector<std::string> values;
+    for (const telemetry::SpanRecord& span : rec.drain()) {
+      for (const telemetry::SpanArg& arg : span.args) {
+        if (span.name == "acquire" && arg.key == "loader") {
+          values.push_back(arg.value);
+        }
+      }
+    }
+    return values;
+  };
+  cached.scan(module, env->guests());
+  EXPECT_EQ(loader_args(), std::vector<std::string>(3, "1"));
+  cached.scan("ntfs.sys", env->guests());  // same domains: snapshot hits
+  EXPECT_EQ(loader_args(), std::vector<std::string>(3, "0"));
+  cached.scan(module, env->guests());  // no write at all: no lookup
+  EXPECT_TRUE(loader_args().empty());
 }
 
 }  // namespace

@@ -385,7 +385,8 @@ TEST(TelemetryDifferential, PipelineStagesLandInOneRegistry) {
         "pipeline.acquire.attempts", "pipeline.acquire.sim_ns",
         "pipeline.compare.sim_ns", "pipeline.compare.fallback_items",
         "pipeline.compare.fallback_hashes",
-        "incremental.unchanged_refreshes"}) {
+        "incremental.unchanged_refreshes", "incremental.loader_walks",
+        "incremental.loader_reuses"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;
   }
 

@@ -2,6 +2,12 @@
 // hypervisor lifecycle, snapshots, and the contention model.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
+#include "util/sim_clock.hpp"
+#include "vmi/session.hpp"
 #include "vmm/address_space.hpp"
 #include "vmm/contention.hpp"
 #include "vmm/domain.hpp"
@@ -225,18 +231,109 @@ TEST(Hypervisor, BusyLoadAggregation) {
   Hypervisor hv;
   const DomainId a = hv.create_domain("a", 8 << 20);
   const DomainId b = hv.create_domain("b", 8 << 20);
-  hv.domain(a).set_load_level(1.0);
-  hv.domain(b).set_load_level(0.5);
+  hv.set_load_level(a, 1.0);
+  hv.set_load_level(b, 0.5);
   EXPECT_DOUBLE_EQ(hv.total_busy_load(), 1.5);
   EXPECT_GT(hv.dom0_slowdown(), 1.0);
 }
 
 TEST(Domain, LoadLevelValidation) {
-  Domain d(1, "x", 8 << 20);
-  EXPECT_THROW(d.set_load_level(-0.1), InvalidArgument);
-  EXPECT_THROW(d.set_load_level(1.5), InvalidArgument);
-  d.set_load_level(0.7);
-  EXPECT_DOUBLE_EQ(d.load_level(), 0.7);
+  Hypervisor hv;
+  const DomainId id = hv.create_domain("x", 8 << 20);
+  EXPECT_THROW(hv.set_load_level(id, -0.1), InvalidArgument);
+  EXPECT_THROW(hv.set_load_level(id, 1.5), InvalidArgument);
+  EXPECT_DOUBLE_EQ(hv.total_busy_load(), 0.0);
+  hv.set_load_level(id, 0.7);
+  EXPECT_DOUBLE_EQ(hv.domain(id).load_level(), 0.7);
+}
+
+/// The slowdown a walk over every domain's load gives at this instant.
+double walked_slowdown(const Hypervisor& hv) {
+  double total = 0.0;
+  for (const DomainId id : hv.domain_ids()) {
+    total += hv.domain(id).load_level();
+  }
+  return hv.contention().dom0_slowdown(total);
+}
+
+TEST(Hypervisor, SlowdownFollowsEveryLoadChangeAtOnce) {
+  Hypervisor hv;
+  const DomainId a = hv.create_domain("a", 8 << 20);
+  const DomainId b = hv.create_domain("b", 8 << 20);
+  EXPECT_EQ(hv.dom0_slowdown(), 1.0);
+
+  hv.set_load_level(a, 1.0);
+  EXPECT_EQ(hv.total_busy_load(), 1.0);
+  EXPECT_EQ(hv.dom0_slowdown(), walked_slowdown(hv));
+  const double one_busy = hv.dom0_slowdown();
+  EXPECT_GT(one_busy, 1.0);
+
+  // Restore brings the snapshot's load back with its memory.
+  const DomainSnapshot idle_b = hv.snapshot(b);
+  hv.set_load_level(b, 0.5);
+  EXPECT_EQ(hv.total_busy_load(), 1.5);
+  hv.restore(idle_b);
+  EXPECT_EQ(hv.total_busy_load(), 1.0);
+  EXPECT_EQ(hv.dom0_slowdown(), one_busy);
+
+  // A clone copies the source's load.
+  const DomainId c = hv.clone_domain(a, "c");
+  EXPECT_EQ(hv.total_busy_load(), 2.0);
+  EXPECT_EQ(hv.dom0_slowdown(), walked_slowdown(hv));
+
+  // A destroyed domain's load leaves the total.
+  hv.destroy_domain(a);
+  EXPECT_EQ(hv.total_busy_load(), 1.0);
+  EXPECT_EQ(hv.dom0_slowdown(), one_busy);
+  hv.destroy_domain(c);
+  EXPECT_EQ(hv.total_busy_load(), 0.0);
+  EXPECT_EQ(hv.dom0_slowdown(), 1.0);
+
+  // A new contention model applies to the current total.
+  hv.set_load_level(b, 1.0);
+  ContentionParams steep;
+  steep.alpha = 0.5;
+  hv.set_contention(ContentionModel(steep));
+  EXPECT_EQ(hv.dom0_slowdown(), 1.5);
+}
+
+TEST(Hypervisor, ConcurrentChargesWhileLoadChanges) {
+  // VMI charges on worker threads read the slowdown while another thread
+  // flips a load: every charge sees one of the two published values.
+  Hypervisor hv;
+  const DomainId a = hv.create_domain("a", 8 << 20);
+  const DomainId b = hv.create_domain("b", 8 << 20);
+  hv.set_load_level(b, 1.0);
+  const double low = hv.dom0_slowdown();
+  hv.set_load_level(a, 1.0);
+  const double high = hv.dom0_slowdown();
+  ASSERT_LT(low, high);
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> bad{0};
+  std::vector<std::thread> chargers;
+  for (int t = 0; t < 3; ++t) {
+    chargers.emplace_back([&] {
+      SimClock clock;
+      vmi::VmiSession session(hv, b, clock);
+      while (!stop.load()) {
+        const SimNanos before = clock.now();
+        (void)session.watch_dirty(WriteWatch::kNoWatch);  // one charge
+        const double slowdown = clock.slowdown();
+        bad += (slowdown != low && slowdown != high) ? 1 : 0;
+        bad += clock.now() <= before ? 1 : 0;
+      }
+    });
+  }
+  for (int i = 0; i < 2000; ++i) {
+    hv.set_load_level(a, i % 2 == 0 ? 0.0 : 1.0);
+  }
+  stop = true;
+  for (std::thread& t : chargers) {
+    t.join();
+  }
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(hv.dom0_slowdown(), high);
 }
 
 TEST(HardwareConfig, VirtualCores) {
