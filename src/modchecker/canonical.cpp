@@ -186,6 +186,7 @@ void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
     reference_ = &module;
     canonical_.assign(module.items.size(), std::nullopt);
     canonical_bytes_.assign(module.items.size(), Bytes{});
+    window_maps_.assign(module.items.size(), std::nullopt);
     Entry entry;
     entry.eligible = true;
     entry.base = module.base;
@@ -309,14 +310,37 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
     return true;
   }
 
-  // Differing base: run the paper's pairwise adjustment against the
-  // reference on arena scratch copies (recycled per item).
+  // Differing base, canonical form known: a copy that is that form
+  // relocated at its own base is settled through the recorded windows.
+  // Algorithm 2 against the reference would rewrite exactly those windows
+  // and leave the canonical bytes (DESIGN §5.1), so the hit is charged the
+  // adjust and the compare below that it replaces.
+  if (const std::optional<WindowMap>& map = window_maps_[i];
+      map && map->usable_for(module.fixups, a.content_size())) {
+    if (relocated_content_equal(a, module.fixups, module.base,
+                                canonical_bytes_[i], *map)) {
+      window_hits_.inc();
+      clock.charge(costs_.rva_scan_per_byte *
+                   std::max(r.content_size(), a.content_size()));
+      clock.charge(costs_.rva_scan_per_byte * a.content_size());
+      hash_skips_.inc();
+      entry.digests[i] = *canonical_[i];
+      return true;
+    }
+    window_misses_.inc();
+  }
+
+  // Otherwise run the paper's pairwise adjustment against the reference
+  // on arena scratch copies (recycled per item), recording its windows
+  // when it may establish the canonical form.
   ArenaScope scope(scratch_arena());
   MutableByteView ref_copy = arena_content_copy(scratch_arena(), r);
   MutableByteView mod_copy = arena_content_copy(scratch_arena(), a);
-  const RvaAdjustResult adj =
-      adjust_fixups(ref_copy, reference_->base, mod_copy, module.base,
-                    module.fixups);
+  std::vector<FixupWindow> windows;
+  adjust_runs_.inc();
+  const RvaAdjustResult adj = adjust_fixups(
+      ref_copy, reference_->base, mod_copy, module.base, module.fixups,
+      simd::Policy::kAuto, canonical_[i] ? nullptr : &windows);
   clock.charge(costs_.rva_scan_per_byte *
                std::max(ref_copy.size(), mod_copy.size()));
   if (adj.unresolved_diffs > 0) {
@@ -338,7 +362,7 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   const crypto::Digest d = crypto::hash_bytes(algorithm_, mod_copy);
   charge_hash(clock, mod_copy.size());
   if (!canonical_[i]) {
-    establish_canonical(i, d, mod_copy);
+    establish_canonical(i, d, mod_copy, module.fixups, windows);
   } else if (*canonical_[i] != d) {
     return false;
   }
@@ -346,10 +370,12 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   return true;
 }
 
-void CanonicalPool::establish_canonical(std::size_t i, const crypto::Digest& d,
-                                        ByteView bytes) {
+void CanonicalPool::establish_canonical(
+    std::size_t i, const crypto::Digest& d, ByteView bytes,
+    const FixupPolicy& fixups, const std::vector<FixupWindow>& windows) {
   canonical_[i] = d;
   canonical_bytes_[i].assign(bytes.begin(), bytes.end());
+  window_maps_[i] = WindowMap::from_run(fixups, bytes.size(), windows);
   canonicals_established_.inc();
   if (!finalized_) {
     return;  // finalize() pins the reference to it

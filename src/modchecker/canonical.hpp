@@ -47,6 +47,7 @@
 #include <vector>
 
 #include "crypto/hasher.hpp"
+#include "modchecker/rva_adjust.hpp"
 #include "modchecker/types.hpp"
 #include "util/bytes.hpp"
 #include "telemetry/registry.hpp"
@@ -156,6 +157,16 @@ class DigestTable {
 /// count "canonical.hash_skips").  The price is one owned copy of each
 /// established canonical form — about one image per pool.
 ///
+/// Algorithm 2 runs once per rva-sensitive item, too: the run that
+/// establishes an item's canonical form records the windows it rewrote
+/// (WindowMap), and a later differing-base copy that is the canonical
+/// form relocated at its own base is settled by one pass over its spans
+/// (relocated_content_equal) instead of scratch copies and another run.
+/// Only a copy that fails the pass runs Algorithm 2, so every negative
+/// outcome is decided exactly as before.  A map hit is charged the adjust
+/// and the compare it replaces ("canonical.adjust_runs" counts real runs,
+/// "canonical.window_hits"/"window_misses" the map's outcomes).
+///
 /// Usage: elect() over every successfully parsed copy, then query
 /// eligible()/digests().  Added modules must outlive the pool (the
 /// reference's item bytes are borrowed).  Single-threaded by design:
@@ -191,6 +202,9 @@ class CanonicalPool {
         reg.owned_counter("canonical.canonicals_established");
     hashes_ = reg.owned_counter("canonical.hashes");
     hash_skips_ = reg.owned_counter("canonical.hash_skips");
+    adjust_runs_ = reg.owned_counter("canonical.adjust_runs");
+    window_hits_ = reg.owned_counter("canonical.window_hits");
+    window_misses_ = reg.owned_counter("canonical.window_misses");
   }
 
   /// Canonicalizes one VM's copy, charging adjustment/hashing time to
@@ -264,10 +278,12 @@ class CanonicalPool {
   /// Settles item `i` of `module` into `entry`; false = ineligible.
   bool settle_item(std::size_t i, const ParsedModule& module, Entry& entry,
                    SimClock& clock);
-  /// Pins item `i`'s canonical digest and keeps the bytes it came from;
+  /// Pins item `i`'s canonical digest and keeps the bytes it came from
+  /// and the map of the run that produced them (under `fixups`);
   /// post-finalize, re-pins the reference and every entry sharing it.
   void establish_canonical(std::size_t i, const crypto::Digest& d,
-                           ByteView bytes);
+                           ByteView bytes, const FixupPolicy& fixups,
+                           const std::vector<FixupWindow>& windows);
   /// Counts one hash pass and charges it to `clock`.
   void charge_hash(SimClock& clock, std::size_t bytes);
   /// Stores `entry` for `vm` and bumps the eligibility counters.
@@ -283,6 +299,9 @@ class CanonicalPool {
   /// The post-Algorithm-2 bytes canonical_[i] was digested from; later
   /// copies that reduce to them take canonical_[i] without hashing.
   std::vector<Bytes> canonical_bytes_;
+  /// The windows of the Algorithm 2 run that produced canonical_bytes_[i];
+  /// nullopt until established, or when that run cannot be replayed.
+  std::vector<std::optional<WindowMap>> window_maps_;
   std::vector<crypto::Digest> ref_digests_;  // valid after finalize()
   bool finalized_ = false;
   bool reelected_ = false;
@@ -293,6 +312,9 @@ class CanonicalPool {
   telemetry::OwnedCounter canonicals_established_;
   telemetry::OwnedCounter hashes_;
   telemetry::OwnedCounter hash_skips_;
+  telemetry::OwnedCounter adjust_runs_;
+  telemetry::OwnedCounter window_hits_;
+  telemetry::OwnedCounter window_misses_;
 };
 
 }  // namespace mc::core

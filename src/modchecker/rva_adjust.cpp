@@ -63,8 +63,12 @@ std::uint32_t base_difference_offset(std::uint32_t base1,
 
 RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
                             MutableByteView section2, std::uint32_t base2,
-                            simd::Policy policy) {
+                            simd::Policy policy,
+                            std::vector<FixupWindow>* windows) {
   RvaAdjustResult result;
+  if (windows != nullptr) {
+    windows->clear();
+  }
 
   const std::size_t common = std::min(section1.size(), section2.size());
   result.unresolved_diffs += static_cast<std::uint32_t>(
@@ -113,6 +117,9 @@ RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
       store_le32_at(section1, start, rva1);
       store_le32_at(section2, start, rva2);
       ++result.adjusted;
+      if (windows != nullptr) {
+        windows->push_back({static_cast<std::uint32_t>(start), 4});
+      }
       // Resume after the rewritten window (line 22 intent).
       j = simd::mismatch(section1.data(), section2.data(), common, start + 4,
                          policy);
@@ -128,11 +135,15 @@ RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
 
 RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
                               MutableByteView section2, std::uint32_t base2,
-                              const FixupPolicy& fixups, simd::Policy policy) {
+                              const FixupPolicy& fixups, simd::Policy policy,
+                              std::vector<FixupWindow>* windows) {
   if (fixups.pe32_default()) {
     // The historical path, verbatim: PE32 callers keep bit-identical
     // rewrites and counters through the exact same code.
-    return adjust_rvas(section1, base1, section2, base2, policy);
+    return adjust_rvas(section1, base1, section2, base2, policy, windows);
+  }
+  if (windows != nullptr) {
+    windows->clear();
   }
   MC_CHECK(fixups.width == 8 || fixups.width == 4,
            "FixupPolicy width must be 4 or 8");
@@ -152,8 +163,8 @@ RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
         count_differing_bytes(section1, section2, common, policy);
     return result;
   }
-  const std::uint64_t eb1 = fixups.base_bias | base1;
-  const std::uint64_t eb2 = fixups.base_bias | base2;
+  const std::uint64_t eb1 = fixups.biased_base(base1);
+  const std::uint64_t eb2 = fixups.biased_base(base2);
 
   // Tests the width-`w` window at `start`: recover RVA = value − biased
   // base on each side (eq. 1 widened); equal RVAs mean the loader made
@@ -198,14 +209,19 @@ RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
       continue;
     }
     const std::size_t start = j - (offset - 1);
+    std::uint32_t width = 0;
     if (try_rewrite(start, fixups.width)) {
-      ++result.adjusted;
-      j = simd::mismatch(section1.data(), section2.data(), common,
-                         start + fixups.width, policy);
+      width = fixups.width;
     } else if (fixups.alt_width != 0 && try_rewrite(start, fixups.alt_width)) {
+      width = fixups.alt_width;
+    }
+    if (width != 0) {
       ++result.adjusted;
+      if (windows != nullptr) {
+        windows->push_back({static_cast<std::uint32_t>(start), width});
+      }
       j = simd::mismatch(section1.data(), section2.data(), common,
-                         start + fixups.alt_width, policy);
+                         start + width, policy);
     } else {
       // Genuine content divergence — leave bytes for the hash to catch.
       ++result.unresolved_diffs;
@@ -214,6 +230,23 @@ RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
     }
   }
   return result;
+}
+
+std::optional<WindowMap> WindowMap::from_run(
+    const FixupPolicy& policy, std::size_t size,
+    const std::vector<FixupWindow>& windows) {
+  WindowMap map(policy, size);
+  map.starts_.reserve(windows.size());
+  for (const FixupWindow& w : windows) {
+    if (w.width != policy.width || std::size_t{w.start} + w.width > size) {
+      return std::nullopt;
+    }
+    if (!map.starts_.empty() && w.start < map.starts_.back() + policy.width) {
+      return std::nullopt;
+    }
+    map.starts_.push_back(w.start);
+  }
+  return map;
 }
 
 }  // namespace mc::core

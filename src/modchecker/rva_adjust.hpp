@@ -33,6 +33,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <vector>
 
 #include "util/bytes.hpp"
 #include "util/simd.hpp"
@@ -49,6 +51,14 @@ struct RvaAdjustResult {
   bool sections_identical_after() const { return unresolved_diffs == 0; }
 };
 
+/// One window Algorithm 2 rewrote to its RVA: `width` bytes at `start`.
+struct FixupWindow {
+  std::uint32_t start = 0;
+  std::uint32_t width = 0;
+
+  bool operator==(const FixupWindow&) const = default;
+};
+
 /// Runs Algorithm 2 over two equally sized section-data buffers, mutating
 /// both in place.  `base1`/`base2` are the modules' load bases.
 /// Buffers of different lengths: the common prefix is processed and every
@@ -59,9 +69,13 @@ struct RvaAdjustResult {
 /// default honors MC_FORCE_SCALAR.  Results — the rewritten bytes and
 /// both counters — are bit-identical at every dispatch level
 /// (tests/simd_equivalence_test.cpp is the oracle).
+///
+/// `windows` (optional) is replaced with the windows the run rewrote, in
+/// scan order; recording them changes nothing else.
 RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
                             MutableByteView section2, std::uint32_t base2,
-                            simd::Policy policy = simd::Policy::kAuto);
+                            simd::Policy policy = simd::Policy::kAuto,
+                            std::vector<FixupWindow>* windows = nullptr);
 
 /// The `offset` of Algorithm 2 lines 1-9: 1-based index of the first
 /// differing byte between the two base addresses (little-endian byte
@@ -90,6 +104,13 @@ struct FixupPolicy {
   bool pe32_default() const {
     return width == 4 && alt_width == 0 && base_bias == 0;
   }
+
+  /// The link-view base the loader relocated a copy at `base` against.
+  std::uint64_t biased_base(std::uint32_t base) const {
+    return base_bias | base;
+  }
+
+  bool operator==(const FixupPolicy&) const = default;
 };
 
 /// Algorithm 2 generalized over a format's FixupPolicy.  For the default
@@ -100,9 +121,51 @@ struct FixupPolicy {
 /// windows to the common RVA), the secondary width is tested on failure,
 /// and anything else counts as an unresolved difference exactly like the
 /// 4-byte algorithm.
+///
+/// `windows` (optional) is replaced with the windows the run rewrote, in
+/// scan order, each with the width that resolved it.
 RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
                               MutableByteView section2, std::uint32_t base2,
                               const FixupPolicy& fixups,
-                              simd::Policy policy = simd::Policy::kAuto);
+                              simd::Policy policy = simd::Policy::kAuto,
+                              std::vector<FixupWindow>* windows = nullptr);
+
+/// The relocation windows of one fully resolved Algorithm 2 run that
+/// produced a canonical form C, kept so a later copy at another base can
+/// be settled without running Algorithm 2 again (DESIGN §5.1, "Algorithm
+/// 2 once per pool").  A copy X of C's size under the same policy passes
+/// relocated_content_equal (modchecker/item_content.hpp) iff it equals C
+/// outside the windows and holds C's value plus X's biased base, mod
+/// 2^width, in each window; for such a copy, adjust_fixups against the
+/// run's reference rewrites exactly these windows and yields C.
+class WindowMap {
+ public:
+  /// The map of a run under `policy` over `size`-byte content, or nullopt
+  /// when the run cannot be replayed from its windows alone: a window of
+  /// the policy's alternate width (at a new base the primary width may
+  /// resolve there instead), or two overlapping windows (the later one
+  /// read bytes the earlier one had already rewritten).
+  static std::optional<WindowMap> from_run(
+      const FixupPolicy& policy, std::size_t size,
+      const std::vector<FixupWindow>& windows);
+
+  /// True when a copy under `policy` with `size` content bytes may be
+  /// settled through this map.
+  bool usable_for(const FixupPolicy& policy, std::size_t size) const {
+    return policy == policy_ && size == size_;
+  }
+
+  std::size_t size() const { return size_; }
+  /// Window starts, ascending; every window is the policy's width.
+  const std::vector<std::uint32_t>& starts() const { return starts_; }
+
+ private:
+  WindowMap(const FixupPolicy& policy, std::size_t size)
+      : policy_(policy), size_(size) {}
+
+  FixupPolicy policy_;
+  std::size_t size_ = 0;
+  std::vector<std::uint32_t> starts_;
+};
 
 }  // namespace mc::core

@@ -87,6 +87,36 @@ TEST(Sha256, MillionAs) {
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
+TEST(Md5, MillionAs) {
+  // RFC 1321 test suite's multi-block vector (15,625 full blocks).
+  Md5 h;
+  const std::string chunk(1000, 'a');
+  for (int i = 0; i < 1000; ++i) {
+    h.update(sv(chunk));
+  }
+  EXPECT_EQ(h.finish().hex(), "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+TEST(Md5, SplitAtEveryOffsetEqualsOneShot) {
+  // Two separately allocated pieces (a scatter-gather view's shape), split
+  // at every offset of the first three blocks: every residue mod 64 lands
+  // on both the buffered and the direct block path.
+  Xoshiro256 rng(24);
+  Bytes data(200);
+  for (auto& b : data) {
+    b = static_cast<std::uint8_t>(rng.next());
+  }
+  const Digest one_shot = Md5::hash(data);
+  for (std::size_t split = 0; split <= 192; ++split) {
+    const Bytes head(data.begin(), data.begin() + static_cast<long>(split));
+    const Bytes tail(data.begin() + static_cast<long>(split), data.end());
+    Md5 h;
+    h.update(head);
+    h.update(tail);
+    EXPECT_EQ(h.finish(), one_shot) << "split at " << split;
+  }
+}
+
 // ---- streaming == one-shot across chunkings (property) --------------------------
 class ChunkedHashing : public ::testing::TestWithParam<std::size_t> {};
 

@@ -153,12 +153,14 @@ core::ModCheckerConfig make_config(const Options& options,
 int run_fleet(const Options& options, telemetry::TraceRecorder* tracer) {
   MC_CHECK(options.pools >= 1, "--pools must be >= 1");
   MC_CHECK(options.repeat >= 1, "--repeat must be >= 1");
+  // Declared before the coordinator so they outlive it: the pools' scan
+  // caches unregister their watches through these hypervisors on teardown.
+  std::vector<std::unique_ptr<cloud::CloudEnvironment>> pools;
+  pools.reserve(options.pools);
   service::CoordinatorConfig cfg;
   cfg.tracer = tracer;
   service::ShardCoordinator coordinator(cfg);
 
-  std::vector<std::unique_ptr<cloud::CloudEnvironment>> pools;
-  pools.reserve(options.pools);
   for (std::size_t p = 0; p < options.pools; ++p) {
     cloud::CloudConfig cloud_cfg;
     cloud_cfg.guest_count = options.guests;
