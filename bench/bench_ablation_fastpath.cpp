@@ -226,20 +226,21 @@ HotpathReport measure_hotpath() {
 
   core::ModuleSearcher searcher0(s0);
   core::ModuleSearcher searcher1(s1);
-  const auto info0 = searcher0.find_module(kModule);
-  const auto info1 = searcher1.find_module(kModule);
-  if (!info0 || !info1) {
+  const auto found0 = searcher0.try_find_module(kModule);
+  const auto found1 = searcher1.try_find_module(kModule);
+  if (!found0.ok() || !found0.value() || !found1.ok() || !found1.value()) {
     return hp;
   }
-  const std::size_t image_bytes = info0->size_of_image;
+  const core::ModuleInfo& info0 = *found0.value();
+  const std::size_t image_bytes = info0.size_of_image;
 
   // Acquire: borrowed view vs owned copy of the whole image.
   hp.acquire_view = probe_stage(image_bytes, [&] {
-    auto view = s0.try_read_view(info0->base, image_bytes);
+    auto view = s0.try_read_view(info0.base, image_bytes);
     benchmark::DoNotOptimize(view);
   });
   hp.acquire_copy = probe_stage(image_bytes, [&] {
-    auto copy = s0.try_read_region(info0->base, image_bytes);
+    auto copy = s0.try_read_region(info0.base, image_bytes);
     benchmark::DoNotOptimize(copy);
   });
 

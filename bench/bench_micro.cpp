@@ -84,7 +84,7 @@ void BM_VmiExtractModule(benchmark::State& state) {
     SimClock clock;
     vmi::VmiSession session(env.hypervisor(), env.guests()[0], clock);
     core::ModuleSearcher searcher(session);
-    auto image = searcher.extract_module("http.sys");
+    auto image = searcher.try_extract_module("http.sys");
     benchmark::DoNotOptimize(image);
   }
 }
@@ -97,11 +97,15 @@ void BM_ParseModule(benchmark::State& state) {
   SimClock clock;
   vmi::VmiSession session(env.hypervisor(), env.guests()[0], clock);
   core::ModuleSearcher searcher(session);
-  const auto image = searcher.extract_module("http.sys");
+  const auto image = searcher.try_extract_module("http.sys");
+  if (!image.ok() || !image.value()) {
+    state.SkipWithError("http.sys not acquired");
+    return;
+  }
   const core::ModuleParser parser;
   for (auto _ : state) {
     SimClock parse_clock;
-    auto parsed = parser.parse(*image, parse_clock);
+    auto parsed = parser.parse(*image.value(), parse_clock);
     benchmark::DoNotOptimize(parsed);
   }
 }

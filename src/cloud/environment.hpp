@@ -31,7 +31,7 @@ struct CloudConfig {
   /// Optional per-guest OS profile (keyed by guest index 0..count-1);
   /// unlisted guests run the XP SP2 default.  Mixed clouds model staged OS
   /// upgrades — ModChecker pools must then be grouped by version (see
-  /// core::group_by_guest_version).
+  /// core::group_pool_by_version).
   std::map<std::size_t, const guestos::GuestProfile*> guest_profiles;
 };
 

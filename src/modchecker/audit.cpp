@@ -63,18 +63,6 @@ std::string format_audit_report(const AuditReport& report) {
   return os.str();
 }
 
-std::map<std::uint32_t, std::vector<vmm::DomainId>> group_by_guest_version(
-    const vmm::Hypervisor& hypervisor, const std::vector<vmm::DomainId>& pool,
-    const vmi::VmiCostModel& costs) {
-  std::map<std::uint32_t, std::vector<vmm::DomainId>> groups;
-  for (const vmm::DomainId vm : pool) {
-    SimClock clock;
-    vmi::VmiSession session(hypervisor, vm, clock, costs);
-    groups[session.guest_version()].push_back(vm);
-  }
-  return groups;
-}
-
 VersionGroups group_pool_by_version(const vmm::Hypervisor& hypervisor,
                                     const std::vector<vmm::DomainId>& pool,
                                     const vmi::VmiCostModel& costs) {

@@ -3,6 +3,7 @@
 // consistency checks across the cloud).
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -39,16 +40,12 @@ std::string format_audit_report(const AuditReport& report);
 /// Groups a pool by guest OS build (version id from each guest's debug
 /// block).  ModChecker's assumption — same OS version across compared VMs
 /// (§Abstract) — makes this the mandatory first step for mixed clouds:
-/// cross-version module comparisons would flag everything.
-std::map<std::uint32_t, std::vector<vmm::DomainId>> group_by_guest_version(
-    const vmm::Hypervisor& hypervisor, const std::vector<vmm::DomainId>& pool,
-    const vmi::VmiCostModel& costs = {});
-
-/// Fault-aware version grouping.  `recognized` holds only version ids a
-/// GuestProfile exists for; every other VM lands in `unrecognized` with a
-/// FaultRecord saying why (kUnrecognizedBuild for an unknown build id,
-/// kDebugBlockMissing / kDomainGone when introspection itself failed) —
-/// one odd guest no longer aborts grouping the rest of the cloud.
+/// cross-version module comparisons would flag everything.  `recognized`
+/// holds only version ids a GuestProfile exists for; every other VM lands
+/// in `unrecognized` with a FaultRecord saying why (kUnrecognizedBuild for
+/// an unknown build id, kDebugBlockMissing / kDomainGone when
+/// introspection itself failed) — one odd guest does not abort grouping
+/// the rest of the cloud.
 struct VersionGroups {
   std::map<std::uint32_t, std::vector<vmm::DomainId>> recognized;
   /// VMs excluded from every recognized group, in pool order.

@@ -17,28 +17,18 @@ namespace mc::core {
 
 namespace {
 
-/// Converts the exceptions one acquire attempt can legitimately raise into
-/// FaultRecords: GuestFaultError carries its record verbatim; a vanished
-/// domain (NotFoundError from attach) becomes kDomainGone; a hostile page
-/// table pointing outside guest RAM (MemoryError from the physical layer)
-/// becomes a read fault.  Anything else — InvalidArgument, plain VmiError —
-/// is API misuse and keeps unwinding.
+/// Runs one acquire attempt.  Guest faults already come back as records;
+/// the one exception turned into a record is a domain gone by attach time
+/// (NotFoundError from the session constructor), which becomes
+/// kDomainGone.  Anything else — InvalidArgument, VmiError — is API misuse
+/// and keeps unwinding.
 template <typename T, typename Fn>
 Fallible<T> run_acquire_attempt(vmm::DomainId vm, Fn&& attempt_fn) {
   try {
     return attempt_fn();
-  } catch (const GuestFaultError& e) {
-    return e.record();
   } catch (const NotFoundError& e) {
     FaultRecord fault;
     fault.code = FaultCode::kDomainGone;
-    fault.domain = vm;
-    fault.stage = CheckStage::kAcquire;
-    fault.detail = e.what();
-    return fault;
-  } catch (const MemoryError& e) {
-    FaultRecord fault;
-    fault.code = FaultCode::kReadFault;
     fault.domain = vm;
     fault.stage = CheckStage::kAcquire;
     fault.detail = e.what();

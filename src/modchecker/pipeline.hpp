@@ -92,8 +92,9 @@ struct RetryPolicy {
 
 /// Faults worth retrying are the transient ones (a paged-out read, a
 /// mid-update page table, a guest still booting).  A vanished domain, a
-/// guest with no debug block or an unrecognized build will not heal on a
-/// 50us backoff — they quarantine immediately.
+/// guest with no debug block, an unrecognized build or a loader list whose
+/// FLINKs loop will not heal on a 50us backoff — they quarantine
+/// immediately.
 inline bool retryable_fault(FaultCode code) {
   switch (code) {
     case FaultCode::kReadFault:
@@ -103,6 +104,7 @@ inline bool retryable_fault(FaultCode code) {
     case FaultCode::kDomainGone:
     case FaultCode::kDebugBlockMissing:
     case FaultCode::kUnrecognizedBuild:
+    case FaultCode::kLoaderListCycle:
       return false;
   }
   return false;

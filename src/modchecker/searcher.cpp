@@ -4,24 +4,12 @@
 #include <utility>
 
 #include "guestos/winlike.hpp"
-#include "util/error.hpp"
 
 namespace mc::core {
 
 namespace gw = mc::guestos;
 
 namespace {
-
-/// Legacy-wrapper escape hatch: re-raises a searcher fault with the
-/// exception type historical callers expect.  An unrecognized build keeps
-/// throwing NotFoundError (the old profile_by_version behaviour); every
-/// guest fault becomes GuestFaultError.
-[[noreturn]] void throw_searcher_fault(FaultRecord record) {
-  if (record.code == FaultCode::kUnrecognizedBuild) {
-    throw NotFoundError(record.detail);
-  }
-  throw GuestFaultError(std::move(record));
-}
 
 /// Reads a list entry's module name per the profile's convention:
 /// UNICODE_STRING descriptor (Windows builds) or inline NUL-padded char
@@ -41,6 +29,76 @@ Fallible<std::string> try_read_entry_name(vmi::VmiSession& session,
   const Bytes& bytes = raw.value();
   const auto nul = std::find(bytes.begin(), bytes.end(), std::uint8_t{0});
   return std::string(bytes.begin(), nul);
+}
+
+/// Reads an entry's DllBase, EntryPoint and SizeOfImage, in that order.
+MaybeFault try_read_entry_facts(vmi::VmiSession& session,
+                                const gw::GuestProfile& profile,
+                                std::uint32_t entry_va, ModuleInfo& info) {
+  Fallible<std::uint32_t> base =
+      session.try_read_u32(entry_va + profile.off_dll_base);
+  if (!base.ok()) {
+    return std::move(base.fault());
+  }
+  info.base = base.value();
+  Fallible<std::uint32_t> entry =
+      session.try_read_u32(entry_va + profile.off_entry_point);
+  if (!entry.ok()) {
+    return std::move(entry.fault());
+  }
+  info.entry_point = entry.value();
+  Fallible<std::uint32_t> size =
+      session.try_read_u32(entry_va + profile.off_size_of_image);
+  if (!size.ok()) {
+    return std::move(size.fault());
+  }
+  info.size_of_image = size.value();
+  return std::nullopt;
+}
+
+/// A walk that has not returned to the list head after this many entries
+/// is following a FLINK cycle the guest wrote.
+constexpr std::size_t kMaxListEntries = 4096;
+
+/// Walks PsLoadedModuleList by FLINK, calling `visit(entry_va)` on each
+/// entry until it returns true.  A FLINK cycle is a kLoaderListCycle
+/// fault: the guest rewrote its list, so a retry would walk it again.
+template <typename Visit>
+MaybeFault walk_loader_list(vmi::VmiSession& session,
+                            const gw::GuestProfile& profile, Visit&& visit) {
+  Fallible<std::uint32_t> head = session.try_symbol_to_va("PsLoadedModuleList");
+  if (!head.ok()) {
+    return std::move(head.fault());
+  }
+  Fallible<std::uint32_t> link =
+      session.try_read_u32(head.value() + gw::kOffListFlink);
+  for (std::size_t visited = 0; link.ok() && link.value() != head.value();
+       ++visited) {
+    const std::uint32_t cur = link.value();
+    if (visited == kMaxListEntries) {
+      FaultRecord record;
+      record.code = FaultCode::kLoaderListCycle;
+      record.domain = session.domain_id();
+      record.va = cur;
+      record.stage = CheckStage::kAcquire;
+      record.detail = "loader list did not return to its head after " +
+                      std::to_string(kMaxListEntries) + " entries";
+      return record;
+    }
+    Fallible<bool> stop = visit(cur);
+    if (!stop.ok()) {
+      return std::move(stop.fault());
+    }
+    if (stop.value()) {
+      return std::nullopt;
+    }
+    link = session.try_read_u32(cur + profile.off_in_load_order_links +
+                                gw::kOffListFlink);
+  }
+  if (!link.ok()) {
+    return std::move(link.fault());
+  }
+  return std::nullopt;
 }
 
 }  // namespace
@@ -73,47 +131,24 @@ Fallible<std::vector<ModuleInfo>> ModuleSearcher::try_list_modules() {
   }
   const gw::GuestProfile& profile = *looked_up.value();
   std::vector<ModuleInfo> modules;
-  // try_guest_version succeeded, so the debug block is resolved and the
-  // symbol lookup below cannot fault.
-  const std::uint32_t head = session_->symbol_to_va("PsLoadedModuleList");
-  Fallible<std::uint32_t> link = session_->try_read_u32(head + gw::kOffListFlink);
-  if (!link.ok()) {
-    return std::move(link.fault());
-  }
-  std::uint32_t cur = link.value();
-  while (cur != head) {
-    ModuleInfo info;
-    Fallible<std::uint32_t> base =
-        session_->try_read_u32(cur + profile.off_dll_base);
-    if (!base.ok()) {
-      return std::move(base.fault());
-    }
-    info.base = base.value();
-    Fallible<std::uint32_t> entry =
-        session_->try_read_u32(cur + profile.off_entry_point);
-    if (!entry.ok()) {
-      return std::move(entry.fault());
-    }
-    info.entry_point = entry.value();
-    Fallible<std::uint32_t> size =
-        session_->try_read_u32(cur + profile.off_size_of_image);
-    if (!size.ok()) {
-      return std::move(size.fault());
-    }
-    info.size_of_image = size.value();
-    Fallible<std::string> name = try_read_entry_name(*session_, profile, cur);
-    if (!name.ok()) {
-      return std::move(name.fault());
-    }
-    info.name = std::move(name.value());
-    modules.push_back(std::move(info));
-    link = session_->try_read_u32(cur + profile.off_in_load_order_links +
-                                  gw::kOffListFlink);
-    if (!link.ok()) {
-      return std::move(link.fault());
-    }
-    cur = link.value();
-    MC_CHECK(modules.size() < 4096, "loader list cycle suspected");
+  MaybeFault fault = walk_loader_list(
+      *session_, profile, [&](std::uint32_t cur) -> Fallible<bool> {
+        ModuleInfo info;
+        if (MaybeFault f =
+                try_read_entry_facts(*session_, profile, cur, info)) {
+          return std::move(*f);
+        }
+        Fallible<std::string> name =
+            try_read_entry_name(*session_, profile, cur);
+        if (!name.ok()) {
+          return std::move(name.fault());
+        }
+        info.name = std::move(name.value());
+        modules.push_back(std::move(info));
+        return false;
+      });
+  if (fault) {
+    return std::move(*fault);
   }
   return modules;
 }
@@ -127,50 +162,30 @@ Fallible<std::optional<ModuleInfo>> ModuleSearcher::try_find_module(
     return std::move(looked_up.fault());
   }
   const gw::GuestProfile& profile = *looked_up.value();
-  const std::uint32_t head = session_->symbol_to_va("PsLoadedModuleList");
-  Fallible<std::uint32_t> link = session_->try_read_u32(head + gw::kOffListFlink);
-  if (!link.ok()) {
-    return std::move(link.fault());
+  std::optional<ModuleInfo> found;
+  MaybeFault fault = walk_loader_list(
+      *session_, profile, [&](std::uint32_t cur) -> Fallible<bool> {
+        Fallible<std::string> name =
+            try_read_entry_name(*session_, profile, cur);
+        if (!name.ok()) {
+          return std::move(name.fault());
+        }
+        if (!gw::module_name_equals(name.value(), module_name)) {
+          return false;
+        }
+        ModuleInfo info;
+        info.name = std::move(name.value());
+        if (MaybeFault f =
+                try_read_entry_facts(*session_, profile, cur, info)) {
+          return std::move(*f);
+        }
+        found = std::move(info);
+        return true;
+      });
+  if (fault) {
+    return std::move(*fault);
   }
-  std::uint32_t cur = link.value();
-  std::size_t visited = 0;
-  while (cur != head) {
-    Fallible<std::string> name = try_read_entry_name(*session_, profile, cur);
-    if (!name.ok()) {
-      return std::move(name.fault());
-    }
-    if (gw::module_name_equals(name.value(), module_name)) {
-      ModuleInfo info;
-      info.name = std::move(name.value());
-      Fallible<std::uint32_t> base =
-          session_->try_read_u32(cur + profile.off_dll_base);
-      if (!base.ok()) {
-        return std::move(base.fault());
-      }
-      info.base = base.value();
-      Fallible<std::uint32_t> entry =
-          session_->try_read_u32(cur + profile.off_entry_point);
-      if (!entry.ok()) {
-        return std::move(entry.fault());
-      }
-      info.entry_point = entry.value();
-      Fallible<std::uint32_t> size =
-          session_->try_read_u32(cur + profile.off_size_of_image);
-      if (!size.ok()) {
-        return std::move(size.fault());
-      }
-      info.size_of_image = size.value();
-      return std::optional<ModuleInfo>(std::move(info));
-    }
-    link = session_->try_read_u32(cur + profile.off_in_load_order_links +
-                                  gw::kOffListFlink);
-    if (!link.ok()) {
-      return std::move(link.fault());
-    }
-    cur = link.value();
-    MC_CHECK(++visited < 4096, "loader list cycle suspected");
-  }
-  return std::optional<ModuleInfo>(std::nullopt);
+  return found;
 }
 
 Fallible<std::optional<ModuleImage>> ModuleSearcher::try_extract_module(
@@ -211,35 +226,6 @@ Fallible<ModuleImage> ModuleSearcher::try_extract(const ModuleInfo& info,
     image.bytes = std::move(bytes.value());
   }
   return image;
-}
-
-// ---- Legacy throwing wrappers ----------------------------------------------
-
-std::vector<ModuleInfo> ModuleSearcher::list_modules() {
-  Fallible<std::vector<ModuleInfo>> modules = try_list_modules();
-  if (!modules.ok()) {
-    throw_searcher_fault(std::move(modules.fault()));
-  }
-  return std::move(modules.value());
-}
-
-std::optional<ModuleInfo> ModuleSearcher::find_module(
-    const std::string& module_name) {
-  Fallible<std::optional<ModuleInfo>> found = try_find_module(module_name);
-  if (!found.ok()) {
-    throw_searcher_fault(std::move(found.fault()));
-  }
-  return std::move(found.value());
-}
-
-std::optional<ModuleImage> ModuleSearcher::extract_module(
-    const std::string& module_name) {
-  Fallible<std::optional<ModuleImage>> image =
-      try_extract_module(module_name);
-  if (!image.ok()) {
-    throw_searcher_fault(std::move(image.fault()));
-  }
-  return std::move(image.value());
 }
 
 }  // namespace mc::core

@@ -7,12 +7,9 @@
 // SizeOfImage) from guest memory into a local buffer — page by page, which
 // is why this component dominates runtime (§V-C.1).
 //
-// The `try_*` entry points are the fault-aware core: any guest fault the
-// session reports (or an unrecognized guest build) comes back as a
-// FaultRecord rather than unwinding the caller.  The legacy throwing
-// methods wrap them, re-raising GuestFaultError — or NotFoundError for an
-// unrecognized build, preserving the historical profile_by_version
-// contract.
+// Every entry point returns guest faults as data: a fault the session
+// reports, an unrecognized guest build, or a loader list whose FLINKs loop
+// comes back as a FaultRecord rather than unwinding the caller.
 #pragma once
 
 #include <optional>
@@ -36,8 +33,6 @@ class ModuleSearcher {
  public:
   explicit ModuleSearcher(vmi::VmiSession& session) : session_(&session) {}
 
-  // ---- Fault-returning core ------------------------------------------------
-
   /// Walks the loader list and returns every module's basic facts.
   Fallible<std::vector<ModuleInfo>> try_list_modules();
 
@@ -57,12 +52,6 @@ class ModuleSearcher {
   /// from a walk), without walking again.
   Fallible<ModuleImage> try_extract(const ModuleInfo& info,
                                     ExtractMode mode = ExtractMode::kCopy);
-
-  // ---- Legacy throwing wrappers --------------------------------------------
-
-  std::vector<ModuleInfo> list_modules();
-  std::optional<ModuleInfo> find_module(const std::string& module_name);
-  std::optional<ModuleImage> extract_module(const std::string& module_name);
 
  private:
   /// Resolves the guest's profile or reports why it cannot (debug-block

@@ -1,7 +1,7 @@
 // Unified metric registry — the one place every layer's counters live.
 //
 // Before this substrate existed, timing and counters were scattered across
-// six unrelated ad-hoc structs (VmiStats, SessionPoolStats,
+// six unrelated ad-hoc structs (a per-session VMI struct, SessionPoolStats,
 // CanonicalPool::Stats, DigestTable::Stats, ShardCoordinator::Stats,
 // PerturbationStats), each with its own locking story.  The registry
 // replaces all of that with three primitives:
@@ -18,13 +18,13 @@
 //                observe() is a branchless-ish linear scan over <= 16 edges
 //                plus two relaxed adds.  No allocation, ever.
 //
-// Per-object views.  The remaining stats() accessors (VmiSession,
-// VmiSessionPool, ShardCoordinator) are *views* over the registry; the
-// DigestTable and CanonicalPool views are gone — read their "digest_memo.*"
-// and "canonical.*" aggregates from the registry.  Each instrumented object
-// holds OwnedCounter cells allocated from the registry.  An OwnedCounter
-// counts for exactly one object — stats() reads only its own cells — while
-// the named aggregate it belongs to accumulates fleet-wide: live cells are
+// Per-object views.  The remaining stats() accessors (VmiSessionPool,
+// ShardCoordinator) are *views* over the registry; the VmiSession,
+// DigestTable and CanonicalPool views are gone — read their "vmi.*",
+// "digest_memo.*" and "canonical.*" aggregates from the registry.  Each
+// instrumented object holds OwnedCounter cells allocated from the
+// registry.  An OwnedCounter counts for exactly one object — stats() reads
+// only its own cells — while the named aggregate it belongs to accumulates fleet-wide: live cells are
 // summed into snapshots and a dying cell folds its final value into the
 // aggregate's retired total, so registry totals stay monotonic across
 // object churn.
@@ -112,7 +112,7 @@ class Counter {
 };
 
 /// Per-object cell of a named counter.  Move-only; counts only what its
-/// owner contributed (the basis of the legacy stats() views), while the
+/// owner contributed (the basis of the per-object stats() views), while the
 /// named aggregate sees live cells plus a retired total folded in when the
 /// cell dies.  A default-constructed (detached) cell is a no-op.
 class OwnedCounter {

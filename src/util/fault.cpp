@@ -18,6 +18,8 @@ const char* to_string(FaultCode code) {
       return "domain-gone";
     case FaultCode::kUnrecognizedBuild:
       return "unrecognized-build";
+    case FaultCode::kLoaderListCycle:
+      return "loader-list-cycle";
   }
   return "unknown-fault";
 }

@@ -7,11 +7,10 @@
 // the taxonomy: every fault observed on the scan hot path becomes a
 // FaultRecord that travels in Result-style returns (`Fallible<T>` /
 // `MaybeFault`) from the VMI layer up through the CheckPipeline into the
-// reports.  Exceptions remain reserved for genuine API misuse
-// (InvalidArgument, NotFoundError on a nonexistent domain) and for the
-// legacy throwing wrappers, which raise GuestFaultError — a VmiError
-// subclass carrying the record — so pre-refactor callers and tests keep
-// their contract.
+// reports.  There is no throwing guest-read path: exceptions are reserved
+// for genuine API misuse (InvalidArgument, an unknown symbol name) and a
+// nonexistent domain at attach (NotFoundError), which the pipeline turns
+// into kDomainGone.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +33,7 @@ enum class FaultCode : std::uint8_t {
   kDebugBlockMissing,  // KDBG-style scan found no debug block
   kDomainGone,         // domain disappeared between list and attach
   kUnrecognizedBuild,  // debug-block version id matches no known profile
+  kLoaderListCycle,    // loader-list walk never returned to its head
 };
 
 /// Which pipeline stage observed the fault.
@@ -65,23 +65,6 @@ struct FaultRecord {
 
 /// "Dom3 acquire attempt 2: read-fault at va=0x... — detail".
 std::string format_fault(const FaultRecord& record);
-
-/// Thrown by the legacy (throwing) VMI entry points when the underlying
-/// fault-returning core observes a guest fault.  Derives VmiError so every
-/// pre-refactor `catch (const VmiError&)` / EXPECT_THROW keeps working;
-/// new code catches this type and converts back to the record.
-class GuestFaultError : public VmiError {
- public:
-  explicit GuestFaultError(FaultRecord record)
-      : VmiError(record.detail.empty() ? std::string(to_string(record.code))
-                                       : record.detail),
-        record_(std::move(record)) {}
-
-  const FaultRecord& record() const { return record_; }
-
- private:
-  FaultRecord record_;
-};
 
 /// Result-style return: either a value or the fault that prevented it.
 /// Deliberately minimal (no monadic sugar) — call sites read as

@@ -53,22 +53,6 @@ bool VmiSession::revalidate_translations() {
   return true;
 }
 
-VmiStats VmiSession::stats() const {
-  VmiStats snap;
-  snap.pages_mapped = counters_.pages_mapped.value();
-  snap.bytes_copied = counters_.bytes_copied.value();
-  snap.translations = counters_.translations.value();
-  snap.translation_cache_hits = counters_.translation_cache_hits.value();
-  snap.read_calls = counters_.read_calls.value();
-  snap.kdbg_frames_scanned = counters_.kdbg_frames_scanned.value();
-  snap.batched_pages = counters_.batched_pages.value();
-  snap.session_reuses = counters_.session_reuses.value();
-  snap.faults_observed = counters_.faults_observed.value();
-  snap.view_reads = counters_.view_reads.value();
-  snap.view_bytes = counters_.view_bytes.value();
-  return snap;
-}
-
 void VmiSession::charge(SimNanos nanos) {
   clock_->set_slowdown(hypervisor_->dom0_slowdown());
   clock_->charge(nanos);
@@ -126,6 +110,20 @@ MaybeFault VmiSession::try_ensure_debug_block() {
   return std::nullopt;
 }
 
+Fallible<std::uint32_t> VmiSession::try_symbol_to_va(
+    const std::string& symbol) {
+  if (MaybeFault f = try_ensure_debug_block()) {
+    return std::move(*f);
+  }
+  if (symbol == "PsLoadedModuleList") {
+    return *ps_loaded_module_list_va_;
+  }
+  if (symbol == "KernBase") {
+    return *kernel_base_va_;
+  }
+  throw VmiError("unknown kernel symbol: " + symbol);
+}
+
 Fallible<std::uint32_t> VmiSession::try_guest_version() {
   if (MaybeFault f = try_ensure_debug_block()) {
     return std::move(*f);
@@ -176,7 +174,13 @@ Fallible<std::uint64_t> VmiSession::try_translate_kv2p(std::uint32_t va) {
     return make_fault(FaultCode::kTranslationFault, va, 0,
                       "unmapped guest VA (no PDE) in translate_kv2p");
   }
+  // A hostile guest can point a PDE or PTE anywhere; a frame beyond its
+  // RAM fails as a read would, before the walk touches it.
   const std::uint64_t pt_base = pde & ~std::uint64_t{kPageMask};
+  if (pt_base >= mem.size()) {
+    return make_fault(FaultCode::kReadFault, va, pt_base,
+                      "page table frame beyond guest RAM in translate_kv2p");
+  }
   const auto pt_frame = static_cast<std::uint32_t>(pt_base >> vmm::kFrameShift);
   const auto [table, added] = page_tables_.try_emplace(va >> 22, pt_frame);
   if (added || table->second != pt_frame) {
@@ -190,6 +194,10 @@ Fallible<std::uint64_t> VmiSession::try_translate_kv2p(std::uint32_t va) {
                       "unmapped guest VA (no PTE) in translate_kv2p");
   }
   const std::uint64_t frame_pa = pte & ~std::uint64_t{kPageMask};
+  if (frame_pa >= mem.size()) {
+    return make_fault(FaultCode::kReadFault, va, frame_pa,
+                      "page frame beyond guest RAM in translate_kv2p");
+  }
   v2p_cache_.emplace(page, frame_pa);
   return frame_pa | (va & kPageMask);
 }
@@ -441,75 +449,6 @@ void VmiSession::watch_rearm(vmm::WriteWatch::WatchId watch) {
 
 void VmiSession::unwatch(vmm::WriteWatch::WatchId watch) {
   hypervisor_->write_watch().unregister(watch);
-}
-
-// ---- Legacy throwing wrappers ----------------------------------------------
-
-std::uint32_t VmiSession::symbol_to_va(const std::string& symbol) {
-  if (MaybeFault f = try_ensure_debug_block()) {
-    throw GuestFaultError(std::move(*f));
-  }
-  if (symbol == "PsLoadedModuleList") {
-    return *ps_loaded_module_list_va_;
-  }
-  if (symbol == "KernBase") {
-    return *kernel_base_va_;
-  }
-  throw VmiError("unknown kernel symbol: " + symbol);
-}
-
-std::uint32_t VmiSession::guest_version() {
-  Fallible<std::uint32_t> version = try_guest_version();
-  if (!version.ok()) {
-    throw GuestFaultError(std::move(version.fault()));
-  }
-  return version.value();
-}
-
-std::uint64_t VmiSession::translate_kv2p(std::uint32_t va) {
-  Fallible<std::uint64_t> pa = try_translate_kv2p(va);
-  if (!pa.ok()) {
-    throw GuestFaultError(std::move(pa.fault()));
-  }
-  return pa.value();
-}
-
-void VmiSession::read_va(std::uint32_t va, MutableByteView out) {
-  if (MaybeFault f = try_read_va(va, out)) {
-    throw GuestFaultError(std::move(*f));
-  }
-}
-
-std::uint32_t VmiSession::read_u32(std::uint32_t va) {
-  Fallible<std::uint32_t> value = try_read_u32(va);
-  if (!value.ok()) {
-    throw GuestFaultError(std::move(value.fault()));
-  }
-  return value.value();
-}
-
-std::uint16_t VmiSession::read_u16(std::uint32_t va) {
-  Fallible<std::uint16_t> value = try_read_u16(va);
-  if (!value.ok()) {
-    throw GuestFaultError(std::move(value.fault()));
-  }
-  return value.value();
-}
-
-Bytes VmiSession::read_region(std::uint32_t va, std::size_t len) {
-  Fallible<Bytes> out = try_read_region(va, len);
-  if (!out.ok()) {
-    throw GuestFaultError(std::move(out.fault()));
-  }
-  return std::move(out.value());
-}
-
-std::string VmiSession::read_unicode_string(std::uint32_t us_va) {
-  Fallible<std::string> out = try_read_unicode_string(us_va);
-  if (!out.ok()) {
-    throw GuestFaultError(std::move(out.fault()));
-  }
-  return std::move(out.value());
 }
 
 }  // namespace mc::vmi

@@ -7,19 +7,18 @@
 // strategy LibVMI uses to find PsLoadedModuleList on Windows guests.
 //
 // Every operation charges simulated time (scaled by the hypervisor's
-// current contention factor) to the session's SimClock, and updates access
-// statistics.  There is deliberately no write path: the paper's threat
-// model has ModChecker strictly observing (§III-B: "performs read-only
-// operations of the memory of guest VMs").
+// current contention factor) to the session's SimClock, and counts its
+// accesses in the telemetry registry ("vmi.*").  There is deliberately no
+// write path: the paper's threat model has ModChecker strictly observing
+// (§III-B: "performs read-only operations of the memory of guest VMs").
 //
-// Fault model: the `try_*` methods are the primary API — a failed guest
-// read or translation (real, or injected by the hypervisor's
-// FaultInjector) comes back as a FaultRecord in a Fallible/MaybeFault
-// return, never as control flow.  The historical throwing methods remain
-// as thin wrappers that raise GuestFaultError (a VmiError) carrying the
-// same record, so legacy callers and tests keep their contract; genuine
-// API misuse (nonexistent domain at attach, unknown symbol name) still
-// throws NotFoundError / VmiError directly.
+// Fault model: every guest read is a `try_*` method, as LibVMI reports a
+// failed read as a status value.  A failed guest read or translation
+// (real, injected by the hypervisor's FaultInjector, or a hostile page
+// table pointing outside guest RAM) comes back as a FaultRecord in a
+// Fallible/MaybeFault return, never as control flow.  Only API misuse
+// throws: NotFoundError for a nonexistent domain at attach, VmiError for
+// an unknown symbol name.
 //
 // Translation validity: the V2P cache outlives a scan in a pooled session,
 // so the session notes every page-table frame it walks with the
@@ -48,36 +47,6 @@
 
 namespace mc::vmi {
 
-/// Deprecated view: a point-in-time snapshot of one session's counters,
-/// which now live in the telemetry registry (aggregate names "vmi.*").
-/// Kept so existing callers and tests read the same fields they always did.
-// mc-lint: allow(adhoc-stats)
-struct VmiStats {
-  std::uint64_t pages_mapped = 0;
-  std::uint64_t bytes_copied = 0;
-  std::uint64_t translations = 0;
-  std::uint64_t translation_cache_hits = 0;
-  std::uint64_t read_calls = 0;
-  std::uint64_t kdbg_frames_scanned = 0;
-  /// Pages that rode an existing mapping because their frame was physically
-  /// contiguous with the previous one (charged `page_map_batched`, not
-  /// `page_map`).
-  std::uint64_t batched_pages = 0;
-  /// Times this session was checked out again from a VmiSessionPool — the
-  /// cross-scan reuse counter (each reuse skips attach + debug-block scan
-  /// and keeps the V2P cache warm).
-  std::uint64_t session_reuses = 0;
-  /// Faults surfaced by this session (injected or real), counted at the
-  /// point of observation.
-  std::uint64_t faults_observed = 0;
-  /// Zero-copy reads served as borrowed GuestViews (and the bytes they
-  /// exposed without copying).  A clean pool scan should see view_bytes
-  /// carry the module images while bytes_copied stays at the small typed
-  /// reads (list walking, UNICODE_STRINGs).
-  std::uint64_t view_reads = 0;
-  std::uint64_t view_bytes = 0;
-};
-
 class VmiSession {
  public:
   /// Attaches to `domain` (throws NotFoundError if absent — attaching to a
@@ -89,11 +58,6 @@ class VmiSession {
              telemetry::MetricRegistry* metrics = nullptr);
 
   vmm::DomainId domain_id() const { return domain_id_; }
-
-  /// Coherent snapshot of this session's counters.  Safe to call while
-  /// another thread is inside read_va: every counter is an atomic registry
-  /// cell (the historical plain-struct version tore under concurrency).
-  VmiStats stats() const;
 
   SimClock& clock() { return *clock_; }
   const VmiCostModel& costs() const { return costs_; }
@@ -112,13 +76,20 @@ class VmiSession {
   /// bookkeeping).  True when it dropped them.
   bool revalidate_translations();
 
-  // ---- Fault-returning core (the scan hot path) ----------------------------
+  // ---- Guest reads --------------------------------------------------------
+
+  /// Resolves an exported kernel symbol ("PsLoadedModuleList",
+  /// "KernBase").  First call triggers the debug-block scan.  An unknown
+  /// symbol name is API misuse and throws VmiError.
+  Fallible<std::uint32_t> try_symbol_to_va(const std::string& symbol);
 
   /// The guest OS build id from the debug block (triggers the scan).
+  /// Profile-aware consumers map it with guestos::find_profile_by_version.
   Fallible<std::uint32_t> try_guest_version();
 
   /// Kernel-virtual to physical translation (cached).  Injected and real
-  /// translation faults come back as records.
+  /// translation faults come back as records; a page-table or page frame
+  /// beyond guest RAM is a kReadFault.
   Fallible<std::uint64_t> try_translate_kv2p(std::uint32_t va);
 
   /// Reads guest memory by kernel-virtual address, page by page: each page
@@ -193,24 +164,6 @@ class VmiSession {
   /// Drops a watch registration.
   void unwatch(vmm::WriteWatch::WatchId watch);
 
-  // ---- Legacy throwing wrappers --------------------------------------------
-  // Each forwards to its try_* core and raises GuestFaultError on a fault.
-
-  /// Resolves an exported kernel symbol ("PsLoadedModuleList",
-  /// "KernBase").  First call triggers the debug-block scan.  An unknown
-  /// symbol name is API misuse and throws plain VmiError.
-  std::uint32_t symbol_to_va(const std::string& symbol);
-
-  /// Profile-aware consumers map the id with guestos::profile_by_version.
-  std::uint32_t guest_version();
-
-  std::uint64_t translate_kv2p(std::uint32_t va);
-  void read_va(std::uint32_t va, MutableByteView out);
-  std::uint32_t read_u32(std::uint32_t va);
-  std::uint16_t read_u16(std::uint32_t va);
-  Bytes read_region(std::uint32_t va, std::size_t len);
-  std::string read_unicode_string(std::uint32_t us_va);
-
  private:
   void charge(SimNanos nanos);
 
@@ -235,7 +188,8 @@ class VmiSession {
                          std::string detail);
 
   /// Atomic per-session cells of the fleet-wide "vmi.*" aggregates; hot-path
-  /// increments are relaxed fetch_adds, so stats() never tears.
+  /// increments are relaxed fetch_adds, so a concurrent registry read never
+  /// tears.
   struct SessionCounters {
     telemetry::OwnedCounter pages_mapped;
     telemetry::OwnedCounter bytes_copied;

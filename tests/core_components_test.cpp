@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "modchecker/checker.hpp"
 #include "modchecker/parser.hpp"
 #include "modchecker/searcher.hpp"
@@ -14,6 +15,7 @@ namespace {
 
 using namespace mc;
 using namespace mc::core;
+using mc::test::must;
 
 class CoreComponentsTest : public ::testing::Test {
  protected:
@@ -36,7 +38,7 @@ class CoreComponentsTest : public ::testing::Test {
 TEST_F(CoreComponentsTest, ListModulesMatchesLoaderState) {
   auto s = session(0);
   ModuleSearcher searcher(s);
-  const auto modules = searcher.list_modules();
+  const auto modules = must(searcher.try_list_modules());
   const auto& expected = env_->loader(env_->guests()[0]).loaded();
   ASSERT_EQ(modules.size(), expected.size());
   for (std::size_t i = 0; i < modules.size(); ++i) {
@@ -50,7 +52,7 @@ TEST_F(CoreComponentsTest, ListModulesMatchesLoaderState) {
 TEST_F(CoreComponentsTest, FindModuleIsCaseInsensitive) {
   auto s = session(0);
   ModuleSearcher searcher(s);
-  const auto found = searcher.find_module("HTTP.SYS");
+  const auto found = must(searcher.try_find_module("HTTP.SYS"));
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->name, "http.sys");
 }
@@ -58,14 +60,14 @@ TEST_F(CoreComponentsTest, FindModuleIsCaseInsensitive) {
 TEST_F(CoreComponentsTest, FindMissingModuleReturnsNothing) {
   auto s = session(0);
   ModuleSearcher searcher(s);
-  EXPECT_FALSE(searcher.find_module("rootkit.sys").has_value());
-  EXPECT_FALSE(searcher.extract_module("rootkit.sys").has_value());
+  EXPECT_FALSE(must(searcher.try_find_module("rootkit.sys")).has_value());
+  EXPECT_FALSE(must(searcher.try_extract_module("rootkit.sys")).has_value());
 }
 
 TEST_F(CoreComponentsTest, ExtractCopiesWholeImage) {
   auto s = session(0);
   ModuleSearcher searcher(s);
-  const auto image = searcher.extract_module("hal.dll");
+  const auto image = must(searcher.try_extract_module("hal.dll"));
   ASSERT_TRUE(image.has_value());
 
   const auto* rec = env_->loader(env_->guests()[0]).find("hal.dll");
@@ -87,12 +89,12 @@ TEST_F(CoreComponentsTest, SearchStopsEarlyOnMatch) {
   SimClock c1;
   {
     vmi::VmiSession s(env_->hypervisor(), env_->guests()[0], c1);
-    ModuleSearcher(s).find_module("ntoskrnl.exe");
+    must(ModuleSearcher(s).try_find_module("ntoskrnl.exe"));
   }
   SimClock c2;
   {
     vmi::VmiSession s(env_->hypervisor(), env_->guests()[0], c2);
-    ModuleSearcher(s).find_module("dummy.sys");
+    must(ModuleSearcher(s).try_find_module("dummy.sys"));
   }
   EXPECT_LT(c1.now(), c2.now());
 }
@@ -101,7 +103,7 @@ TEST_F(CoreComponentsTest, SearchStopsEarlyOnMatch) {
 TEST_F(CoreComponentsTest, ParserProducesItemsAndChargesTime) {
   auto s = session(0);
   ModuleSearcher searcher(s);
-  const auto image = searcher.extract_module("http.sys");
+  const auto image = must(searcher.try_extract_module("http.sys"));
   ASSERT_TRUE(image.has_value());
 
   SimClock parse_clock;
@@ -117,7 +119,7 @@ TEST_F(CoreComponentsTest, ParserProducesItemsAndChargesTime) {
 TEST_F(CoreComponentsTest, ParserRejectsCorruptImage) {
   auto s = session(0);
   ModuleSearcher searcher(s);
-  auto image = searcher.extract_module("dummy.sys");
+  auto image = must(searcher.try_extract_module("dummy.sys"));
   ASSERT_TRUE(image.has_value());
   image->bytes[0] = 'X';  // destroy MZ magic
 
@@ -133,8 +135,8 @@ TEST_F(CoreComponentsTest, CrossVmComparisonMatchesDespiteDifferentBases) {
 
   auto s0 = session(0);
   auto s1 = session(1);
-  const auto img0 = ModuleSearcher(s0).extract_module("http.sys");
-  const auto img1 = ModuleSearcher(s1).extract_module("http.sys");
+  const auto img0 = must(ModuleSearcher(s0).try_extract_module("http.sys"));
+  const auto img1 = must(ModuleSearcher(s1).try_extract_module("http.sys"));
   ASSERT_TRUE(img0 && img1);
   ASSERT_NE(img0->base, img1->base);  // relocation really happened
 
@@ -178,9 +180,9 @@ TEST_F(CoreComponentsTest, CompareDoesNotMutateInputs) {
   auto s0 = session(0);
   auto s1 = session(1);
   const ParsedModule p0 =
-      parser.parse(*ModuleSearcher(s0).extract_module("hal.dll"), pc);
+      parser.parse(*must(ModuleSearcher(s0).try_extract_module("hal.dll")), pc);
   const ParsedModule p1 =
-      parser.parse(*ModuleSearcher(s1).extract_module("hal.dll"), pc);
+      parser.parse(*must(ModuleSearcher(s1).try_extract_module("hal.dll")), pc);
 
   const Bytes before0 = p0.items.back().bytes;
   const IntegrityChecker checker;
@@ -199,9 +201,9 @@ TEST_F(CoreComponentsTest, StructuralDivergenceFlagsUnmatchedItems) {
   auto s0 = session(0);
   auto s1 = session(1);
   ParsedModule p0 =
-      parser.parse(*ModuleSearcher(s0).extract_module("hal.dll"), pc);
+      parser.parse(*must(ModuleSearcher(s0).try_extract_module("hal.dll")), pc);
   ParsedModule p1 =
-      parser.parse(*ModuleSearcher(s1).extract_module("hal.dll"), pc);
+      parser.parse(*must(ModuleSearcher(s1).try_extract_module("hal.dll")), pc);
 
   // Simulate an attacker-added section on the subject.
   core::IntegrityItem extra;
@@ -230,9 +232,11 @@ TEST_F(CoreComponentsTest, AlgorithmChoiceChangesDigestWidth) {
   auto s0 = session(0);
   auto s1 = session(1);
   const ParsedModule p0 =
-      parser.parse(*ModuleSearcher(s0).extract_module("dummy.sys"), pc);
+      parser.parse(
+          *must(ModuleSearcher(s0).try_extract_module("dummy.sys")), pc);
   const ParsedModule p1 =
-      parser.parse(*ModuleSearcher(s1).extract_module("dummy.sys"), pc);
+      parser.parse(
+          *must(ModuleSearcher(s1).try_extract_module("dummy.sys")), pc);
 
   SimClock cc;
   const auto md5_cmp = IntegrityChecker(crypto::HashAlgorithm::kMd5)

@@ -8,6 +8,7 @@
 #include "attacks/inline_hook.hpp"
 #include "cloud/catalog.hpp"
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/searcher.hpp"
 #include "modchecker/triage.hpp"
@@ -18,6 +19,7 @@
 namespace {
 
 using namespace mc;
+using mc::test::must;
 
 std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
   cloud::CloudConfig cfg;
@@ -61,8 +63,8 @@ TEST(Dump, RoundTripPreservesIntrospectionView) {
                           dump_clock);
 
   // The module list seen through the dump equals the live view.
-  const auto live_mods = core::ModuleSearcher(live).list_modules();
-  const auto dump_mods = core::ModuleSearcher(offline).list_modules();
+  const auto live_mods = must(core::ModuleSearcher(live).try_list_modules());
+  const auto dump_mods = must(core::ModuleSearcher(offline).try_list_modules());
   ASSERT_EQ(live_mods.size(), dump_mods.size());
   for (std::size_t i = 0; i < live_mods.size(); ++i) {
     EXPECT_EQ(live_mods[i].name, dump_mods[i].name);
@@ -70,9 +72,10 @@ TEST(Dump, RoundTripPreservesIntrospectionView) {
   }
 
   // Whole-module extraction is byte-identical.
-  const auto live_img = core::ModuleSearcher(live).extract_module("hal.dll");
+  const auto live_img =
+      must(core::ModuleSearcher(live).try_extract_module("hal.dll"));
   const auto dump_img =
-      core::ModuleSearcher(offline).extract_module("hal.dll");
+      must(core::ModuleSearcher(offline).try_extract_module("hal.dll"));
   ASSERT_TRUE(live_img && dump_img);
   EXPECT_EQ(live_img->bytes, dump_img->bytes);
 }
@@ -87,7 +90,8 @@ TEST(Dump, CapturesInfectionEvidence) {
   const vmi::DumpAnalysis analysis(dump);
   SimClock clock;
   vmi::VmiSession session(analysis.hypervisor(), analysis.domain_id(), clock);
-  const auto image = core::ModuleSearcher(session).extract_module("hal.dll");
+  const auto image =
+      must(core::ModuleSearcher(session).try_extract_module("hal.dll"));
   ASSERT_TRUE(image.has_value());
   // The entry has the 0xE9 hook (attack writes a jmp at the entry point).
   const pe::ParsedImage parsed(image->bytes);

@@ -10,6 +10,7 @@
 #include "baselines/pioneer_style.hpp"
 #include "cloud/catalog.hpp"
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "modchecker/forensics.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/parser.hpp"
@@ -23,6 +24,7 @@ namespace {
 
 using namespace mc;
 using namespace mc::core;
+using mc::test::must;
 
 std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
   cloud::CloudConfig cfg;
@@ -115,9 +117,11 @@ TEST(Strings, ForensicContextForStubPatch) {
   vmi::VmiSession rs(env->hypervisor(), env->guests()[1], clock);
   const ModuleParser parser;
   const auto sub =
-      parser.parse(*ModuleSearcher(vs).extract_module("dummy.sys"), clock);
+      parser.parse(
+          *must(ModuleSearcher(vs).try_extract_module("dummy.sys")), clock);
   const auto ref =
-      parser.parse(*ModuleSearcher(rs).extract_module("dummy.sys"), clock);
+      parser.parse(
+          *must(ModuleSearcher(rs).try_extract_module("dummy.sys")), clock);
   const auto report = analyze_divergence(sub, ref, "IMAGE_DOS_HEADER");
   EXPECT_EQ(report.classification, DivergenceClass::kHeaderField);
   EXPECT_NE(report.context_string.find("cannot be run in CHK mode"),

@@ -9,6 +9,7 @@
 #include "attacks/header_tamper.hpp"
 #include "attacks/inline_hook.hpp"
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "modchecker/forensics.hpp"
 #include "modchecker/parser.hpp"
 #include "modchecker/searcher.hpp"
@@ -18,6 +19,7 @@ namespace {
 
 using namespace mc;
 using namespace mc::core;
+using mc::test::must;
 
 class ForensicsTest : public ::testing::Test {
  protected:
@@ -33,7 +35,7 @@ class ForensicsTest : public ::testing::Test {
     vmi::VmiSession session(env_->hypervisor(),
                             env_->guests()[guest_index], clock);
     ModuleSearcher searcher(session);
-    const auto image = searcher.extract_module(module);
+    const auto image = must(searcher.try_extract_module(module));
     EXPECT_TRUE(image.has_value());
     return ModuleParser().parse(*image, clock);
   }

@@ -31,6 +31,7 @@
 #include "attacks/opcode_replace.hpp"
 #include "attacks/stub_patch.hpp"
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/parser.hpp"
@@ -44,6 +45,7 @@ namespace {
 
 using namespace mc;
 using namespace mc::core;
+using mc::test::must;
 
 std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
   cloud::CloudConfig cfg;
@@ -79,7 +81,7 @@ LegacyCopy legacy_grab(cloud::CloudEnvironment& env, vmm::DomainId vm,
     vmi::VmiSession session(env.hypervisor(), vm, searcher_clock,
                             cfg.vmi_costs);
     ModuleSearcher searcher(session);  // mc-lint: allow(pipeline-bypass)
-    image = searcher.extract_module(module);
+    image = must(searcher.try_extract_module(module));
   }
   if (!image) {
     return copy;
@@ -340,7 +342,7 @@ TEST(CrossEntryPoint, CompareListsMatchesDirectSearcherWalk) {
     vmi::VmiSession session(env->hypervisor(), vm, clock,
                             ModCheckerConfig{}.vmi_costs);
     ModuleSearcher searcher(session);  // mc-lint: allow(pipeline-bypass)
-    for (const auto& info : searcher.list_modules()) {
+    for (const auto& info : must(searcher.try_list_modules())) {
       all_modules.insert(info.name);
       presence[info.name].insert(vm);
     }

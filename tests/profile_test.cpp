@@ -7,6 +7,7 @@
 
 #include "attacks/inline_hook.hpp"
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "guestos/profile.hpp"
 #include "modchecker/audit.hpp"
 #include "modchecker/modchecker.hpp"
@@ -16,6 +17,7 @@
 namespace {
 
 using namespace mc;
+using mc::test::must;
 using guestos::win2003_sp1_profile;
 using guestos::winxp_sp2_profile;
 
@@ -47,8 +49,8 @@ TEST(Profiles, VmiIdentifiesGuestBuild) {
   SimClock clock;
   vmi::VmiSession xp(env->hypervisor(), env->guests()[0], clock);
   vmi::VmiSession w2k3(env->hypervisor(), env->guests()[4], clock);
-  EXPECT_EQ(xp.guest_version(), winxp_sp2_profile().version_id);
-  EXPECT_EQ(w2k3.guest_version(), win2003_sp1_profile().version_id);
+  EXPECT_EQ(must(xp.try_guest_version()), winxp_sp2_profile().version_id);
+  EXPECT_EQ(must(w2k3.try_guest_version()), win2003_sp1_profile().version_id);
 }
 
 TEST(Profiles, SearcherReadsBothLayoutsCorrectly) {
@@ -57,11 +59,11 @@ TEST(Profiles, SearcherReadsBothLayoutsCorrectly) {
     SimClock clock;
     vmi::VmiSession session(env->hypervisor(), env->guests()[idx], clock);
     core::ModuleSearcher searcher(session);
-    const auto modules = searcher.list_modules();
+    const auto modules = must(searcher.try_list_modules());
     ASSERT_EQ(modules.size(), env->config().load_order.size())
         << "guest " << idx;
     const auto* hal = env->loader(env->guests()[idx]).find("hal.dll");
-    const auto found = searcher.find_module("hal.dll");
+    const auto found = must(searcher.try_find_module("hal.dll"));
     ASSERT_TRUE(found.has_value());
     EXPECT_EQ(found->base, hal->base) << "guest " << idx;
     EXPECT_EQ(found->size_of_image, hal->size_of_image);
@@ -71,7 +73,7 @@ TEST(Profiles, SearcherReadsBothLayoutsCorrectly) {
 TEST(Profiles, GroupingSplitsThePoolByVersion) {
   auto env = mixed_env();
   const auto groups =
-      core::group_by_guest_version(env->hypervisor(), env->guests());
+      core::group_pool_by_version(env->hypervisor(), env->guests()).recognized;
   ASSERT_EQ(groups.size(), 2u);
   EXPECT_EQ(groups.at(winxp_sp2_profile().version_id).size(), 4u);
   EXPECT_EQ(groups.at(win2003_sp1_profile().version_id).size(), 2u);
@@ -80,7 +82,7 @@ TEST(Profiles, GroupingSplitsThePoolByVersion) {
 TEST(Profiles, SameVersionGroupsCheckClean) {
   auto env = mixed_env();
   const auto groups =
-      core::group_by_guest_version(env->hypervisor(), env->guests());
+      core::group_pool_by_version(env->hypervisor(), env->guests()).recognized;
   core::ModChecker checker(env->hypervisor());
 
   // The XP group (4 VMs) must self-verify clean.
@@ -101,7 +103,7 @@ TEST(Profiles, InfectionDetectedInsideAVersionGroup) {
   // Infect one XP guest; its (same-version) peers convict it.
   attacks::InlineHookAttack{}.apply(*env, env->guests()[1], "hal.dll");
   const auto groups =
-      core::group_by_guest_version(env->hypervisor(), env->guests());
+      core::group_pool_by_version(env->hypervisor(), env->guests()).recognized;
   const auto& xp_pool = groups.at(winxp_sp2_profile().version_id);
 
   core::ModChecker checker(env->hypervisor());

@@ -12,6 +12,7 @@
 
 #include "attacks/byte_patch.hpp"
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/parser.hpp"
 #include "modchecker/searcher.hpp"
@@ -21,6 +22,7 @@
 namespace {
 
 using namespace mc;
+using mc::test::must;
 
 /// How strictly the flagged-item set must match.
 enum class Expect {
@@ -57,7 +59,7 @@ class DetectAnyChange : public ::testing::TestWithParam<PatchCase> {
     SimClock clock;
     vmi::VmiSession session(env_->hypervisor(), env_->guests()[0], clock);
     core::ModuleSearcher searcher(session);
-    const auto image = searcher.extract_module(module);
+    const auto image = must(searcher.try_extract_module(module));
     EXPECT_TRUE(image.has_value());
     const core::ModuleParser parser;
     for (auto& item : parser.parse(*image, clock).items) {
@@ -153,7 +155,8 @@ TEST_P(ExcludedSurface, WritableDataChangesAreNotFlagged) {
   // Locate .data within the victim's image and flip a byte mid-section.
   SimClock clock;
   vmi::VmiSession session(env.hypervisor(), env.guests()[0], clock);
-  const auto image = core::ModuleSearcher(session).extract_module(module);
+  const auto image =
+      must(core::ModuleSearcher(session).try_extract_module(module));
   ASSERT_TRUE(image.has_value());
   const pe::ParsedImage parsed(image->bytes);
   const auto* data = parsed.find_section(".data");
@@ -184,7 +187,8 @@ TEST_P(TextFuzz, EveryTextOffsetClassIsCaught) {
 
   SimClock clock;
   vmi::VmiSession session(env.hypervisor(), env.guests()[0], clock);
-  const auto image = core::ModuleSearcher(session).extract_module("tcpip.sys");
+  const auto image =
+      must(core::ModuleSearcher(session).try_extract_module("tcpip.sys"));
   ASSERT_TRUE(image.has_value());
   const pe::ParsedImage parsed(image->bytes);
   const auto* text = parsed.find_section(".text");

@@ -1,6 +1,6 @@
 // Telemetry substrate tests: registry semantics (counters, owned cells,
 // gauges, histogram bucket edges), span nesting and ordering under a real
-// thread pool, the VmiSession stats()-during-read torn-snapshot regression,
+// thread pool, the registry-read-during-guest-reads torn-counter regression,
 // and the differential guarantee that telemetry-off report JSON is
 // byte-identical to a run with no telemetry configured at all.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "json_validator.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/report_json.hpp"
@@ -24,6 +25,7 @@
 namespace {
 
 using namespace mc;
+using mc::test::must;
 
 // ---- registry --------------------------------------------------------------
 
@@ -278,24 +280,29 @@ TEST(TraceRecorder, ChromeTraceEscapesControlBytesInArgs) {
 
 // ---- VmiSession torn-snapshot regression -----------------------------------
 
-// Hammers stats() from one thread while another performs guest reads.
-// With the historical plain-struct counters this was a data race (torn
-// 64-bit reads) that TSan flags; the registry cells make it clean.
+// Reads a session's registry counter from one thread while another
+// performs guest reads.  With the historical plain-struct counters this was
+// a data race (torn 64-bit reads) that TSan flags; the registry cells make
+// it clean.
 TEST(VmiSessionStats, SnapshotDuringConcurrentReadsIsRaceFree) {
   cloud::CloudConfig cfg;
   cfg.guest_count = 2;
   cloud::CloudEnvironment env(cfg);
   SimClock clock;
-  vmi::VmiSession session(env.hypervisor(), env.guests()[0], clock);
+  telemetry::MetricRegistry metrics;
+  vmi::VmiSession session(env.hypervisor(), env.guests()[0], clock, {},
+                          &metrics);
+  const telemetry::Counter read_calls = metrics.counter("vmi.read_calls");
   // A guaranteed-mapped kernel VA: the loader list head itself.
-  const std::uint32_t list_va = session.symbol_to_va("PsLoadedModuleList");
+  const std::uint32_t list_va =
+      must(session.try_symbol_to_va("PsLoadedModuleList"));
 
   std::atomic<bool> stop{false};
   ThreadPool pool(2);
   auto reader = pool.submit([&] {
     Bytes buf(8);  // LIST_ENTRY {Flink, Blink}
     for (int i = 0; i < 300; ++i) {
-      session.read_va(list_va, MutableByteView(buf));
+      EXPECT_FALSE(session.try_read_va(list_va, MutableByteView(buf)));
     }
     stop.store(true);
   });
@@ -303,15 +310,15 @@ TEST(VmiSessionStats, SnapshotDuringConcurrentReadsIsRaceFree) {
     std::uint64_t last = 0;
     // Bounded so a reader failure can never wedge the pool join.
     for (long i = 0; i < 200000000L && !stop.load(); ++i) {
-      const vmi::VmiStats s = session.stats();
-      EXPECT_GE(s.read_calls, last);  // monotone under concurrency
-      last = s.read_calls;
+      const std::uint64_t now = read_calls.value();
+      EXPECT_GE(now, last);  // monotone under concurrency
+      last = now;
     }
     return last;
   });
   reader.get();
   observer.get();
-  EXPECT_GE(session.stats().read_calls, 300u);
+  EXPECT_GE(read_calls.value(), 300u);
 }
 
 // ---- differential byte-identity --------------------------------------------

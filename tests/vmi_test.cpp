@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "guestos/winlike.hpp"
 #include "vmi/session.hpp"
 #include "vmi/session_pool.hpp"
@@ -14,6 +15,8 @@
 namespace {
 
 using namespace mc;
+using test::fault_code;
+using test::must;
 
 class VmiTest : public ::testing::Test {
  protected:
@@ -25,8 +28,14 @@ class VmiTest : public ::testing::Test {
 
   vmm::DomainId guest() const { return env_->guests()[0]; }
 
+  /// The session-owned "vmi.*" counter `name`, read from metrics_.
+  std::uint64_t counter(const std::string& name) {
+    return metrics_.counter("vmi." + name).value();
+  }
+
   std::unique_ptr<cloud::CloudEnvironment> env_;
   SimClock clock_;
+  telemetry::MetricRegistry metrics_;
 };
 
 TEST_F(VmiTest, AttachToMissingDomainThrows) {
@@ -40,24 +49,24 @@ TEST_F(VmiTest, AttachChargesTime) {
 }
 
 TEST_F(VmiTest, DebugBlockScanResolvesSymbols) {
-  vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
-  const std::uint32_t va = session.symbol_to_va("PsLoadedModuleList");
+  vmi::VmiSession session(env_->hypervisor(), guest(), clock_, {}, &metrics_);
+  const std::uint32_t va = must(session.try_symbol_to_va("PsLoadedModuleList"));
   EXPECT_EQ(va, env_->kernel(guest()).ps_loaded_module_list_va());
-  EXPECT_GT(session.stats().kdbg_frames_scanned, 0u);
-  EXPECT_EQ(session.symbol_to_va("KernBase"), 0x80000000u);
+  EXPECT_GT(counter("kdbg_frames_scanned"), 0u);
+  EXPECT_EQ(must(session.try_symbol_to_va("KernBase")), 0x80000000u);
 }
 
 TEST_F(VmiTest, UnknownSymbolThrows) {
   vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
-  EXPECT_THROW(session.symbol_to_va("NoSuchSymbol"), VmiError);
+  EXPECT_THROW((void)session.try_symbol_to_va("NoSuchSymbol"), VmiError);
 }
 
 TEST_F(VmiTest, ScanHappensOnce) {
-  vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
-  session.symbol_to_va("PsLoadedModuleList");
-  const auto scanned = session.stats().kdbg_frames_scanned;
-  session.symbol_to_va("PsLoadedModuleList");
-  EXPECT_EQ(session.stats().kdbg_frames_scanned, scanned);
+  vmi::VmiSession session(env_->hypervisor(), guest(), clock_, {}, &metrics_);
+  must(session.try_symbol_to_va("PsLoadedModuleList"));
+  const auto scanned = counter("kdbg_frames_scanned");
+  must(session.try_symbol_to_va("PsLoadedModuleList"));
+  EXPECT_EQ(counter("kdbg_frames_scanned"), scanned);
 }
 
 TEST_F(VmiTest, TranslationMatchesGuestPageTables) {
@@ -65,23 +74,37 @@ TEST_F(VmiTest, TranslationMatchesGuestPageTables) {
   const std::uint32_t va = env_->kernel(guest()).ps_loaded_module_list_va();
   const auto expected = env_->kernel(guest()).address_space().translate(va);
   ASSERT_TRUE(expected.has_value());
-  EXPECT_EQ(session.translate_kv2p(va), *expected);
+  EXPECT_EQ(must(session.try_translate_kv2p(va)), *expected);
 }
 
 TEST_F(VmiTest, TranslationCacheHits) {
-  vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
+  vmi::VmiSession session(env_->hypervisor(), guest(), clock_, {}, &metrics_);
   const std::uint32_t va = env_->kernel(guest()).ps_loaded_module_list_va();
-  session.translate_kv2p(va);
-  const auto hits_before = session.stats().translation_cache_hits;
-  session.translate_kv2p(va + 4);  // same page
-  EXPECT_EQ(session.stats().translation_cache_hits, hits_before + 1);
+  must(session.try_translate_kv2p(va));
+  const auto hits_before = counter("translation_cache_hits");
+  must(session.try_translate_kv2p(va + 4));  // same page
+  EXPECT_EQ(counter("translation_cache_hits"), hits_before + 1);
 }
 
-TEST_F(VmiTest, UnmappedVaThrows) {
+TEST_F(VmiTest, UnmappedVaIsATranslationFault) {
   vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
-  EXPECT_THROW(session.translate_kv2p(0x70000000), VmiError);
+  EXPECT_EQ(fault_code(session.try_translate_kv2p(0x70000000)),
+            FaultCode::kTranslationFault);
   Bytes buf(4, 0);
-  EXPECT_THROW(session.read_va(0x70000000, buf), VmiError);
+  EXPECT_EQ(fault_code(session.try_read_va(0x70000000, buf)),
+            FaultCode::kTranslationFault);
+}
+
+TEST_F(VmiTest, FrameBeyondRamIsAReadFault) {
+  const auto* hal = env_->loader(guest()).find("hal.dll");
+  ASSERT_NE(hal, nullptr);
+  constexpr std::uint64_t kBeyondRam = 0xFFFFF000u;
+  env_->kernel(guest()).address_space().map_page(hal->base, kBeyondRam, true);
+  vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
+  const auto pa = session.try_translate_kv2p(hal->base);
+  ASSERT_FALSE(pa.ok());
+  EXPECT_EQ(pa.fault().code, FaultCode::kReadFault);
+  EXPECT_EQ(pa.fault().pa, kBeyondRam);
 }
 
 TEST_F(VmiTest, ReadsMatchGuestMemory) {
@@ -91,38 +114,40 @@ TEST_F(VmiTest, ReadsMatchGuestMemory) {
 
   // Cross several pages to exercise the chunked path.
   const std::size_t len = 3 * vmm::kFrameSize + 123;
-  const Bytes via_vmi = session.read_region(hal->base, len);
+  const Bytes via_vmi = must(session.try_read_region(hal->base, len));
   Bytes direct(len, 0);
   env_->kernel(guest()).address_space().read_virtual(hal->base, direct);
   EXPECT_EQ(via_vmi, direct);
 }
 
 TEST_F(VmiTest, ReadStatsAccumulate) {
-  vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
+  vmi::VmiSession session(env_->hypervisor(), guest(), clock_, {}, &metrics_);
   const auto* hal = env_->loader(guest()).find("hal.dll");
   ASSERT_NE(hal, nullptr);
-  session.read_region(hal->base, 2 * vmm::kFrameSize);
-  EXPECT_GE(session.stats().pages_mapped, 2u);
-  EXPECT_EQ(session.stats().bytes_copied, 2u * vmm::kFrameSize);
-  EXPECT_GE(session.stats().read_calls, 1u);
+  must(session.try_read_region(hal->base, 2 * vmm::kFrameSize));
+  EXPECT_GE(counter("pages_mapped"), 2u);
+  EXPECT_EQ(counter("bytes_copied"), 2u * vmm::kFrameSize);
+  EXPECT_GE(counter("read_calls"), 1u);
 }
 
 TEST_F(VmiTest, TypedReads) {
   vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
-  const std::uint32_t head = session.symbol_to_va("PsLoadedModuleList");
-  const std::uint32_t flink = session.read_u32(head);
+  const std::uint32_t head =
+      must(session.try_symbol_to_va("PsLoadedModuleList"));
+  const std::uint32_t flink = must(session.try_read_u32(head));
   EXPECT_NE(flink, 0u);
   EXPECT_NE(flink, head);  // modules are loaded
-  const std::uint16_t lo = session.read_u16(head);
+  const std::uint16_t lo = must(session.try_read_u16(head));
   EXPECT_EQ(lo, flink & 0xFFFF);
 }
 
 TEST_F(VmiTest, ReadUnicodeString) {
   vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
-  const std::uint32_t head = session.symbol_to_va("PsLoadedModuleList");
-  const std::uint32_t first_entry = session.read_u32(head);
-  const std::string name = session.read_unicode_string(
-      first_entry + guestos::kOffBaseDllName);
+  const std::uint32_t head =
+      must(session.try_symbol_to_va("PsLoadedModuleList"));
+  const std::uint32_t first_entry = must(session.try_read_u32(head));
+  const std::string name = must(session.try_read_unicode_string(
+      first_entry + guestos::kOffBaseDllName));
   EXPECT_EQ(name, "ntoskrnl.exe");  // first module in load order
 }
 
@@ -137,11 +162,11 @@ TEST_F(VmiTest, CostsScaleWithBytes) {
   ASSERT_NE(hal, nullptr);
 
   const SimNanos before = clock_.now();
-  s1.read_region(hal->base, vmm::kFrameSize);
+  must(s1.try_read_region(hal->base, vmm::kFrameSize));
   const SimNanos small = clock_.now() - before;
 
   const SimNanos before2 = clock_.now();
-  s1.read_region(hal->base, 8 * vmm::kFrameSize);
+  must(s1.try_read_region(hal->base, 8 * vmm::kFrameSize));
   const SimNanos large = clock_.now() - before2;
   EXPECT_GT(large, 4 * small);
 }
@@ -154,7 +179,7 @@ TEST_F(VmiTest, ContentionInflatesCharges) {
   SimClock idle_clock;
   {
     vmi::VmiSession session(env_->hypervisor(), guest(), idle_clock);
-    session.read_region(hal->base, 4 * vmm::kFrameSize);
+    must(session.try_read_region(hal->base, 4 * vmm::kFrameSize));
   }
 
   workload::HeavyLoad heavyload(*env_);
@@ -162,7 +187,7 @@ TEST_F(VmiTest, ContentionInflatesCharges) {
   SimClock loaded_clock;
   {
     vmi::VmiSession session(env_->hypervisor(), guest(), loaded_clock);
-    session.read_region(hal->base, 4 * vmm::kFrameSize);
+    must(session.try_read_region(hal->base, 4 * vmm::kFrameSize));
   }
   EXPECT_GT(loaded_clock.now(), idle_clock.now());
 }
@@ -175,31 +200,37 @@ TEST_F(VmiTest, BatchedReadMatchesUnbatchedByteForByte) {
   vmi::VmiCostModel plain;
   plain.coalesce_reads = false;
   SimClock plain_clock;
-  vmi::VmiSession unbatched(env_->hypervisor(), guest(), plain_clock, plain);
-  const Bytes a = unbatched.read_region(hal->base, len);
+  telemetry::MetricRegistry plain_metrics;
+  vmi::VmiSession unbatched(env_->hypervisor(), guest(), plain_clock, plain,
+                            &plain_metrics);
+  const Bytes a = must(unbatched.try_read_region(hal->base, len));
 
   SimClock batched_clock;
-  vmi::VmiSession batched(env_->hypervisor(), guest(), batched_clock);
-  const Bytes b = batched.read_region(hal->base, len);
+  vmi::VmiSession batched(env_->hypervisor(), guest(), batched_clock, {},
+                          &metrics_);
+  const Bytes b = must(batched.try_read_region(hal->base, len));
 
+  const auto unbatched_counter = [&](const char* name) {
+    return plain_metrics.counter(std::string("vmi.") + name).value();
+  };
   EXPECT_EQ(a, b);
   // Same work copied either way; batching only cheapens the page maps.
-  EXPECT_EQ(batched.stats().bytes_copied, unbatched.stats().bytes_copied);
-  EXPECT_EQ(batched.stats().pages_mapped, unbatched.stats().pages_mapped);
+  EXPECT_EQ(counter("bytes_copied"), unbatched_counter("bytes_copied"));
+  EXPECT_EQ(counter("pages_mapped"), unbatched_counter("pages_mapped"));
   // Module images sit in physically contiguous frames, so the run after
   // the first page coalesces.
-  EXPECT_GT(batched.stats().batched_pages, 0u);
-  EXPECT_EQ(unbatched.stats().batched_pages, 0u);
+  EXPECT_GT(counter("batched_pages"), 0u);
+  EXPECT_EQ(unbatched_counter("batched_pages"), 0u);
   EXPECT_LT(batched_clock.now(), plain_clock.now());
 }
 
 TEST_F(VmiTest, SessionPoolReusesWarmSessions) {
-  vmi::VmiSessionPool pool(env_->hypervisor());
+  vmi::VmiSessionPool pool(env_->hypervisor(), {}, &metrics_);
 
   SimClock first_clock;
   {
     auto lease = pool.acquire(guest(), first_clock);
-    lease->symbol_to_va("PsLoadedModuleList");
+    must(lease->try_symbol_to_va("PsLoadedModuleList"));
   }
   const SimNanos cold = first_clock.now();
 
@@ -207,8 +238,8 @@ TEST_F(VmiTest, SessionPoolReusesWarmSessions) {
   {
     auto lease = pool.acquire(guest(), second_clock);
     // Warm session: symbols resolved, no re-attach, no re-scan.
-    lease->symbol_to_va("PsLoadedModuleList");
-    EXPECT_GT(lease->stats().session_reuses, 0u);
+    must(lease->try_symbol_to_va("PsLoadedModuleList"));
+    EXPECT_GT(counter("session_reuses"), 0u);
   }
   EXPECT_LT(second_clock.now(), cold);
 
@@ -263,7 +294,7 @@ TEST_F(VmiTest, SessionIsReadOnlyByConstruction) {
   env_->kernel(guest()).address_space().read_virtual(hal->base, before);
 
   vmi::VmiSession session(env_->hypervisor(), guest(), clock_);
-  session.read_region(hal->base, hal->size_of_image);
+  must(session.try_read_region(hal->base, hal->size_of_image));
 
   Bytes after(hal->size_of_image, 0);
   env_->kernel(guest()).address_space().read_virtual(hal->base, after);

@@ -10,6 +10,7 @@
 #include "attacks/version_spoof.hpp"
 #include "baselines/lkim_style.hpp"
 #include "cloud/environment.hpp"
+#include "fallible_test_util.hpp"
 #include "modchecker/audit.hpp"
 #include "modchecker/forensics.hpp"
 #include "modchecker/history.hpp"
@@ -25,6 +26,7 @@ namespace {
 
 using namespace mc;
 using namespace mc::core;
+using mc::test::must;
 
 std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
   cloud::CloudConfig cfg;
@@ -58,10 +60,11 @@ TEST(Workflow, RevertThenConvictFromDump) {
   vmi::VmiSession live(env->hypervisor(), env->guests()[0], clock);
   const ModuleParser parser;
   const auto infected =
-      parser.parse(*ModuleSearcher(offline).extract_module("hal.dll"),
+      parser.parse(*must(ModuleSearcher(offline).try_extract_module("hal.dll")),
                    clock);
   const auto reference =
-      parser.parse(*ModuleSearcher(live).extract_module("hal.dll"), clock);
+      parser.parse(
+          *must(ModuleSearcher(live).try_extract_module("hal.dll")), clock);
 
   const auto reports = analyze_all_flagged(infected, reference);
   ASSERT_EQ(reports.size(), 1u);
@@ -162,9 +165,11 @@ TEST(Workflow, HollowingCaughtAndCharacterized) {
   vmi::VmiSession rs(env->hypervisor(), env->guests()[1], clock);
   const ModuleParser parser;
   const auto sub =
-      parser.parse(*ModuleSearcher(vs).extract_module("ntfs.sys"), clock);
+      parser.parse(
+          *must(ModuleSearcher(vs).try_extract_module("ntfs.sys")), clock);
   const auto ref =
-      parser.parse(*ModuleSearcher(rs).extract_module("ntfs.sys"), clock);
+      parser.parse(
+          *must(ModuleSearcher(rs).try_extract_module("ntfs.sys")), clock);
   const auto forensic = analyze_divergence(sub, ref, ".text");
   EXPECT_GT(forensic.differing_bytes,
             sub.items.back().bytes.size() / 2);

@@ -116,7 +116,7 @@ bool is_blocking_callee(const std::string& name) {
       // Guest reads: every one is a simulated long operation.
       "read_va", "try_read_va", "read_region", "try_read_region",
       "read_u32", "try_read_u32", "read_u16", "try_read_u16",
-      "read_unicode_string", "try_read_unicode_string", "symbol_to_va",
+      "read_unicode_string", "try_read_unicode_string", "try_symbol_to_va",
       "guest_version", "try_guest_version",
   };
   return kBlocking.count(name) > 0;

@@ -146,6 +146,13 @@ core::ModCheckerConfig make_config(const Options& options,
   return cfg;
 }
 
+// The introspection drill-downs (list, checkdump, attack) stop at the
+// first guest fault: print it and exit 1.
+int report_guest_fault(const FaultRecord& fault) {
+  std::fprintf(stderr, "guest fault: %s\n", format_fault(fault).c_str());
+  return 1;
+}
+
 // `fleet`: the fleet service end to end.  P pools (each its own
 // deterministic cloud) share one queue and its workers; every pool gets
 // one recurring sweep.  The exit code proves no sweep was lost (expected =
@@ -284,17 +291,24 @@ int run(const Options& options, telemetry::TraceRecorder* tracer) {
     // Offline dump triage is a diagnostic walk, not an integrity check.
     core::ModuleSearcher searcher(session);  // mc-lint: allow(pipeline-bypass)
     std::printf("offline analysis of %s:\n", options.file.c_str());
-    for (const auto& m : searcher.list_modules()) {
+    const auto modules = searcher.try_list_modules();
+    if (!modules.ok()) {
+      return report_guest_fault(modules.fault());
+    }
+    for (const auto& m : modules.value()) {
       std::printf("  %08x  %7u bytes  %-14s", m.base, m.size_of_image,
                   m.name.c_str());
-      const auto image = searcher.extract_module(m.name);
+      const auto image = searcher.try_extract(m);
+      if (!image.ok()) {
+        return report_guest_fault(image.fault());
+      }
+      const Bytes& bytes = image.value().bytes;
       // Dump triage inspects the raw PE on purpose; mc-lint: allow(format-bypass)
-      const pe::ParsedImage parsed(image->bytes);
+      const pe::ParsedImage parsed(bytes);
       const auto& dir =
           parsed.optional_header().DataDirectories[pe::kDirResource];
       if (dir.VirtualAddress != 0) {
-        const auto v =
-            pe::parse_version_resource(image->bytes, dir.VirtualAddress);
+        const auto v = pe::parse_version_resource(bytes, dir.VirtualAddress);
         if (v) {
           std::printf(" v%u.%u.%u.%u", v->file_major, v->file_minor,
                       v->file_build, v->file_revision);
@@ -342,13 +356,19 @@ int run(const Options& options, telemetry::TraceRecorder* tracer) {
                          victim == guests[0] ? guests[1] : guests[0], clock);
       const auto vimg =
           // mc-lint: allow(pipeline-bypass)
-          core::ModuleSearcher(vs).extract_module(options.module);
+          core::ModuleSearcher(vs).try_extract_module(options.module);
+      if (!vimg.ok()) {
+        return report_guest_fault(vimg.fault());
+      }
       const auto rimg =
           // mc-lint: allow(pipeline-bypass)
-          core::ModuleSearcher(rs).extract_module(options.module);
-      if (vimg && rimg) {
-        const auto sub = parser.parse(*vimg, clock);
-        const auto ref = parser.parse(*rimg, clock);
+          core::ModuleSearcher(rs).try_extract_module(options.module);
+      if (!rimg.ok()) {
+        return report_guest_fault(rimg.fault());
+      }
+      if (vimg.value() && rimg.value()) {
+        const auto sub = parser.parse(*vimg.value(), clock);
+        const auto ref = parser.parse(*rimg.value(), clock);
         for (const auto& f : core::analyze_all_flagged(sub, ref)) {
           std::printf("\n%s", core::format_forensic_report(f).c_str());
         }
@@ -362,7 +382,11 @@ int run(const Options& options, telemetry::TraceRecorder* tracer) {
     vmi::VmiSession session(env.hypervisor(), subject, clock);
     core::ModuleSearcher searcher(session);  // mc-lint: allow(pipeline-bypass)
     std::printf("modules on Dom%u (via introspection):\n", subject);
-    for (const auto& m : searcher.list_modules()) {
+    const auto modules = searcher.try_list_modules();
+    if (!modules.ok()) {
+      return report_guest_fault(modules.fault());
+    }
+    for (const auto& m : modules.value()) {
       std::printf("  %08x  %7u bytes  %s\n", m.base, m.size_of_image,
                   m.name.c_str());
     }
