@@ -19,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,8 +33,11 @@
 #include "elf/parser.hpp"
 #include "guestos/kernel.hpp"
 #include "guestos/ko_loader.hpp"
+#include "modchecker/canonical.hpp"
+#include "modchecker/checker.hpp"
 #include "modchecker/item_content.hpp"
 #include "modchecker/modchecker.hpp"
+#include "modchecker/parser.hpp"
 #include "modchecker/rva_adjust.hpp"
 #include "modchecker/searcher.hpp"
 #include "pe/parser.hpp"
@@ -207,9 +211,75 @@ struct HotpathReport {
   Probe normalize_scalar;
   Probe compare;
   Probe hash_md5;
+  /// One exact-fallback pair of infected http.sys (a patched copy against
+  /// a settled peer, the scan's table already holding both forms): decided
+  /// through the pool's delta plan, and by the per-item code alone.
+  Probe fallback_pair;
+  Probe fallback_pair_unplanned;
   double normalize_kernel_speedup = 0;  // scalar ns / vectorized ns
   const char* simd_level = "";
 };
+
+/// hotpath.fallback_pair: a t=3 pool of http.sys with the hostbench's
+/// byte patch (.text + 3) on the second VM, whose pairs take the exact
+/// fallback.  Times decide() on (patched, settled peer) once the scan's
+/// table holds both forms — what every pair after the first costs.
+void measure_fallback_pair(HotpathReport& hp) {
+  cloud::CloudConfig cfg;
+  cfg.guest_count = 3;
+  cloud::CloudEnvironment env(cfg);
+  const pe::ParsedImage image{ByteView(env.golden().file(kModule))};
+  attacks::BytePatchAttack(image.find_section(".text")->VirtualAddress + 3)
+      .apply(env, env.guests()[1], kModule);
+  SimClock clock;
+  telemetry::MetricRegistry reg;
+  std::vector<core::ParsedModule> copies;
+  std::vector<core::ModuleImage> images;
+  std::vector<std::unique_ptr<vmi::VmiSession>> sessions;
+  for (const vmm::DomainId vm : env.guests()) {
+    sessions.push_back(std::make_unique<vmi::VmiSession>(
+        env.hypervisor(), vm, clock, vmi::VmiCostModel{}, &reg));
+    auto found = core::ModuleSearcher(*sessions.back())
+                     .try_extract_module(kModule, core::ExtractMode::kView);
+    if (!found.ok() || !found.value()) {
+      return;
+    }
+    images.push_back(std::move(*found.value()));
+  }
+  const core::ModuleParser parser;
+  for (const core::ModuleImage& img : images) {
+    copies.push_back(parser.parse(img, clock));
+  }
+  const std::vector<const core::ParsedModule*> pool = {
+      &copies[0], &copies[1], &copies[2]};
+  const vmi::HostCostModel costs;
+  const core::CanonicalPool canon = core::CanonicalPool::elect(
+      pool, clock, crypto::HashAlgorithm::kMd5, costs, &reg);
+  if (canon.eligible(copies[1].domain)) {
+    return;
+  }
+  const core::DeltaPlan plan = canon.plan_fallback({&copies[1]});
+  const core::IntegrityChecker checker(crypto::HashAlgorithm::kMd5, costs);
+  core::DigestTable planned(crypto::HashAlgorithm::kMd5, costs, &reg);
+  core::DigestTable unplanned(crypto::HashAlgorithm::kMd5, costs, &reg);
+  plan.seed(planned);
+  const auto decide = [&](core::DigestTable& forms,
+                          const core::DeltaPlan* with) {
+    SimClock pair_clock;
+    bool match = checker.decide(copies[1], copies[0], pair_clock, forms,
+                                nullptr, with);
+    benchmark::DoNotOptimize(match);
+  };
+  decide(planned, &plan);  // the first pair meets (and hashes) the forms
+  decide(unplanned, nullptr);
+  std::size_t bytes = 0;
+  for (const core::IntegrityItem& item : copies[1].items) {
+    bytes += item.content_size();
+  }
+  hp.fallback_pair = probe_stage(bytes, [&] { decide(planned, &plan); });
+  hp.fallback_pair_unplanned =
+      probe_stage(bytes, [&] { decide(unplanned, nullptr); });
+}
 
 /// Per-stage probes over a real module on real guests, plus the synthetic
 /// 1 MiB normalize-kernel A/B that backs the speedup gate.
@@ -305,6 +375,8 @@ HotpathReport measure_hotpath() {
     auto d = core::hash_item_content(crypto::HashAlgorithm::kMd5, *text0);
     benchmark::DoNotOptimize(d);
   });
+
+  measure_fallback_pair(hp);
 
   // Speedup gate runs on a synthetic 1 MiB mostly-equal pair: the shape a
   // clean pool scan spends its normalize time on, and large enough that
@@ -428,6 +500,8 @@ bool write_json(const std::string& path, const std::vector<Row>& rows,
   probe_json(json, "normalize_scalar", hp.normalize_scalar);
   probe_json(json, "compare", hp.compare);
   probe_json(json, "hash_md5", hp.hash_md5);
+  probe_json(json, "fallback_pair", hp.fallback_pair);
+  probe_json(json, "fallback_pair_unplanned", hp.fallback_pair_unplanned);
   json.end_object()
       .field("simd_level", hp.simd_level)
       .field("normalize_kernel_speedup", hp.normalize_kernel_speedup)
@@ -507,6 +581,8 @@ int run_ablation(const std::string& json_path) {
   print_stage("normalize_scalar", hp.normalize_scalar);
   print_stage("compare", hp.compare);
   print_stage("hash_md5", hp.hash_md5);
+  print_stage("fallback_pair", hp.fallback_pair);
+  print_stage("fallback_unplanned", hp.fallback_pair_unplanned);
   std::printf("normalize kernel speedup (1 MiB probe): %.2fx "
               "(required >= %.1fx)\n",
               hp.normalize_kernel_speedup, kRequiredNormalizeSpeedup);

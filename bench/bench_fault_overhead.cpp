@@ -9,18 +9,23 @@
 //      injector is armed with all-zero fault rates (gate open, dice
 //      rolling, nothing faulting);
 //   2. real time — the default configuration's wall-clock cost stays
-//      within 2% of the single-attempt configuration (min-of-N on an
-//      interleaved schedule, so machine noise hits both sides alike).
+//      within 2% of the single-attempt configuration: one warmed checker
+//      per configuration, 400 interleaved rounds of one scan each, and the
+//      median over rounds of the default scan over the single-attempt scan
+//      of the same round (bench/interleaved.hpp), so machine noise hits
+//      both sides alike.
 //
 // Exit status: non-zero on any verdict difference, simulated-cost
 // difference, or overhead above the threshold — a CI regression gate like
 // bench_ablation_fastpath.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "interleaved.hpp"
 #include "cloud/environment.hpp"
 #include "modchecker/modchecker.hpp"
 #include "vmm/fault_injection.hpp"
@@ -32,7 +37,7 @@ using namespace mc;
 constexpr const char* kModule = "http.sys";  // largest catalog module
 constexpr std::size_t kPoolSize = 15;        // the paper's t=15 point
 constexpr double kMaxOverhead = 1.02;
-constexpr int kReps = 9;  // min-of-N per configuration
+constexpr int kRounds = 400;  // interleaved rounds, one scan per side each
 
 core::ModCheckerConfig single_attempt_config() {
   core::ModCheckerConfig cfg;
@@ -58,23 +63,6 @@ bool same_scan(const core::PoolScanReport& a, const core::PoolScanReport& b) {
     }
   }
   return true;
-}
-
-double min_scan_seconds(cloud::CloudEnvironment& env,
-                        const core::ModCheckerConfig& cfg) {
-  double best = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    core::ModChecker checker(env.hypervisor(), cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto report = checker.scan_pool(kModule, env.guests());
-    const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(report);
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (s < best) {
-      best = s;
-    }
-  }
-  return best;
 }
 
 int run_gate(const std::string& json_path) {
@@ -103,22 +91,31 @@ int run_gate(const std::string& json_path) {
   std::printf("simulated costs bit-identical across configs: %s\n",
               identical ? "yes" : "NO");
 
-  // 2. Real time: interleave the two configurations so drift hits both.
-  double default_s = 1e300;
-  double single_s = 1e300;
-  for (int round = 0; round < 3; ++round) {
-    const double d = min_scan_seconds(env, {});
-    const double s = min_scan_seconds(env, single_attempt_config());
-    if (d < default_s) {
-      default_s = d;
-    }
-    if (s < single_s) {
-      single_s = s;
-    }
+  // 2. Real time: one warmed checker per configuration, timed scan by
+  // scan in interleaved rounds.
+  std::vector<std::unique_ptr<core::ModChecker>> checkers;
+  checkers.push_back(std::make_unique<core::ModChecker>(
+      env.hypervisor(), core::ModCheckerConfig{}));
+  checkers.push_back(std::make_unique<core::ModChecker>(
+      env.hypervisor(), single_attempt_config()));
+  for (const auto& checker : checkers) {
+    benchmark::DoNotOptimize(checker->scan_pool(kModule, env.guests()));
   }
-  const double ratio = default_s / single_s;
-  std::printf("min scan: default %.3f ms, single-attempt %.3f ms, "
-              "ratio %.4f (required < %.2f)\n",
+  const std::vector<std::vector<double>> samples =
+      mc::bench::interleaved_seconds(
+          checkers.size(), kRounds, [&](std::size_t side) {
+            core::PoolScanReport report;
+            const double s = mc::bench::seconds_of([&] {
+              report = checkers[side]->scan_pool(kModule, env.guests());
+            });
+            benchmark::DoNotOptimize(report);
+            return s;
+          });
+  const double default_s = mc::bench::median(samples[0]);
+  const double single_s = mc::bench::median(samples[1]);
+  const double ratio = mc::bench::median_paired_ratio(samples, 0, 1);
+  std::printf("median scan: default %.3f ms, single-attempt %.3f ms, "
+              "paired ratio %.4f (required < %.2f)\n",
               default_s * 1e3, single_s * 1e3, ratio, kMaxOverhead);
 
   const bool pass = identical && ratio < kMaxOverhead;

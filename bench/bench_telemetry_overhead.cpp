@@ -10,18 +10,22 @@
 //      an active TraceRecorder — telemetry never charges simulated time;
 //   2. real time — relative to the disabled-registry configuration, a live
 //      registry stays within 2% wall clock and a live registry + tracer
-//      within 5% (min-of-N on an interleaved schedule, so machine noise
-//      hits every side alike).
+//      within 5%: one warmed checker per configuration, 400 interleaved
+//      rounds of one scan each, and the median over rounds of each side's
+//      scan over the disabled side's scan of the same round
+//      (bench/interleaved.hpp), so machine noise hits every side alike.
 //
 // Exit status: non-zero on any verdict difference, simulated-cost
 // difference, or overhead above the thresholds — a CI regression gate like
 // bench_fault_overhead.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "interleaved.hpp"
 #include "cloud/environment.hpp"
 #include "modchecker/modchecker.hpp"
 #include "telemetry/registry.hpp"
@@ -35,7 +39,7 @@ constexpr const char* kModule = "http.sys";  // largest catalog module
 constexpr std::size_t kPoolSize = 15;        // the paper's t=15 point
 constexpr double kMaxMetricsOverhead = 1.02;
 constexpr double kMaxTracedOverhead = 1.05;
-constexpr int kReps = 9;  // min-of-N per configuration
+constexpr int kRounds = 400;  // interleaved rounds, one scan per side each
 
 core::ModCheckerConfig disabled_config() {
   core::ModCheckerConfig cfg;
@@ -61,31 +65,6 @@ bool same_scan(const core::PoolScanReport& a, const core::PoolScanReport& b) {
     }
   }
   return true;
-}
-
-// One timed scan per fresh checker; the per-scan registry/tracer (when any)
-// is constructed outside the timed window, like a service would hold them.
-double min_scan_seconds(cloud::CloudEnvironment& env, bool live_metrics,
-                        bool traced) {
-  double best = 1e300;
-  for (int rep = 0; rep < kReps; ++rep) {
-    telemetry::MetricRegistry registry;
-    telemetry::TraceRecorder recorder;
-    core::ModCheckerConfig cfg;
-    cfg.metrics =
-        live_metrics ? &registry : &telemetry::MetricRegistry::disabled();
-    cfg.tracer = traced ? &recorder : nullptr;
-    core::ModChecker checker(env.hypervisor(), cfg);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto report = checker.scan_pool(kModule, env.guests());
-    const auto t1 = std::chrono::steady_clock::now();
-    benchmark::DoNotOptimize(report);
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (s < best) {
-      best = s;
-    }
-  }
-  return best;
 }
 
 int run_gate(const std::string& json_path) {
@@ -118,27 +97,45 @@ int run_gate(const std::string& json_path) {
               identical ? "yes" : "NO");
   std::printf("tracer recorded %zu spans\n", recorder.completed());
 
-  // 2. Real time: interleave the three configurations so drift hits all.
-  double off_s = 1e300;
-  double metrics_s = 1e300;
-  double traced_s = 1e300;
-  for (int round = 0; round < 3; ++round) {
-    const double o = min_scan_seconds(env, false, false);
-    const double m = min_scan_seconds(env, true, false);
-    const double t = min_scan_seconds(env, true, true);
-    if (o < off_s) {
-      off_s = o;
-    }
-    if (m < metrics_s) {
-      metrics_s = m;
-    }
-    if (t < traced_s) {
-      traced_s = t;
-    }
+  // 2. Real time: one warmed checker per configuration (a service holds
+  // its registry and tracer), timed scan by scan in interleaved rounds.
+  telemetry::MetricRegistry timed_metrics;
+  telemetry::MetricRegistry timed_traced_metrics;
+  telemetry::TraceRecorder timed_recorder;
+  core::ModCheckerConfig metrics_cfg;
+  metrics_cfg.metrics = &timed_metrics;
+  core::ModCheckerConfig traced_timing_cfg;
+  traced_timing_cfg.metrics = &timed_traced_metrics;
+  traced_timing_cfg.tracer = &timed_recorder;
+  std::vector<std::unique_ptr<core::ModChecker>> checkers;
+  checkers.push_back(
+      std::make_unique<core::ModChecker>(env.hypervisor(), disabled_config()));
+  checkers.push_back(
+      std::make_unique<core::ModChecker>(env.hypervisor(), metrics_cfg));
+  checkers.push_back(
+      std::make_unique<core::ModChecker>(env.hypervisor(), traced_timing_cfg));
+  for (const auto& checker : checkers) {
+    benchmark::DoNotOptimize(checker->scan_pool(kModule, env.guests()));
   }
-  const double metrics_ratio = metrics_s / off_s;
-  const double traced_ratio = traced_s / off_s;
-  std::printf("min scan: disabled %.3f ms, metrics %.3f ms (ratio %.4f, "
+  timed_recorder.drain();
+  const std::vector<std::vector<double>> samples =
+      mc::bench::interleaved_seconds(
+          checkers.size(), kRounds, [&](std::size_t side) {
+            core::PoolScanReport report;
+            const double s = mc::bench::seconds_of([&] {
+              report = checkers[side]->scan_pool(kModule, env.guests());
+            });
+            benchmark::DoNotOptimize(report);
+            timed_recorder.drain();  // a real consumer drains, off the clock
+            return s;
+          });
+  const double off_s = mc::bench::median(samples[0]);
+  const double metrics_s = mc::bench::median(samples[1]);
+  const double traced_s = mc::bench::median(samples[2]);
+  const double metrics_ratio = mc::bench::median_paired_ratio(samples, 1, 0);
+  const double traced_ratio = mc::bench::median_paired_ratio(samples, 2, 0);
+  std::printf("median scan: disabled %.3f ms, metrics %.3f ms (paired "
+              "ratio %.4f, "
               "required < %.2f), metrics+tracer %.3f ms (ratio %.4f, "
               "required < %.2f)\n",
               off_s * 1e3, metrics_s * 1e3, metrics_ratio,

@@ -1,6 +1,8 @@
 #include "modchecker/canonical.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "modchecker/item_content.hpp"
@@ -42,34 +44,116 @@ bool span_touched(
   return false;
 }
 
-/// Cheap 64-bit fingerprint that buckets DigestTable's forms: four
-/// independent multiply-xor lanes over 8-byte words.  Each step is a
-/// bijection of the lane, so two inputs differing in one word never
-/// collide; any collision only costs a byte compare, never a wrong digest.
-std::uint64_t fingerprint(ByteView bytes) {
-  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
-  std::uint64_t lanes[4] = {1, 2, 3, 4};
-  const std::uint8_t* p = bytes.data();
-  const std::size_t n = bytes.size();
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    for (std::size_t k = 0; k < 4; ++k) {
-      lanes[k] = (lanes[k] ^ load_word64(p + i + 8 * k)) * kMul;
+/// DigestTable's per-word bucket term: a bijection of the word for each
+/// position, so two contents differing in one word never collide.
+constexpr std::uint64_t kPositionMul = 0x9E3779B97F4A7C15ull;
+constexpr std::uint64_t kWordMul = 0xD6E8FEB86659FD93ull;
+
+std::uint64_t word_term(std::uint64_t position_key, std::uint64_t word) {
+  return (word ^ position_key) * kWordMul;
+}
+
+/// Word `k` of `bytes`, zero-padded past the end.
+std::uint64_t padded_word(ByteView bytes, std::size_t k) {
+  std::uint8_t word[8] = {};
+  for (std::size_t b = 0; b < 8 && 8 * k + b < bytes.size(); ++b) {
+    word[b] = bytes[8 * k + b];
+  }
+  return load_word64(word);
+}
+
+/// DigestTable::fingerprint of the content `form` describes: its base's,
+/// corrected word by word where the runs land.
+std::uint64_t patched_fingerprint(const PatchedForm& form) {
+  std::uint64_t h = form.base_fingerprint;
+  constexpr std::size_t kNone = ~std::size_t{0};
+  std::size_t k = kNone;
+  std::uint8_t word[8] = {};
+  const auto flush = [&] {
+    if (k != kNone) {
+      h += word_term(k * kPositionMul, load_word64(word)) -
+           word_term(k * kPositionMul, padded_word(form.base, k));
     }
+  };
+  std::size_t from = 0;
+  for (const auto& [lo, hi] : form.spans) {
+    for (std::size_t q = lo; q < hi; ++q) {
+      if (q / 8 != k) {
+        flush();
+        k = q / 8;
+        for (std::size_t b = 0; b < 8; ++b) {
+          word[b] = 8 * k + b < form.base.size() ? form.base[8 * k + b] : 0;
+        }
+      }
+      word[q % 8] = form.bytes[from + (q - lo)];
+    }
+    from += hi - lo;
   }
-  for (; i + 8 <= n; i += 8) {
-    lanes[0] = (lanes[0] ^ load_word64(p + i)) * kMul;
-  }
-  for (; i < n; ++i) {
-    lanes[1] = (lanes[1] ^ p[i]) * kMul;
-  }
-  std::uint64_t h = 0;
-  for (const std::uint64_t lane : lanes) {
-    h = ((h << 23) | (h >> 41)) ^ lane;
-    h *= kMul;
-  }
+  flush();
   return h;
 }
+
+/// The content `form` describes, in order, as borrowed pieces.
+std::vector<ByteView> pieces_of(const PatchedForm& form) {
+  std::vector<ByteView> pieces;
+  std::size_t pos = 0;
+  std::size_t from = 0;
+  for (const auto& [lo, hi] : form.spans) {
+    if (lo > pos) {
+      pieces.push_back(form.base.subspan(pos, lo - pos));
+    }
+    pieces.push_back(ByteView(form.bytes).subspan(from, hi - lo));
+    from += hi - lo;
+    pos = hi;
+  }
+  if (pos < form.base.size()) {
+    pieces.push_back(form.base.subspan(pos));
+  }
+  return pieces;
+}
+
+/// Appends the maximal runs at which `actual` differs from `expected`
+/// (content offset `pos`) to `form`, with their bytes.
+void append_runs(PatchedForm& form, ByteView actual, ByteView expected,
+                 std::size_t pos) {
+  constexpr DiffCap kUncapped{~std::size_t{0}, ~std::size_t{0}};
+  ByteSpans runs;
+  std::size_t bytes = 0;
+  append_diff_runs(actual, expected, pos, kUncapped, bytes, runs);
+  for (const auto& [lo, hi] : runs) {
+    if (!form.spans.empty() && form.spans.back().second == lo) {
+      form.spans.back().second = hi;
+    } else {
+      form.spans.emplace_back(lo, hi);
+    }
+    form.bytes.insert(form.bytes.end(),
+                      actual.begin() + static_cast<std::ptrdiff_t>(lo - pos),
+                      actual.begin() + static_cast<std::ptrdiff_t>(hi - pos));
+  }
+}
+
+/// The patched copy's bytes at its runs.
+Bytes run_bytes(const IntegrityItem& item, const ByteSpans& spans) {
+  std::size_t total = 0;
+  for (const auto& [lo, hi] : spans) {
+    total += hi - lo;
+  }
+  Bytes bytes(total);
+  std::size_t at = 0;
+  for (const auto& [lo, hi] : spans) {
+    copy_content_range(item, lo, MutableByteView(bytes).subspan(at, hi - lo));
+    at += hi - lo;
+  }
+  return bytes;
+}
+
+/// How much a copy may differ from C and still be planned: far more than
+/// an inline hook or a patched word, far less than an image.
+constexpr DiffCap kDeltaCap{512, 32};
+
+/// Bytes past a group of runs that Algorithm 2 may use to resynchronise
+/// before the delta fallback gives the item back to the per-item code.
+constexpr std::size_t kResyncTail = 128;
 
 }  // namespace
 
@@ -88,41 +172,129 @@ crypto::Digest DigestTable::digest(vmm::DomainId domain, std::size_t index,
   return it->second;
 }
 
-const crypto::Digest* DigestTable::find_form(const FormKey& key,
-                                             ByteView bytes) const {
+std::uint64_t DigestTable::fingerprint(ByteView bytes) {
+  std::uint64_t h = 0;
+  const std::size_t words = bytes.size() / 8;
+  std::uint64_t position_key = 0;
+  for (std::size_t k = 0; k < words; ++k, position_key += kPositionMul) {
+    h += word_term(position_key, load_word64(bytes.data() + 8 * k));
+  }
+  if (bytes.size() % 8 != 0) {
+    h += word_term(position_key, padded_word(bytes, words));
+  }
+  return h;
+}
+
+namespace {
+
+bool form_matches(const Bytes& owned, const std::optional<PatchedForm>& stored,
+                  ByteView query) {
+  return stored ? spans_equal(pieces_of(*stored), std::span(&query, 1))
+                : simd::equal(owned, query);
+}
+
+bool form_matches(const Bytes& owned, const std::optional<PatchedForm>& stored,
+                  const PatchedForm& query) {
+  if (!stored) {
+    const ByteView flat(owned);
+    return spans_equal(std::span(&flat, 1), pieces_of(query));
+  }
+  if (stored->base.data() == query.base.data() &&
+      stored->base.size() == query.base.size()) {
+    // Runs are maximal, so over one base equal content has equal runs.
+    return stored->spans == query.spans && stored->bytes == query.bytes;
+  }
+  return spans_equal(pieces_of(*stored), pieces_of(query));
+}
+
+}  // namespace
+
+template <typename Query>
+DigestTable::Form* DigestTable::find_form(const FormKey& key,
+                                          const Query& query) {
   const auto it = forms_.find(key);
   if (it == forms_.end()) {
     return nullptr;
   }
-  for (const Form& form : it->second) {
-    if (simd::equal(form.bytes, bytes)) {
-      return &form.digest;
+  for (Form& form : it->second) {
+    if (form_matches(form.bytes, form.patched, query)) {
+      return &form;
     }
   }
   return nullptr;
 }
 
-crypto::Digest DigestTable::form_digest(std::size_t index, ByteView bytes,
+const crypto::Digest& DigestTable::meet(Form& form, std::size_t size,
                                         SimClock& clock) {
-  clock.charge(costs_.rva_scan_per_byte * bytes.size());
-  const FormKey key{index, bytes.size(), fingerprint(bytes)};
+  if (!form.counted) {
+    form.counted = true;
+    ++form_hashes_;
+    clock.charge(hash_charge(costs_, algorithm_, size));
+  }
+  return form.digest;
+}
+
+void DigestTable::seed_form(std::size_t index, const PatchedForm& form,
+                            const crypto::Digest& digest) {
+  const FormKey key{index, form.base.size(), patched_fingerprint(form)};
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (find_form(key, form) == nullptr) {
+    forms_[key].push_back({{}, form, digest, false});
+  }
+}
+
+template <typename Query, typename Hash>
+crypto::Digest DigestTable::lookup(const FormKey& key, const Query& query,
+                                   std::size_t size, SimClock& clock,
+                                   Hash&& hash) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (const crypto::Digest* known = find_form(key, bytes)) {
-      return *known;
+    if (Form* known = find_form(key, query)) {
+      return meet(*known, size, clock);
     }
   }
   // Hash outside the lock.  A concurrent lookup of the same form may hash
   // it too; whichever insert lands first keeps it and alone pays.
-  crypto::Digest d = crypto::hash_bytes(algorithm_, bytes);
+  crypto::Digest d = hash();
   std::lock_guard<std::mutex> lock(mutex_);
-  if (const crypto::Digest* known = find_form(key, bytes)) {
-    return *known;
+  if (Form* known = find_form(key, query)) {
+    return meet(*known, size, clock);
   }
-  forms_[key].push_back({Bytes(bytes.begin(), bytes.end()), d});
+  Form form;
+  if constexpr (std::is_same_v<Query, PatchedForm>) {
+    form.patched = query;
+  } else {
+    form.bytes.assign(query.begin(), query.end());
+  }
+  form.digest = d;
+  forms_[key].push_back(std::move(form));
   ++form_hashes_;
-  clock.charge(hash_charge(costs_, algorithm_, bytes.size()));
+  clock.charge(hash_charge(costs_, algorithm_, size));
   return d;
+}
+
+crypto::Digest DigestTable::form_digest(std::size_t index, ByteView bytes,
+                                        SimClock& clock) {
+  clock.charge(costs_.rva_scan_per_byte * bytes.size());
+  return lookup(FormKey{index, bytes.size(), fingerprint(bytes)}, bytes,
+                bytes.size(), clock,
+                [&] { return crypto::hash_bytes(algorithm_, bytes); });
+}
+
+crypto::Digest DigestTable::form_digest(std::size_t index,
+                                        const PatchedForm& form,
+                                        SimClock& clock) {
+  const std::size_t size = form.base.size();
+  clock.charge(costs_.rva_scan_per_byte * size);
+  return lookup(FormKey{index, size, patched_fingerprint(form)}, form, size,
+                clock, [&] {
+                  const std::unique_ptr<crypto::Hasher> hasher =
+                      crypto::make_hasher(algorithm_);
+                  for (const ByteView piece : pieces_of(form)) {
+                    hasher->update(piece);
+                  }
+                  return hasher->finish();
+                });
 }
 
 std::uint64_t DigestTable::form_hashes() const {
@@ -192,6 +364,7 @@ void CanonicalPool::add(const ParsedModule& module, SimClock& clock) {
     entry.base = module.base;
     entry.spans = item_spans(module);
     entry.digests.resize(module.items.size());
+    entry.relocated.assign(module.items.size(), 1);
     for (std::size_t i = 0; i < module.items.size(); ++i) {
       entry.ref_items.push_back(i);
     }
@@ -254,6 +427,7 @@ CanonicalPool::Entry CanonicalPool::canonicalize(
   entry.base = module.base;
   entry.spans = item_spans(module);
   entry.digests.resize(reference_->items.size());
+  entry.relocated.assign(reference_->items.size(), 0);
   entry.eligible = module.items.size() == reference_->items.size();
   for (std::size_t i = 0; entry.eligible && i < reference_->items.size();
        ++i) {
@@ -272,6 +446,7 @@ CanonicalPool::Entry CanonicalPool::canonicalize(
       // byte-identical content: its previous digest (and its
       // reference-sharing status) still holds, at zero cost.
       entry.digests[i] = prev->digests[i];
+      entry.relocated[i] = prev->relocated[i];
       if (std::find(prev->ref_items.begin(), prev->ref_items.end(), i) !=
           prev->ref_items.end()) {
         entry.ref_items.push_back(i);
@@ -295,7 +470,8 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
     clock.charge(costs_.rva_scan_per_byte *
                  std::max(a.content_size(), r.content_size()));
     if (item_content_equal(a, r)) {
-      hash_skips_.inc();
+      hash_skips_.inc_single_writer();
+      entry.relocated[i] = 1;
       entry.ref_items.push_back(i);
       if (finalized_) {
         entry.digests[i] = ref_digests_[i];
@@ -319,15 +495,16 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
       map && map->usable_for(module.fixups, a.content_size())) {
     if (relocated_content_equal(a, module.fixups, module.base,
                                 canonical_bytes_[i], *map)) {
-      window_hits_.inc();
+      window_hits_.inc_single_writer();
       clock.charge(costs_.rva_scan_per_byte *
                    std::max(r.content_size(), a.content_size()));
       clock.charge(costs_.rva_scan_per_byte * a.content_size());
-      hash_skips_.inc();
+      hash_skips_.inc_single_writer();
+      entry.relocated[i] = 1;
       entry.digests[i] = *canonical_[i];
       return true;
     }
-    window_misses_.inc();
+    window_misses_.inc_single_writer();
   }
 
   // Otherwise run the paper's pairwise adjustment against the reference
@@ -337,7 +514,7 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   MutableByteView ref_copy = arena_content_copy(scratch_arena(), r);
   MutableByteView mod_copy = arena_content_copy(scratch_arena(), a);
   std::vector<FixupWindow> windows;
-  adjust_runs_.inc();
+  adjust_runs_.inc_single_writer();
   const RvaAdjustResult adj = adjust_fixups(
       ref_copy, reference_->base, mod_copy, module.base, module.fixups,
       simd::Policy::kAuto, canonical_[i] ? nullptr : &windows);
@@ -354,7 +531,7 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   if (canonical_[i]) {
     clock.charge(costs_.rva_scan_per_byte * mod_copy.size());
     if (simd::equal(mod_copy, canonical_bytes_[i])) {
-      hash_skips_.inc();
+      hash_skips_.inc_single_writer();
       entry.digests[i] = *canonical_[i];
       return true;
     }
@@ -362,7 +539,10 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   const crypto::Digest d = crypto::hash_bytes(algorithm_, mod_copy);
   charge_hash(clock, mod_copy.size());
   if (!canonical_[i]) {
+    // The run that establishes C leaves this copy as C relocated at its
+    // base through the recorded windows.
     establish_canonical(i, d, mod_copy, module.fixups, windows);
+    entry.relocated[i] = 1;
   } else if (*canonical_[i] != d) {
     return false;
   }
@@ -376,7 +556,7 @@ void CanonicalPool::establish_canonical(
   canonical_[i] = d;
   canonical_bytes_[i].assign(bytes.begin(), bytes.end());
   window_maps_[i] = WindowMap::from_run(fixups, bytes.size(), windows);
-  canonicals_established_.inc();
+  canonicals_established_.inc_single_writer();
   if (!finalized_) {
     return;  // finalize() pins the reference to it
   }
@@ -394,15 +574,15 @@ void CanonicalPool::establish_canonical(
 }
 
 void CanonicalPool::charge_hash(SimClock& clock, std::size_t bytes) {
-  hashes_.inc();
+  hashes_.inc_single_writer();
   clock.charge(hash_charge(costs_, algorithm_, bytes));
 }
 
 void CanonicalPool::record(vmm::DomainId vm, Entry entry) {
   if (entry.eligible) {
-    eligible_count_.inc();
+    eligible_count_.inc_single_writer();
   } else {
-    ineligible_count_.inc();
+    ineligible_count_.inc_single_writer();
   }
   entries_[vm] = std::move(entry);
 }
@@ -421,6 +601,252 @@ const std::vector<crypto::Digest>& CanonicalPool::digests(
     vmm::DomainId vm) const {
   MC_CHECK(finalized_, "CanonicalPool::digests before finalize");
   return entries_.at(vm).digests;
+}
+
+DeltaPlan CanonicalPool::plan_fallback(
+    const std::vector<const ParsedModule*>& patched) const {
+  MC_CHECK(finalized_, "CanonicalPool::plan_fallback before finalize");
+  DeltaPlan plan;
+  plan.algorithm_ = algorithm_;
+  const std::size_t n = reference_->items.size();
+  plan.items_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const IntegrityItem& r = reference_->items[i];
+    DeltaPlan::Item& item = plan.items_[i];
+    if (r.rva_sensitive) {
+      if (canonical_[i] && window_maps_[i]) {
+        item.canonical = canonical_bytes_[i];
+        item.map = &*window_maps_[i];
+      }
+    } else if (!r.view_backed()) {
+      item.canonical = r.bytes;
+    } else if (r.view.contiguous()) {
+      item.canonical = r.view.as_contiguous();
+    } else {
+      Bytes flat(r.content_size());
+      r.copy_content(MutableByteView(flat));
+      plan.flat_.push_back(std::move(flat));
+      item.canonical = plan.flat_.back();
+    }
+  }
+  for (const auto& [vm, entry] : entries_) {
+    if (!entry.eligible) {
+      continue;
+    }
+    std::vector<ItemDelta>& deltas = plan.copies_[vm];
+    deltas.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (entry.relocated[i] != 0) {
+        deltas[i].kind = ItemDelta::Kind::kRelocated;
+      }
+    }
+  }
+  for (const ParsedModule* copy : patched) {
+    std::vector<ItemDelta>& deltas = plan.copies_[copy->domain];
+    deltas.assign(n, ItemDelta{});
+    for (std::size_t i = 0; i < n; ++i) {
+      ItemDelta& d = deltas[i];
+      d.why = DeltaRefusal::kNoMap;
+      if (copy->items.size() != n) {
+        continue;
+      }
+      const IntegrityItem& r = reference_->items[i];
+      const IntegrityItem& a = copy->items[i];
+      const DeltaPlan::Item& item = plan.items_[i];
+      if (a.kind != r.kind || a.name != r.name ||
+          a.rva_sensitive != r.rva_sensitive) {
+        continue;
+      }
+      bool within = false;
+      if (r.rva_sensitive) {
+        if (item.map == nullptr ||
+            !item.map->usable_for(copy->fixups, a.content_size())) {
+          continue;
+        }
+        within = relocated_diff(a, copy->fixups, copy->base, item.canonical,
+                                *item.map, kDeltaCap, d.spans);
+      } else {
+        if (a.content_size() != item.canonical.size()) {
+          continue;
+        }
+        within = content_diff(a, item.canonical, kDeltaCap, d.spans);
+      }
+      if (!within) {
+        d.why = DeltaRefusal::kOverCap;
+        d.spans.clear();
+        continue;
+      }
+      d.kind = d.spans.empty() ? ItemDelta::Kind::kRelocated
+                               : ItemDelta::Kind::kPatched;
+      if (d.kind == ItemDelta::Kind::kPatched && !plan.items_[i].digest) {
+        plan.items_[i].fingerprint = DigestTable::fingerprint(item.canonical);
+        plan.items_[i].digest = r.rva_sensitive ? *canonical_[i]
+                                                : ref_digests_[i];
+      }
+    }
+  }
+  return plan;
+}
+
+const char* delta_refusal_name(DeltaRefusal why) {
+  switch (why) {
+    case DeltaRefusal::kOverCap:
+      return "over_cap";
+    case DeltaRefusal::kNoMap:
+      return "no_map";
+    case DeltaRefusal::kUnsettled:
+      return "unsettled";
+    case DeltaRefusal::kSameBase:
+      return "same_base";
+    case DeltaRefusal::kUnsynced:
+      return "unsynced";
+  }
+  return "unknown";
+}
+
+void DeltaPlan::seed(DigestTable& forms) const {
+  for (std::size_t i = 0;
+       forms.algorithm() == algorithm_ && i < items_.size(); ++i) {
+    if (items_[i].digest) {
+      forms.seed_form(i, {items_[i].canonical, items_[i].fingerprint, {}, {}},
+                      *items_[i].digest);
+    }
+  }
+}
+
+const ItemDelta* DeltaPlan::delta(vmm::DomainId vm, std::size_t i) const {
+  const auto it = copies_.find(vm);
+  return it == copies_.end() || i >= it->second.size() ? nullptr
+                                                      : &it->second[i];
+}
+
+DeltaPlan::Answer DeltaPlan::decide(std::size_t i, const ParsedModule& a,
+                                    const ParsedModule& b, DigestTable& forms,
+                                    SimClock& clock,
+                                    DecideTally& tally) const {
+  using Kind = ItemDelta::Kind;
+  const ItemDelta* da = delta(a.domain, i);
+  const ItemDelta* db = delta(b.domain, i);
+  Answer answer = Answer::kRefused;
+  DeltaRefusal why = DeltaRefusal::kNoMap;
+  if (da == nullptr || db == nullptr || i >= items_.size()) {
+    why = DeltaRefusal::kNoMap;
+  } else if (da->kind == Kind::kUnknown || db->kind == Kind::kUnknown) {
+    why = da->kind == Kind::kUnknown ? da->why : db->why;
+  } else if (da->kind == Kind::kPatched && db->kind == Kind::kPatched) {
+    why = DeltaRefusal::kUnsettled;
+  } else {
+    const Item& item = items_[i];
+    const IntegrityItem& ia = a.items[i];
+    const IntegrityItem& ib = b.items[i];
+    const bool rva = ia.rva_sensitive;
+    const bool lines_up =
+        ib.rva_sensitive == rva &&
+        (rva ? item.map != nullptr && a.fixups == b.fixups &&
+                   item.map->usable_for(a.fixups, ia.content_size()) &&
+                   item.map->usable_for(b.fixups, ib.content_size())
+             : ia.content_size() == item.canonical.size() &&
+                   ib.content_size() == item.canonical.size());
+    if (!lines_up) {
+      why = DeltaRefusal::kNoMap;
+    } else if (da->kind == Kind::kRelocated && db->kind == Kind::kRelocated) {
+      // Both are C relocated at their bases: equal bytes at equal bases,
+      // and C on both sides after Algorithm 2 at distinct ones (DESIGN
+      // §5.1, the map argument for any two bases).
+      answer = Answer::kMatch;
+    } else if (!rva) {
+      // Raw bytes decide: one side is C, the other C patched at its runs.
+      const bool a_patched = da->kind == Kind::kPatched;
+      const ItemDelta& d = a_patched ? *da : *db;
+      PatchedForm patched{item.canonical, item.fingerprint, d.spans,
+                          run_bytes(a_patched ? ia : ib, d.spans)};
+      const PatchedForm plain{item.canonical, item.fingerprint, {}, {}};
+      answer = forms.form_digest(i, a_patched ? patched : plain, clock) !=
+                       forms.form_digest(i, a_patched ? plain : patched, clock)
+                   ? Answer::kMismatch
+                   : Answer::kMatch;
+    } else if (a.base == b.base) {
+      why = DeltaRefusal::kSameBase;
+    } else {
+      answer = decide_relocated(i, a, b, *da, *db, forms, clock, why);
+    }
+  }
+  if (answer == Answer::kRefused) {
+    ++tally.refusals[static_cast<std::size_t>(why)];
+  } else {
+    ++tally.delta_items;
+  }
+  return answer;
+}
+
+DeltaPlan::Answer DeltaPlan::decide_relocated(
+    std::size_t i, const ParsedModule& a, const ParsedModule& b,
+    const ItemDelta& da, const ItemDelta& db, DigestTable& forms,
+    SimClock& clock, DeltaRefusal& why) const {
+  const Item& item = items_[i];
+  const FixupPolicy& policy = a.fixups;
+  const std::vector<std::uint32_t>& starts = item.map->starts();
+  const std::size_t width = policy.width;
+  const ByteView c = item.canonical;
+  const std::size_t n = c.size();
+  const ByteSpans& runs =
+      (da.kind == ItemDelta::Kind::kPatched ? da : db).spans;
+
+  // The end of the last window that ends at or before `at` (0 if none):
+  // the full run reaches it exactly as it would on two copies that are
+  // both C relocated, so its scan can be resumed there.
+  const auto sync_in = [&](std::size_t at) -> std::size_t {
+    if (at < width) {
+      return 0;
+    }
+    const auto it = std::upper_bound(starts.begin(), starts.end(), at - width);
+    return it == starts.begin() ? 0 : *(it - 1) + width;
+  };
+
+  // Each side's adjusted item: C, plus the runs where it differs from C.
+  PatchedForm fa{c, item.fingerprint, {}, {}};
+  PatchedForm fb{c, item.fingerprint, {}, {}};
+  bool equal = true;
+  ArenaScope scope(scratch_arena());
+  for (std::size_t k = 0; k < runs.size();) {
+    // One group: runs whose resumption points fall inside the previous
+    // run's slice share one resumed scan.
+    const std::size_t from = sync_in(runs[k].first);
+    std::size_t until = runs[k].second;
+    std::size_t end = std::min(n, until + kResyncTail);
+    for (++k; k < runs.size() && sync_in(runs[k].first) < end + 3; ++k) {
+      until = runs[k].second;
+      end = std::min(n, until + kResyncTail);
+    }
+    // The scan may look back up to three bytes before `from` for a
+    // candidate window; there both sides already hold C.
+    const std::size_t origin = from - std::min<std::size_t>(from, 3);
+    const std::size_t len = end - origin;
+    const MutableByteView la = scratch_arena().alloc(len);
+    const MutableByteView lb = scratch_arena().alloc(len);
+    const ByteView prefix = c.subspan(origin, from - origin);
+    copy_bytes(la, prefix);
+    copy_bytes(lb, prefix);
+    copy_content_range(a.items[i], from, la.subspan(from - origin));
+    copy_content_range(b.items[i], from, lb.subspan(from - origin));
+    const ResumedRun run = adjust_fixups_resumed(
+        la, a.base, lb, b.base, policy, origin, n, from, until, starts);
+    if (!run.synced) {
+      why = DeltaRefusal::kUnsynced;
+      return Answer::kRefused;
+    }
+    // Past the stop both runs rewrite every window to C again.
+    const std::size_t out = run.stop - origin;
+    equal = equal && simd::equal(la.first(out), lb.first(out));
+    append_runs(fa, la.first(out), c.subspan(origin, out), origin);
+    append_runs(fb, lb.first(out), c.subspan(origin, out), origin);
+  }
+  if (equal) {
+    return Answer::kMatch;
+  }
+  return forms.form_digest(i, fa, clock) != forms.form_digest(i, fb, clock)
+             ? Answer::kMismatch
+             : Answer::kMatch;
 }
 
 }  // namespace mc::core

@@ -38,6 +38,7 @@
 // path, but it cannot impersonate the honest majority's canonical).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <mutex>
@@ -47,6 +48,7 @@
 #include <vector>
 
 #include "crypto/hasher.hpp"
+#include "modchecker/item_content.hpp"
 #include "modchecker/rva_adjust.hpp"
 #include "modchecker/types.hpp"
 #include "util/bytes.hpp"
@@ -69,6 +71,19 @@ constexpr double digest_cost_factor(crypto::HashAlgorithm algorithm) {
   }
   return 1.0;
 }
+
+/// An item's content given as a borrowed `base` with some byte runs
+/// replaced: each [lo, hi) of `spans` (ascending, disjoint, and each a
+/// maximal run at which the content differs from `base`) takes its bytes,
+/// in order, from `bytes`.  The delta fallback's form of an adjusted item:
+/// the canonical form plus the bytes where the adjusted copy differs.
+struct PatchedForm {
+  ByteView base;
+  /// DigestTable::fingerprint(base).
+  std::uint64_t base_fingerprint = 0;
+  ByteSpans spans;
+  Bytes bytes;  // mc-lint: allow(hotpath-copy)
+};
 
 /// Memo of digests for one scan operation, in two kinds of entry:
 ///
@@ -112,24 +127,58 @@ class DigestTable {
   crypto::Digest form_digest(std::size_t index, ByteView bytes,
                              SimClock& clock);
 
+  /// form_digest of the content `form` describes, without laying it out:
+  /// the same forms, digests, charges (by the content's full size) and
+  /// form_hashes() as the flat call, for O(patched bytes) work per lookup
+  /// when `form` meets a form of the same base.  `form.base` must outlive
+  /// the table.
+  crypto::Digest form_digest(std::size_t index, const PatchedForm& form,
+                             SimClock& clock);
+
+  /// Records `digest` as the digest of the content `form` describes (a
+  /// digest the caller already holds).  The first lookup that meets the
+  /// form counts and is charged as the hash that established it, so
+  /// form_hashes() and the charges are what they would be unseeded.
+  void seed_form(std::size_t index, const PatchedForm& form,
+                 const crypto::Digest& digest);
+
   /// Distinct forms form_digest() has hashed.
   std::uint64_t form_hashes() const;
 
+  crypto::HashAlgorithm algorithm() const { return algorithm_; }
+
+  /// The bucket fingerprint of `bytes`: a sum over its 8-byte words of a
+  /// per-position bijection, so a PatchedForm's follows from its base's
+  /// in O(patched bytes).
+  static std::uint64_t fingerprint(ByteView bytes);
+
  private:
-  /// One owned copy per distinct form: the bytes its digest is verified
-  /// against (a few items per scan, only where copies differ).
+  /// One copy per distinct form, the content its digest is verified
+  /// against (a few items per scan, only where copies differ): owned
+  /// bytes, or a patched form over a borrowed base.
   struct Form {
     Bytes bytes;  // mc-lint: allow(hotpath-copy)
+    std::optional<PatchedForm> patched;
     crypto::Digest digest;
+    /// False for a seeded form no lookup has met yet.
+    bool counted = true;
   };
   /// (item index, size, fingerprint): a bucket holds more than one form
   /// only on a fingerprint collision, so lookups stay O(1) when every
   /// copy differs.
   using FormKey = std::tuple<std::size_t, std::size_t, std::uint64_t>;
 
-  /// The stored digest of exactly `bytes` under `key`, or null.  Caller
-  /// holds mutex_.
-  const crypto::Digest* find_form(const FormKey& key, ByteView bytes) const;
+  /// The stored digest of exactly the content `query` names under `key`,
+  /// or null.  Caller holds mutex_.
+  template <typename Query>
+  Form* find_form(const FormKey& key, const Query& query);
+  /// The digest of a form found by a lookup, counting and charging a
+  /// seeded form on its first meeting.  Caller holds mutex_.
+  const crypto::Digest& meet(Form& form, std::size_t size, SimClock& clock);
+  /// Looks `query` up under `key`, hashing and inserting it on a miss.
+  template <typename Query, typename Hash>
+  crypto::Digest lookup(const FormKey& key, const Query& query,
+                        std::size_t size, SimClock& clock, Hash&& hash);
 
   crypto::HashAlgorithm algorithm_;
   vmi::HostCostModel costs_;
@@ -139,6 +188,93 @@ class DigestTable {
   std::uint64_t form_hashes_ = 0;
   telemetry::OwnedCounter hits_;
   telemetry::OwnedCounter misses_;
+};
+
+/// Why the delta fallback left an item to the per-item code.
+enum class DeltaRefusal : std::uint8_t {
+  kOverCap,    // the copy differs from C in more than the cap allows
+  kNoMap,      // no usable map or canonical bytes, or sizes, policies or
+               // item lists that do not line up
+  kUnsettled,  // neither side is provably C relocated at its base
+  kSameBase,   // an rva-sensitive item at equal bases
+  kUnsynced,   // Algorithm 2 did not resynchronise near the patch
+};
+inline constexpr std::size_t kDeltaRefusalKinds = 5;
+
+/// The refusal's registry suffix ("over_cap", "no_map", ...).
+const char* delta_refusal_name(DeltaRefusal why);
+
+/// How one copy's item stands against the pool's canonical form C of it
+/// (the reference's bytes, for an item that is not rva-sensitive).
+struct ItemDelta {
+  enum class Kind : std::uint8_t {
+    kRelocated,  // provably C relocated at the copy's base
+    kPatched,    // differs from that at `spans` only
+    kUnknown,    // not known; `why` says why
+  };
+  Kind kind = Kind::kUnknown;
+  DeltaRefusal why = DeltaRefusal::kUnsettled;
+  ByteSpans spans;
+};
+
+/// What one fallback pair's decide() examined.
+struct DecideTally {
+  /// Items examined.
+  std::size_t items = 0;
+  /// Items the delta fallback decided, and items it left to the per-item
+  /// code, by DeltaRefusal.
+  std::size_t delta_items = 0;
+  std::array<std::size_t, kDeltaRefusalKinds> refusals{};
+};
+
+/// The delta fallback's view of one finalized CanonicalPool, prepared on
+/// the orchestrating thread before the fallback pairs run and read-only
+/// while they do (CanonicalPool::plan_fallback).  It lets a pair (X, P)
+/// with P provably C relocated decide each item from where X differs from
+/// C, without running Algorithm 2 over the whole item (DESIGN §5.1, "the
+/// locality lemma").  Borrows the pool and the planned copies.
+class DeltaPlan {
+ public:
+  enum class Answer : std::uint8_t { kMatch, kMismatch, kRefused };
+
+  /// Seeds `forms` with the digests the pool already holds for the
+  /// canonical forms a planned pair may look up (DigestTable::seed_form).
+  void seed(DigestTable& forms) const;
+
+  /// Decides item `i` of the positionally paired copies `a` (subject) and
+  /// `b` exactly as IntegrityChecker::decide's per-item code would,
+  /// looking up the same forms in `forms`; or refuses, leaving the item to
+  /// that code.  Charges `clock` only through `forms` (the caller charges
+  /// the item's scan).  Tallies the outcome into `tally`.
+  Answer decide(std::size_t i, const ParsedModule& a, const ParsedModule& b,
+                DigestTable& forms, SimClock& clock,
+                DecideTally& tally) const;
+
+ private:
+  friend class CanonicalPool;
+
+  /// Pool item `i`: C (or the reference's raw bytes) and, for an
+  /// rva-sensitive item, the map C was recorded with.
+  struct Item {
+    ByteView canonical;
+    const WindowMap* map = nullptr;
+    /// DigestTable::fingerprint(canonical) and its digest; set where some
+    /// copy is kPatched.
+    std::uint64_t fingerprint = 0;
+    std::optional<crypto::Digest> digest;
+  };
+
+  const ItemDelta* delta(vmm::DomainId vm, std::size_t i) const;
+  Answer decide_relocated(std::size_t i, const ParsedModule& a,
+                          const ParsedModule& b, const ItemDelta& da,
+                          const ItemDelta& db, DigestTable& forms,
+                          SimClock& clock, DeltaRefusal& why) const;
+
+  crypto::HashAlgorithm algorithm_ = crypto::HashAlgorithm::kMd5;
+  std::vector<Item> items_;
+  std::map<vmm::DomainId, std::vector<ItemDelta>> copies_;
+  /// Flat copies of reference raw items whose content is not one span.
+  std::vector<Bytes> flat_;
 };
 
 /// Normalizes a pool of parsed copies of ONE module against a reference
@@ -256,6 +392,17 @@ class CanonicalPool {
   /// eligible VMs' modules pairwise-match iff their vectors are equal.
   const std::vector<crypto::Digest>& digests(vmm::DomainId vm) const;
 
+  /// Post-finalize: the delta fallback's plan for pairs among the pool's
+  /// eligible copies and `patched` (ineligible copies that take fallback
+  /// pairs; each must outlive the plan).  Each eligible copy's items are
+  /// kRelocated where the pool proved it (a window-map hit, the reference,
+  /// the copy that established C, or a same-base copy equal to the
+  /// reference); each patched copy's items are diffed once against C
+  /// relocated at its base, up to a cap.  Charges no simulated time: a
+  /// plan only replaces work the fallback pairs are charged for.
+  DeltaPlan plan_fallback(
+      const std::vector<const ParsedModule*>& patched) const;
+
  private:
   struct Entry {
     bool eligible = false;
@@ -264,6 +411,9 @@ class CanonicalPool {
     std::vector<crypto::Digest> digests;
     /// Items whose digest equals the reference's (resolved in finalize()).
     std::vector<std::size_t> ref_items;
+    /// Per item: 1 when the item is provably C relocated at `base` (the
+    /// reference's bytes, for an item that is not rva-sensitive).
+    std::vector<std::uint8_t> relocated;
     /// Per-item [rva, rva + content_size) spans at canonicalization time:
     /// update() reuses digests[i] only when spans[i] is unchanged AND
     /// misses every changed byte range.

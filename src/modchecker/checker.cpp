@@ -168,8 +168,8 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
 
 bool IntegrityChecker::decide(const ParsedModule& subject,
                               const ParsedModule& other, SimClock& clock,
-                              DigestTable& forms,
-                              std::size_t* items_decided) const {
+                              DigestTable& forms, DecideTally* tally,
+                              const DeltaPlan* plan) const {
   clock.charge(costs_.compare_fixed);
   const std::vector<std::size_t> partner = pair_items(subject, other);
   // With every subject item paired, nothing is left over on the other
@@ -179,15 +179,35 @@ bool IntegrityChecker::decide(const ParsedModule& subject,
           partner.end()) {
     return false;
   }
+  // The plan speaks for items at the same index on both sides.
+  for (std::size_t i = 0; plan != nullptr && i < partner.size(); ++i) {
+    if (partner[i] != i) {
+      plan = nullptr;
+    }
+  }
+  DecideTally unused;
+  DecideTally& t = tally != nullptr ? *tally : unused;
 
   for (std::size_t i = 0; i < subject.items.size(); ++i) {
     const std::size_t j = partner[i];
     const IntegrityItem& a = subject.items[i];
     const IntegrityItem& b = other.items[j];
-    if (items_decided != nullptr) {
-      ++*items_decided;
-    }
+    ++t.items;
     const std::size_t span = std::max(a.content_size(), b.content_size());
+    // An rva-sensitive item is charged its adjust and its compare, a raw
+    // item its compare, whichever path decides it.
+    clock.charge(a.rva_sensitive ? 2 * costs_.rva_scan_per_byte * span
+                                 : costs_.rva_scan_per_byte * span);
+    if (plan != nullptr) {
+      const DeltaPlan::Answer answer =
+          plan->decide(i, subject, other, forms, clock, t);
+      if (answer == DeltaPlan::Answer::kMatch) {
+        continue;
+      }
+      if (answer == DeltaPlan::Answer::kMismatch) {
+        return false;
+      }
+    }
     ArenaScope scope(scratch_arena());
     ByteView form_a;
     ByteView form_b;
@@ -197,14 +217,12 @@ bool IntegrityChecker::decide(const ParsedModule& subject,
       MutableByteView buf_a = arena_content_copy(scratch_arena(), a);
       MutableByteView buf_b = arena_content_copy(scratch_arena(), b);
       adjust_fixups(buf_a, subject.base, buf_b, other.base, subject.fixups);
-      clock.charge(2 * costs_.rva_scan_per_byte * span);
       if (simd::equal(buf_a, buf_b)) {
         continue;
       }
       form_a = buf_a;
       form_b = buf_b;
     } else {
-      clock.charge(costs_.rva_scan_per_byte * span);
       if (item_content_equal(a, b)) {
         continue;
       }

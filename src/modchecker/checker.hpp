@@ -73,11 +73,18 @@ class IntegrityChecker {
   /// digest served by `forms` (content-verified, so a form met by many
   /// pairs is hashed once per table).  Returns at the first mismatching
   /// item.  A byte compare is charged rva_scan_per_byte, a form lookup as
-  /// DigestTable::form_digest says.  `items_decided`, if given, is
-  /// incremented once per item examined.
+  /// DigestTable::form_digest says.  `tally`, if given, counts the items
+  /// examined.
+  ///
+  /// With `plan` (the pool's delta fallback, CanonicalPool::plan_fallback)
+  /// a positionally paired item is first offered to DeltaPlan::decide,
+  /// which answers from where the copies differ from the canonical form
+  /// when it can, looking up the same forms; its answer is the per-item
+  /// code's, and the item is charged the same.
   bool decide(const ParsedModule& subject, const ParsedModule& other,
               SimClock& clock, DigestTable& forms,
-              std::size_t* items_decided = nullptr) const;
+              DecideTally* tally = nullptr,
+              const DeltaPlan* plan = nullptr) const;
 
  private:
   crypto::HashAlgorithm algorithm_;

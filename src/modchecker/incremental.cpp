@@ -107,17 +107,9 @@ Fallible<std::optional<ModuleInfo>> LoaderSnapshot::find(
     const AcquireStage& acquire, AcquireStage::Session& session,
     vmm::WriteWatch& watches, const std::string& module_name, bool& walked) {
   vmi::VmiSession& s = session.session();
-  const auto lookup = [&](const std::vector<ModuleInfo>& list) {
-    const auto it = std::find_if(
-        list.begin(), list.end(), [&](const ModuleInfo& m) {
-          return guestos::module_name_equals(m.name, module_name);
-        });
-    return it == list.end() ? std::optional<ModuleInfo>()
-                            : std::optional<ModuleInfo>(*it);
-  };
   walked = watch == vmm::WriteWatch::kNoWatch || s.watch_dirty(watch);
   if (!walked) {
-    return lookup(modules);
+    return walk.find(module_name);
   }
   drop(watches);
   // A dirty page-table frame means the walk must not reuse a translation.
@@ -126,16 +118,17 @@ Fallible<std::optional<ModuleInfo>> LoaderSnapshot::find(
       watches.domain_write_generation(s.domain_id());
   std::vector<vmi::VmiSession::TouchedPage> touched;
   s.record_touched(&touched);
-  Fallible<std::vector<ModuleInfo>> listed = acquire.try_list_modules(session);
+  LoaderWalk fresh = acquire.walk_loader(session);
   s.record_touched(nullptr);
-  if (!listed.ok()) {
-    return std::move(listed.fault());
+  Fallible<std::optional<ModuleInfo>> found = fresh.find(module_name);
+  if (!fresh.clean()) {
+    // A faulted read may be transient: answer from this walk, keep none.
+    return found;
   }
   const vmm::WriteWatch::WatchId registered = s.watch_pages(touched);
-  std::optional<ModuleInfo> found = lookup(listed.value());
   if (watches.domain_write_generation(s.domain_id()) == generation) {
     watch = registered;
-    modules = std::move(listed.value());
+    walk = std::move(fresh);
   } else {
     // A write landed between the walk and the registration, possibly on a
     // frame the walk had already read: serve this walk, do not keep it.
@@ -149,7 +142,7 @@ void LoaderSnapshot::drop(vmm::WriteWatch& watches) {
     watches.unregister(watch);
   }
   watch = vmm::WriteWatch::kNoWatch;
-  modules.clear();
+  walk = {};
 }
 
 Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,

@@ -51,11 +51,14 @@ struct IncrementalStats {
 /// new walk would read the same bytes through the same translations, so
 /// a refresh looks its module up here instead of walking (DESIGN §13.5).
 struct LoaderSnapshot {
-  /// `module_name`'s entry, disengaged if it is not loaded.  A clean watch
-  /// answers from the snapshot (one `watch_query`, no guest read); else
-  /// the list is walked again and the walk is kept, under a new watch,
-  /// only if the domain took no write between the walk's first read and
-  /// the watch registration.  `walked` says which path answered.
+  /// What ModuleSearcher::try_find_module(module_name) returns on the
+  /// current guest state: the entry, disengaged if it is not loaded, or
+  /// the fault the lookup meets.  A clean watch answers from the snapshot
+  /// (one `watch_query`, no guest read); else the list is walked again
+  /// (LoaderWalk) and the walk is kept, under a new watch, only if none
+  /// of its reads faulted and the domain took no write between the walk's
+  /// first read and the watch registration.  `walked` says which path
+  /// answered.
   Fallible<std::optional<ModuleInfo>> find(const AcquireStage& acquire,
                                            AcquireStage::Session& session,
                                            vmm::WriteWatch& watches,
@@ -65,7 +68,7 @@ struct LoaderSnapshot {
   /// Forgets the list and its watch.
   void drop(vmm::WriteWatch& watches);
 
-  std::vector<ModuleInfo> modules;
+  LoaderWalk walk;
   vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
 };
 

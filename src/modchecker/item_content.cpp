@@ -70,34 +70,25 @@ crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
   return hasher->finish();
 }
 
-bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,
-                        simd::Policy policy) {
-  if (a.content_size() != b.content_size()) {
-    return false;
-  }
-  ByteView owned_a;
-  ByteView owned_b;
-  const std::span<const ByteView> sa = content_spans(a, owned_a);
-  const std::span<const ByteView> sb = content_spans(b, owned_b);
-  // Dual-cursor walk over the two span lists, comparing each overlap.
+bool spans_equal(std::span<const ByteView> a, std::span<const ByteView> b,
+                 simd::Policy policy) {
   std::size_t ia = 0;
   std::size_t ib = 0;
   std::size_t oa = 0;
   std::size_t ob = 0;
-  while (ia < sa.size() && ib < sb.size()) {
-    const std::size_t take =
-        std::min(sa[ia].size() - oa, sb[ib].size() - ob);
-    if (!simd::equal(sa[ia].subspan(oa, take), sb[ib].subspan(ob, take),
+  while (ia < a.size() && ib < b.size()) {
+    const std::size_t take = std::min(a[ia].size() - oa, b[ib].size() - ob);
+    if (!simd::equal(a[ia].subspan(oa, take), b[ib].subspan(ob, take),
                      policy)) {
       return false;
     }
     oa += take;
     ob += take;
-    if (oa == sa[ia].size()) {
+    if (oa == a[ia].size()) {
       ++ia;
       oa = 0;
     }
-    if (ob == sb[ib].size()) {
+    if (ob == b[ib].size()) {
       ++ib;
       ob = 0;
     }
@@ -105,10 +96,68 @@ bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,
   return true;
 }
 
-bool relocated_content_equal(const IntegrityItem& item,
-                             const FixupPolicy& fixups, std::uint32_t base,
-                             ByteView canonical, const WindowMap& map,
-                             simd::Policy policy) {
+bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,
+                        simd::Policy policy) {
+  if (a.content_size() != b.content_size()) {
+    return false;
+  }
+  ByteView owned_a;
+  ByteView owned_b;
+  return spans_equal(content_spans(a, owned_a), content_spans(b, owned_b),
+                     policy);
+}
+
+bool append_diff_runs(ByteView actual, ByteView expected, std::size_t pos,
+                      const DiffCap& cap, std::size_t& bytes, ByteSpans& out,
+                      simd::Policy policy) {
+  const std::size_t n = actual.size();
+  std::size_t k = simd::mismatch(actual.data(), expected.data(), n, 0, policy);
+  while (k < n) {
+    std::size_t e = k + 1;
+    while (e < n && actual[e] != expected[e]) {
+      ++e;
+    }
+    const auto lo = static_cast<std::uint32_t>(pos + k);
+    const auto hi = static_cast<std::uint32_t>(pos + e);
+    if (!out.empty() && out.back().second == lo) {
+      out.back().second = hi;
+    } else {
+      out.emplace_back(lo, hi);
+    }
+    bytes += e - k;
+    if (bytes > cap.max_bytes || out.size() > cap.max_spans) {
+      return false;
+    }
+    k = simd::mismatch(actual.data(), expected.data(), n, e, policy);
+  }
+  return true;
+}
+
+bool content_diff(const IntegrityItem& item, ByteView expected,
+                  const DiffCap& cap, ByteSpans& out, simd::Policy policy) {
+  out.clear();
+  if (item.content_size() != expected.size()) {
+    return false;
+  }
+  std::size_t pos = 0;
+  std::size_t bytes = 0;
+  bool within = true;
+  item.for_each_span([&](ByteView span) {
+    if (within && !simd::equal(span, expected.subspan(pos, span.size()),
+                               policy)) {
+      within = append_diff_runs(span, expected.subspan(pos, span.size()),
+                                pos, cap, bytes, out, policy);
+    }
+    pos += span.size();
+  });
+  return within;
+}
+
+bool relocated_diff(const IntegrityItem& item, const FixupPolicy& fixups,
+                    std::uint32_t base, ByteView canonical,
+                    const WindowMap& map, const DiffCap& cap, ByteSpans& out,
+                    simd::Policy policy) {
+  out.clear();
   if (!map.usable_for(fixups, item.content_size()) ||
       canonical.size() != map.size()) {
     return false;
@@ -120,19 +169,42 @@ bool relocated_content_equal(const IntegrityItem& item,
   const std::uint64_t biased = fixups.biased_base(base);
   std::size_t next = 0;
   std::size_t pos = 0;
-  bool equal = true;
+  std::size_t bytes = 0;
+  bool within = true;
   item.for_each_span([&](ByteView span) {
-    while (equal && !span.empty()) {
+    while (within && !span.empty()) {
       const std::size_t take = std::min(span.size(), kChunk);
       const MutableByteView expected(chunk, take);
       relocate_range(canonical, map.starts(), next, fixups.width, biased, pos,
                      expected);
-      equal = simd::equal(span.first(take), expected, policy);
+      if (!simd::equal(span.first(take), expected, policy)) {
+        within = append_diff_runs(span.first(take), expected, pos, cap,
+                                  bytes, out, policy);
+      }
       span = span.subspan(take);
       pos += take;
     }
   });
-  return equal;
+  return within;
+}
+
+bool relocated_content_equal(const IntegrityItem& item,
+                             const FixupPolicy& fixups, std::uint32_t base,
+                             ByteView canonical, const WindowMap& map,
+                             simd::Policy policy) {
+  ByteSpans none;
+  return relocated_diff(item, fixups, base, canonical, map, DiffCap{}, none,
+                        policy) &&
+         none.empty();
+}
+
+void copy_content_range(const IntegrityItem& item, std::size_t lo,
+                        MutableByteView out) {
+  if (item.view_backed()) {
+    item.view.read_into(lo, out);
+  } else {
+    copy_bytes(out, ByteView(item.bytes).subspan(lo, out.size()));
+  }
 }
 
 MutableByteView arena_content_copy(Arena& arena,

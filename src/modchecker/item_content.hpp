@@ -13,6 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "crypto/hasher.hpp"
 #include "modchecker/item.hpp"
@@ -32,12 +35,49 @@ crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
 bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,
                         simd::Policy policy = simd::Policy::kAuto);
 
+/// [lo, hi) content offsets, ascending and disjoint.
+using ByteSpans = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
+/// How much difference a diff pass records before it gives up.
+struct DiffCap {
+  std::size_t max_bytes = 0;
+  std::size_t max_spans = 0;
+};
+
+/// Byte equality of two contents given as span lists (a dual-cursor walk
+/// comparing each overlap with the word-wise kernels); the lists must
+/// cover the same number of bytes.
+bool spans_equal(std::span<const ByteView> a, std::span<const ByteView> b,
+                 simd::Policy policy = simd::Policy::kAuto);
+
+/// Appends the maximal runs at which `actual` differs from `expected`
+/// (equal sizes, at content offset `pos`) to `out`, extending the last
+/// run when one continues it.  False once `out` exceeds `cap`; `bytes`
+/// counts the bytes `out` covers.
+bool append_diff_runs(ByteView actual, ByteView expected, std::size_t pos,
+                      const DiffCap& cap, std::size_t& bytes, ByteSpans& out,
+                      simd::Policy policy = simd::Policy::kAuto);
+
+/// The maximal runs of bytes at which `item` differs from `expected`,
+/// appended to `out` (cleared first).  False when the sizes differ or the
+/// runs exceed `cap`; `out` is then incomplete.  One allocation-free pass.
+bool content_diff(const IntegrityItem& item, ByteView expected,
+                  const DiffCap& cap, ByteSpans& out,
+                  simd::Policy policy = simd::Policy::kAuto);
+
+/// content_diff against the canonical form `canonical` relocated at
+/// `base` through `map`: canonical's bytes, with each window holding its
+/// value plus fixups.biased_base(base), mod 2^width.  False whenever the
+/// map is not usable for this copy (other policy or size).  Streams the
+/// item's spans against that form a stack chunk at a time.
+bool relocated_diff(const IntegrityItem& item, const FixupPolicy& fixups,
+                    std::uint32_t base, ByteView canonical,
+                    const WindowMap& map, const DiffCap& cap, ByteSpans& out,
+                    simd::Policy policy = simd::Policy::kAuto);
+
 /// True iff `item`, a copy loaded at `base` under `fixups`, is the
-/// canonical form `canonical` relocated at its own base through `map`:
-/// equal to `canonical` outside the map's windows, and each window equal
-/// to canonical's value plus fixups.biased_base(base), mod 2^width.  One
-/// allocation-free pass over the item's spans.  False whenever the map is
-/// not usable for this copy (other policy or size).  A true result means
+/// canonical form `canonical` relocated at its own base through `map`
+/// (relocated_diff finds no difference).  A true result means
 /// adjust_fixups against the reference of the run that recorded `map`
 /// resolves every difference and leaves `item`'s copy equal to
 /// `canonical` (DESIGN §5.1).
@@ -45,6 +85,10 @@ bool relocated_content_equal(const IntegrityItem& item,
                              const FixupPolicy& fixups, std::uint32_t base,
                              ByteView canonical, const WindowMap& map,
                              simd::Policy policy = simd::Policy::kAuto);
+
+/// Copies content bytes [lo, lo + out.size()) of `item` into `out`.
+void copy_content_range(const IntegrityItem& item, std::size_t lo,
+                        MutableByteView out);
 
 /// Copies the item's content into `arena` scratch — the mutation point for
 /// Algorithm 2, which rewrites relocation words before hashing.  The span

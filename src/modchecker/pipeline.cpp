@@ -125,6 +125,10 @@ Fallible<std::vector<ModuleInfo>> AcquireStage::try_list_modules(
   return ModuleSearcher(s.session()).try_list_modules();
 }
 
+LoaderWalk AcquireStage::walk_loader(Session& s) const {
+  return ModuleSearcher(s.session()).walk_loader();
+}
+
 Fallible<std::optional<ModuleImage>> AcquireStage::try_extract_module(
     Session& s, const std::string& module_name, ExtractMode mode) const {
   if (mode == ExtractMode::kCopy) {
@@ -276,9 +280,9 @@ PairComparison CompareStage::compare(const ParsedModule& subject,
 
 bool CompareStage::decide(const ParsedModule& subject,
                           const ParsedModule& other, SimClock& clock,
-                          DigestTable& forms,
-                          std::size_t* items_decided) const {
-  return ctx_->checker.decide(subject, other, clock, forms, items_decided);
+                          DigestTable& forms, DecideTally* tally,
+                          const DeltaPlan* plan) const {
+  return ctx_->checker.decide(subject, other, clock, forms, tally, plan);
 }
 
 // ---- Vote ------------------------------------------------------------------
@@ -734,17 +738,34 @@ PoolScanReport CheckPipeline::pool_scan(
 
   // Exact pairwise comparisons for the rest, each on its own clock.  They
   // share one table of content-verified digests, so a form many pairs
-  // meet (typically an infected copy's adjusted item) is hashed once.  The
-  // paper_faithful scan keeps the paper's full compare() per pair.
+  // meet (typically an infected copy's adjusted item) is hashed once, and
+  // one delta plan: each ineligible copy is diffed once against the
+  // canonical forms here, so a pair with a settled peer pays for the bytes
+  // where the copy differs, not for the image.  The paper_faithful scan
+  // keeps the paper's full compare() per pair.
   struct Outcome {
     bool all_match = false;
     SimNanos ns = 0;
-    std::size_t items = 0;
+    DecideTally tally;
     std::size_t hashes = 0;
   };
+  std::optional<DeltaPlan> plan;
   std::optional<DigestTable> forms;
   if (normalize_.enabled() && !fallback.empty()) {
+    if (canon != nullptr) {
+      std::vector<const ParsedModule*> patched;
+      for (std::size_t i = 0; i < pool.size(); ++i) {
+        if (extractions[i].found && !extractions[i].parse_failed &&
+            digests[i] == nullptr) {
+          patched.push_back(&extractions[i].copy());
+        }
+      }
+      plan.emplace(canon->plan_fallback(patched));
+    }
     forms.emplace(config.algorithm, config.host_costs, ctx_->metrics);
+    if (plan) {
+      plan->seed(*forms);
+    }
   }
   std::vector<Outcome> outcomes;
   report.wall_time += run_tasks(
@@ -757,11 +778,12 @@ PoolScanReport CheckPipeline::pool_scan(
         const ParsedModule& b = extractions[j].copy();
         Outcome o;
         if (forms) {
-          o.all_match = compare_.decide(a, b, pair_clock, *forms, &o.items);
+          o.all_match = compare_.decide(a, b, pair_clock, *forms, &o.tally,
+                                        plan ? &*plan : nullptr);
         } else {
           const PairComparison cmp = compare_.compare(a, b, pair_clock);
           o.all_match = cmp.all_match;
-          o.items = cmp.items.size();
+          o.tally.items = cmp.items.size();
           for (const ItemComparison& item : cmp.items) {
             o.hashes += item.digest_subject.empty() ? 0u : 2u;
           }
@@ -772,12 +794,18 @@ PoolScanReport CheckPipeline::pool_scan(
       [](const Outcome& o) { return o.ns; }, outcomes);
   std::size_t fallback_items = 0;
   std::size_t fallback_hashes = forms ? forms->form_hashes() : 0;
+  std::size_t delta_items = 0;
+  std::array<std::size_t, kDeltaRefusalKinds> delta_refusals{};
   for (std::size_t k = 0; k < fallback.size(); ++k) {
     const auto [i, j] = fallback[k];
     credit(i, j, outcomes[k].all_match);
     report.cpu_times.checker += outcomes[k].ns;
-    fallback_items += outcomes[k].items;
+    fallback_items += outcomes[k].tally.items;
     fallback_hashes += outcomes[k].hashes;
+    delta_items += outcomes[k].tally.delta_items;
+    for (std::size_t r = 0; r < kDeltaRefusalKinds; ++r) {
+      delta_refusals[r] += outcomes[k].tally.refusals[r];
+    }
     if (cached != nullptr) {
       cached->pairs[{pool[i], pool[j]}] = {
           {slots[i]->generation, slots[j]->generation},
@@ -792,11 +820,21 @@ PoolScanReport CheckPipeline::pool_scan(
   compare_span.arg("fallback_pairs", std::uint64_t{report.fallback_pairs});
   compare_span.arg("fallback_items", std::uint64_t{fallback_items});
   compare_span.arg("fallback_hashes", std::uint64_t{fallback_hashes});
+  compare_span.arg("delta_items", std::uint64_t{delta_items});
+  for (std::size_t r = 0; r < kDeltaRefusalKinds; ++r) {
+    if (compare_span) {
+      compare_span.arg(std::string("delta_refusals.") +
+                           delta_refusal_name(static_cast<DeltaRefusal>(r)),
+                       std::uint64_t{delta_refusals[r]});
+    }
+    ctx_->pm.delta_refusals[r].inc(delta_refusals[r]);
+  }
   compare_span.end();
   ctx_->pm.fastpath_pairs.inc(report.fastpath_pairs);
   ctx_->pm.fallback_pairs.inc(report.fallback_pairs);
   ctx_->pm.fallback_items.inc(fallback_items);
   ctx_->pm.fallback_hashes.inc(fallback_hashes);
+  ctx_->pm.delta_items.inc(delta_items);
   ctx_->pm.compare_ns.observe(report.cpu_times.checker - normalize_ns);
 
   {

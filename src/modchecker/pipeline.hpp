@@ -34,6 +34,7 @@
 // outlive the pipeline and every report it produced.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <map>
 #include <optional>
@@ -260,6 +261,16 @@ struct CheckContext {
   /// them on the hot path without touching the registry lock.  All handles
   /// are no-ops when the config points at the disabled registry.
   struct PipelineMetrics {
+    static std::array<telemetry::Counter, kDeltaRefusalKinds>
+    refusal_counters(telemetry::MetricRegistry& reg) {
+      std::array<telemetry::Counter, kDeltaRefusalKinds> out;
+      for (std::size_t k = 0; k < kDeltaRefusalKinds; ++k) {
+        out[k] = reg.counter(std::string("canonical.delta_refusals.") +
+                             delta_refusal_name(static_cast<DeltaRefusal>(k)));
+      }
+      return out;
+    }
+
     explicit PipelineMetrics(telemetry::MetricRegistry& reg)
         : checks(reg.counter("pipeline.checks")),
           pool_scans(reg.counter("pipeline.pool_scans")),
@@ -274,6 +285,8 @@ struct CheckContext {
           fallback_pairs(reg.counter("pipeline.compare.fallback_pairs")),
           fallback_items(reg.counter("pipeline.compare.fallback_items")),
           fallback_hashes(reg.counter("pipeline.compare.fallback_hashes")),
+          delta_items(reg.counter("canonical.delta_items")),
+          delta_refusals(refusal_counters(reg)),
           cache_reuses(reg.counter("incremental.cache_reuses")),
           partial_refreshes(reg.counter("incremental.partial_refreshes")),
           unchanged_refreshes(
@@ -303,6 +316,11 @@ struct CheckContext {
     /// Items the exact fallback examined, and the digests it computed.
     telemetry::Counter fallback_items;
     telemetry::Counter fallback_hashes;
+    /// Of those items, the ones the delta fallback decided, and the ones
+    /// it left to the per-item code by DeltaRefusal
+    /// ("canonical.delta_refusals.<reason>").
+    telemetry::Counter delta_items;
+    std::array<telemetry::Counter, kDeltaRefusalKinds> delta_refusals;
     /// Scan-cache economics (ScanCache::account).
     telemetry::Counter cache_reuses;
     telemetry::Counter partial_refreshes;
@@ -391,6 +409,10 @@ class AcquireStage {
   /// guest fault (injected or real) as a FaultRecord instead of unwinding
   /// the scan.
   Fallible<std::vector<ModuleInfo>> try_list_modules(Session& s) const;
+
+  /// One walk that keeps every read's outcome, so it can answer
+  /// try_find_module for any name (the scan cache's loader snapshot).
+  LoaderWalk walk_loader(Session& s) const;
 
   /// Whole-image extraction; disengaged if not loaded.  kView borrows the
   /// guest's frames; kCopy (a counted materialization) is for the cache.
@@ -484,10 +506,12 @@ class CompareStage {
 
   /// compare(...).all_match without the per-item report: byte compares
   /// first, digests from `forms` only where bytes differ, stopping at the
-  /// first mismatching item (IntegrityChecker::decide).
+  /// first mismatching item, items offered to `plan` first
+  /// (IntegrityChecker::decide).
   bool decide(const ParsedModule& subject, const ParsedModule& other,
               SimClock& clock, DigestTable& forms,
-              std::size_t* items_decided = nullptr) const;
+              DecideTally* tally = nullptr,
+              const DeltaPlan* plan = nullptr) const;
 
  private:
   CheckContext* ctx_;

@@ -61,95 +61,157 @@ std::uint32_t base_difference_offset(std::uint32_t base1,
   return static_cast<std::uint32_t>(std::countr_zero(x)) / 8 + 1;
 }
 
-RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
-                            MutableByteView section2, std::uint32_t base2,
-                            simd::Policy policy,
-                            std::vector<FixupWindow>* windows) {
-  RvaAdjustResult result;
-  if (windows != nullptr) {
-    windows->clear();
+namespace {
+
+/// Where the scan may stop early: a step boundary at or past `until` at
+/// which the run is back in step with a run over two relocated copies.
+struct Resync {
+  const std::vector<std::uint32_t>* starts;
+  std::uint32_t width;
+  std::size_t until;
+
+  /// True when scan position `pos` over the slice `s1`/`s2` (section
+  /// bytes from `origin`) is resynchronised; `stop` is then the position
+  /// it is equivalent to: `pos` itself when it lies strictly inside no
+  /// window, else the end of its window when the rest of that window is
+  /// equal on both sides (the next difference is the next window's).
+  bool reached(std::size_t pos, ByteView s1, ByteView s2, std::size_t origin,
+               std::size_t& stop) const {
+    if (pos < until) {
+      return false;
+    }
+    const auto it = std::upper_bound(starts->begin(), starts->end(), pos);
+    if (it == starts->begin() || *(it - 1) + width <= pos) {
+      stop = pos;
+      return true;
+    }
+    const std::size_t window_end = *(it - 1) + width;
+    if (window_end > origin + s1.size() ||
+        !simd::equal(s1.subspan(pos - origin, window_end - pos),
+                     s2.subspan(pos - origin, window_end - pos))) {
+      return false;
+    }
+    stop = window_end;
+    return true;
   }
+};
 
-  const std::size_t common = std::min(section1.size(), section2.size());
-  result.unresolved_diffs += static_cast<std::uint32_t>(
-      std::max(section1.size(), section2.size()) - common);
-
-  const std::uint32_t offset = base_difference_offset(base1, base2);
-  if (offset == 0) {
-    result.unresolved_diffs +=
-        count_differing_bytes(section1, section2, common, policy);
-    return result;
+/// Rewrites both width-`W` windows at local index `at` to their common RVA
+/// when value − biased base agrees on the two sides (eq. 1, mod 2^(8W)).
+template <std::uint32_t W>
+bool try_rewrite(MutableByteView a, MutableByteView b, std::size_t at,
+                 std::uint64_t eb1, std::uint64_t eb2) {
+  if constexpr (W == 8) {
+    const std::uint64_t rva1 = load_le64(a, at) - eb1;
+    const std::uint64_t rva2 = load_le64(b, at) - eb2;
+    if (rva1 != rva2) {
+      return false;
+    }
+    store_le64(a, at, rva1);
+    store_le64(b, at, rva2);
+  } else {
+    // Also the truncated store (R_X86_64_32S shape): only the low dword of
+    // the absolute address landed in the image; subtract the biased
+    // base's low dword, mod 2^32 — wraps cancel exactly like the PE case.
+    const std::uint32_t rva1 =
+        load_le32_at(a, at) - static_cast<std::uint32_t>(eb1);
+    const std::uint32_t rva2 =
+        load_le32_at(b, at) - static_cast<std::uint32_t>(eb2);
+    if (rva1 != rva2) {
+      return false;
+    }
+    store_le32_at(a, at, rva1);
+    store_le32_at(b, at, rva2);
   }
+  return true;
+}
 
-  // Lockstep diff scan: the kernel XORs eight (or thirty-two) bytes at a
-  // time and only a differing word takes a branch; the candidate window
-  // logic below is untouched from the scalar algorithm, so counting and
-  // rewrite semantics are bit-identical at every dispatch level.
-  std::size_t j = simd::mismatch(section1.data(), section2.data(), common, 0,
-                                 policy);
-  while (j < common) {
+/// Algorithm 2's candidate-window scan, the one implementation every entry
+/// point runs.  `s1`/`s2` hold bytes [origin, origin + s1.size()) of two
+/// sections whose common length is `common`; the scan starts at absolute
+/// position `from`.  A full run passes the whole sections (origin 0) and
+/// no `resync`.  Returns where the scan stopped and whether that stop is a
+/// resynchronisation point (or the section end); false means a step needed
+/// bytes outside the slice.
+template <std::uint32_t W>
+ResumedRun scan(MutableByteView s1, MutableByteView s2, std::size_t origin,
+                std::size_t common, std::uint32_t offset, std::uint64_t eb1,
+                std::uint64_t eb2, std::uint32_t alt_width, std::size_t from,
+                const Resync* resync, simd::Policy policy,
+                std::vector<FixupWindow>* windows) {
+  ResumedRun run;
+  RvaAdjustResult& result = run.counts;
+  const std::size_t n = s1.size();
+  const std::size_t end = origin + n;
+  std::size_t pos = from;
+  for (;;) {
+    if (resync != nullptr &&
+        resync->reached(pos, s1, s2, origin, run.stop)) {
+      run.synced = true;
+      return run;
+    }
+    // The kernel XORs eight (or thirty-two) bytes at a time and only a
+    // differing word takes a branch.
+    const std::size_t j =
+        origin + simd::mismatch(s1.data(), s2.data(), n, pos - origin, policy);
+    if (j == end) {
+      run.stop = end;
+      run.synced = end == common;
+      return run;
+    }
     // Candidate absolute address starts `offset - 1` bytes before the
     // first differing byte (Algorithm 2 lines 13-14: j - offset + 1).
     if (j + 1 < offset) {
       // Difference too close to the section start for a full address.
       ++result.unresolved_diffs;
-      j = simd::mismatch(section1.data(), section2.data(), common, j + 1,
-                         policy);
+      pos = j + 1;
       continue;
     }
     const std::size_t start = j - (offset - 1);
-    if (start + 4 > common) {
-      // Difference too close to the section end.
-      ++result.unresolved_diffs;
-      j = simd::mismatch(section1.data(), section2.data(), common, j + 1,
-                         policy);
-      continue;
+    if (start < origin || std::min(start + W, common) > end) {
+      run.stop = pos;  // the window's bytes lie outside the slice
+      return run;
     }
-
-    const std::uint32_t abs1 = load_le32_at(section1, start);
-    const std::uint32_t abs2 = load_le32_at(section2, start);
-    const std::uint32_t rva1 = abs1 - base1;  // eq. (1); wraps are fine
-    const std::uint32_t rva2 = abs2 - base2;
-
-    if (rva1 == rva2) {
-      // Consistent relocation: replace both absolute addresses with the
-      // common RVA (lines 17-19).
-      store_le32_at(section1, start, rva1);
-      store_le32_at(section2, start, rva2);
+    std::uint32_t width = 0;
+    if (start + W <= common &&
+        try_rewrite<W>(s1, s2, start - origin, eb1, eb2)) {
+      width = W;
+    } else if (alt_width != 0 && start + alt_width <= common &&
+               try_rewrite<4>(s1, s2, start - origin, eb1, eb2)) {
+      width = alt_width;
+    }
+    if (width != 0) {
+      // Consistent relocation: both windows now hold the common RVA
+      // (lines 17-19); resume after the rewritten window (line 22 intent).
       ++result.adjusted;
       if (windows != nullptr) {
-        windows->push_back({static_cast<std::uint32_t>(start), 4});
+        windows->push_back({static_cast<std::uint32_t>(start), width});
       }
-      // Resume after the rewritten window (line 22 intent).
-      j = simd::mismatch(section1.data(), section2.data(), common, start + 4,
-                         policy);
+      pos = start + width;
     } else {
-      // Genuine content divergence — leave bytes for the hash to catch.
+      // Genuine content divergence (or a window cut off by the section
+      // end) — leave the bytes for the hash to catch.
       ++result.unresolved_diffs;
-      j = simd::mismatch(section1.data(), section2.data(), common, j + 1,
-                         policy);
+      pos = j + 1;
     }
   }
-  return result;
 }
 
-RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
-                              MutableByteView section2, std::uint32_t base2,
-                              const FixupPolicy& fixups, simd::Policy policy,
-                              std::vector<FixupWindow>* windows) {
-  if (fixups.pe32_default()) {
-    // The historical path, verbatim: PE32 callers keep bit-identical
-    // rewrites and counters through the exact same code.
-    return adjust_rvas(section1, base1, section2, base2, policy, windows);
-  }
-  if (windows != nullptr) {
-    windows->clear();
-  }
+void check_policy(const FixupPolicy& fixups) {
   MC_CHECK(fixups.width == 8 || fixups.width == 4,
            "FixupPolicy width must be 4 or 8");
   MC_CHECK(fixups.alt_width == 0 || fixups.alt_width == 4,
            "FixupPolicy alt_width must be 0 or 4");
+}
 
+/// A full run of `fixups`' scan over the common prefix of two sections.
+RvaAdjustResult full_run(MutableByteView section1, std::uint32_t base1,
+                         MutableByteView section2, std::uint32_t base2,
+                         const FixupPolicy& fixups, simd::Policy policy,
+                         std::vector<FixupWindow>* windows) {
+  if (windows != nullptr) {
+    windows->clear();
+  }
   RvaAdjustResult result;
   const std::size_t common = std::min(section1.size(), section2.size());
   result.unresolved_diffs += static_cast<std::uint32_t>(
@@ -163,73 +225,61 @@ RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
         count_differing_bytes(section1, section2, common, policy);
     return result;
   }
+  const MutableByteView s1 = section1.first(common);
+  const MutableByteView s2 = section2.first(common);
   const std::uint64_t eb1 = fixups.biased_base(base1);
   const std::uint64_t eb2 = fixups.biased_base(base2);
-
-  // Tests the width-`w` window at `start`: recover RVA = value − biased
-  // base on each side (eq. 1 widened); equal RVAs mean the loader made
-  // this difference — rewrite both windows to the common RVA.
-  const auto try_rewrite = [&](std::size_t start, std::uint32_t w) -> bool {
-    if (start + w > common) {
-      return false;
-    }
-    if (w == 8) {
-      const std::uint64_t rva1 = load_le64(section1, start) - eb1;
-      const std::uint64_t rva2 = load_le64(section2, start) - eb2;
-      if (rva1 != rva2) {
-        return false;
-      }
-      store_le64(section1, start, rva1);
-      store_le64(section2, start, rva2);
-    } else {
-      // Truncated store (R_X86_64_32S shape): only the low dword of the
-      // absolute address landed in the image; subtract the biased base's
-      // low dword, mod 2^32 — wraps cancel exactly like the PE case.
-      const std::uint32_t rva1 =
-          load_le32_at(section1, start) - static_cast<std::uint32_t>(eb1);
-      const std::uint32_t rva2 =
-          load_le32_at(section2, start) - static_cast<std::uint32_t>(eb2);
-      if (rva1 != rva2) {
-        return false;
-      }
-      store_le32_at(section1, start, rva1);
-      store_le32_at(section2, start, rva2);
-    }
-    return true;
-  };
-
-  std::size_t j =
-      simd::mismatch(section1.data(), section2.data(), common, 0, policy);
-  while (j < common) {
-    if (j + 1 < offset) {
-      // Difference too close to the section start for a full address.
-      ++result.unresolved_diffs;
-      j = simd::mismatch(section1.data(), section2.data(), common, j + 1,
-                         policy);
-      continue;
-    }
-    const std::size_t start = j - (offset - 1);
-    std::uint32_t width = 0;
-    if (try_rewrite(start, fixups.width)) {
-      width = fixups.width;
-    } else if (fixups.alt_width != 0 && try_rewrite(start, fixups.alt_width)) {
-      width = fixups.alt_width;
-    }
-    if (width != 0) {
-      ++result.adjusted;
-      if (windows != nullptr) {
-        windows->push_back({static_cast<std::uint32_t>(start), width});
-      }
-      j = simd::mismatch(section1.data(), section2.data(), common,
-                         start + width, policy);
-    } else {
-      // Genuine content divergence — leave bytes for the hash to catch.
-      ++result.unresolved_diffs;
-      j = simd::mismatch(section1.data(), section2.data(), common, j + 1,
-                         policy);
-    }
-  }
+  const ResumedRun run =
+      fixups.width == 8
+          ? scan<8>(s1, s2, 0, common, offset, eb1, eb2, fixups.alt_width, 0,
+                    nullptr, policy, windows)
+          : scan<4>(s1, s2, 0, common, offset, eb1, eb2, fixups.alt_width, 0,
+                    nullptr, policy, windows);
+  result.adjusted += run.counts.adjusted;
+  result.unresolved_diffs += run.counts.unresolved_diffs;
   return result;
+}
+
+}  // namespace
+
+RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
+                            MutableByteView section2, std::uint32_t base2,
+                            simd::Policy policy,
+                            std::vector<FixupWindow>* windows) {
+  return full_run(section1, base1, section2, base2, FixupPolicy{}, policy,
+                  windows);
+}
+
+RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
+                              MutableByteView section2, std::uint32_t base2,
+                              const FixupPolicy& fixups, simd::Policy policy,
+                              std::vector<FixupWindow>* windows) {
+  check_policy(fixups);
+  return full_run(section1, base1, section2, base2, fixups, policy, windows);
+}
+
+ResumedRun adjust_fixups_resumed(MutableByteView section1, std::uint32_t base1,
+                                 MutableByteView section2, std::uint32_t base2,
+                                 const FixupPolicy& fixups, std::size_t origin,
+                                 std::size_t common, std::size_t from,
+                                 std::size_t until,
+                                 const std::vector<std::uint32_t>& starts,
+                                 simd::Policy policy) {
+  check_policy(fixups);
+  const std::uint32_t offset = base_difference_offset(base1, base2);
+  MC_CHECK(offset != 0, "adjust_fixups_resumed needs distinct bases");
+  MC_CHECK(section1.size() == section2.size() &&
+               origin + section1.size() <= common && origin <= from &&
+               from <= origin + section1.size(),
+           "adjust_fixups_resumed slice out of range");
+  const Resync resync{&starts, fixups.width, until};
+  const std::uint64_t eb1 = fixups.biased_base(base1);
+  const std::uint64_t eb2 = fixups.biased_base(base2);
+  return fixups.width == 8
+             ? scan<8>(section1, section2, origin, common, offset, eb1, eb2,
+                       fixups.alt_width, from, &resync, policy, nullptr)
+             : scan<4>(section1, section2, origin, common, offset, eb1, eb2,
+                       fixups.alt_width, from, &resync, policy, nullptr);
 }
 
 std::optional<WindowMap> WindowMap::from_run(

@@ -99,12 +99,6 @@ struct FixupPolicy {
   /// base address the loader relocated against.
   std::uint64_t base_bias = 0;
 
-  /// True for the PE32 policy — adjust_fixups delegates verbatim to
-  /// adjust_rvas then, keeping the historical path bit-identical.
-  bool pe32_default() const {
-    return width == 4 && alt_width == 0 && base_bias == 0;
-  }
-
   /// The link-view base the loader relocated a copy at `base` against.
   std::uint64_t biased_base(std::uint32_t base) const {
     return base_bias | base;
@@ -114,8 +108,8 @@ struct FixupPolicy {
 };
 
 /// Algorithm 2 generalized over a format's FixupPolicy.  For the default
-/// PE32 policy this *is* adjust_rvas (same code path, bit-identical bytes
-/// and counters).  Otherwise the same candidate-window scan runs with the
+/// PE32 policy this *is* adjust_rvas (same scan, bit-identical bytes and
+/// counters).  Otherwise the same candidate-window scan runs with the
 /// policy's widths: at each first-differing byte the primary-width window
 /// is tested (value − biased base on each side; equal RVAs → rewrite both
 /// windows to the common RVA), the secondary width is tested on failure,
@@ -129,6 +123,39 @@ RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
                               const FixupPolicy& fixups,
                               simd::Policy policy = simd::Policy::kAuto,
                               std::vector<FixupWindow>* windows = nullptr);
+
+/// Where adjust_fixups_resumed stopped.
+struct ResumedRun {
+  /// Windows rewritten and differences left unresolved by this slice of
+  /// the run.
+  RvaAdjustResult counts;
+  /// Absolute scan position the run stopped at.
+  std::size_t stop = 0;
+  /// True when `stop` is a resynchronisation point or the section end;
+  /// false when a step needed bytes outside the slice (nothing past `stop`
+  /// was decided).
+  bool synced = false;
+};
+
+/// adjust_fixups' own scan, resumed mid-section — the entry point the
+/// pool's delta fallback uses to run Algorithm 2 around a patch only
+/// (DESIGN §5.1, "the locality lemma").  `section1`/`section2` hold bytes
+/// [origin, origin + size) of two sections of `common` bytes each, loaded
+/// at the distinct bases `base1`/`base2`, in the state an earlier part of
+/// the run left them; the scan starts at absolute position `from`.  It
+/// stops at the first step boundary p >= `until` that lies strictly
+/// inside none of the windows at `starts` (ascending, non-overlapping,
+/// the policy's primary width), or that lies inside one whose remaining
+/// bytes are equal on both sides (`stop` is then that window's end), or
+/// at the section end.  Bytes are rewritten, and differences counted,
+/// exactly as the full run would between `from` and `stop`.
+ResumedRun adjust_fixups_resumed(MutableByteView section1, std::uint32_t base1,
+                                 MutableByteView section2, std::uint32_t base2,
+                                 const FixupPolicy& fixups, std::size_t origin,
+                                 std::size_t common, std::size_t from,
+                                 std::size_t until,
+                                 const std::vector<std::uint32_t>& starts,
+                                 simd::Policy policy = simd::Policy::kAuto);
 
 /// The relocation windows of one fully resolved Algorithm 2 run that
 /// produced a canonical form C, kept so a later copy at another base can

@@ -188,6 +188,55 @@ Fallible<std::optional<ModuleInfo>> ModuleSearcher::try_find_module(
   return found;
 }
 
+LoaderWalk ModuleSearcher::walk_loader() {
+  LoaderWalk out;
+  Fallible<const gw::GuestProfile*> looked_up = try_profile();
+  if (!looked_up.ok()) {
+    out.end_fault = std::move(looked_up.fault());
+    return out;
+  }
+  const gw::GuestProfile& profile = *looked_up.value();
+  // Name first, as try_find_module reads it: a name fault ends every
+  // lookup there; a facts fault only the lookup of that entry's name.
+  out.end_fault = walk_loader_list(
+      *session_, profile, [&](std::uint32_t cur) -> Fallible<bool> {
+        Fallible<std::string> name =
+            try_read_entry_name(*session_, profile, cur);
+        if (!name.ok()) {
+          return std::move(name.fault());
+        }
+        LoaderWalk::Entry entry;
+        entry.info.name = std::move(name.value());
+        entry.facts_fault =
+            try_read_entry_facts(*session_, profile, cur, entry.info);
+        out.entries.push_back(std::move(entry));
+        return false;
+      });
+  return out;
+}
+
+Fallible<std::optional<ModuleInfo>> LoaderWalk::find(
+    const std::string& module_name) const {
+  for (const Entry& entry : entries) {
+    if (gw::module_name_equals(entry.info.name, module_name)) {
+      if (entry.facts_fault) {
+        return *entry.facts_fault;
+      }
+      return std::optional<ModuleInfo>(entry.info);
+    }
+  }
+  if (end_fault) {
+    return *end_fault;
+  }
+  return std::optional<ModuleInfo>();
+}
+
+bool LoaderWalk::clean() const {
+  return !end_fault &&
+         std::none_of(entries.begin(), entries.end(),
+                      [](const Entry& e) { return e.facts_fault.has_value(); });
+}
+
 Fallible<std::optional<ModuleImage>> ModuleSearcher::try_extract_module(
     const std::string& module_name, ExtractMode mode) {
   Fallible<std::optional<ModuleInfo>> found = try_find_module(module_name);

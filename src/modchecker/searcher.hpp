@@ -29,6 +29,29 @@ enum class ExtractMode {
   kView,  // borrowed GuestView: zero-copy, valid for the current scan
 };
 
+/// One walk of the loader list that answers try_find_module for any name
+/// (the scan cache's loader snapshot): every entry's name and facts, or
+/// the fault reading its facts, in list order, and how the walk ended.
+struct LoaderWalk {
+  struct Entry {
+    ModuleInfo info;  // the name, and the facts unless facts_fault
+    MaybeFault facts_fault;
+  };
+  std::vector<Entry> entries;
+  /// The fault that ended the walk before it returned to the list head:
+  /// a profile, head, name or FLINK read, or a FLINK cycle.
+  MaybeFault end_fault;
+
+  /// Exactly what try_find_module(module_name) returns on the walked
+  /// guest state: the first entry whose name matches (or the fault reading
+  /// its facts), else the walk's end fault, else not loaded.
+  Fallible<std::optional<ModuleInfo>> find(
+      const std::string& module_name) const;
+
+  /// True when no read of the walk faulted.
+  bool clean() const;
+};
+
 class ModuleSearcher {
  public:
   explicit ModuleSearcher(vmi::VmiSession& session) : session_(&session) {}
@@ -41,6 +64,10 @@ class ModuleSearcher {
   /// (which is an answer, not a fault).
   Fallible<std::optional<ModuleInfo>> try_find_module(
       const std::string& module_name);
+
+  /// Walks the whole list once, keeping every read's outcome, so that
+  /// LoaderWalk::find can answer for any module name.
+  LoaderWalk walk_loader();
 
   /// Finds the module and acquires its entire image from guest memory —
   /// copied page by page (kCopy), or as borrowed spans over the guest's

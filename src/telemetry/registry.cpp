@@ -81,22 +81,21 @@ std::uint64_t Histogram::bucket_count(std::size_t i) const {
   return entry_->buckets[i]->value.load(std::memory_order_relaxed);
 }
 
-Counter MetricRegistry::counter(const std::string& name) {
+Counter MetricRegistry::counter(std::string_view name) {
   if (!enabled_) {
     return Counter();
   }
   std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& entry : counters_) {
-    if (entry->name == name) {
-      return Counter(entry.get());
-    }
+  if (const auto it = counter_index_.find(name); it != counter_index_.end()) {
+    return Counter(it->second);
   }
   counters_.push_back(std::make_unique<detail::CounterEntry>());
-  counters_.back()->name = name;
+  counters_.back()->name = std::string(name);
+  counter_index_.emplace(counters_.back()->name, counters_.back().get());
   return Counter(counters_.back().get());
 }
 
-OwnedCounter MetricRegistry::owned_counter(const std::string& name) {
+OwnedCounter MetricRegistry::owned_counter(std::string_view name) {
   if (!enabled_) {
     return OwnedCounter();
   }

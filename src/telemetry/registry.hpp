@@ -46,6 +46,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace mc::telemetry {
@@ -133,6 +135,17 @@ class OwnedCounter {
   void inc(std::uint64_t n = 1) const {
     if (cell_ != nullptr) {
       cell_->fetch_add(n, std::memory_order_relaxed);
+    }
+  }
+
+  /// inc() for a cell only one thread writes at a time (an owner confined
+  /// to one thread, or handed between threads under a lock): a plain load
+  /// and store, without the locked read-modify-write.  Readers still see a
+  /// consistent value.  Per-read VMI counters take this path.
+  void inc_single_writer(std::uint64_t n = 1) const {
+    if (cell_ != nullptr) {
+      cell_->store(cell_->load(std::memory_order_relaxed) + n,
+                   std::memory_order_relaxed);
     }
   }
 
@@ -256,10 +269,11 @@ class MetricRegistry {
 
   /// Returns the named counter, creating it on first use.  Handles to the
   /// same name share one entry.
-  Counter counter(const std::string& name);
+  Counter counter(std::string_view name);
 
-  /// Allocates a fresh per-object cell of the named counter.
-  OwnedCounter owned_counter(const std::string& name);
+  /// Allocates a fresh per-object cell of the named counter.  Objects made
+  /// per scan take their cells here, so the lookup is one hash probe.
+  OwnedCounter owned_counter(std::string_view name);
 
   Gauge gauge(const std::string& name);
 
@@ -282,9 +296,22 @@ class MetricRegistry {
   struct DisabledTag {};
   explicit MetricRegistry(DisabledTag) : enabled_(false) {}
 
+  /// Heterogeneous string hashing, so a lookup by string_view allocates
+  /// nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   bool enabled_ = true;
   mutable std::mutex mutex_;
+  /// In creation order (the snapshot's order), and indexed by name.
   std::vector<std::unique_ptr<detail::CounterEntry>> counters_;
+  std::unordered_map<std::string, detail::CounterEntry*, NameHash,
+                     std::equal_to<>>
+      counter_index_;
   std::vector<std::unique_ptr<detail::GaugeEntry>> gauges_;
   std::vector<std::unique_ptr<detail::HistogramEntry>> histograms_;
 };

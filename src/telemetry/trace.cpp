@@ -52,6 +52,8 @@ SpanScope TraceRecorder::span(std::string name, std::string category,
   record.wall_start_ns = wall_now_ns();
   record.sim_start = clock != nullptr ? clock->now() : 0;
   record.depth = t_depth++;
+  // Stage spans carry a few args each: one allocation for them all.
+  record.args.reserve(4);
   return SpanScope(this, std::move(record), clock);
 }
 
@@ -66,6 +68,9 @@ std::vector<SpanRecord> TraceRecorder::drain() {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<SpanRecord> out;
   out.swap(done_);
+  // Spans arrive at a steady rate between drains: keep the room, so the
+  // next batch's complete() calls do not regrow the buffer span by span.
+  done_.reserve(out.size());
   return out;
 }
 

@@ -60,7 +60,7 @@ void VmiSession::charge(SimNanos nanos) {
 
 FaultRecord VmiSession::make_fault(FaultCode code, std::uint32_t va,
                                    std::uint64_t pa, std::string detail) {
-  counters_.faults_observed.inc();
+  counters_.faults_observed.inc_single_writer();
   FaultRecord record;
   record.code = code;
   record.domain = domain_id_;
@@ -82,7 +82,7 @@ MaybeFault VmiSession::try_ensure_debug_block() {
   const std::uint32_t frames = mem.frame_count();
   for (std::uint32_t f = 0; f < frames; ++f) {
     mem.read(std::uint64_t{f} << vmm::kFrameShift, frame);
-    counters_.kdbg_frames_scanned.inc();
+    counters_.kdbg_frames_scanned.inc_single_writer();
     charge(costs_.kdbg_scan_per_frame);
     for (std::uint32_t off = 0; off + guestos::kDebugBlockSize <= frame.size();
          off += 4) {
@@ -133,10 +133,10 @@ Fallible<std::uint32_t> VmiSession::try_guest_version() {
 
 Fallible<std::uint64_t> VmiSession::try_translate_kv2p(std::uint32_t va) {
   const std::uint32_t page = va & ~kPageMask;
-  counters_.translations.inc();
+  counters_.translations.inc_single_writer();
   const auto it = v2p_cache_.find(page);
   if (it != v2p_cache_.end()) {
-    counters_.translation_cache_hits.inc();
+    counters_.translation_cache_hits.inc_single_writer();
     charge(costs_.translate_cached);
     return it->second | (va & kPageMask);
   }
@@ -205,7 +205,7 @@ Fallible<std::uint64_t> VmiSession::try_translate_kv2p(std::uint32_t va) {
 template <typename Sink>
 MaybeFault VmiSession::walk_guest_range(std::uint32_t va, std::size_t len,
                                         Sink&& sink) {
-  counters_.read_calls.inc();
+  counters_.read_calls.inc_single_writer();
   charge(costs_.read_call);
 
   // One injection roll per read call (mirrors a hypercall failing as a
@@ -234,7 +234,7 @@ MaybeFault VmiSession::walk_guest_range(std::uint32_t va, std::size_t len,
     // Map the frame into the privileged VM unless it is the one we already
     // have mapped (LibVMI keeps the last mapping hot).
     if (!last_mapped_frame_ || *last_mapped_frame_ != frame) {
-      counters_.pages_mapped.inc();
+      counters_.pages_mapped.inc_single_writer();
       charge(costs_.page_map);
       last_mapped_frame_ = frame;
     }
@@ -265,8 +265,8 @@ MaybeFault VmiSession::walk_guest_range(std::uint32_t va, std::size_t len,
         }
         const std::size_t extra =
             std::min<std::size_t>(vmm::kFrameSize, len - done - take);
-        counters_.pages_mapped.inc();
-        counters_.batched_pages.inc();
+        counters_.pages_mapped.inc_single_writer();
+        counters_.batched_pages.inc_single_writer();
         charge(costs_.page_map_batched);
         last_mapped_frame_ = next_frame;
         take += extra;
@@ -293,14 +293,14 @@ MaybeFault VmiSession::try_read_va(std::uint32_t va, MutableByteView out) {
       [&](const vmm::PhysicalMemory& mem, std::uint64_t pa, std::size_t done,
           std::size_t take) {
         mem.read(pa, out.subspan(done, take));
-        counters_.bytes_copied.inc(take);
+        counters_.bytes_copied.inc_single_writer(take);
       });
 }
 
 Fallible<GuestView> VmiSession::try_read_view(std::uint32_t va,
                                               std::size_t len) {
   GuestView view;
-  counters_.view_reads.inc();
+  counters_.view_reads.inc_single_writer();
   MaybeFault fault = walk_guest_range(
       va, len,
       [&](const vmm::PhysicalMemory& mem, std::uint64_t pa, std::size_t,
@@ -320,7 +320,7 @@ Fallible<GuestView> VmiSession::try_read_view(std::uint32_t va,
           view.append(mem.frame_view(frame_no).subspan(in_frame, chunk));
           off += chunk;
         }
-        counters_.view_bytes.inc(take);
+        counters_.view_bytes.inc_single_writer(take);
       });
   if (fault) {
     return std::move(*fault);

@@ -187,9 +187,11 @@ class VmiSession {
   FaultRecord make_fault(FaultCode code, std::uint32_t va, std::uint64_t pa,
                          std::string detail);
 
-  /// Atomic per-session cells of the fleet-wide "vmi.*" aggregates; hot-path
-  /// increments are relaxed fetch_adds, so a concurrent registry read never
-  /// tears.
+  /// Atomic per-session cells of the fleet-wide "vmi.*" aggregates.  A
+  /// session has one user at a time (the pool leases it under a lock), so
+  /// hot-path increments are single-writer relaxed stores
+  /// (OwnedCounter::inc_single_writer); a concurrent registry read never
+  /// tears.  note_reuse() runs under the pool's lock and stays a fetch_add.
   struct SessionCounters {
     telemetry::OwnedCounter pages_mapped;
     telemetry::OwnedCounter bytes_copied;

@@ -569,11 +569,14 @@ TEST(FallbackForms, InfectedPoolHashesEachDistinctFormOnce) {
   EXPECT_EQ(hashes, 2u);
   EXPECT_LT(hashes, 2 * report.fallback_pairs);
   EXPECT_GE(items, report.fallback_pairs);
+  // Every pair has a settled peer: the delta plan decides every item.
+  const std::uint64_t delta = reg.counter("canonical.delta_items").value();
+  EXPECT_EQ(delta, items);
   expect_same_verdicts(report,
                        faithful_scan(env->hypervisor(), "hal.dll",
                                      env->guests()));
 
-  // The pipeline's own compare span carries both counts.
+  // The pipeline's own compare span carries the counts.
   std::size_t compare_spans = 0;
   for (const telemetry::SpanRecord& s : rec.drain()) {
     if (s.name != "compare") {
@@ -589,9 +592,17 @@ TEST(FallbackForms, InfectedPoolHashesEachDistinctFormOnce) {
       if (arg.key == "fallback_items") {
         EXPECT_EQ(arg.value, std::to_string(items));
       }
+      if (arg.key == "delta_items") {
+        EXPECT_EQ(arg.value, std::to_string(delta));
+      }
+      if (arg.key.rfind("delta_refusals.", 0) == 0) {
+        EXPECT_EQ(arg.value, "0") << arg.key;
+      }
     }
     EXPECT_TRUE(keys.count("fallback_items") == 1 &&
                 keys.count("fallback_hashes") == 1);
+    EXPECT_EQ(keys.count("delta_items"), 1u);
+    EXPECT_EQ(keys.count("delta_refusals.unsynced"), 1u);
   }
   EXPECT_EQ(compare_spans, 1u);
 }

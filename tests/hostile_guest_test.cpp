@@ -20,6 +20,7 @@
 #include "attacks/guest_writer.hpp"
 #include "attacks/inline_hook.hpp"
 #include "cloud/environment.hpp"
+#include "cloud/linux.hpp"
 #include "guestos/winlike.hpp"
 #include "modchecker/incremental.hpp"
 #include "modchecker/modchecker.hpp"
@@ -218,6 +219,177 @@ TEST_F(BeyondRam, PageFrameIsAReadFault) { check(map_hal_page_beyond_ram); }
 
 TEST_F(BeyondRam, PageTableFrameIsAReadFault) {
   check(point_hal_pde_beyond_ram);
+}
+
+// ---- the cached loader lookup answers like a fresh one ----------------------
+
+/// A warm cached scan and a fresh scan of `module` after `hostile` ran on
+/// the second VM's loader list: the same quarantine, faults and verdicts.
+/// Returns the fresh scan.
+template <typename Env, typename Hostile>
+PoolScanReport expect_cached_equals_fresh(Env& env, const std::string& module,
+                                          Hostile&& hostile) {
+  IncrementalScanner incremental(env.hypervisor());
+  (void)incremental.scan(module, env.guests());  // warm the cache
+  hostile(env.kernel(env.guests()[1]));
+  const PoolScanReport fresh =
+      ModChecker(env.hypervisor()).scan_pool(module, env.guests());
+  const PoolScanReport cached = incremental.scan(module, env.guests());
+  EXPECT_EQ(cached.quarantined, fresh.quarantined);
+  EXPECT_EQ(cached.faults.size(), fresh.faults.size());
+  for (std::size_t k = 0; k < std::min(cached.faults.size(),
+                                       fresh.faults.size()); ++k) {
+    EXPECT_EQ(cached.faults[k].code, fresh.faults[k].code);
+    EXPECT_EQ(cached.faults[k].domain, fresh.faults[k].domain);
+  }
+  EXPECT_EQ(cached.verdicts.size(), fresh.verdicts.size());
+  for (std::size_t k = 0;
+       k < std::min(cached.verdicts.size(), fresh.verdicts.size()); ++k) {
+    EXPECT_EQ(cached.verdicts[k].clean, fresh.verdicts[k].clean) << k;
+    EXPECT_EQ(cached.verdicts[k].successes, fresh.verdicts[k].successes)
+        << k;
+    EXPECT_EQ(cached.verdicts[k].quarantined, fresh.verdicts[k].quarantined)
+        << k;
+  }
+  return fresh;
+}
+
+void write_u32(guestos::GuestKernel& kernel, std::uint32_t va,
+               std::uint32_t value) {
+  Bytes b(4, 0);
+  store_le32(b, 0, value);
+  kernel.address_space().write_virtual(va, ByteView(b));
+}
+
+std::uint32_t flink_va(const guestos::GuestKernel& kernel,
+                       const guestos::LdrEntry& entry) {
+  return entry.entry_va + kernel.profile().off_in_load_order_links +
+         guestos::kOffListFlink;
+}
+
+/// Entries 3 and 4 loop (4's FLINK back to 3): a cycle after entry 1.
+void cycle_after_entry_one(guestos::GuestKernel& kernel) {
+  const std::vector<guestos::LdrEntry> entries = kernel.read_module_list();
+  ASSERT_GT(entries.size(), 4u);
+  write_u32(kernel, flink_va(kernel, entries[4]), entries[3].entry_va);
+}
+
+/// Entry 3's FLINK points at an unmapped address: the next entry's name
+/// read faults.
+void name_fault_after_entry_two(guestos::GuestKernel& kernel) {
+  const std::vector<guestos::LdrEntry> entries = kernel.read_module_list();
+  ASSERT_GT(entries.size(), 3u);
+  ASSERT_FALSE(kernel.address_space().translate(kBeyondRam));
+  write_u32(kernel, flink_va(kernel, entries[3]), kBeyondRam);
+}
+
+/// Inserts a fake entry before the last one whose name ends a page and
+/// whose facts lie on the unmapped page after it: reading its facts
+/// faults, reading its name does not.  Needs the facts after the name
+/// (the Linux layout).
+void facts_fault_before_last_entry(guestos::GuestKernel& kernel) {
+  const guestos::GuestProfile& profile = kernel.profile();
+  ASSERT_TRUE(profile.inline_names);
+  ASSERT_GT(profile.off_dll_base, profile.off_base_dll_name);
+  const std::vector<guestos::LdrEntry> entries = kernel.read_module_list();
+  ASSERT_GT(entries.size(), 2u);
+  // The last mapped page of the list's first module image.
+  std::uint32_t page = entries[0].dll_base & ~(vmm::kFrameSize - 1);
+  while (kernel.address_space().translate(page + vmm::kFrameSize)) {
+    page += vmm::kFrameSize;
+  }
+  const std::uint32_t fake =
+      page + vmm::kFrameSize - profile.off_dll_base;
+  ASSERT_TRUE(kernel.address_space().translate(fake));
+  const guestos::LdrEntry& last = entries.back();
+  const guestos::LdrEntry& before = entries[entries.size() - 2];
+  write_u32(kernel, fake + profile.off_in_load_order_links +
+                        guestos::kOffListFlink,
+            last.entry_va);
+  Bytes name(profile.inline_name_bytes, 0);
+  const std::string fake_name = "fake_mod";
+  std::copy(fake_name.begin(), fake_name.end(), name.begin());
+  kernel.address_space().write_virtual(fake + profile.off_base_dll_name,
+                                       ByteView(name));
+  write_u32(kernel, flink_va(kernel, before), fake);
+}
+
+std::unique_ptr<cloud::LinuxEnvironment> make_linux_pool() {
+  cloud::LinuxCloudConfig cfg;
+  cfg.guest_count = 5;
+  return std::make_unique<cloud::LinuxEnvironment>(cfg);
+}
+
+TEST(CachedLoaderLookup, CycleAfterTheModulePe) {
+  auto env = make_pool("hal.dll");
+  const PoolScanReport fresh =
+      expect_cached_equals_fresh(*env, "hal.dll", cycle_after_entry_one);
+  EXPECT_TRUE(fresh.quarantined.empty());
+}
+
+TEST(CachedLoaderLookup, CycleAfterTheModuleElf) {
+  auto env = make_linux_pool();
+  const std::string module = env->config().load_order[1];
+  const PoolScanReport fresh =
+      expect_cached_equals_fresh(*env, module, cycle_after_entry_one);
+  EXPECT_TRUE(fresh.quarantined.empty());
+}
+
+TEST(CachedLoaderLookup, NameFaultAfterTheModulePe) {
+  auto env = make_pool("hal.dll");
+  const PoolScanReport fresh =
+      expect_cached_equals_fresh(*env, "hal.dll", name_fault_after_entry_two);
+  EXPECT_TRUE(fresh.quarantined.empty());
+  // A module past the fault: both quarantine the VM.
+  auto env2 = make_pool("hal.dll");
+  const PoolScanReport past = expect_cached_equals_fresh(
+      *env2, env2->config().load_order.back(), name_fault_after_entry_two);
+  EXPECT_EQ(past.quarantined,
+            std::vector<vmm::DomainId>{env2->guests()[1]});
+}
+
+TEST(CachedLoaderLookup, NameFaultAfterTheModuleElf) {
+  auto env = make_linux_pool();
+  const std::string module = env->config().load_order[1];
+  const PoolScanReport fresh =
+      expect_cached_equals_fresh(*env, module, name_fault_after_entry_two);
+  EXPECT_TRUE(fresh.quarantined.empty());
+}
+
+TEST(CachedLoaderLookup, FactsFaultOnAnEarlierEntryElf) {
+  auto env = make_linux_pool();
+  const std::string module = env->config().load_order.back();
+  const PoolScanReport fresh =
+      expect_cached_equals_fresh(*env, module, facts_fault_before_last_entry);
+  EXPECT_TRUE(fresh.quarantined.empty());
+}
+
+TEST(CachedLoaderLookup, FactsFaultOnAnEarlierEntryPe) {
+  // A Windows entry keeps its facts between its FLINK and its name
+  // descriptor, so no page layout faults the facts alone; the lookup a
+  // walk answers is checked on a recorded walk instead.
+  LoaderWalk walk;
+  LoaderWalk::Entry broken;
+  broken.info.name = "ntoskrnl.exe";
+  FaultRecord fault;
+  fault.code = FaultCode::kReadFault;
+  broken.facts_fault = fault;
+  LoaderWalk::Entry hal;
+  hal.info.name = "hal.dll";
+  hal.info.base = 0x80100000u;
+  walk.entries = {broken, hal};
+  const auto found = walk.find("HAL.DLL");
+  ASSERT_TRUE(found.ok());
+  ASSERT_TRUE(found.value());
+  EXPECT_EQ(found.value()->base, 0x80100000u);
+  const auto faulted = walk.find("ntoskrnl.exe");
+  ASSERT_FALSE(faulted.ok());
+  EXPECT_EQ(faulted.fault().code, FaultCode::kReadFault);
+  EXPECT_FALSE(walk.clean());
+  walk.end_fault = fault;
+  const auto absent = walk.find("ndis.sys");
+  ASSERT_FALSE(absent.ok());
+  EXPECT_EQ(walk.find("hal.dll").value()->base, 0x80100000u);
 }
 
 }  // namespace

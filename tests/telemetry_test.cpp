@@ -391,7 +391,11 @@ TEST(TelemetryDifferential, PipelineStagesLandInOneRegistry) {
         "canonical.hashes", "digest_memo.hits", "pipeline.checks", "pipeline.pool_scans",
         "pipeline.acquire.attempts", "pipeline.acquire.sim_ns",
         "pipeline.compare.sim_ns", "pipeline.compare.fallback_items",
-        "pipeline.compare.fallback_hashes",
+        "pipeline.compare.fallback_hashes", "canonical.delta_items",
+        "canonical.delta_refusals.over_cap", "canonical.delta_refusals.no_map",
+        "canonical.delta_refusals.unsettled",
+        "canonical.delta_refusals.same_base",
+        "canonical.delta_refusals.unsynced",
         "incremental.unchanged_refreshes", "incremental.loader_walks",
         "incremental.loader_reuses"}) {
     EXPECT_NE(json.find(name), std::string::npos) << name;

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "modchecker/canonical.hpp"
+#include "modchecker/checker.hpp"
 #include "modchecker/item_content.hpp"
 #include "modchecker/rva_adjust.hpp"
 #include "telemetry/registry.hpp"
@@ -27,6 +30,7 @@ namespace {
 using namespace mc;
 using namespace mc::core;
 
+constexpr auto kMd5 = crypto::HashAlgorithm::kMd5;
 constexpr FixupPolicy kPe32{};
 constexpr FixupPolicy kElf64{8, 4, 0xFFFFFFFF00000000ull};
 
@@ -508,6 +512,422 @@ TEST(WindowMapPool, CleanPoolRunsAlgorithm2OncePerItem) {
   const SimNanos per_byte = vmi::HostCostModel{}.rva_scan_per_byte;
   for (std::size_t k = 2; k < charged.size(); ++k) {
     EXPECT_EQ(charged[k], 2 * per_byte * c.size()) << "copy " << k;
+  }
+}
+
+// ---- the delta fallback: Algorithm 2 around the patch only ------------------
+
+/// One synthetic rva-sensitive section as a loader leaves it: random code
+/// with slots holding target + base.  PE32 slots are 4-byte; ELF64 slots
+/// are 8-byte R_X86_64_64 values, every third an R_X86_64_32S store (the
+/// low dword only, code after it).
+struct Recipe {
+  FixupPolicy policy;
+  Bytes code;
+  std::vector<std::uint32_t> slots;
+  std::vector<std::uint32_t> targets;
+  std::vector<bool> truncated;
+};
+
+Recipe random_recipe(const FixupPolicy& policy, Xoshiro256& rng) {
+  Recipe r;
+  r.policy = policy;
+  r.code.resize(200 + rng.below(700));
+  for (auto& b : r.code) {
+    b = static_cast<std::uint8_t>(rng.next());
+  }
+  for (std::size_t at = rng.below(10); at + policy.width <= r.code.size();
+       at += policy.width + (rng.below(4) == 0 ? 0 : rng.below(30))) {
+    r.slots.push_back(static_cast<std::uint32_t>(at));
+    r.targets.push_back(static_cast<std::uint32_t>(rng.below(1u << 20)));
+    r.truncated.push_back(policy.width == 8 && r.slots.size() % 3 == 0);
+  }
+  return r;
+}
+
+Bytes load_recipe(const Recipe& r, std::uint32_t base) {
+  Bytes b = r.code;
+  for (std::size_t k = 0; k < r.slots.size(); ++k) {
+    if (r.policy.width == 4 || r.truncated[k]) {
+      store_le32(b, r.slots[k], r.targets[k] + base);
+    } else {
+      store_le64(b, r.slots[k], r.targets[k] + r.policy.biased_base(base));
+    }
+  }
+  return b;
+}
+
+/// A module of one raw header item and one rva-sensitive .text, the text
+/// view-backed and split at `cuts` when there are any (over `backing`).
+ParsedModule delta_module(vmm::DomainId vm, std::uint32_t base,
+                          const FixupPolicy& policy, const Bytes& header,
+                          const Bytes& text,
+                          const std::vector<std::size_t>& cuts,
+                          Bytes& backing) {
+  ParsedModule m;
+  m.domain = vm;
+  m.name = "delta.sys";
+  m.base = base;
+  m.fixups = policy;
+  IntegrityItem h;
+  h.kind = ItemKind::kNtHeader;
+  h.name = "IMAGE_NT_HEADER";
+  h.bytes = header;
+  m.items.push_back(std::move(h));
+  m.items.push_back(cuts.empty() ? owned_item(text)
+                                 : view_item(text, cuts, backing));
+  return m;
+}
+
+std::vector<const ParsedModule*> pointers(const std::vector<ParsedModule>& m) {
+  std::vector<const ParsedModule*> out;
+  for (const ParsedModule& module : m) {
+    out.push_back(&module);
+  }
+  return out;
+}
+
+enum class Shape {
+  kRandomBytes,    // 1-16 bytes at a random offset, sometimes twice
+  kInWindow,       // inside one slot
+  kBeforeWindow,   // 1-3 bytes ending right before a slot
+  kTwoWindows,     // from inside one slot into the next
+  kBlindSpot,      // c + (base_X - base_P) at a word outside every slot
+  kTruncatedWrap,  // an R_X86_64_32S store that wraps at X's base only
+  kTruncatedPatch, // an R_X86_64_32S store redirected by 0x40
+  kRawHeader,      // the raw header item, and one text byte
+};
+constexpr Shape kShapes[] = {
+    Shape::kRandomBytes, Shape::kInWindow,       Shape::kBeforeWindow,
+    Shape::kTwoWindows,  Shape::kBlindSpot,      Shape::kTruncatedWrap,
+    Shape::kTruncatedPatch, Shape::kRawHeader};
+
+const char* shape_name(Shape shape) {
+  switch (shape) {
+    case Shape::kRandomBytes:
+      return "random bytes";
+    case Shape::kInWindow:
+      return "inside a window";
+    case Shape::kBeforeWindow:
+      return "before a window";
+    case Shape::kTwoWindows:
+      return "across two windows";
+    case Shape::kBlindSpot:
+      return "blind-spot word";
+    case Shape::kTruncatedWrap:
+      return "32S store wraps";
+    case Shape::kTruncatedPatch:
+      return "32S store patched";
+    case Shape::kRawHeader:
+      return "raw header";
+  }
+  return "?";
+}
+
+/// Writes `shape` into `text` (loaded at `base`, a peer at `peer_base`),
+/// or into `header`; returns the patched [lo, hi) text range ({0, 0} for
+/// none).  False when the recipe has no place for the shape.
+bool apply_shape(Shape shape, const Recipe& r, std::uint32_t base,
+                 std::uint32_t peer_base, Bytes& text, Bytes& header,
+                 Xoshiro256& rng, std::pair<std::size_t, std::size_t>& range) {
+  const std::uint32_t w = r.policy.width;
+  const auto flip = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      text[k] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+    }
+    range = {lo, hi};
+  };
+  const std::size_t n = text.size();
+  const std::size_t slots = r.slots.size();
+  switch (shape) {
+    case Shape::kRandomBytes: {
+      const std::size_t len = 1 + rng.below(16);
+      const std::size_t lo = rng.below(n - len);
+      flip(lo, lo + len);
+      if (rng.below(2) == 0) {
+        const std::size_t lo2 = rng.below(n - 4);
+        text[lo2] ^= 0x5A;
+        range = {std::min(lo, lo2), std::max(lo + len, lo2 + 1)};
+      }
+      return true;
+    }
+    case Shape::kInWindow: {
+      if (slots == 0) {
+        return false;
+      }
+      const std::size_t s = r.slots[rng.below(slots)];
+      const std::size_t lo = s + rng.below(w);
+      flip(lo, lo + 1 + rng.below(s + w - lo));
+      return true;
+    }
+    case Shape::kBeforeWindow: {
+      if (slots == 0 || r.slots.back() < 4) {
+        return false;
+      }
+      std::size_t s = r.slots[rng.below(slots)];
+      if (s < 4) {
+        s = r.slots.back();
+      }
+      const std::size_t before = 1 + rng.below(3);
+      flip(s - before, s - before + 1 + rng.below(before));
+      return true;
+    }
+    case Shape::kTwoWindows: {
+      if (slots < 2) {
+        return false;
+      }
+      const std::size_t k = rng.below(slots - 1);
+      const std::size_t lo = r.slots[k] + rng.below(w);
+      const std::size_t hi = r.slots[k + 1] + 1 + rng.below(w);
+      flip(lo, std::min(hi, n));
+      return true;
+    }
+    case Shape::kBlindSpot: {
+      // A word clear of every slot window.
+      std::vector<std::size_t> gaps;
+      std::size_t at = 0;
+      for (const std::uint32_t s : r.slots) {
+        if (s >= at + w) {
+          gaps.push_back(at);
+        }
+        at = s + w;
+      }
+      if (n >= at + w) {
+        gaps.push_back(at);
+      }
+      if (gaps.empty()) {
+        return false;
+      }
+      const std::size_t q = gaps[rng.below(gaps.size())];
+      if (w == 4) {
+        store_le32(text, q, load_le32(text, q) + (base - peer_base));
+      } else {
+        store_le64(text, q,
+                   load_le64(text, q) + (std::uint64_t{base} - peer_base));
+      }
+      range = {q, q + w};
+      return true;
+    }
+    case Shape::kTruncatedWrap:
+      return false;  // chosen through the base, see the caller
+    case Shape::kTruncatedPatch: {
+      for (std::size_t k = 0; k < slots; ++k) {
+        if (r.truncated[k]) {
+          store_le32(text, r.slots[k], load_le32(text, r.slots[k]) + 0x40);
+          range = {r.slots[k], r.slots[k] + 4};
+          return true;
+        }
+      }
+      return false;
+    }
+    case Shape::kRawHeader: {
+      // The text byte makes the copy ineligible, so its pairs fall back
+      // and the header is decided there too.
+      const std::size_t lo = rng.below(header.size() - 8);
+      for (std::size_t k = lo; k < lo + 1 + rng.below(8); ++k) {
+        header[k] ^= 0x21;
+      }
+      flip(n / 2, n / 2 + 1);
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(DeltaFallback, AnswersEqualDecideForEveryPatchShape) {
+  // Seeded pools of 5-10 copies at bases 1-4 bytes apart from the infected
+  // one: for every pair with an ineligible side, decide() with the pool's
+  // plan must give decide()'s (and compare()'s) answer, charge the same
+  // simulated time, examine the same items and hash the same forms.
+  Xoshiro256 rng(26);
+  const vmi::HostCostModel costs;
+  const IntegrityChecker checker(kMd5, costs);
+  std::map<Shape, std::size_t> delta_pairs;
+  std::map<Shape, std::size_t> trials_run;
+  for (int trial = 0; trial < 480; ++trial) {
+    const FixupPolicy policy = trial % 2 == 0 ? kPe32 : kElf64;
+    const Shape shape =
+        kShapes[static_cast<std::size_t>(trial / 2) % std::size(kShapes)];
+    if (shape == Shape::kTruncatedPatch && policy.width == 4) {
+      continue;
+    }
+    if (shape == Shape::kTruncatedWrap && policy.width == 4) {
+      continue;
+    }
+    const Recipe r = random_recipe(policy, rng);
+    Bytes header(64);
+    for (auto& b : header) {
+      b = static_cast<std::uint8_t>(rng.next());
+    }
+    // X's base; the wrap shape puts it where its 32S stores overflow.
+    std::uint32_t xb = (static_cast<std::uint32_t>(rng.next()) & 0x7FFFF000u) |
+                       0x01000000u;
+    if (shape == Shape::kTruncatedWrap) {
+      xb = 0xFFFF0000u | static_cast<std::uint32_t>(rng.below(0x100) << 8);
+    }
+    const std::size_t t = 5 + rng.below(6);
+    std::vector<std::uint32_t> bases;
+    for (std::size_t k = 0; k + 1 < t; ++k) {
+      // Peers 1-4 bytes apart from X, and now and then one at X's base.
+      bases.push_back(rng.below(8) == 0
+                          ? xb
+                          : base_at_offset(xb, 1 + static_cast<std::uint32_t>(
+                                                       rng.below(4)),
+                                           rng));
+      if (shape == Shape::kTruncatedWrap) {
+        bases.back() &= 0x7FFFFFFFu;  // the peers never wrap
+      }
+    }
+    Bytes text = load_recipe(r, xb);
+    Bytes x_header = header;
+    std::pair<std::size_t, std::size_t> range{0, 0};
+    if (shape != Shape::kTruncatedWrap &&
+        !apply_shape(shape, r, xb, bases[0], text, x_header, rng, range)) {
+      continue;
+    }
+    // View segments that split the patch.
+    std::vector<std::size_t> cuts;
+    if (rng.below(2) == 0 && range.second > range.first + 1) {
+      cuts = {range.first + 1};
+      if (range.second - 1 > range.first + 1) {
+        cuts.push_back(range.second - 1);
+      }
+    }
+    Bytes backing;
+    Bytes y_backing;
+    std::vector<ParsedModule> pool;
+    vmm::DomainId next_vm = 1;
+    const bool infected_reference = rng.below(4) == 0;
+    if (infected_reference) {
+      pool.push_back(delta_module(next_vm++, xb, policy, x_header, text, cuts,
+                                  backing));
+    }
+    for (const std::uint32_t b : bases) {
+      pool.push_back(delta_module(next_vm++, b, policy, header,
+                                  load_recipe(r, b), {}, y_backing));
+    }
+    if (!infected_reference) {
+      pool.insert(pool.begin() + static_cast<std::ptrdiff_t>(
+                                     1 + rng.below(pool.size())),
+                  delta_module(next_vm++, xb, policy, x_header, text, cuts,
+                               backing));
+    }
+    if (rng.below(4) == 0) {
+      // A second infected VM with a patch of its own.
+      const std::uint32_t yb = pool.back().base;
+      Bytes y = load_recipe(r, yb);
+      y[rng.below(y.size())] ^= 0x77;
+      pool.back() = delta_module(pool.back().domain, yb, policy, header, y,
+                                 {}, y_backing);
+    }
+
+    telemetry::MetricRegistry reg;
+    SimClock build_clock;
+    const CanonicalPool canon =
+        CanonicalPool::elect(pointers(pool), build_clock, kMd5, costs, &reg);
+    std::vector<const ParsedModule*> patched;
+    for (const ParsedModule& m : pool) {
+      if (!canon.eligible(m.domain)) {
+        patched.push_back(&m);
+      }
+    }
+    if (patched.empty()) {
+      continue;
+    }
+    ++trials_run[shape];
+    const DeltaPlan plan = canon.plan_fallback(patched);
+    DigestTable plain(kMd5, costs, &reg);
+    DigestTable planned(kMd5, costs, &reg);
+    plan.seed(planned);
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      for (std::size_t j = i + 1; j < pool.size(); ++j) {
+        if (canon.eligible(pool[i].domain) && canon.eligible(pool[j].domain)) {
+          continue;  // the fast path's pair, never a fallback
+        }
+        SimClock c1;
+        SimClock c2;
+        SimClock c3;
+        DecideTally t1;
+        DecideTally t2;
+        const bool want =
+            checker.compare(pool[i], pool[j], c3).all_match;
+        const bool today = checker.decide(pool[i], pool[j], c1, plain, &t1);
+        const bool delta =
+            checker.decide(pool[i], pool[j], c2, planned, &t2, &plan);
+        ASSERT_EQ(today, want) << shape_name(shape) << " trial " << trial;
+        ASSERT_EQ(delta, today) << shape_name(shape) << " trial " << trial
+                                << " pair " << i << "," << j;
+        EXPECT_EQ(c2.now(), c1.now())
+            << shape_name(shape) << " trial " << trial;
+        EXPECT_EQ(t2.items, t1.items)
+            << shape_name(shape) << " trial " << trial;
+        std::size_t refused = 0;
+        for (const std::size_t k : t2.refusals) {
+          refused += k;
+        }
+        EXPECT_EQ(t2.delta_items + refused, t2.items);
+        if (refused == 0) {
+          ++delta_pairs[shape];
+        }
+      }
+    }
+    EXPECT_EQ(planned.form_hashes(), plain.form_hashes())
+        << shape_name(shape) << " trial " << trial;
+  }
+  for (const Shape shape : kShapes) {
+    EXPECT_GT(trials_run[shape], 10u) << shape_name(shape);
+    EXPECT_GT(delta_pairs[shape], 0u) << shape_name(shape);
+  }
+}
+
+TEST(DeltaFallback, ResumedRunEqualsTheFullRunInsideItsSlice) {
+  // adjust_fixups_resumed over a slice, started at a window end of two
+  // relocated copies, rewrites exactly the bytes the full run rewrites
+  // there and stops at the first resynchronisation point past `until`.
+  Xoshiro256 rng(8);
+  for (int trial = 0; trial < 300; ++trial) {
+    const FixupPolicy policy = trial % 2 == 0 ? kPe32 : kElf64;
+    const std::size_t size = 64 + rng.below(400);
+    Bytes c(size);
+    for (auto& b : c) {
+      b = static_cast<std::uint8_t>(rng.next());
+    }
+    const std::vector<std::uint32_t> starts =
+        random_windows(size, policy.width, rng);
+    if (starts.size() < 3) {
+      continue;
+    }
+    const std::uint32_t ab = static_cast<std::uint32_t>(rng.next()) | 0x1000u;
+    const std::uint32_t bb = base_at_offset(
+        ab, 1 + static_cast<std::uint32_t>(rng.below(4)), rng);
+    Bytes a = relocate(c, starts, ab, policy);
+    const Bytes b = relocate(c, starts, bb, policy);
+    const std::size_t lo = starts[1] + policy.width + rng.below(8);
+    a[std::min(lo, size - 1)] ^= 0x3C;
+    Bytes fa = a;
+    Bytes fb = b;
+    adjust_fixups(MutableByteView(fa), ab, MutableByteView(fb), bb, policy);
+    const std::size_t from = starts[0] + policy.width;
+    const std::size_t origin = from - std::min<std::size_t>(from, 3);
+    Bytes la(a.begin() + static_cast<std::ptrdiff_t>(origin), a.end());
+    Bytes lb(b.begin() + static_cast<std::ptrdiff_t>(origin), b.end());
+    for (std::size_t k = origin; k < from; ++k) {
+      la[k - origin] = c[k];
+      lb[k - origin] = c[k];
+    }
+    const ResumedRun run = adjust_fixups_resumed(
+        MutableByteView(la), ab, MutableByteView(lb), bb, policy, origin, size,
+        from, std::min(lo, size - 1) + 1, starts);
+    ASSERT_TRUE(run.synced) << "trial " << trial;
+    for (std::size_t k = origin; k < run.stop; ++k) {
+      ASSERT_EQ(la[k - origin], fa[k]) << "trial " << trial << " byte " << k;
+      ASSERT_EQ(lb[k - origin], fb[k]) << "trial " << trial << " byte " << k;
+    }
+    // Past the stop, the full run left C on both sides.
+    for (std::size_t k = run.stop; k < size; ++k) {
+      ASSERT_EQ(fa[k], c[k]) << "trial " << trial << " byte " << k;
+      ASSERT_EQ(fb[k], c[k]) << "trial " << trial << " byte " << k;
+    }
   }
 }
 
