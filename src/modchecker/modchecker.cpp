@@ -19,13 +19,9 @@ CheckReport ModChecker::check_module(
 
 CheckReport ModChecker::check_module(vmm::DomainId subject,
                                      const std::string& module_name) {
-  std::vector<vmm::DomainId> others;
-  for (const vmm::DomainId id : context_.hypervisor->domain_ids()) {
-    if (id != subject) {
-      others.push_back(id);
-    }
-  }
-  return pipeline_.check(subject, module_name, others);
+  // The electorate drops the subject from its own peers.
+  return pipeline_.check(subject, module_name,
+                         context_.hypervisor->domain_ids());
 }
 
 CheckReport ModChecker::check_module_sampled(vmm::DomainId subject,

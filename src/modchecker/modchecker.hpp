@@ -35,7 +35,8 @@ class ModChecker {
   const ModCheckerConfig& config() const { return context_.config; }
 
   /// Checks `module_name` on `subject` against `others` (the other t-1
-  /// VMs).  Throws NotFoundError if the module is not loaded on the
+  /// VMs; the subject and repeated ids are dropped, so each peer votes
+  /// once).  Throws NotFoundError if the module is not loaded on the
   /// subject itself.
   CheckReport check_module(vmm::DomainId subject,
                            const std::string& module_name,

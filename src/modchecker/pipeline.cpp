@@ -4,7 +4,6 @@
 #include <future>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 
 #include "modchecker/incremental.hpp"
@@ -69,14 +68,15 @@ std::optional<T> acquire_with_retry(const RetryPolicy& retry,
   return std::nullopt;
 }
 
-/// Runs task(0) .. task(n - 1) into `out`, on a ThreadPool when
+/// Appends task(0) .. task(n - 1) to `out`, on a ThreadPool when
 /// config.worker_threads > 1 and n > 1, and returns the simulated wall
 /// time: the summed task costs sequentially, the list-scheduling makespan
-/// max(longest task, total work / workers) in parallel.
+/// max(longest task, total work / workers) in parallel.  Both verdict
+/// drivers' wall times come from here.
 template <typename R, typename Task, typename Cost>
 SimNanos run_tasks(const ModCheckerConfig& config, std::size_t n, Task&& task,
                    Cost&& cost, std::vector<R>& out) {
-  out.reserve(n);
+  out.reserve(out.size() + n);
   SimNanos longest = 0;
   SimNanos total = 0;
   const auto tally = [&](const R& result) {
@@ -102,6 +102,111 @@ SimNanos run_tasks(const ModCheckerConfig& config, std::size_t n, Task&& task,
   return std::max(longest, total / workers);
 }
 
+/// The VMs that vote in one driver call: `subject` first when given, then
+/// each requested id once (the first occurrence), never the subject again.
+/// A repeated id would vote once per occurrence and, cached, hand two
+/// parallel fetches one slot; a self-comparison always matches.
+std::vector<vmm::DomainId> electorate(
+    std::optional<vmm::DomainId> subject,
+    const std::vector<vmm::DomainId>& requested) {
+  std::vector<vmm::DomainId> vms;
+  vms.reserve(requested.size() + 1);
+  if (subject) {
+    vms.push_back(*subject);
+  }
+  for (const vmm::DomainId vm : requested) {
+    if (std::find(vms.begin(), vms.end(), vm) == vms.end()) {
+      vms.push_back(vm);
+    }
+  }
+  return vms;
+}
+
+/// One driver call's electorate and what its acquire round produced.
+/// Index i names the same VM in every per-VM vector; `extractions` holds
+/// the members acquired so far, with room reserved for every member, so a
+/// reference to one stays valid while later members are appended.
+struct Round {
+  explicit Round(std::vector<vmm::DomainId> electorate)
+      : vms(std::move(electorate)),
+        slots(vms.size()),
+        loaders(vms.size()),
+        verdicts(vms.size()) {
+    extractions.reserve(vms.size());
+    for (std::size_t i = 0; i < vms.size(); ++i) {
+      verdicts[i] = {.vm = vms[i], .peers_total = vms.size() - 1};
+    }
+  }
+
+  std::vector<vmm::DomainId> vms;
+  /// Scan-cache slots and loader snapshots; null for a fresh acquire.
+  std::vector<CachedCopy*> slots;
+  std::vector<LoaderSnapshot*> loaders;
+  std::vector<Extraction> extractions;
+  std::vector<PoolVmVerdict> verdicts;
+  /// Every acquire's cost, faults and quarantine, in electorate order.
+  ComponentTimes cpu_times;
+  std::vector<FaultRecord> faults;
+  std::vector<vmm::DomainId> quarantined;
+};
+
+/// acquire_round's continuation when a VM's task only acquires.
+constexpr auto kAcquireOnly = [](std::size_t, Extraction&) {};
+
+/// The acquire round: acquire_and_parse for the next `count` members of
+/// `round` (through their cache slots, if any) via run_tasks, then the
+/// per-VM bookkeeping.  `then(i, ex)` runs in member i's task right after
+/// its acquire and may add to ex.times, which is the task's cost.  Returns
+/// the round's wall time.
+template <typename Then>
+SimNanos acquire_round(CheckPipeline& p, const std::string& module_name,
+                       Round& round, std::size_t count, Then&& then) {
+  const std::size_t first = round.extractions.size();
+  const SimNanos wall = run_tasks(
+      p.context().config, count,
+      [&](std::size_t k) {
+        const std::size_t i = first + k;
+        Extraction ex = p.acquire_and_parse(round.vms[i], module_name,
+                                            round.slots[i], round.loaders[i]);
+        then(i, ex);
+        return ex;
+      },
+      [](const Extraction& ex) { return ex.times.total(); },
+      round.extractions);
+  // Every acquire that ran is billed, answered or not: a quarantined VM's
+  // retries and backoff sleeps are time the checker spent.
+  for (std::size_t i = first; i < round.extractions.size(); ++i) {
+    Extraction& ex = round.extractions[i];
+    round.cpu_times += ex.times;
+    for (FaultRecord& fault : ex.faults) {
+      round.faults.push_back(std::move(fault));
+    }
+    if (ex.unavailable) {
+      round.verdicts[i].quarantined = true;
+      round.quarantined.push_back(round.vms[i]);
+    }
+  }
+  // A missing-but-answering VM counts as answered ("not loaded" is an
+  // answer); only quarantined VMs erode their peers' quorum.
+  const std::size_t answered =
+      round.extractions.size() - round.quarantined.size();
+  for (std::size_t i = 0; i < round.extractions.size(); ++i) {
+    round.verdicts[i].peers_answered =
+        answered - (round.extractions[i].unavailable ? 0 : 1);
+  }
+  return wall;
+}
+
+/// The vote: VoteStage::finalize under a "vote" span.
+void finalize_votes(const CheckPipeline& p,
+                    std::vector<PoolVmVerdict>& verdicts, bool peers_asked) {
+  telemetry::SpanScope vote_span =
+      telemetry::span(p.context().tracer, "vote", "pipeline",
+                      p.context().config.trace_pid, 0);
+  p.vote().finalize(verdicts, peers_asked);
+  vote_span.arg("verdicts", std::uint64_t{verdicts.size()});
+}
+
 }  // namespace
 
 // ---- Acquire ---------------------------------------------------------------
@@ -120,21 +225,8 @@ vmi::VmiSession& AcquireStage::Session::session() {
   return lease_ ? lease_->session() : *local_;
 }
 
-Fallible<std::vector<ModuleInfo>> AcquireStage::try_list_modules(
-    Session& s) const {
-  return ModuleSearcher(s.session()).try_list_modules();
-}
-
 LoaderWalk AcquireStage::walk_loader(Session& s) const {
   return ModuleSearcher(s.session()).walk_loader();
-}
-
-Fallible<std::optional<ModuleImage>> AcquireStage::try_extract_module(
-    Session& s, const std::string& module_name, ExtractMode mode) const {
-  if (mode == ExtractMode::kCopy) {
-    ctx_->pm.materializations.inc();
-  }
-  return ModuleSearcher(s.session()).try_extract_module(module_name, mode);
 }
 
 Fallible<ModuleImage> AcquireStage::try_extract(Session& s,
@@ -153,18 +245,8 @@ std::optional<std::optional<ModuleImage>> AcquireStage::extract_with_retry(
       ctx_->config.retry, vm, clock, faults, attempts,
       [&]() -> Fallible<std::optional<ModuleImage>> {
         Session session(*ctx_, vm, clock);
-        return try_extract_module(session, module_name);
-      });
-}
-
-std::optional<std::vector<ModuleInfo>> AcquireStage::list_with_retry(
-    vmm::DomainId vm, SimClock& clock, std::vector<FaultRecord>& faults,
-    std::uint32_t& attempts) const {
-  return acquire_with_retry<std::vector<ModuleInfo>>(
-      ctx_->config.retry, vm, clock, faults, attempts,
-      [&]() -> Fallible<std::vector<ModuleInfo>> {
-        Session session(*ctx_, vm, clock);
-        return try_list_modules(session);
+        return ModuleSearcher(session.session())
+            .try_extract_module(module_name, ExtractMode::kView);
       });
 }
 
@@ -287,11 +369,12 @@ bool CompareStage::decide(const ParsedModule& subject,
 
 // ---- Vote ------------------------------------------------------------------
 
-void VoteStage::finalize(std::vector<PoolVmVerdict>& verdicts) const {
+void VoteStage::finalize(std::vector<PoolVmVerdict>& verdicts,
+                         bool peers_asked) const {
   for (auto& v : verdicts) {
     v.clean = majority(v.successes, v.total);
-    v.quorum_lost =
-        !v.quarantined && quorum_lost(v.peers_answered, v.peers_total);
+    v.quorum_lost = (!v.quarantined || !peers_asked) &&
+                    quorum_lost(v.peers_answered, v.peers_total);
   }
 }
 
@@ -419,166 +502,118 @@ CheckReport CheckPipeline::check(vmm::DomainId subject,
                                  const std::vector<vmm::DomainId>& raw_others) {
   const ModCheckerConfig& config = ctx_->config;
   ctx_->pm.checks.inc();
+  Round round(electorate(subject, raw_others));
+  const std::size_t peers = round.vms.size() - 1;
+  telemetry::SpanScope check_span = telemetry::span(
+      ctx_->tracer, "check", "pipeline", config.trace_pid, 0);
+  check_span.arg("module", module_name);
+  check_span.arg("peers", std::uint64_t{peers});
   CheckReport report;
   report.module_name = module_name;
   report.subject = subject;
 
-  // Guard against the subject sneaking into its own comparison pool (a
-  // self-comparison always matches and would dilute the vote) and against
-  // duplicate entries double-counting a peer.
-  std::vector<vmm::DomainId> others;
-  others.reserve(raw_others.size());
-  std::unordered_set<vmm::DomainId> seen;
-  seen.reserve(raw_others.size() + 1);
-  seen.insert(subject);
-  for (const vmm::DomainId vm : raw_others) {
-    if (seen.insert(vm).second) {
-      others.push_back(vm);
+  // The subject first: without its copy there is nothing to vote on, so a
+  // subject that never answers leaves every peer untouched.  That is a
+  // degraded outcome, not caller error; the module being genuinely absent
+  // still throws.
+  SimNanos wall = acquire_round(*this, module_name, round, 1, kAcquireOnly);
+  const Extraction& subject_ex = round.extractions[0];
+  report.subject_unavailable = subject_ex.unavailable;
+  if (!report.subject_unavailable) {
+    if (!subject_ex.found) {
+      throw NotFoundError("module '" + module_name +
+                          "' not loaded on subject VM " +
+                          std::to_string(subject));
     }
-  }
 
-  // Subject extraction first (both modes need it before comparing).
-  Extraction subject_ex = acquire_and_parse(subject, module_name);
-  for (FaultRecord& fault : subject_ex.faults) {
-    report.faults.push_back(std::move(fault));
-  }
-  report.peers_total = others.size();
-  if (subject_ex.unavailable) {
-    // The subject itself never answered: no verdict is possible.  This is
-    // a degraded outcome, not caller error — report it (the module being
-    // genuinely absent, below, still throws as it always has).
-    report.subject_unavailable = true;
-    report.cpu_times += subject_ex.times;
-    report.quorum_lost = VoteStage::quorum_lost(0, report.peers_total);
-    report.wall_time = report.cpu_times.total();
-    return report;
-  }
-  if (!subject_ex.found) {
-    throw NotFoundError("module '" + module_name +
-                        "' not loaded on subject VM " +
-                        std::to_string(subject));
-  }
-  report.cpu_times += subject_ex.times;
-
-  // Digest memo: the subject's raw-byte items are hashed once here instead
-  // of once per peer inside compare().  Preloading on the orchestrator's
-  // clock (not inside the worker tasks) keeps parallel and sequential runs
-  // charging identical totals — no task's time depends on which one
-  // happened to miss the shared table first.
-  std::optional<DigestTable> memo;
-  SimNanos memo_preload = 0;
-  if (!config.paper_faithful && !subject_ex.parse_failed) {
-    memo.emplace(config.algorithm, config.host_costs, ctx_->metrics);
-    SimClock preload_clock;
-    preload_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
-    const std::vector<IntegrityItem>& items = subject_ex.parsed.items;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (items[i].rva_sensitive) {
-        continue;  // pair-specific after Algorithm 2; never memoized
+    // Digest memo: the subject's raw-byte items are hashed once, not once
+    // per peer, on the orchestrator's clock rather than in a worker task,
+    // so parallel and sequential checks charge identical totals.
+    std::optional<DigestTable> memo;
+    if (!config.paper_faithful && !subject_ex.parse_failed) {
+      memo.emplace(config.algorithm, config.host_costs, ctx_->metrics);
+      SimClock preload_clock;
+      preload_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
+      const std::vector<IntegrityItem>& items = subject_ex.parsed.items;
+      for (std::size_t i = 0; i < items.size(); ++i) {
+        if (!items[i].rva_sensitive) {  // those are pair-specific
+          memo->digest(subject, i, items[i], preload_clock);
+        }
       }
-      memo->digest(subject, i, items[i], preload_clock);
+      report.cpu_times.checker += preload_clock.now();
+      wall += preload_clock.now();
     }
-    memo_preload = preload_clock.now();
-    report.cpu_times.checker += memo_preload;
-  }
 
-  struct PerVm {
-    vmm::DomainId vm;
-    Extraction ex;
-    PairComparison cmp;
-    SimNanos checker_time = 0;
-  };
+    // The subject's row: pair (0, k) for each peer k, through compare(),
+    // so the report carries both digests of every item.  Peer k's task
+    // compares right after its acquire, so it costs acquire plus compare:
+    // the critical path of a parallel check.
+    std::vector<PairComparison> row(peers);
+    wall += acquire_round(
+        *this, module_name, round, peers, [&](std::size_t k, Extraction& ex) {
+          row[k - 1].other_domain = round.vms[k];
+          if (!ex.found || ex.parse_failed || subject_ex.parse_failed) {
+            return;
+          }
+          SimClock checker_clock;
+          checker_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
+          telemetry::SpanScope compare_span =
+              telemetry::span(ctx_->tracer, "compare", "pipeline",
+                              config.trace_pid, round.vms[k], &checker_clock);
+          row[k - 1] = compare_.compare(subject_ex.parsed, ex.parsed,
+                                        checker_clock,
+                                        memo ? &*memo : nullptr);
+          ex.times.checker = checker_clock.now();
+        });
 
-  auto process_other = [&](vmm::DomainId vm) {
-    PerVm r;
-    r.vm = vm;
-    r.ex = acquire_and_parse(vm, module_name);
-    if (r.ex.found && !r.ex.parse_failed && !subject_ex.parse_failed) {
-      SimClock checker_clock;
-      checker_clock.set_slowdown(ctx_->hypervisor->dom0_slowdown());
-      telemetry::SpanScope compare_span =
-          telemetry::span(ctx_->tracer, "compare", "pipeline",
-                          config.trace_pid, vm, &checker_clock);
-      r.cmp = compare_.compare(subject_ex.parsed, r.ex.parsed, checker_clock,
-                               memo ? &*memo : nullptr);
-      r.checker_time = checker_clock.now();
-      compare_span.end();
-      ctx_->pm.compare_ns.observe(r.checker_time);
+    // Credit the row to the subject's (and each peer's) tally.  An
+    // unparseable copy on either side never corroborates: its comparison
+    // is a definite mismatch.
+    std::set<std::string> flagged;
+    if (subject_ex.parse_failed) {
+      flagged.insert(kUnparseableItem);
     }
-    return r;
-  };
-
-  std::vector<PerVm> results;
-  const SimNanos makespan = run_tasks(
-      config, others.size(),
-      [&](std::size_t k) { return process_other(others[k]); },
-      [](const PerVm& r) { return r.ex.times.total() + r.checker_time; },
-      results);
-  if (config.worker_threads > 1 && others.size() > 1) {
-    report.wall_time = subject_ex.times.total() + memo_preload + makespan;
-  }
-
-  // Report aggregation.
-  std::set<std::string> flagged;
-  if (subject_ex.parse_failed) {
-    flagged.insert(kUnparseableItem);
-  }
-  for (auto& r : results) {
-    for (FaultRecord& fault : r.ex.faults) {
-      report.faults.push_back(std::move(fault));
-    }
-    if (r.ex.unavailable) {
-      // Retries exhausted: this peer casts no vote (like missing_on, its
-      // time is not billed to cpu_times — it produced no comparison).
-      report.unavailable_on.push_back(r.vm);
-      continue;
-    }
-    if (!r.ex.found) {
-      report.missing_on.push_back(r.vm);
-      continue;
-    }
-    report.cpu_times += r.ex.times;
-    report.cpu_times.checker += r.checker_time;
-    ++report.total_comparisons;
-    if (subject_ex.parse_failed || r.ex.parse_failed) {
-      // An unparseable copy can never corroborate: count the comparison as
-      // a definite mismatch.
-      if (r.ex.parse_failed) {
+    for (std::size_t k = 1; k < round.vms.size(); ++k) {
+      const Extraction& ex = round.extractions[k];
+      if (!ex.found) {
+        if (!ex.unavailable) {  // quarantined peers go to unavailable_on
+          report.missing_on.push_back(round.vms[k]);
+        }
+        continue;
+      }
+      ++round.verdicts[0].total;
+      ++round.verdicts[k].total;
+      if (ex.parse_failed) {
         flagged.insert(kUnparseableItem);
+      } else if (row[k - 1].all_match) {
+        ++round.verdicts[0].successes;
+        ++round.verdicts[k].successes;
       }
-      r.cmp.other_domain = r.vm;
-      r.cmp.all_match = false;
-      report.comparisons.push_back(std::move(r.cmp));
-      continue;
-    }
-    if (r.cmp.all_match) {
-      ++report.successes;
-    } else {
-      for (const auto& item : r.cmp.items) {
+      for (const ItemComparison& item : row[k - 1].items) {
         if (!item.match) {
           flagged.insert(item.item_name);
         }
       }
+      report.comparisons.push_back(std::move(row[k - 1]));
     }
-    report.comparisons.push_back(std::move(r.cmp));
+    report.flagged_items.assign(flagged.begin(), flagged.end());
+    report.unavailable_on = std::move(round.quarantined);
+    ctx_->pm.compare_ns.observe(report.cpu_times.checker +
+                                round.cpu_times.checker);
   }
-  report.flagged_items.assign(flagged.begin(), flagged.end());
+  report.cpu_times += round.cpu_times;
+  report.wall_time = wall;
+  report.faults = std::move(round.faults);
 
-  // Majority vote: n > (t-1)/2 where t-1 is the number of completed
-  // comparisons.
-  report.subject_clean =
-      VoteStage::majority(report.successes, report.total_comparisons);
-
-  // Degraded-quorum bookkeeping: a missing-but-answering peer counts as
-  // answered ("not loaded" is an answer); only quarantined peers erode the
-  // quorum.
-  report.peers_answered = others.size() - report.unavailable_on.size();
-  report.quorum_lost =
-      VoteStage::quorum_lost(report.peers_answered, report.peers_total);
-
-  if (config.worker_threads <= 1 || others.size() <= 1) {
-    report.wall_time = report.cpu_times.total();
-  }
+  finalize_votes(*this, round.verdicts, !report.subject_unavailable);
+  const PoolVmVerdict& verdict = round.verdicts[0];
+  report.successes = verdict.successes;
+  report.total_comparisons = verdict.total;
+  report.subject_clean = verdict.clean;
+  report.peers_total = verdict.peers_total;
+  report.peers_answered = verdict.peers_answered;
+  report.quorum_lost = verdict.quorum_lost;
+  check_span.arg("sim_wall_ns", report.wall_time);
   return report;
 }
 
@@ -586,16 +621,8 @@ PoolScanReport CheckPipeline::pool_scan(
     const std::string& module_name,
     const std::vector<vmm::DomainId>& requested, ScanCache* cache) {
   const ModCheckerConfig& config = ctx_->config;
-  // One vote per VM: a repeated id would be compared with itself and vote
-  // once per occurrence (and, cached, hand two parallel fetches one slot).
-  // The first occurrence wins.
-  std::vector<vmm::DomainId> pool;
-  pool.reserve(requested.size());
-  for (const vmm::DomainId vm : requested) {
-    if (std::find(pool.begin(), pool.end(), vm) == pool.end()) {
-      pool.push_back(vm);
-    }
-  }
+  Round round(electorate(std::nullopt, requested));
+  const std::vector<vmm::DomainId>& pool = round.vms;
   ctx_->pm.pool_scans.inc();
   telemetry::SpanScope scan_span = telemetry::span(
       ctx_->tracer, "pool_scan", "pipeline", config.trace_pid, 0);
@@ -609,49 +636,22 @@ PoolScanReport CheckPipeline::pool_scan(
   // each touch only their own.
   ScanCache::Module* cached =
       cache != nullptr ? &cache->module(module_name) : nullptr;
-  std::vector<CachedCopy*> slots(pool.size(), nullptr);
-  std::vector<LoaderSnapshot*> loaders(pool.size(), nullptr);
   for (std::size_t i = 0; cached != nullptr && i < pool.size(); ++i) {
-    slots[i] = &cached->copies[pool[i]];
-    loaders[i] = &cache->loader(pool[i]);
+    round.slots[i] = &cached->copies[pool[i]];
+    round.loaders[i] = &cache->loader(pool[i]);
   }
-  std::vector<Extraction> extractions;
-  report.wall_time = run_tasks(
-      config, pool.size(),
-      [&](std::size_t i) {
-        return acquire_and_parse(pool[i], module_name, slots[i], loaders[i]);
-      },
-      [](const Extraction& ex) { return ex.times.total(); }, extractions);
+  report.wall_time =
+      acquire_round(*this, module_name, round, pool.size(), kAcquireOnly);
+  report.cpu_times = round.cpu_times;
+  report.faults = std::move(round.faults);
+  report.quarantined = std::move(round.quarantined);
+  const std::vector<CachedCopy*>& slots = round.slots;
+  std::vector<Extraction>& extractions = round.extractions;
+  std::vector<PoolVmVerdict>& verdicts = round.verdicts;
   for (const auto& ex : extractions) {
-    report.cpu_times += ex.times;
     if (ex.cached != nullptr) {
       cache->account(*ex.cached);
     }
-  }
-
-  // Pairwise comparisons; each unordered pair evaluated once and credited
-  // to both VMs' vote tallies.  A quarantined VM (acquire retries
-  // exhausted) has found == false, so the pair loops below exclude it
-  // naturally; it is surfaced here rather than silently looking "missing".
-  std::vector<PoolVmVerdict> verdicts(pool.size());
-  std::size_t answered = 0;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    verdicts[i].vm = pool[i];
-    verdicts[i].peers_total = pool.empty() ? 0 : pool.size() - 1;
-    Extraction& ex = extractions[i];
-    for (FaultRecord& fault : ex.faults) {
-      report.faults.push_back(std::move(fault));
-    }
-    if (ex.unavailable) {
-      verdicts[i].quarantined = true;
-      report.quarantined.push_back(pool[i]);
-    } else {
-      ++answered;
-    }
-  }
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    verdicts[i].peers_answered =
-        answered - (extractions[i].unavailable ? 0 : 1);
   }
 
   // Normalize: canonical-RVA reduction against an elected reference copy
@@ -692,6 +692,8 @@ PoolScanReport CheckPipeline::pool_scan(
   for (std::size_t i = 0; canon != nullptr && i < pool.size(); ++i) {
     digests[i] = canon->eligible(pool[i]) ? &canon->digests(pool[i]) : nullptr;
   }
+  // Each unordered pair is decided once and credited to both VMs' tallies;
+  // a quarantined VM has found == false, so the loops exclude it.
   std::vector<std::pair<std::size_t, std::size_t>> fallback;
   std::size_t reused_pairs = 0;
   const auto credit = [&](std::size_t i, std::size_t j, bool all_match) {
@@ -837,12 +839,7 @@ PoolScanReport CheckPipeline::pool_scan(
   ctx_->pm.delta_items.inc(delta_items);
   ctx_->pm.compare_ns.observe(report.cpu_times.checker - normalize_ns);
 
-  {
-    telemetry::SpanScope vote_span = telemetry::span(
-        ctx_->tracer, "vote", "pipeline", config.trace_pid, 0);
-    vote_.finalize(verdicts);
-    vote_span.arg("verdicts", std::uint64_t{verdicts.size()});
-  }
+  finalize_votes(*this, verdicts, true);
   report.verdicts = std::move(verdicts);
   if (!report.quarantined.empty()) {
     scan_span.arg("quarantined", std::uint64_t{report.quarantined.size()});
@@ -874,7 +871,12 @@ ListComparisonReport CheckPipeline::compare_lists(
         telemetry::span(ctx_->tracer, "acquire_list", "pipeline",
                         ctx_->config.trace_pid, vm, &clock);
     std::optional<std::vector<ModuleInfo>> modules =
-        acquire_.list_with_retry(vm, clock, report.faults, attempts);
+        acquire_with_retry<std::vector<ModuleInfo>>(
+            ctx_->config.retry, vm, clock, report.faults, attempts,
+            [&]() -> Fallible<std::vector<ModuleInfo>> {
+              AcquireStage::Session session(*ctx_, vm, clock);
+              return ModuleSearcher(session.session()).try_list_modules();
+            });
     list_span.arg("attempts", std::uint64_t{attempts});
     list_span.end();
     wall += clock.now();

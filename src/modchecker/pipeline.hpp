@@ -1,16 +1,15 @@
 // Staged check pipeline — the single implementation of the paper's
 // acquire → parse → normalize → compare → vote → report flow.
 //
-// The prototype re-implemented that flow separately in check_module,
-// check_module_sampled, scan_pool, compare_module_lists and the
-// IncrementalScanner, so every optimisation (canonical fast path, session
-// pooling, digest memo) had to be threaded through each path by hand.
-// This header is the one seam: each stage is a small object over a shared
-// CheckContext, and every public entry point — ModChecker's methods, the
-// IncrementalScanner, the fleet service sweeps — is a thin driver that
-// composes the stages.  A pool scan has exactly one driver, pool_scan;
-// the IncrementalScanner and event-driven sweeps hand it a watch-backed
-// ScanCache (incremental.hpp) instead of running a second scan loop.
+// Each stage is a small object over a shared CheckContext, and every
+// verdict entry point (ModChecker's check and scan methods, the
+// IncrementalScanner, the fleet service sweeps) calls one verdict driver:
+// `check` is the subject's row of the pair loop `pool_scan` runs over the
+// whole pool.  Both take one electorate (each VM once, the subject first),
+// one acquire round over it (billing, faults, quarantine, peers answered),
+// credit the same PoolVmVerdict tallies from their pairs, and vote in
+// VoteStage::finalize.  A scan cache (incremental.hpp) changes how
+// pool_scan acquires and normalizes, not which loop it runs.
 //
 //   Acquire    guest-memory access: sessions (pooled or fresh), loader-list
 //              walks, whole-image extraction.  The ONLY place that may
@@ -121,7 +120,7 @@ struct ModCheckerConfig {
   /// and rejects everything else as a parse failure.
   ModuleFormatId format = ModuleFormatId::kAuto;
   /// Pool-access threads.  1 (the default) runs every per-VM acquire and
-  /// fallback comparison sequentially, so wall_time == cpu_times.total();
+  /// pair comparison sequentially, so wall_time == cpu_times.total();
   /// N > 1 runs them on a ThreadPool of N workers and charges the
   /// list-scheduling makespan.  0 is rejected when the CheckContext is
   /// built.
@@ -405,22 +404,15 @@ class AcquireStage {
     std::optional<vmi::VmiSession> local_;
   };
 
-  /// One walk of the whole loader list.  Every searcher call returns a
-  /// guest fault (injected or real) as a FaultRecord instead of unwinding
-  /// the scan.
-  Fallible<std::vector<ModuleInfo>> try_list_modules(Session& s) const;
-
   /// One walk that keeps every read's outcome, so it can answer
   /// try_find_module for any name (the scan cache's loader snapshot).
+  /// Every searcher call returns a guest fault (injected or real) as a
+  /// FaultRecord instead of unwinding the scan.
   LoaderWalk walk_loader(Session& s) const;
 
-  /// Whole-image extraction; disengaged if not loaded.  kView borrows the
-  /// guest's frames; kCopy (a counted materialization) is for the cache.
-  Fallible<std::optional<ModuleImage>> try_extract_module(
-      Session& s, const std::string& module_name,
-      ExtractMode mode = ExtractMode::kView) const;
-
   /// Extraction of a module a list walk already found (no second walk).
+  /// kView borrows the guest's frames; kCopy (a counted materialization)
+  /// is for the cache.
   Fallible<ModuleImage> try_extract(Session& s, const ModuleInfo& info,
                                     ExtractMode mode) const;
 
@@ -429,16 +421,11 @@ class AcquireStage {
   /// sleeping the deterministic backoff between tries.  Faults (including
   /// a NotFoundError from opening a vanished domain, surfaced as
   /// kDomainGone) are appended to `faults` with their attempt number;
-  /// non-retryable codes stop early.  Returns the first successful result,
-  /// or disengaged when every attempt faulted.
+  /// non-retryable codes stop early.  Returns the first successful result
+  /// (a borrowed view), or disengaged when every attempt faulted.
   std::optional<std::optional<ModuleImage>> extract_with_retry(
       vmm::DomainId vm, const std::string& module_name, SimClock& clock,
       std::vector<FaultRecord>& faults, std::uint32_t& attempts) const;
-
-  /// The loader-list walk under the same retry policy.
-  std::optional<std::vector<ModuleInfo>> list_with_retry(
-      vmm::DomainId vm, SimClock& clock, std::vector<FaultRecord>& faults,
-      std::uint32_t& attempts) const;
 
  private:
   CheckContext* ctx_;
@@ -533,13 +520,16 @@ class VoteStage {
     return peers_total > 0 && 2 * peers_answered <= peers_total;
   }
 
-  /// Applies the rule to every per-VM tally and flags degraded verdicts
-  /// (quorum_lost is never raised on quarantined VMs — they cast no vote).
-  void finalize(std::vector<PoolVmVerdict>& verdicts) const;
+  /// Applies the rule to every per-VM tally and flags degraded verdicts.  A
+  /// quarantined VM casts no vote, so it keeps quorum_lost clear unless its
+  /// peers were never asked (check's unavailable subject: zero voters).
+  void finalize(std::vector<PoolVmVerdict>& verdicts,
+                bool peers_asked = true) const;
 };
 
 /// The staged pipeline.  Drivers (`check`, `pool_scan`, `compare_lists`)
-/// compose the stages end to end.
+/// compose the stages end to end; `check` and `pool_scan` are one verdict
+/// driver over two pair sets.
 class CheckPipeline {
  public:
   explicit CheckPipeline(CheckContext& ctx)
@@ -568,19 +558,21 @@ class CheckPipeline {
                                CachedCopy* cached = nullptr,
                                LoaderSnapshot* loader = nullptr);
 
-  /// Subject-vs-peers driver (ModChecker::check_module).  `raw_others` is
-  /// sanitized against self-comparison and duplicates.  Throws
-  /// NotFoundError if the module is not loaded on the subject.
+  /// The subject's row of the verdict driver (ModChecker::check_module,
+  /// check_module_sampled): pairs (subject, peer) for each of `raw_others`
+  /// once, never the subject, decided with compare().  The subject is
+  /// acquired first; if it never answers no peer is touched
+  /// (subject_unavailable).  Throws NotFoundError if the module is not
+  /// loaded on the subject.
   CheckReport check(vmm::DomainId subject, const std::string& module_name,
                     const std::vector<vmm::DomainId>& raw_others);
 
-  /// The whole-pool cross-check driver (ModChecker::scan_pool,
-  /// IncrementalScanner::scan, fleet sweeps): every VM takes the subject
-  /// role; canonical fast path + exact fallback.  The fallback decides
-  /// pairs with CompareStage::decide over one scan-scoped DigestTable, or
-  /// with compare() when paper_faithful.  A VM listed more than once is
-  /// scanned and votes once (the first occurrence).  Null `cache` scans
-  /// fresh; otherwise copies, canonical pool and pair verdicts are cached.
+  /// The whole-pool verdict driver (ModChecker::scan_pool,
+  /// IncrementalScanner::scan, fleet sweeps): every pair of the electorate
+  /// is decided once, by the canonical fast path or the exact fallback
+  /// (CompareStage::decide over one scan-scoped DigestTable; compare() when
+  /// paper_faithful).  Null `cache` scans fresh; otherwise copies, canonical
+  /// pool and pair verdicts are cached.
   PoolScanReport pool_scan(const std::string& module_name,
                            const std::vector<vmm::DomainId>& pool,
                            ScanCache* cache = nullptr);

@@ -348,6 +348,52 @@ TEST(DegradedQuorum, CheckModuleFlagsQuorumLoss) {
   EXPECT_NE(text.find("QUORUM LOST"), std::string::npos);
 }
 
+TEST(DegradedQuorum, CheckBillsAQuarantinedPeersRetries) {
+  auto env = make_env(5);
+  const vmm::DomainId victim = env->guests()[3];
+  env->hypervisor().fault_injector().arm(victim, always_fault());
+  ModCheckerConfig cfg;
+  cfg.retry.backoff = RetryPolicy::Backoff::kFixed;
+  cfg.retry.backoff_base = sim_ms(1);
+  ModChecker checker(env->hypervisor(), cfg);
+  const auto report = checker.check_module(env->guests()[0], "hal.dll");
+  ASSERT_EQ(report.unavailable_on, std::vector<vmm::DomainId>{victim});
+  // Three attempts on the victim sleep two 1 ms backoffs: time the check
+  // spent, billed as a pool scan bills it, and part of the sequential
+  // wall time.
+  EXPECT_GE(report.cpu_times.searcher, 2 * sim_ms(1));
+  EXPECT_EQ(report.wall_time, report.cpu_times.total());
+}
+
+TEST(DegradedQuorum, CheckIsItsSubjectsRowOfTheDegradedPoolScan) {
+  // Three of six VMs never answer (so the rest lose their quorum) and one
+  // is infected: every answering VM's check must read its verdict off the
+  // same vote a pool scan takes.
+  auto env = make_env(6);
+  for (const std::size_t i :
+       {std::size_t{2}, std::size_t{4}, std::size_t{5}}) {
+    env->hypervisor().fault_injector().arm(env->guests()[i], always_fault());
+  }
+  attacks::InlineHookAttack{}.apply(*env, env->guests()[1], "hal.dll");
+  ModChecker checker(env->hypervisor());
+  const auto scan = checker.scan_pool("hal.dll", env->guests());
+  ASSERT_EQ(scan.quarantined.size(), 3u);
+  for (const PoolVmVerdict& v : scan.verdicts) {
+    if (v.quarantined) {
+      continue;
+    }
+    const auto report = checker.check_module(v.vm, "hal.dll", env->guests());
+    EXPECT_EQ(report.successes, v.successes) << "Dom" << v.vm;
+    EXPECT_EQ(report.total_comparisons, v.total) << "Dom" << v.vm;
+    EXPECT_EQ(report.subject_clean, v.clean) << "Dom" << v.vm;
+    EXPECT_EQ(report.peers_total, v.peers_total) << "Dom" << v.vm;
+    EXPECT_EQ(report.peers_answered, v.peers_answered) << "Dom" << v.vm;
+    EXPECT_EQ(report.quorum_lost, v.quorum_lost) << "Dom" << v.vm;
+    EXPECT_TRUE(report.quorum_lost) << "Dom" << v.vm;
+    EXPECT_EQ(report.unavailable_on, scan.quarantined) << "Dom" << v.vm;
+  }
+}
+
 TEST(DegradedQuorum, UnavailableSubjectHasNoVerdict) {
   auto env = make_env(4);
   env->hypervisor().fault_injector().arm(env->guests()[0], always_fault());

@@ -12,7 +12,10 @@
 // Seeded infected PE32 and ELF64 pools (t = 5-15) carry the patch shapes
 // the delta fallback must get right; a fresh, a cached and a
 // worker_threads = 4 pool scan must each agree with the oracle VM by VM
-// (successes, comparisons, verdict).
+// (successes, comparisons, verdict).  So must every VM's check, its row of
+// the same vote, sequential and with 4 workers; the infected VM's and a
+// clean peer's check with a full sample; and a check whose peer list
+// repeats a peer and names the subject.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -432,6 +435,16 @@ void expect_same(const core::PoolScanReport& report,
   }
 }
 
+void expect_row(const core::CheckReport& report, const OracleVerdict& want,
+                const char* check, const std::string& what) {
+  EXPECT_EQ(report.successes, want.successes)
+      << check << " " << what << " vm " << report.subject;
+  EXPECT_EQ(report.total_comparisons, want.total)
+      << check << " " << what << " vm " << report.subject;
+  EXPECT_EQ(report.subject_clean, want.clean)
+      << check << " " << what << " vm " << report.subject;
+}
+
 TEST(Oracle, PoolScansAgreeWithTheNaiveCheckerOnInfectedPools) {
   Xoshiro256 rng(4);
   const Shape shapes[] = {Shape::kRandomBytes, Shape::kInWindow,
@@ -536,6 +549,25 @@ TEST(Oracle, PoolScansAgreeWithTheNaiveCheckerOnInfectedPools) {
     parallel_cfg.worker_threads = 4;
     core::ModChecker parallel(pool.hypervisor(), parallel_cfg);
     expect_same(parallel.scan_pool(module, order), want, "parallel", what);
+
+    // Each VM's check is its row of the same vote.  `order` names the
+    // subject too, and the electorate drops it.
+    for (std::size_t i = 0; i < t; ++i) {
+      expect_row(fresh.check_module(vms[i], module, order), want[i], "check",
+                 what);
+      expect_row(parallel.check_module(vms[i], module, order), want[i],
+                 "parallel check", what);
+    }
+    // A full sample is every peer in a seeded order.
+    for (const std::size_t i : {xi, pi}) {
+      expect_row(fresh.check_module_sampled(vms[i], module, t - 1, trial),
+                 want[i], "sampled check", what);
+    }
+    std::vector<DomainId> noisy = {vms[pi], vms[xi]};
+    noisy.insert(noisy.end(), order.begin(), order.end());
+    noisy.push_back(vms[pi]);
+    expect_row(fresh.check_module(vms[xi], module, noisy), want[xi],
+               "repeated-peer check", what);
   }
   EXPECT_GE(trials, 30u);
   EXPECT_GE(flagged, trials);  // every trial infects at least one VM

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -18,7 +19,6 @@
 #include "modchecker/report_json.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/trace.hpp"
-#include "telemetry/view.hpp"
 #include "util/thread_pool.hpp"
 #include "vmi/session.hpp"
 
@@ -144,23 +144,6 @@ TEST(MetricRegistry, ResolveMapsNullToProcessDefault) {
             &telemetry::MetricRegistry::process_default());
   telemetry::MetricRegistry mine;
   EXPECT_EQ(&telemetry::resolve(&mine), &mine);
-}
-
-TEST(MetricView, SnapshotFiltersByPrefix) {
-  telemetry::MetricRegistry reg;
-  reg.counter("service.submitted").inc(3);
-  telemetry::MetricView shard0(reg, "shard0.");
-  telemetry::MetricView shard1(reg, "shard1.");
-  shard0.counter("completed_runs").inc(2);
-  shard1.counter("completed_runs").inc(5);
-
-  EXPECT_EQ(shard0.prefix(), "shard0.");
-  const auto snap = shard0.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].name, "shard0.completed_runs");
-  EXPECT_EQ(snap.counters[0].value, 2u);
-  // The full registry still sees every namespace.
-  EXPECT_EQ(reg.snapshot().counters.size(), 3u);
 }
 
 // ---- tracing ---------------------------------------------------------------
@@ -378,10 +361,18 @@ TEST(TelemetryDifferential, PipelineStagesLandInOneRegistry) {
   const core::PoolScanReport report =
       checker.scan_pool("hal.dll", env.guests());
   EXPECT_FALSE(report.verdicts.empty());
+  // A fresh scan borrows every image from guest memory: no owned copy.
+  EXPECT_GT(reg.counter("vmi.view_bytes").value(), 0u);
+  EXPECT_EQ(reg.counter("pipeline.acquire.materializations").value(), 0u);
   // The pool scan's spans, before the single-subject check adds its own.
   const std::vector<telemetry::SpanRecord> scan_spans = rec.drain();
   // A single-subject check exercises the digest-memo path too.
-  checker.check_module(env.guests()[0], "hal.dll");
+  const core::CheckReport check =
+      checker.check_module(env.guests()[0], "hal.dll");
+  const std::vector<telemetry::SpanRecord> check_spans = rec.drain();
+  // One compare-time observation per driver call: the scan's and the
+  // check's.
+  EXPECT_EQ(reg.histogram("pipeline.compare.sim_ns").count(), 2u);
 
   const std::string json = telemetry::to_json(reg.snapshot());
   // Every layer routed through the one registry: vmi, pool, canonical,
@@ -414,6 +405,30 @@ TEST(TelemetryDifferential, PipelineStagesLandInOneRegistry) {
   EXPECT_EQ(acquire, env.guests().size());
   EXPECT_EQ(parse, env.guests().size());
   EXPECT_EQ(pool_scan, 1u);
+
+  // The check's tree: a root "check" span over acquire + parse per VM, one
+  // compare per peer and one vote.
+  std::map<std::string, std::size_t> names;
+  for (const auto& s : check_spans) {
+    ++names[s.name];
+  }
+  const std::map<std::string, std::size_t> want = {
+      {"check", 1},
+      {"acquire", env.guests().size()},
+      {"parse", env.guests().size()},
+      {"compare", env.guests().size() - 1},
+      {"vote", 1}};
+  EXPECT_EQ(names, want);
+  const telemetry::SpanRecord& root = check_spans.back();
+  ASSERT_EQ(root.name, "check");
+  EXPECT_EQ(root.depth, 0u);
+  std::map<std::string, std::string> args;
+  for (const auto& a : root.args) {
+    args[a.key] = a.value;
+  }
+  EXPECT_EQ(args["module"], "hal.dll");
+  EXPECT_EQ(args["peers"], std::to_string(env.guests().size() - 1));
+  EXPECT_EQ(args["sim_wall_ns"], std::to_string(check.wall_time));
 }
 
 }  // namespace

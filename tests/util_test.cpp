@@ -1,5 +1,5 @@
 // Unit tests for mc_util: byte helpers, RNG determinism, simulated clock,
-// thread pool, consistent-hash ring, UTF-16, hexdump.
+// thread pool, consistent-hash ring, UTF-16.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include "util/bytes.hpp"
 #include "util/error.hpp"
 #include "util/hash_ring.hpp"
-#include "util/hexdump.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 #include "util/thread_pool.hpp"
@@ -339,26 +338,6 @@ TEST(Utf16, StopsAtEmbeddedTerminator) {
   Bytes tail = ascii_to_utf16le("cd");
   buf.insert(buf.end(), tail.begin(), tail.end());
   EXPECT_EQ(utf16le_to_ascii(buf), "ab");
-}
-
-// ---- hexdump -------------------------------------------------------------------------
-TEST(Hexdump, HexBytesFormat) {
-  const Bytes data = {0xDE, 0xAD, 0xBE, 0xEF};
-  EXPECT_EQ(hex_bytes(data), "de ad be ef");
-  EXPECT_EQ(hex_bytes(data, 2), "de ad ...");
-}
-
-TEST(Hexdump, Hex32Padding) {
-  EXPECT_EQ(hex32(0xF8CC2000), "f8cc2000");
-  EXPECT_EQ(hex32(0x1), "00000001");
-}
-
-TEST(Hexdump, FullDumpShape) {
-  Bytes data(20, 0x41);  // 'A'
-  const std::string dump = hexdump(data, 0x1000);
-  EXPECT_NE(dump.find("00001000"), std::string::npos);
-  EXPECT_NE(dump.find("|AAAAAAAAAAAAAAAA|"), std::string::npos);
-  EXPECT_EQ(std::count(dump.begin(), dump.end(), '\n'), 2);
 }
 
 // ---- MC_CHECK -------------------------------------------------------------------------
