@@ -239,8 +239,8 @@ void measure_fallback_pair(HotpathReport& hp) {
   for (const vmm::DomainId vm : env.guests()) {
     sessions.push_back(std::make_unique<vmi::VmiSession>(
         env.hypervisor(), vm, clock, vmi::VmiCostModel{}, &reg));
-    auto found = core::ModuleSearcher(*sessions.back())
-                     .try_extract_module(kModule, core::ExtractMode::kView);
+    auto found =
+        core::ModuleSearcher(*sessions.back()).try_extract_module(kModule);
     if (!found.ok() || !found.value()) {
       return;
     }
@@ -314,11 +314,9 @@ HotpathReport measure_hotpath() {
     benchmark::DoNotOptimize(copy);
   });
 
-  // Parse on the view-backed image (the zero-copy pipeline's shape).
-  auto fallible0 = searcher0.try_extract_module(kModule,
-                                                core::ExtractMode::kView);
-  auto fallible1 = searcher1.try_extract_module(kModule,
-                                                core::ExtractMode::kView);
+  // Parse on the borrowed image (the zero-copy pipeline's shape).
+  auto fallible0 = searcher0.try_extract_module(kModule);
+  auto fallible1 = searcher1.try_extract_module(kModule);
   if (!fallible0.ok() || !fallible0.value() || !fallible1.ok() ||
       !fallible1.value()) {
     return hp;
@@ -366,7 +364,7 @@ HotpathReport measure_hotpath() {
   hp.normalize_scalar = probe_stage(
       text_bytes, [&] { normalize_once(simd::Policy::kScalar); });
 
-  // Compare and Hash over the view-backed items.
+  // Compare and Hash over the borrowed items.
   hp.compare = probe_stage(text_bytes, [&] {
     bool eq = core::item_content_equal(*text0, *text0);
     benchmark::DoNotOptimize(eq);

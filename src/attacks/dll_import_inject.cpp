@@ -86,7 +86,7 @@ Bytes DllImportInjectAttack::infect_file(ByteView pe_file,
                                          const std::string& function_name) {
   const Bytes mapped = pe::map_image(pe_file);
   // Attacker's-eye parse of the victim image; mc-lint: allow(format-bypass)
-  const pe::ParsedImage parsed(mapped);
+  const pe::ParsedImage parsed{ByteView(mapped)};
   const pe::DosHeader& dos = parsed.dos();
   const pe::FileHeader& fh = parsed.file_header();
   const pe::OptionalHeader32& opt = parsed.optional_header();

@@ -15,7 +15,7 @@ AttackResult EatHookAttack::apply(cloud::CloudEnvironment& env,
   std::uint32_t base = 0;
   const Bytes image = writer.read_module_image(module, &base);
   // Attacker's-eye parse of the victim image; mc-lint: allow(format-bypass)
-  const pe::ParsedImage parsed(image);
+  const pe::ParsedImage parsed{ByteView(image)};
 
   const auto& export_dir =
       parsed.optional_header().DataDirectories[pe::kDirExport];

@@ -13,7 +13,7 @@ AttackResult HeaderTamperAttack::apply(cloud::CloudEnvironment& env,
   std::uint32_t base = 0;
   const Bytes image = writer.read_module_image(module, &base);
   // Attacker's-eye parse of the victim image; mc-lint: allow(format-bypass)
-  const pe::ParsedImage parsed(image);
+  const pe::ParsedImage parsed{ByteView(image)};
 
   // AddressOfEntryPoint lives at optional-header offset 16.
   const std::uint32_t field_va = base + parsed.e_lfanew() +

@@ -18,14 +18,14 @@ AttackResult HollowingAttack::apply(cloud::CloudEnvironment& env,
   std::uint32_t victim_base = 0;
   const Bytes victim = writer.read_module_image(module, &victim_base);
   // Attacker's-eye parse of the victim image; mc-lint: allow(format-bypass)
-  const pe::ParsedImage victim_parsed(victim);
+  const pe::ParsedImage victim_parsed{ByteView(victim)};
   const pe::SectionHeader* victim_text = victim_parsed.find_section(".text");
   MC_CHECK(victim_text != nullptr, "victim has no .text");
 
   std::uint32_t donor_base = 0;
   const Bytes donor = writer.read_module_image(donor_, &donor_base);
   // Attacker's-eye parse of the donor image; mc-lint: allow(format-bypass)
-  const pe::ParsedImage donor_parsed(donor);
+  const pe::ParsedImage donor_parsed{ByteView(donor)};
   const pe::SectionHeader* donor_text = donor_parsed.find_section(".text");
   MC_CHECK(donor_text != nullptr, "donor has no .text");
 

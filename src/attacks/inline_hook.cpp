@@ -15,7 +15,7 @@ AttackResult InlineHookAttack::apply(cloud::CloudEnvironment& env,
   std::uint32_t base = 0;
   const Bytes image = writer.read_module_image(module, &base);
   // Attacker's-eye parse of the victim image; mc-lint: allow(format-bypass)
-  const pe::ParsedImage parsed(image);
+  const pe::ParsedImage parsed{ByteView(image)};
 
   const pe::SectionHeader* text = parsed.find_section(".text");
   MC_CHECK(text != nullptr, "module has no .text section");

@@ -12,7 +12,7 @@ namespace mc::baselines {
 Bytes simulate_load(ByteView file, std::uint32_t actual_base) {
   Bytes mapped = pe::map_image(file);
   // Rival baseline parses the PE directly by design; mc-lint: allow(format-bypass)
-  const pe::ParsedImage parsed(mapped);
+  const pe::ParsedImage parsed{ByteView(mapped)};
   const auto& reloc_dir =
       parsed.optional_header().DataDirectories[pe::kDirBaseReloc];
   if (reloc_dir.VirtualAddress != 0 && reloc_dir.Size != 0) {
@@ -42,7 +42,8 @@ std::vector<std::string> diff_integrity_items(ByteView image_a,
       }
     }
     if (match == nullptr ||
-        crypto::Md5::hash(a.bytes) != crypto::Md5::hash(match->bytes)) {
+        crypto::Md5::hash(a.content_copy()) !=
+            crypto::Md5::hash(match->content_copy())) {
       mismatched.push_back(a.name);
     }
   }

@@ -37,7 +37,7 @@ DetectionOutcome LkimStyleChecker::check(const cloud::CloudEnvironment& env,
   // Dynamic-data pass: each bound IAT slot must hold the address the
   // provider module exports for that function.
   // Rival baseline parses the PE directly by design; mc-lint: allow(format-bypass)
-  const pe::ParsedImage parsed(memory_image);
+  const pe::ParsedImage parsed{ByteView(memory_image)};
   const auto& import_dir =
       parsed.optional_header().DataDirectories[pe::kDirImport];
   if (import_dir.VirtualAddress != 0 &&

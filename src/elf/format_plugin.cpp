@@ -26,12 +26,7 @@ class Elf64Format final : public core::ModuleFormat {
 
   std::vector<core::IntegrityItem> extract_items(
       const core::ModuleImage& image) const override {
-    if (image.view_backed()) {
-      const ElfImage parsed(image.view);
-      return parsed.extract_items(image.view);
-    }
-    const ElfImage parsed(ByteView(image.bytes));
-    return parsed.extract_items(ByteView(image.bytes));
+    return ElfImage(image.view).extract_items(image.view);
   }
 
   core::FixupPolicy fixup_policy() const override {

@@ -7,20 +7,6 @@
 
 namespace mc::elf {
 
-namespace {
-
-/// Owned copy of view[off, off+len) with the same bounds contract as
-/// mc::slice (header items of the zero-copy path stay owned — they are a
-/// few dozen bytes each and get parsed into structs regardless).
-Bytes view_slice(const vmi::GuestView& v, std::size_t off, std::size_t len) {
-  MC_CHECK(off + len <= v.size(), "slice out of range");
-  Bytes out(len, 0);
-  v.read_into(off, MutableByteView(out));
-  return out;
-}
-
-}  // namespace
-
 bool is_integrity_checked_section(const Elf64Shdr& sh) {
   if (sh.sh_type == kShtNull || sh.sh_type == kShtNobits) {
     return false;  // no bytes in the image (.bss) or placeholder
@@ -63,40 +49,11 @@ void ElfImage::validate_and_name(std::size_t image_size, ByteView shstrtab) {
   }
 }
 
-ElfImage::ElfImage(ByteView mapped) {
-  ehdr_ = Elf64Ehdr::parse(mapped);
-  if (!ehdr_.magic_ok()) {
-    throw FormatError("module lacks ELF magic");
-  }
-  if (ehdr_.e_shoff > mapped.size() ||
-      std::size_t{ehdr_.e_shnum} * kShdrSize >
-          mapped.size() - ehdr_.e_shoff) {
-    throw FormatError("section header table out of range");
-  }
-  sections_.reserve(ehdr_.e_shnum);
-  for (std::uint16_t i = 0; i < ehdr_.e_shnum; ++i) {
-    sections_.push_back(Elf64Shdr::parse(
-        mapped, static_cast<std::size_t>(ehdr_.e_shoff) + i * kShdrSize));
-  }
-  if (ehdr_.e_shstrndx >= sections_.size()) {
-    throw FormatError("e_shstrndx out of range");
-  }
-  const Elf64Shdr& strs = sections_[ehdr_.e_shstrndx];
-  if (strs.sh_offset > mapped.size() ||
-      strs.sh_size > mapped.size() - strs.sh_offset) {
-    throw FormatError(".shstrtab outside mapped image");
-  }
-  validate_and_name(mapped.size(),
-                    mapped.subspan(static_cast<std::size_t>(strs.sh_offset),
-                                   static_cast<std::size_t>(strs.sh_size)));
-}
-
 ElfImage::ElfImage(const vmi::GuestView& mapped) {
-  // Mirrors the ByteView constructor stage for stage, staging the file
-  // header and each section header through fixed-size stack buffers and
-  // the (small) section-name table through one owned copy.  The explicit
-  // range checks are identical — failure behavior matches the ByteView
-  // overload check for check.
+  // Stages the file header and each section header through fixed-size
+  // stack buffers and the (small) section-name table through one owned
+  // copy, so nothing image-sized is materialized and a scattered view
+  // fails exactly like a contiguous one.
   std::array<std::uint8_t, kEhdrSize> ehdr_buf{};
   if (mapped.size() < ehdr_buf.size()) {
     throw FormatError("image too small for Elf64_Ehdr");
@@ -127,8 +84,10 @@ ElfImage::ElfImage(const vmi::GuestView& mapped) {
     throw FormatError(".shstrtab outside mapped image");
   }
   const Bytes shstrtab =
-      view_slice(mapped, static_cast<std::size_t>(strs.sh_offset),
-                 static_cast<std::size_t>(strs.sh_size));
+      mapped
+          .subview(static_cast<std::size_t>(strs.sh_offset),
+                   static_cast<std::size_t>(strs.sh_size))
+          .materialize();
   validate_and_name(mapped.size(), ByteView(shstrtab));
 }
 
@@ -147,12 +106,13 @@ int ElfImage::find_section_index(const std::string& name) const {
 }
 
 std::vector<core::IntegrityItem> ElfImage::extract_items(
-    ByteView mapped) const {
+    const vmi::GuestView& mapped) const {
+  // Every item, headers included, is a subview of `mapped`.
   std::vector<core::IntegrityItem> items;
 
   // 1. The ELF file header (magic, machine, table geometry).
-  items.push_back({core::ItemKind::kElfHeader, "ELF64_EHDR", 0,
-                   slice(mapped, 0, kEhdrSize), false, {}});
+  items.push_back({core::ItemKind::kElfHeader, "ELF64_EHDR", 0, false,
+                   mapped.subview(0, kEhdrSize)});
 
   // 2. Every section header, as its own item (the ELF analogue of the
   //    paper's per-SECTION_HEADER items — E4-style table tampering is
@@ -164,8 +124,8 @@ std::vector<core::IntegrityItem> ElfImage::extract_items(
         names_[i].empty() ? std::to_string(i) : names_[i];
     items.push_back({core::ItemKind::kElfSectionHeader,
                      "ELF64_SHDR[" + label + "]",
-                     static_cast<std::uint32_t>(off),
-                     slice(mapped, off, kShdrSize), false, {}});
+                     static_cast<std::uint32_t>(off), false,
+                     mapped.subview(off, kShdrSize)});
   }
 
   // 3. Data of each resident read-only section.  Executable sections carry
@@ -176,43 +136,7 @@ std::vector<core::IntegrityItem> ElfImage::extract_items(
       continue;
     }
     items.push_back({core::ItemKind::kSectionData, names_[i],
-                     static_cast<std::uint32_t>(sh.sh_addr),
-                     slice(mapped, static_cast<std::size_t>(sh.sh_offset),
-                           static_cast<std::size_t>(sh.sh_size)),
-                     sh.is_code(), {}});
-  }
-  return items;
-}
-
-std::vector<core::IntegrityItem> ElfImage::extract_items(
-    const vmi::GuestView& mapped) const {
-  // Same walk as the ByteView overload; headers become small owned
-  // copies, section data stays borrowed (the zero-copy payoff: section
-  // data is ~all of the image's hashable bytes).
-  std::vector<core::IntegrityItem> items;
-
-  items.push_back({core::ItemKind::kElfHeader, "ELF64_EHDR", 0,
-                   view_slice(mapped, 0, kEhdrSize), false, {}});
-
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const std::size_t off =
-        static_cast<std::size_t>(ehdr_.e_shoff) + i * kShdrSize;
-    const std::string& label =
-        names_[i].empty() ? std::to_string(i) : names_[i];
-    items.push_back({core::ItemKind::kElfSectionHeader,
-                     "ELF64_SHDR[" + label + "]",
-                     static_cast<std::uint32_t>(off),
-                     view_slice(mapped, off, kShdrSize), false, {}});
-  }
-
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const Elf64Shdr& sh = sections_[i];
-    if (!is_integrity_checked_section(sh)) {
-      continue;
-    }
-    items.push_back({core::ItemKind::kSectionData, names_[i],
-                     static_cast<std::uint32_t>(sh.sh_addr), Bytes{},
-                     sh.is_code(),
+                     static_cast<std::uint32_t>(sh.sh_addr), sh.is_code(),
                      mapped.subview(static_cast<std::size_t>(sh.sh_offset),
                                     static_cast<std::size_t>(sh.sh_size))});
   }

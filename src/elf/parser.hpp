@@ -1,7 +1,7 @@
 // Parser for in-memory (mapped) ELF64 kernel-module images — the ELF side
 // of the paper's Module-Parser component and Algorithm 1.
 //
-// Given a copy of a .ko extracted from guest memory, the parser verifies
+// Given a view of a .ko extracted from guest memory, the parser verifies
 // the ELF magic/class/encoding, walks Elf64_Ehdr → section header table →
 // section names, and produces the list of *integrity items*: the file
 // header, every section header, and the data of each allocated read-only
@@ -28,15 +28,11 @@ namespace mc::elf {
 /// Fully parsed view of a mapped ELF64 module.
 class ElfImage {
  public:
-  /// Parses `mapped` (memory layout).  Throws FormatError on bad magics or
-  /// out-of-bounds structures.
-  explicit ElfImage(ByteView mapped);
-
-  /// Same parse over a scatter-gather GuestView (the zero-copy Acquire
-  /// path): the file header and section headers are staged through small
+  /// Parses `mapped` (memory layout; a ByteView converts to a one-segment
+  /// view).  The file header and section headers are staged through small
   /// fixed-size stack buffers and the section-name table through one
-  /// small owned copy, so nothing image-sized is materialized.  Failure
-  /// behavior matches the ByteView overload check for check.
+  /// small owned copy, so nothing image-sized is materialized.  Throws
+  /// FormatError on bad magics or out-of-bounds structures.
   explicit ElfImage(const vmi::GuestView& mapped);
 
   const Elf64Ehdr& header() const { return ehdr_; }
@@ -55,11 +51,7 @@ class ElfImage {
   /// Algorithm 1: extracts the ELF header, every section header and the
   /// data of each allocated, non-writable section as separate items.
   /// Executable sections carry loader-patched absolute addresses, so
-  /// their data is rva_sensitive.
-  std::vector<core::IntegrityItem> extract_items(ByteView mapped) const;
-
-  /// Zero-copy variant: header items carry small owned copies, section
-  /// data items borrow subviews of `mapped`.
+  /// their data is rva_sensitive.  Every item is a subview of `mapped`.
   std::vector<core::IntegrityItem> extract_items(
       const vmi::GuestView& mapped) const;
 

@@ -19,7 +19,7 @@ const LoadedModule& ModuleLoader::load(const std::string& module_name,
   // 1. Expand file layout to memory layout.
   Bytes mapped = pe::map_image(pe_file);
   // The guest-side loader maps the raw PE itself; mc-lint: allow(format-bypass)
-  const pe::ParsedImage parsed(mapped);
+  const pe::ParsedImage parsed{ByteView(mapped)};
   const std::uint32_t preferred_base = parsed.optional_header().ImageBase;
   const std::uint32_t size_of_image = parsed.optional_header().SizeOfImage;
 

@@ -141,7 +141,7 @@ Bytes run_bytes(const IntegrityItem& item, const ByteSpans& spans) {
   Bytes bytes(total);
   std::size_t at = 0;
   for (const auto& [lo, hi] : spans) {
-    copy_content_range(item, lo, MutableByteView(bytes).subspan(at, hi - lo));
+    item.view.read_into(lo, MutableByteView(bytes).subspan(at, hi - lo));
     at += hi - lo;
   }
   return bytes;
@@ -618,8 +618,6 @@ DeltaPlan CanonicalPool::plan_fallback(
         item.canonical = canonical_bytes_[i];
         item.map = &*window_maps_[i];
       }
-    } else if (!r.view_backed()) {
-      item.canonical = r.bytes;
     } else if (r.view.contiguous()) {
       item.canonical = r.view.as_contiguous();
     } else {
@@ -827,8 +825,8 @@ DeltaPlan::Answer DeltaPlan::decide_relocated(
     const ByteView prefix = c.subspan(origin, from - origin);
     copy_bytes(la, prefix);
     copy_bytes(lb, prefix);
-    copy_content_range(a.items[i], from, la.subspan(from - origin));
-    copy_content_range(b.items[i], from, lb.subspan(from - origin));
+    a.items[i].view.read_into(from, la.subspan(from - origin));
+    b.items[i].view.read_into(from, lb.subspan(from - origin));
     const ResumedRun run = adjust_fixups_resumed(
         la, a.base, lb, b.base, policy, origin, n, from, until, starts);
     if (!run.synced) {

@@ -65,9 +65,6 @@ std::vector<std::size_t> pair_items(const ParsedModule& subject,
 /// The item's content as one contiguous span: in place when it already is
 /// one, otherwise an `arena` copy.
 ByteView flat_content(Arena& arena, const IntegrityItem& item) {
-  if (!item.view_backed()) {
-    return item.bytes;
-  }
   if (item.view.contiguous()) {
     return item.view.as_contiguous();
   }
@@ -139,7 +136,7 @@ PairComparison IntegrityChecker::compare(const ParsedModule& subject,
       cmp.digest_other = memo->digest(other.domain, j, b, clock);
       cmp.match = cmp.digest_subject == cmp.digest_other;
     } else {
-      // Digests stream the spans, so view-backed items never flatten.
+      // Digests stream the spans, so scattered items never flatten.
       settle(cmp, hash_item_content(algorithm_, a),
              hash_item_content(algorithm_, b),
              a.content_size() + b.content_size());

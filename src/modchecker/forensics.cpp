@@ -87,7 +87,7 @@ ForensicReport analyze_divergence(const ParsedModule& subject,
   }
 
   // Forensics is a sanctioned materialization point: the report outlives
-  // the scan, so view-backed items get owned copies here.
+  // the scan, so the items' views get owned copies here.
   Bytes a = sub->content_copy();  // mc-lint: allow(hotpath-copy)
   Bytes b = ref->content_copy();  // mc-lint: allow(hotpath-copy)
   if (sub->rva_sensitive) {

@@ -35,14 +35,7 @@ ModuleFormatId parse_module_format(std::string_view name) {
 std::size_t read_image_header(const ModuleImage& image, MutableByteView dst) {
   const std::size_t n =
       std::min({dst.size(), kFormatSniffBytes, image.size()});
-  if (n == 0) {
-    return 0;
-  }
-  if (image.view_backed()) {
-    image.view.read_into(0, dst.first(n));
-  } else {
-    copy_bytes(dst.first(n), ByteView(image.bytes).first(n));
-  }
+  image.view.read_into(0, dst.first(n));
   return n;
 }
 

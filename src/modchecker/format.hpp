@@ -11,8 +11,8 @@
 //                   (PE32: "MZ"; ELF64: "\x7fELF" + class/encoding).
 //   * extract_items — parse the image into the plugin's own ParsedImage
 //                   representation and decompose it into format-neutral
-//                   IntegrityItems (Algorithm 1), preserving the dual
-//                   owned/view-backed content modes.
+//                   IntegrityItems (Algorithm 1) that are subviews of
+//                   the image's view.
 //   * fixup_policy — the width/step/bias recipe adjust_fixups needs to
 //                   undo the loader's absolute-address relocation
 //                   (Algorithm 2; see FixupPolicy in rva_adjust.hpp).
@@ -65,9 +65,9 @@ class ModuleFormat {
   /// than kFormatSniffBytes for tiny images) carries this format's magic.
   virtual bool detect(ByteView header) const = 0;
 
-  /// Algorithm 1: parses the image — owned buffer or zero-copy GuestView,
-  /// both modes must yield identical items — and decomposes it into
-  /// integrity items.  Throws FormatError on malformed images.
+  /// Algorithm 1: parses the image's view and decomposes it into
+  /// integrity items that borrow it.  Throws FormatError on malformed
+  /// images.
   virtual std::vector<IntegrityItem> extract_items(
       const ModuleImage& image) const = 0;
 
@@ -83,8 +83,8 @@ const ModuleFormat& elf64_format();
 /// Upper bound on the header bytes detect() may examine.
 inline constexpr std::size_t kFormatSniffBytes = 16;
 
-/// Copies up to kFormatSniffBytes of the image's header into `dst`
-/// (owned or view-backed alike); returns the number of bytes staged.
+/// Copies up to kFormatSniffBytes of the image's header into `dst`;
+/// returns the number of bytes staged.
 std::size_t read_image_header(const ModuleImage& image, MutableByteView dst);
 
 /// Registry of every linked-in format plugin, in deterministic order

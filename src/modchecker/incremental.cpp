@@ -43,7 +43,7 @@ Fallible<bool> patch_dirty_pages(vmi::VmiSession& s, CachedCopy& copy,
                                  SimNanos compare_per_byte,
                                  CanonicalPool::ByteRanges& changed) {
   const std::uint32_t page_base = copy.base & ~(vmm::kFrameSize - 1);
-  const auto image_size = static_cast<std::uint32_t>(copy.image.bytes.size());
+  const auto image_size = static_cast<std::uint32_t>(copy.buffer.size());
   const std::size_t pages = copy.frames.size();
   if (!dirty.empty() && dirty.back() >= pages) {  // ascending: tables last
     s.revalidate_translations();
@@ -85,7 +85,7 @@ Fallible<bool> patch_dirty_pages(vmi::VmiSession& s, CachedCopy& copy,
     MC_CHECK(fresh.size() == hi - lo, "page view must be one span");
     s.clock().charge(compare_per_byte * fresh.size());
     ++copy.last.frames_reread;
-    std::uint8_t* cached = copy.image.bytes.data() + (lo - copy.base);
+    std::uint8_t* cached = copy.buffer.data() + (lo - copy.base);
     const std::size_t first =
         simd::mismatch(fresh.data(), cached, fresh.size(), 0);
     if (first != fresh.size()) {
@@ -173,7 +173,7 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
   // O(1) watch query; a dirty copy tries the patch before re-extracting.
   bool need_full = true;
   if (found && base == info.base &&
-      image.bytes.size() == info.size_of_image &&
+      buffer.size() == info.size_of_image &&
       watch != vmm::WriteWatch::kNoWatch) {
     if (!s.watch_dirty(watch)) {
       last.outcome = Outcome::kReused;  // writes landed elsewhere
@@ -223,14 +223,19 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
                       ? 0
                       : static_cast<std::size_t>(
                             ((end - 1) >> vmm::kFrameShift) - first_page + 1));
-    Fallible<ModuleImage> copy =
-        acquire.try_extract(session, info, ExtractMode::kCopy);
+    // The one owned copy of this module, read straight into its buffer;
+    // the parse this generation forces runs before any reader (DESIGN
+    // §11.1).
+    acquire.context().pm.materializations.inc();
+    Fallible<Bytes> copy =
+        s.try_read_region(info.base, info.size_of_image);
     if (!copy.ok()) {
       return std::move(copy.fault());
     }
     base = info.base;
     ++generation;
-    image = std::move(copy.value());
+    buffer = std::move(copy.value());
+    image = {s.domain_id(), info.name, info.base, ByteView(buffer)};
     last.outcome = Outcome::kFull;
     last.content_changed = true;
   }

@@ -72,7 +72,13 @@ struct LoaderSnapshot {
   vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
 };
 
-/// One VM's cached copy of one module.
+/// One VM's cached copy of one module: the one owned copy of its image.
+/// `parsed`'s items, and a canonical pool that elected this copy as its
+/// reference, borrow `buffer` through `image.view`.  They stay valid until
+/// the next full re-extraction, which re-parses before any reader runs; a
+/// partial refresh patches `buffer` in place and bumps `generation` when
+/// a byte changed.  Non-copyable, so no view can point into another
+/// copy's buffer.
 struct CachedCopy {
   /// What the last fetch did (ScanCache::account tallies it).
   enum class Outcome : std::uint8_t { kNone, kReused, kPartial, kFull };
@@ -89,6 +95,12 @@ struct CachedCopy {
     std::uint32_t frames_reread = 0;
   };
 
+  CachedCopy() = default;
+  CachedCopy(const CachedCopy&) = delete;
+  CachedCopy& operator=(const CachedCopy&) = delete;
+  CachedCopy(CachedCopy&&) = default;
+  CachedCopy& operator=(CachedCopy&&) = default;
+
   /// True (a reuse) when the domain took no write at all since this copy
   /// was fetched: it is served without touching guest memory.
   bool reuse_if_current(std::uint64_t domain_write_generation) {
@@ -100,7 +112,8 @@ struct CachedCopy {
 
   /// One fetch attempt, run inside the driver's acquire retry loop: finds
   /// the module through the domain's loader snapshot, then reuses a clean
-  /// copy, patches its dirty pages or re-extracts it.  A dirty page is
+  /// copy, patches its dirty pages or re-extracts it (the only
+  /// `pipeline.acquire.materializations`).  A dirty page is
   /// compared with the copy before it is patched, charged
   /// `compare_per_byte` per byte; a written page-table frame makes every
   /// page re-translate first.  Returns whether the module is loaded.  A
@@ -132,7 +145,10 @@ struct CachedCopy {
   /// the [lo, hi) image offsets it changed, one differing run per page
   /// (the canonical update's mask).
   CanonicalPool::ByteRanges last_changed_rvas;
-  ModuleImage image;  // owned: the partial refresh patches it in place
+  /// The image's bytes (the partial refresh patches them in place) and a
+  /// one-segment view over them: the cache's sanctioned copy.
+  Bytes buffer;  // mc-lint: allow(hotpath-copy)
+  ModuleImage image;
   ParsedModule parsed;
   Fetch last;
 };

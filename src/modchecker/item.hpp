@@ -54,46 +54,29 @@ inline std::string to_string(ItemKind kind) {
 /// One hashable unit of a module (paper §III-B.3: "computes the hashes of
 /// the headers and the contents of the module ... separately").
 ///
-/// Content lives in exactly one of two places: `bytes` (owned copy — the
-/// historical path, still used for disk images, caches and forensics) or
-/// `view` (borrowed spans over guest frames — the zero-copy Acquire path;
-/// headers stay owned even there because they are tiny and parsed into
-/// structs anyway).  Consumers go through the content_* accessors /
-/// for_each_span so they never care which mode an item is in.
+/// Content is always a borrowed `view`: spans over guest frames (the
+/// zero-copy Acquire path) or one span over an owned buffer its holder
+/// keeps (the scan cache's copy, a golden file).  Headers are subviews
+/// like section data.  An item is valid while the memory its view names
+/// is; content_copy() is the escape hatch for consumers that outlive it.
 struct IntegrityItem {
   ItemKind kind = ItemKind::kSectionData;
   std::string name;        // ".text", "IMAGE_NT_HEADER", ...
   std::uint32_t rva = 0;   // where the bytes start within the image
-  Bytes bytes;             // owned content (empty when view-backed)
   bool rva_sensitive = false;  // true for executable section data (holds
                                // absolute addresses that must be normalized
                                // before hashing)
-  vmi::GuestView view;     // borrowed content (empty when owned)
+  vmi::GuestView view;     // the content
 
-  bool view_backed() const { return !view.empty(); }
-  std::size_t content_size() const {
-    return view_backed() ? view.size() : bytes.size();
-  }
+  std::size_t content_size() const { return view.size(); }
   /// Copies the content into `dst` (dst.size() == content_size()).
-  void copy_content(MutableByteView dst) const {
-    if (view_backed()) {
-      view.read_into(0, dst);
-    } else {
-      copy_bytes(dst, bytes);
-    }
-  }
+  void copy_content(MutableByteView dst) const { view.read_into(0, dst); }
   /// Owned copy — materialization point for forensics/dump consumers.
-  Bytes content_copy() const {
-    return view_backed() ? view.materialize() : bytes;
-  }
+  Bytes content_copy() const { return view.materialize(); }
   /// Walks the content as borrowed spans in order (streaming hash).
   template <typename Fn>
   void for_each_span(Fn&& fn) const {
-    if (view_backed()) {
-      view.for_each_segment(fn);
-    } else if (!bytes.empty()) {
-      fn(ByteView(bytes));
-    }
+    view.for_each_segment(fn);
   }
 };
 

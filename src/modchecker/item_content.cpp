@@ -7,18 +7,6 @@ namespace mc::core {
 
 namespace {
 
-/// The item's content spans, borrowed in place: the view's segments, or
-/// the owned buffer through `owned`.
-std::span<const ByteView> content_spans(const IntegrityItem& item,
-                                        ByteView& owned) {
-  if (item.view_backed()) {
-    return item.view.segments();
-  }
-  owned = ByteView(item.bytes);
-  return owned.empty() ? std::span<const ByteView>{}
-                       : std::span<const ByteView>(&owned, 1);
-}
-
 /// Writes bytes [lo, lo + out.size()) of `canonical` relocated at `biased`
 /// into `out`: the canonical bytes, with every window of `starts` (from
 /// index `next` on) holding its value plus `biased`, mod 2^width.  `next`
@@ -59,9 +47,6 @@ void relocate_range(ByteView canonical, const std::vector<std::uint32_t>& starts
 
 crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
                                  const IntegrityItem& item) {
-  if (!item.view_backed()) {
-    return crypto::hash_bytes(algorithm, item.bytes);
-  }
   if (item.view.contiguous()) {
     return crypto::hash_bytes(algorithm, item.view.as_contiguous());
   }
@@ -101,10 +86,7 @@ bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,
   if (a.content_size() != b.content_size()) {
     return false;
   }
-  ByteView owned_a;
-  ByteView owned_b;
-  return spans_equal(content_spans(a, owned_a), content_spans(b, owned_b),
-                     policy);
+  return spans_equal(a.view.segments(), b.view.segments(), policy);
 }
 
 bool append_diff_runs(ByteView actual, ByteView expected, std::size_t pos,
@@ -196,15 +178,6 @@ bool relocated_content_equal(const IntegrityItem& item,
   return relocated_diff(item, fixups, base, canonical, map, DiffCap{}, none,
                         policy) &&
          none.empty();
-}
-
-void copy_content_range(const IntegrityItem& item, std::size_t lo,
-                        MutableByteView out) {
-  if (item.view_backed()) {
-    item.view.read_into(lo, out);
-  } else {
-    copy_bytes(out, ByteView(item.bytes).subspan(lo, out.size()));
-  }
 }
 
 MutableByteView arena_content_copy(Arena& arena,

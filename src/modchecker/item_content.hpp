@@ -1,14 +1,13 @@
-// Content-mode-agnostic operations over IntegrityItems.
+// Operations over IntegrityItem content.
 //
-// An item's content is either an owned buffer or a borrowed scatter-gather
-// GuestView (see modchecker/item.hpp).  The checker, digest memo and canonical
-// pool never need to know which: these helpers hash, compare (plainly or
-// against a relocated canonical form) and scratch-copy the content through
-// the item's span walk, so the zero-copy Acquire path feeds the exact same
-// downstream code as the owned path.
+// An item's content is a scatter-gather GuestView (see
+// modchecker/item.hpp): spans over guest frames, or one span over an owned
+// buffer.  These helpers hash, compare (plainly or against a relocated
+// canonical form) and scratch-copy the content through the item's span
+// walk; a one-segment view takes the single-span fast path.
 //
 // Digests are computed by streaming the spans through the incremental
-// hasher, so a view-backed item is never flattened into a temporary buffer
+// hasher, so a scattered item is never flattened into a temporary buffer
 // just to be hashed.
 #pragma once
 
@@ -85,10 +84,6 @@ bool relocated_content_equal(const IntegrityItem& item,
                              const FixupPolicy& fixups, std::uint32_t base,
                              ByteView canonical, const WindowMap& map,
                              simd::Policy policy = simd::Policy::kAuto);
-
-/// Copies content bytes [lo, lo + out.size()) of `item` into `out`.
-void copy_content_range(const IntegrityItem& item, std::size_t lo,
-                        MutableByteView out);
 
 /// Copies the item's content into `arena` scratch — the mutation point for
 /// Algorithm 2, which rewrites relocation words before hashing.  The span

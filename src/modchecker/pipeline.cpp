@@ -229,15 +229,6 @@ LoaderWalk AcquireStage::walk_loader(Session& s) const {
   return ModuleSearcher(s.session()).walk_loader();
 }
 
-Fallible<ModuleImage> AcquireStage::try_extract(Session& s,
-                                                const ModuleInfo& info,
-                                                ExtractMode mode) const {
-  if (mode == ExtractMode::kCopy) {
-    ctx_->pm.materializations.inc();
-  }
-  return ModuleSearcher(s.session()).try_extract(info, mode);
-}
-
 std::optional<std::optional<ModuleImage>> AcquireStage::extract_with_retry(
     vmm::DomainId vm, const std::string& module_name, SimClock& clock,
     std::vector<FaultRecord>& faults, std::uint32_t& attempts) const {
@@ -246,7 +237,7 @@ std::optional<std::optional<ModuleImage>> AcquireStage::extract_with_retry(
       [&]() -> Fallible<std::optional<ModuleImage>> {
         Session session(*ctx_, vm, clock);
         return ModuleSearcher(session.session())
-            .try_extract_module(module_name, ExtractMode::kView);
+            .try_extract_module(module_name);
       });
 }
 

@@ -303,9 +303,9 @@ struct CheckContext {
     telemetry::Counter list_scans;
     telemetry::Counter acquire_attempts;
     telemetry::Counter acquire_retries;
-    /// Whole-image extractions that produced an owned copy (kCopy: the
-    /// scan cache's copies) instead of a borrowed view.  Zero across a
-    /// clean fresh scan — the bench gate asserts exactly that.
+    /// Whole-image extractions into an owned copy (the scan cache's
+    /// CachedCopy, the only one) instead of a borrowed view.  Zero across
+    /// a clean fresh scan — the bench gate asserts exactly that.
     telemetry::Counter materializations;
     telemetry::Counter quarantines;
     telemetry::Counter faults;
@@ -391,6 +391,8 @@ class AcquireStage {
  public:
   explicit AcquireStage(CheckContext& ctx) : ctx_(&ctx) {}
 
+  const CheckContext& context() const { return *ctx_; }
+
   /// One VM's introspection session for the duration of a stage call.
   /// Charges attach (or pool-hit bookkeeping) to `clock`.
   class Session {
@@ -409,12 +411,6 @@ class AcquireStage {
   /// Every searcher call returns a guest fault (injected or real) as a
   /// FaultRecord instead of unwinding the scan.
   LoaderWalk walk_loader(Session& s) const;
-
-  /// Extraction of a module a list walk already found (no second walk).
-  /// kView borrows the guest's frames; kCopy (a counted materialization)
-  /// is for the cache.
-  Fallible<ModuleImage> try_extract(Session& s, const ModuleInfo& info,
-                                    ExtractMode mode) const;
 
   /// One retried acquire under the config's RetryPolicy: runs `attempt`
   /// (session open + searcher work on `clock`) up to max_attempts times,

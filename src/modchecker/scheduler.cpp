@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "util/error.hpp"
-#include "util/hash_ring.hpp"
 
 namespace mc::core {
 
@@ -40,11 +39,6 @@ void ScanScheduler::add_policy(const ScanPolicy& policy) {
   policies_.push_back(policy);
 }
 
-void ScanScheduler::set_partitions(std::size_t count) {
-  MC_CHECK(count >= 1, "scheduler needs at least one checker instance");
-  partitions_ = count;
-}
-
 ScheduleReport ScanScheduler::run_until(SimNanos horizon) {
   ScheduleReport report;
   report.horizon = horizon;
@@ -54,38 +48,24 @@ ScheduleReport ScanScheduler::run_until(SimNanos horizon) {
     queue.push({policies_[i].phase, i});
   }
 
-  // Module → checker-instance assignment via the consistent-hash ring:
-  // with one partition every module maps to instance 0 and the loop below
-  // degenerates to the classic serial-Dom0 timeline.
-  HashRing ring;
-  for (std::size_t p = 0; p < partitions_; ++p) {
-    ring.add_node(p);
-  }
-
   std::set<std::pair<std::string, vmm::DomainId>> known_alerts;
-  // When a partition's checker instance frees up (each is serial; they
-  // model parallel privileged-VM checkers sharing nothing but the clock).
-  std::vector<SimNanos> free_at(partitions_, 0);
-  report.partition_busy.assign(partitions_, 0);
+  // When the checker frees up: scans run serially in Dom0.
+  SimNanos free_at = 0;
 
   while (!queue.empty() && queue.top().due < horizon) {
     const DueScan due_scan = queue.top();
     queue.pop();
     const ScanPolicy& policy = policies_[due_scan.policy_index];
-    const std::size_t partition = ring.owner(policy.module);
 
     ScanRecord record;
     record.due = due_scan.due;
-    record.started = std::max(due_scan.due, free_at[partition]);
+    record.started = std::max(due_scan.due, free_at);
     record.module = policy.module;
-    record.partition = partition;
 
     const PoolScanReport scan = checker_.scan_pool(policy.module, pool_);
     record.finished = record.started + scan.wall_time;
-    free_at[partition] = record.finished;
+    free_at = record.finished;
     report.busy_time += scan.wall_time;
-    report.partition_busy[partition] += scan.wall_time;
-    report.makespan = std::max(report.makespan, record.finished);
 
     for (const auto& verdict : scan.verdicts) {
       if (verdict.clean || verdict.total == 0) {

@@ -29,8 +29,6 @@ struct ScanRecord {
   SimNanos started = 0;   // actual start (>= due if the queue was busy)
   SimNanos finished = 0;
   std::string module;
-  /// Which checker instance ran the scan (always 0 with one partition).
-  std::size_t partition = 0;
   std::vector<vmm::DomainId> flagged;  // VMs whose vote failed
 };
 
@@ -46,13 +44,6 @@ struct ScheduleReport {
   std::vector<Alert> alerts;
   SimNanos horizon = 0;
   SimNanos busy_time = 0;  // total simulated time spent scanning
-  /// Per-checker-instance busy time (one entry per partition; the single
-  /// classic instance yields {busy_time}).
-  std::vector<SimNanos> partition_busy;
-  /// Latest simulated finish time across all scans (with one partition
-  /// this is the last scan's finish; with several it is the slowest
-  /// instance's).
-  SimNanos makespan = 0;
 
   double duty_cycle() const {
     return horizon == 0 ? 0.0
@@ -70,18 +61,9 @@ class ScanScheduler {
 
   void add_policy(const ScanPolicy& policy);
 
-  /// Models `count` parallel checker instances in Dom0 (the paper's §V-C.1
-  /// parallel-access extension).  Modules are assigned to instances by a
-  /// consistent-hash ring over the module name, so one module's scans stay
-  /// serial on one instance (its warm session is instance-local) while
-  /// different modules overlap.  count == 1 (the default) reproduces the
-  /// classic serial timeline exactly.
-  void set_partitions(std::size_t count);
-
   /// Runs the schedule on the simulated timeline until `horizon`.
-  /// Scans of modules sharing a checker instance execute back-to-back
-  /// when due times collide; a scan due before its instance frees up
-  /// starts late.
+  /// Scans execute back-to-back on the one checker when due times
+  /// collide; a scan due before the checker frees up starts late.
   ScheduleReport run_until(SimNanos horizon);
 
  private:
@@ -89,7 +71,6 @@ class ScanScheduler {
   std::vector<vmm::DomainId> pool_;
   ModChecker checker_;
   std::vector<ScanPolicy> policies_;
-  std::size_t partitions_ = 1;
 };
 
 std::string format_schedule_report(const ScheduleReport& report);

@@ -238,7 +238,7 @@ bool LoaderWalk::clean() const {
 }
 
 Fallible<std::optional<ModuleImage>> ModuleSearcher::try_extract_module(
-    const std::string& module_name, ExtractMode mode) {
+    const std::string& module_name) {
   Fallible<std::optional<ModuleInfo>> found = try_find_module(module_name);
   if (!found.ok()) {
     return std::move(found.fault());
@@ -246,35 +246,21 @@ Fallible<std::optional<ModuleImage>> ModuleSearcher::try_extract_module(
   if (!found.value()) {
     return std::optional<ModuleImage>(std::nullopt);
   }
-  Fallible<ModuleImage> image = try_extract(*found.value(), mode);
+  Fallible<ModuleImage> image = try_extract(*found.value());
   if (!image.ok()) {
     return std::move(image.fault());
   }
   return std::optional<ModuleImage>(std::move(image.value()));
 }
 
-Fallible<ModuleImage> ModuleSearcher::try_extract(const ModuleInfo& info,
-                                                  ExtractMode mode) {
-  ModuleImage image;
-  image.domain = session_->domain_id();
-  image.name = info.name;
-  image.base = info.base;
-  if (mode == ExtractMode::kView) {
-    Fallible<vmi::GuestView> view =
-        session_->try_read_view(info.base, info.size_of_image);
-    if (!view.ok()) {
-      return std::move(view.fault());
-    }
-    image.view = std::move(view.value());
-  } else {
-    Fallible<Bytes> bytes =
-        session_->try_read_region(info.base, info.size_of_image);
-    if (!bytes.ok()) {
-      return std::move(bytes.fault());
-    }
-    image.bytes = std::move(bytes.value());
+Fallible<ModuleImage> ModuleSearcher::try_extract(const ModuleInfo& info) {
+  Fallible<vmi::GuestView> view =
+      session_->try_read_view(info.base, info.size_of_image);
+  if (!view.ok()) {
+    return std::move(view.fault());
   }
-  return image;
+  return ModuleImage{session_->domain_id(), info.name, info.base,
+                     std::move(view.value())};
 }
 
 }  // namespace mc::core

@@ -3,9 +3,10 @@
 //
 // Obtains PsLoadedModuleList via the introspection session, traverses the
 // doubly linked LDR_DATA_TABLE_ENTRY list by FLINK, matches BaseDllName
-// case-insensitively, and copies the whole module image (DllBase,
-// SizeOfImage) from guest memory into a local buffer — page by page, which
-// is why this component dominates runtime (§V-C.1).
+// case-insensitively, and acquires the whole module image (DllBase,
+// SizeOfImage) from guest memory — page by page, which is why this
+// component dominates runtime (§V-C.1).  The image borrows the guest's
+// frames; the simulated charge is the paper's page-by-page copy.
 //
 // Every entry point returns guest faults as data: a fault the session
 // reports, an unrecognized guest build, or a loader list whose FLINKs loop
@@ -22,12 +23,6 @@
 #include "vmi/session.hpp"
 
 namespace mc::core {
-
-/// How try_extract_module returns the image bytes.
-enum class ExtractMode {
-  kCopy,  // owned buffer: survives the scan (caches, forensics, dumps)
-  kView,  // borrowed GuestView: zero-copy, valid for the current scan
-};
 
 /// One walk of the loader list that answers try_find_module for any name
 /// (the scan cache's loader snapshot): every entry's name and facts, or
@@ -69,16 +64,17 @@ class ModuleSearcher {
   /// LoaderWalk::find can answer for any module name.
   LoaderWalk walk_loader();
 
-  /// Finds the module and acquires its entire image from guest memory —
-  /// copied page by page (kCopy), or as borrowed spans over the guest's
-  /// frames (kView; identical simulated cost, no host copy).
+  /// Finds the module and acquires its entire image from guest memory as
+  /// borrowed spans over the guest's frames (no host copy).  The image is
+  /// valid until the guest's next write, snapshot restore or destroy; a
+  /// caller that keeps it longer materializes it first.
   Fallible<std::optional<ModuleImage>> try_extract_module(
-      const std::string& module_name, ExtractMode mode = ExtractMode::kCopy);
+      const std::string& module_name);
 
   /// Acquires the image of a module already found in the list (`info`
-  /// from a walk), without walking again.
-  Fallible<ModuleImage> try_extract(const ModuleInfo& info,
-                                    ExtractMode mode = ExtractMode::kCopy);
+  /// from a walk), without walking again; borrowed like
+  /// try_extract_module's.
+  Fallible<ModuleImage> try_extract(const ModuleInfo& info);
 
  private:
   /// Resolves the guest's profile or reports why it cannot (debug-block

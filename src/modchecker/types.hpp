@@ -22,21 +22,17 @@ struct ModuleInfo {
   std::uint32_t entry_point = 0;
 };
 
-/// A whole module image acquired from one guest's memory: either copied
-/// into an owned buffer (the historical path — caches and forensics need
-/// to outlive the scan) or borrowed as a scatter-gather GuestView over
-/// the guest's frames (the zero-copy Acquire path; valid for one scan).
+/// A whole module image acquired from one guest's memory, as a view:
+/// borrowed spans over the guest's frames (the zero-copy Acquire path;
+/// valid until the guest's next write, restore or destroy) or one span
+/// over an owned buffer its holder keeps (the scan cache's copy).
 struct ModuleImage {
   vmm::DomainId domain = 0;
   std::string name;
   std::uint32_t base = 0;
-  Bytes bytes;          // SizeOfImage bytes, memory layout (owned mode)
-  vmi::GuestView view;  // borrowed spans (zero-copy mode)
+  vmi::GuestView view;  // SizeOfImage bytes, memory layout
 
-  bool view_backed() const { return !view.empty(); }
-  std::size_t size() const {
-    return view_backed() ? view.size() : bytes.size();
-  }
+  std::size_t size() const { return view.size(); }
 };
 
 /// A module decomposed into its integrity items (Algorithm 1 output).

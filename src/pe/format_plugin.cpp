@@ -2,9 +2,10 @@
 // of PE parsing lives (mc_analyze's format-bypass rule keeps ParsedImage
 // construction confined to src/pe/).
 //
-// extract_items is verbatim the pre-plugin ModuleParser body: the same
-// ParsedImage walk over the same content mode, so the refactor's output
-// is byte-identical (tests/format_plugin_test.cpp holds the proof).
+// extract_items is the ParsedImage walk over the image's view: every item
+// it returns is a subview of that view, whether the view borrows guest
+// frames or one owned buffer (tests/format_plugin_test.cpp checks the
+// plugin against the direct walk).
 #include "modchecker/format.hpp"
 #include "pe/constants.hpp"
 #include "pe/parser.hpp"
@@ -27,15 +28,7 @@ class Pe32Format final : public core::ModuleFormat {
 
   std::vector<core::IntegrityItem> extract_items(
       const core::ModuleImage& image) const override {
-    // Both modes run the identical header walk and produce items with the
-    // same names, offsets and content — view-backed images just keep the
-    // section data borrowed instead of sliced into owned buffers.
-    if (image.view_backed()) {
-      const ParsedImage parsed(image.view);
-      return parsed.extract_items(image.view);
-    }
-    const ParsedImage parsed(image.bytes);
-    return parsed.extract_items(image.bytes);
+    return ParsedImage(image.view).extract_items(image.view);
   }
 
   core::FixupPolicy fixup_policy() const override {

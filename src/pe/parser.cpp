@@ -8,55 +8,12 @@
 
 namespace mc::pe {
 
-namespace {
-
-/// Owned copy of view[off, off+len) with the same bounds contract as
-/// mc::slice (the header items of the zero-copy path stay owned — they
-/// are a few dozen bytes each and get parsed into structs regardless).
-Bytes view_slice(const vmi::GuestView& v, std::size_t off, std::size_t len) {
-  MC_CHECK(off + len <= v.size(), "slice out of range");
-  Bytes out(len, 0);
-  v.read_into(off, MutableByteView(out));
-  return out;
-}
-
-}  // namespace
-
-ParsedImage::ParsedImage(ByteView mapped) {
-  dos_ = DosHeader::parse(mapped);
-  if (dos_.e_magic != kDosMagic) {
-    throw FormatError("module lacks MZ magic");
-  }
-  if (dos_.e_lfanew < kDosHeaderSize ||
-      dos_.e_lfanew + kNtHeadersPrefixSize > mapped.size()) {
-    throw FormatError("e_lfanew out of range");
-  }
-  if (load_le32(mapped, dos_.e_lfanew) != kNtSignature) {
-    throw FormatError("module lacks PE signature");
-  }
-  file_ = FileHeader::parse(mapped, dos_.e_lfanew + 4);
-  const std::size_t opt_off = dos_.e_lfanew + kNtHeadersPrefixSize;
-  if (file_.SizeOfOptionalHeader < kOptionalHeader32Size) {
-    throw FormatError("optional header too small for PE32");
-  }
-  optional_ = OptionalHeader32::parse(mapped, opt_off);
-
-  section_table_offset_ =
-      static_cast<std::uint32_t>(opt_off + file_.SizeOfOptionalHeader);
-  sections_.reserve(file_.NumberOfSections);
-  for (std::uint16_t i = 0; i < file_.NumberOfSections; ++i) {
-    sections_.push_back(SectionHeader::parse(
-        mapped, section_table_offset_ + i * kSectionHeaderSize));
-  }
-}
-
 ParsedImage::ParsedImage(const vmi::GuestView& mapped) {
-  // Mirrors the ByteView constructor stage for stage, staging each header
-  // through a fixed-size stack buffer: DOS header, NT prefix, optional
-  // header, section table.  Each staged read re-raises the struct parsers'
-  // own FormatErrors on out-of-range structures, and the explicit
-  // magic/range checks are identical — failure behavior matches the
-  // ByteView overload check for check.
+  // Stages each header through a fixed-size stack buffer: DOS header, NT
+  // prefix, optional header, section table.  Each staged read raises the
+  // struct parsers' own FormatError messages on out-of-range structures,
+  // so nothing image-sized is materialized and a scattered view fails
+  // exactly like a contiguous one.
   std::array<std::uint8_t, kDosHeaderSize> dos_buf{};
   if (mapped.size() < dos_buf.size()) {
     throw FormatError("image too small for IMAGE_DOS_HEADER");
@@ -120,25 +77,25 @@ bool is_integrity_checked_section(const SectionHeader& sh) {
   return initialized && !sh.is_writable();
 }
 
-std::vector<IntegrityItem> ParsedImage::extract_items(ByteView mapped) const {
+std::vector<IntegrityItem> ParsedImage::extract_items(
+    const vmi::GuestView& mapped) const {
+  // Every item, headers included, is a subview of `mapped`.
   std::vector<IntegrityItem> items;
 
   // 1. DOS header + stub: [0, e_lfanew).  The paper's experiment E3 shows a
   //    stub-text edit ("DOS" -> "CHK") being caught via this item.
-  items.push_back({ItemKind::kDosHeader, "IMAGE_DOS_HEADER", 0,
-                   slice(mapped, 0, dos_.e_lfanew), false, {}});
+  items.push_back({ItemKind::kDosHeader, "IMAGE_DOS_HEADER", 0, false,
+                   mapped.subview(0, dos_.e_lfanew)});
 
   // 2. PE signature + IMAGE_FILE_HEADER.
   items.push_back({ItemKind::kNtHeader, "IMAGE_NT_HEADER", dos_.e_lfanew,
-                   slice(mapped, dos_.e_lfanew, kNtHeadersPrefixSize), false,
-                   {}});
+                   false, mapped.subview(dos_.e_lfanew, kNtHeadersPrefixSize)});
 
   // 3. IMAGE_OPTIONAL_HEADER (the full SizeOfOptionalHeader bytes).
   const std::uint32_t opt_off = dos_.e_lfanew +
                                 static_cast<std::uint32_t>(kNtHeadersPrefixSize);
   items.push_back({ItemKind::kOptionalHeader, "IMAGE_OPTIONAL_HEADER", opt_off,
-                   slice(mapped, opt_off, file_.SizeOfOptionalHeader), false,
-                   {}});
+                   false, mapped.subview(opt_off, file_.SizeOfOptionalHeader)});
 
   // 4. Every section header, as its own item (paper E4: "all
   //    SECTION_HEADER's" flagged independently).
@@ -147,8 +104,8 @@ std::vector<IntegrityItem> ParsedImage::extract_items(ByteView mapped) const {
         section_table_offset_ + static_cast<std::uint32_t>(i) *
                                     static_cast<std::uint32_t>(kSectionHeaderSize);
     items.push_back({ItemKind::kSectionHeader,
-                     "SECTION_HEADER[" + sections_[i].name() + "]", off,
-                     slice(mapped, off, kSectionHeaderSize), false, {}});
+                     "SECTION_HEADER[" + sections_[i].name() + "]", off, false,
+                     mapped.subview(off, kSectionHeaderSize)});
   }
 
   // 5. Data of each integrity-checked section.  Executable sections carry
@@ -164,53 +121,7 @@ std::vector<IntegrityItem> ParsedImage::extract_items(ByteView mapped) const {
       throw FormatError("section data outside mapped image");
     }
     items.push_back({ItemKind::kSectionData, sh.name(), sh.VirtualAddress,
-                     slice(mapped, sh.VirtualAddress, len), sh.is_code(), {}});
-  }
-  return items;
-}
-
-std::vector<IntegrityItem> ParsedImage::extract_items(
-    const vmi::GuestView& mapped) const {
-  // Same walk as the ByteView overload; headers become small owned
-  // copies, section data stays borrowed (the zero-copy payoff: section
-  // data is ~all of the image's hashable bytes).
-  std::vector<IntegrityItem> items;
-
-  items.push_back({ItemKind::kDosHeader, "IMAGE_DOS_HEADER", 0,
-                   view_slice(mapped, 0, dos_.e_lfanew), false, {}});
-
-  items.push_back({ItemKind::kNtHeader, "IMAGE_NT_HEADER", dos_.e_lfanew,
-                   view_slice(mapped, dos_.e_lfanew, kNtHeadersPrefixSize),
-                   false, {}});
-
-  const std::uint32_t opt_off = dos_.e_lfanew +
-                                static_cast<std::uint32_t>(kNtHeadersPrefixSize);
-  items.push_back({ItemKind::kOptionalHeader, "IMAGE_OPTIONAL_HEADER", opt_off,
-                   view_slice(mapped, opt_off, file_.SizeOfOptionalHeader),
-                   false, {}});
-
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const std::uint32_t off =
-        section_table_offset_ + static_cast<std::uint32_t>(i) *
-                                    static_cast<std::uint32_t>(kSectionHeaderSize);
-    items.push_back({ItemKind::kSectionHeader,
-                     "SECTION_HEADER[" + sections_[i].name() + "]", off,
-                     view_slice(mapped, off, kSectionHeaderSize), false, {}});
-  }
-
-  for (const auto& sh : sections_) {
-    if (!is_integrity_checked_section(sh)) {
-      continue;
-    }
-    const std::uint32_t len =
-        std::min(sh.VirtualSize,
-                 static_cast<std::uint32_t>(mapped.size()) - sh.VirtualAddress);
-    if (sh.VirtualAddress >= mapped.size()) {
-      throw FormatError("section data outside mapped image");
-    }
-    items.push_back({ItemKind::kSectionData, sh.name(), sh.VirtualAddress,
-                     Bytes{}, sh.is_code(),
-                     mapped.subview(sh.VirtualAddress, len)});
+                     sh.is_code(), mapped.subview(sh.VirtualAddress, len)});
   }
   return items;
 }

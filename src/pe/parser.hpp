@@ -1,7 +1,7 @@
 // Parser for in-memory (mapped) PE images — the substrate of the paper's
 // Module-Parser component and Algorithm 1.
 //
-// Given a copy of a module extracted from guest memory, the parser verifies
+// Given a view of a module extracted from guest memory, the parser verifies
 // the DOS/NT magics, walks the header chain (Fig. 3 of the paper:
 // IMAGE_DOS_HEADER → e_lfanew → IMAGE_NT_HEADER → FILE/OPTIONAL headers →
 // section headers → section data) and produces the list of *integrity
@@ -30,14 +30,10 @@ using core::to_string;
 /// Fully parsed view of a mapped module.
 class ParsedImage {
  public:
-  /// Parses `mapped` (memory layout).  Throws FormatError on bad magics or
-  /// out-of-bounds structures.
-  explicit ParsedImage(ByteView mapped);
-
-  /// Same parse over a scatter-gather GuestView (the zero-copy Acquire
-  /// path): headers are staged through small fixed-size stack copies, so
-  /// nothing image-sized is materialized.  Failure behavior matches the
-  /// ByteView overload check for check.
+  /// Parses `mapped` (memory layout; a ByteView converts to a one-segment
+  /// view).  Headers are staged through small fixed-size stack copies, so
+  /// nothing image-sized is materialized.  Throws FormatError on bad
+  /// magics or out-of-bounds structures.
   explicit ParsedImage(const vmi::GuestView& mapped);
 
   const DosHeader& dos() const { return dos_; }
@@ -54,11 +50,8 @@ class ParsedImage {
   /// Algorithm 1: extracts every header and the data of each section that
   /// is executable or read-only initialized data, as separate items.
   /// Writable data sections are excluded (they legitimately change at
-  /// runtime and across VMs).
-  std::vector<IntegrityItem> extract_items(ByteView mapped) const;
-
-  /// Zero-copy variant: header items carry small owned copies, section
-  /// data items borrow subviews of `mapped` (see IntegrityItem).
+  /// runtime and across VMs).  Every item is a subview of `mapped`, so
+  /// the items are valid while the memory `mapped` names is.
   std::vector<IntegrityItem> extract_items(const vmi::GuestView& mapped) const;
 
  private:

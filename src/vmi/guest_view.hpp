@@ -1,21 +1,26 @@
-// Scatter-gather view of guest memory: the zero-copy Acquire result.
+// Scatter-gather view of module content: the one content type from
+// Acquire to Hash.
 //
-// A GuestView maps a guest-virtual range onto a sequence of borrowed
-// spans over the simulated physical frames backing it (plus the shared
-// zero frame for never-written pages).  VmiSession::try_read_view builds
-// one instead of copying every page into a fresh Bytes buffer; Parse,
-// Normalize, Compare and Hash then walk the segments in place.
+// A GuestView maps a range onto a sequence of borrowed spans.  Acquire
+// builds one over the simulated physical frames backing a guest-virtual
+// range (plus the shared zero frame for never-written pages);
+// VmiSession::try_read_view does that instead of copying every page into
+// a fresh Bytes buffer.  An owned image (the scan cache's copy, a golden
+// file, a disk dump) is a Bytes buffer its holder keeps plus a
+// one-segment view over it.  Parse, Normalize, Compare and Hash walk the
+// segments in place and never know which kind of memory they read.
 //
 // Ownership and lifetime rules (DESIGN.md §11):
-//   * A GuestView borrows — it never owns guest bytes.  The spans point
-//     into PhysicalMemory frames, which are stable once materialized but
-//     are REPLACED by snapshot restore_from().  Views are therefore valid
-//     for the duration of one scan and must not be cached across scans
-//     (the scan cache under pool_scan keeps owned copies for exactly
-//     this reason; Acquire borrows everywhere else).
+//   * A GuestView borrows — it never owns bytes.  Over guest frames the
+//     spans are stable once a frame is materialized, but snapshot
+//     restore_from() REPLACES the frames, a guest write changes them in
+//     place and a domain destroy frees them.  A caller that keeps content
+//     across any of those calls materialize() first.  Over an owned
+//     buffer the view is valid while the buffer's holder keeps it
+//     unmoved (the scan cache's CachedCopy is non-copyable for this).
 //   * materialize()/read_into() are the only copy points.  Production
-//     code may materialize only on fault, tamper-evidence, or dump paths;
-//     the clean-scan path is gated to zero materializations.
+//     code may materialize only on fault, tamper-evidence, cache or dump
+//     paths; the clean fresh-scan path is gated to zero materializations.
 //   * Deliberately depends only on util/ so pe/ (which cannot link the
 //     introspection stack) can consume views.
 #pragma once
@@ -31,6 +36,14 @@ namespace mc::vmi {
 class GuestView {
  public:
   GuestView() = default;
+
+  /// One segment over `content` (empty content: an empty view): how an
+  /// owned buffer becomes content.  The view borrows exactly what the
+  /// ByteView did.
+  // NOLINTNEXTLINE(google-explicit-constructor): implicit by design, so a
+  // ByteView holder (a golden file, a loader's image) hands its bytes
+  // straight to a parser.
+  GuestView(ByteView content) { append(content); }
 
   /// Appends a borrowed segment; host-adjacent segments coalesce so a
   /// physically contiguous run becomes one span.

@@ -116,7 +116,7 @@ TEST_F(AttacksTest, InlineHookPlacesJmpAtEntry) {
   GuestMemoryWriter writer(*env_, victim());
   std::uint32_t base = 0;
   const Bytes before = writer.read_module_image("hal.dll", &base);
-  const pe::ParsedImage parsed(before);
+  const pe::ParsedImage parsed{ByteView(before)};
   const std::uint32_t entry_rva =
       parsed.optional_header().AddressOfEntryPoint;
 
@@ -144,7 +144,7 @@ TEST_F(AttacksTest, InlineHookChangesOnlyText) {
   InlineHookAttack{}.apply(*env_, victim(), "hal.dll");
   const Bytes after = writer.read_module_image("hal.dll");
 
-  const pe::ParsedImage parsed(before);
+  const pe::ParsedImage parsed{ByteView(before)};
   const auto* text = parsed.find_section(".text");
   ASSERT_NE(text, nullptr);
   for (std::size_t i = 0; i < before.size(); ++i) {
@@ -159,7 +159,7 @@ TEST_F(AttacksTest, InlineHookPayloadReplaysDisplacedBytes) {
   GuestMemoryWriter writer(*env_, victim());
   std::uint32_t base = 0;
   const Bytes before = writer.read_module_image("hal.dll", &base);
-  const pe::ParsedImage parsed(before);
+  const pe::ParsedImage parsed{ByteView(before)};
   const std::uint32_t entry_rva =
       parsed.optional_header().AddressOfEntryPoint;
   const auto covered = x86::cover_instructions(before, entry_rva, 5);
@@ -216,8 +216,8 @@ TEST_F(AttacksTest, DllInjectAddsSectionAndImport) {
       clean, "inject.dll", "callMessageBox");
 
   const Bytes mapped = pe::map_image(infected);
-  const pe::ParsedImage parsed(mapped);
-  const pe::ParsedImage clean_parsed(pe::map_image(clean));
+  const pe::ParsedImage parsed{ByteView(mapped)};
+  const pe::ParsedImage clean_parsed{ByteView(pe::map_image(clean))};
 
   EXPECT_EQ(parsed.file_header().NumberOfSections,
             clean_parsed.file_header().NumberOfSections + 1);
@@ -242,8 +242,8 @@ TEST_F(AttacksTest, DllInjectGrowsTextVirtualSize) {
   const Bytes& clean = env_->golden().file("dummy.sys");
   const Bytes infected = DllImportInjectAttack::infect_file(
       clean, "inject.dll", "callMessageBox");
-  const pe::ParsedImage a(pe::map_image(clean));
-  const pe::ParsedImage b(pe::map_image(infected));
+  const pe::ParsedImage a{ByteView(pe::map_image(clean))};
+  const pe::ParsedImage b{ByteView(pe::map_image(infected))};
   EXPECT_EQ(b.find_section(".text")->VirtualSize,
             a.find_section(".text")->VirtualSize + 6);  // FF 15 + addr
 }
@@ -270,7 +270,7 @@ TEST_F(AttacksTest, DllInjectLoadsAndBindsInGuest) {
   // The injected IAT slot must be bound to inject.dll's export.
   GuestMemoryWriter writer(*env_, victim());
   const Bytes image = writer.read_module_image("dummy.sys");
-  const pe::ParsedImage parsed(image);
+  const pe::ParsedImage parsed{ByteView(image)};
   const auto dlls = pe::parse_import_directory(
       image,
       parsed.optional_header().DataDirectories[pe::kDirImport].VirtualAddress);
@@ -287,7 +287,7 @@ TEST_F(AttacksTest, IatHookChangesOnlyWritableIdata) {
   IatHookAttack{}.apply(*env_, victim(), "http.sys");
   const Bytes after = writer.read_module_image("http.sys");
 
-  const pe::ParsedImage parsed(before);
+  const pe::ParsedImage parsed{ByteView(before)};
   const auto* idata = parsed.find_section(".idata");
   ASSERT_NE(idata, nullptr);
   std::size_t diffs = 0;

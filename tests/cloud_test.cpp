@@ -73,7 +73,7 @@ TEST(Golden, EveryImageIsWellFormed) {
   const GoldenImages golden(default_catalog());
   for (const auto& [name, file] : golden.all()) {
     const Bytes mapped = pe::map_image(file);
-    const pe::ParsedImage parsed(mapped);
+    const pe::ParsedImage parsed{ByteView(mapped)};
     EXPECT_GE(parsed.sections().size(), 4u) << name;
     EXPECT_NE(parsed.find_section(".text"), nullptr) << name;
     EXPECT_NE(parsed.find_section(".reloc"), nullptr) << name;

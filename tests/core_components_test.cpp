@@ -73,14 +73,14 @@ TEST_F(CoreComponentsTest, ExtractCopiesWholeImage) {
   const auto* rec = env_->loader(env_->guests()[0]).find("hal.dll");
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(image->base, rec->base);
-  EXPECT_EQ(image->bytes.size(), rec->size_of_image);
+  EXPECT_EQ(image->size(), rec->size_of_image);
   EXPECT_EQ(image->domain, env_->guests()[0]);
 
   Bytes direct(rec->size_of_image, 0);
   env_->kernel(env_->guests()[0])
       .address_space()
       .read_virtual(rec->base, direct);
-  EXPECT_EQ(image->bytes, direct);
+  EXPECT_EQ(image->view.materialize(), direct);
 }
 
 TEST_F(CoreComponentsTest, SearchStopsEarlyOnMatch) {
@@ -121,7 +121,9 @@ TEST_F(CoreComponentsTest, ParserRejectsCorruptImage) {
   ModuleSearcher searcher(s);
   auto image = must(searcher.try_extract_module("dummy.sys"));
   ASSERT_TRUE(image.has_value());
-  image->bytes[0] = 'X';  // destroy MZ magic
+  Bytes corrupt = image->view.materialize();
+  corrupt[0] = 'X';  // destroy MZ magic
+  image->view = ByteView(corrupt);
 
   SimClock parse_clock;
   const ModuleParser parser;
@@ -157,7 +159,7 @@ TEST_F(CoreComponentsTest, CrossVmComparisonMatchesDespiteDifferentBases) {
     }
   }
   ASSERT_NE(text1, nullptr);
-  EXPECT_NE(text0->bytes, text1->bytes);
+  EXPECT_NE(text0->content_copy(), text1->content_copy());
 
   // ...but the checker normalizes and every item matches.
   const IntegrityChecker checker;
@@ -184,11 +186,11 @@ TEST_F(CoreComponentsTest, CompareDoesNotMutateInputs) {
   const ParsedModule p1 =
       parser.parse(*must(ModuleSearcher(s1).try_extract_module("hal.dll")), pc);
 
-  const Bytes before0 = p0.items.back().bytes;
+  const Bytes before0 = p0.items.back().content_copy();
   const IntegrityChecker checker;
   SimClock cc;
   checker.compare(p0, p1, cc);
-  EXPECT_EQ(p0.items.back().bytes, before0);
+  EXPECT_EQ(p0.items.back().content_copy(), before0);
 
   // Repeat comparison must yield the same result (pristine copies).
   const auto again = checker.compare(p0, p1, cc);
@@ -209,7 +211,8 @@ TEST_F(CoreComponentsTest, StructuralDivergenceFlagsUnmatchedItems) {
   core::IntegrityItem extra;
   extra.kind = core::ItemKind::kSectionData;
   extra.name = ".evil";
-  extra.bytes = {1, 2, 3};
+  const Bytes evil = {1, 2, 3};
+  extra.view = ByteView(evil);
   p0.items.push_back(extra);
 
   const IntegrityChecker checker;

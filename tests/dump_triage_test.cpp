@@ -77,7 +77,7 @@ TEST(Dump, RoundTripPreservesIntrospectionView) {
   const auto dump_img =
       must(core::ModuleSearcher(offline).try_extract_module("hal.dll"));
   ASSERT_TRUE(live_img && dump_img);
-  EXPECT_EQ(live_img->bytes, dump_img->bytes);
+  EXPECT_EQ(live_img->view.materialize(), dump_img->view.materialize());
 }
 
 TEST(Dump, CapturesInfectionEvidence) {
@@ -94,8 +94,9 @@ TEST(Dump, CapturesInfectionEvidence) {
       must(core::ModuleSearcher(session).try_extract_module("hal.dll"));
   ASSERT_TRUE(image.has_value());
   // The entry has the 0xE9 hook (attack writes a jmp at the entry point).
-  const pe::ParsedImage parsed(image->bytes);
-  EXPECT_EQ(image->bytes[parsed.optional_header().AddressOfEntryPoint], 0xE9);
+  const pe::ParsedImage parsed(image->view);
+  EXPECT_EQ(image->view.byte_at(parsed.optional_header().AddressOfEntryPoint),
+            0xE9);
 }
 
 TEST(Dump, RejectsGarbage) {

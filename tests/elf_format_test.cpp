@@ -140,12 +140,12 @@ TEST(ElfParser, IntegrityCheckedSetExcludesWritableAndNobits) {
 TEST(ElfParser, ExtractItemsDecomposesHeadersAndReadOnlySections) {
   const Bytes ko = tiny_ko();
   const ElfImage image{ByteView(ko)};
-  const auto items = image.extract_items(ByteView(ko));
+  const auto items = image.extract_items(vmi::GuestView(ko));
 
   ASSERT_FALSE(items.empty());
   EXPECT_EQ(items[0].kind, core::ItemKind::kElfHeader);
   EXPECT_EQ(items[0].name, "ELF64_EHDR");
-  EXPECT_EQ(items[0].bytes.size(), kEhdrSize);
+  EXPECT_EQ(items[0].content_size(), kEhdrSize);
 
   std::size_t shdr_items = 0;
   bool saw_text = false, saw_data = false, saw_rela = false;
@@ -157,7 +157,7 @@ TEST(ElfParser, ExtractItemsDecomposesHeadersAndReadOnlySections) {
       if (item.name == ".text") {
         saw_text = true;
         EXPECT_TRUE(item.rva_sensitive);  // holds absolute fixups
-        EXPECT_EQ(item.bytes.size(), 0x100u);
+        EXPECT_EQ(item.content_size(), 0x100u);
       }
       if (item.name == ".rela.text") {
         saw_rela = true;
@@ -328,13 +328,15 @@ TEST(ElfPlugin, ExtractItemsMatchesDirectParserWalk) {
   const Bytes ko = tiny_ko();
   core::ModuleImage module;
   module.name = "tiny.ko";
-  module.bytes = ko;
+  module.view = ByteView(ko);
   const auto plugin_items = core::elf64_format().extract_items(module);
-  const auto direct_items = ElfImage{ByteView(ko)}.extract_items(ByteView(ko));
+  const auto direct_items =
+      ElfImage{ByteView(ko)}.extract_items(vmi::GuestView(ko));
   ASSERT_EQ(plugin_items.size(), direct_items.size());
   for (std::size_t i = 0; i < plugin_items.size(); ++i) {
     EXPECT_EQ(plugin_items[i].name, direct_items[i].name) << i;
-    EXPECT_EQ(plugin_items[i].bytes, direct_items[i].bytes) << i;
+    EXPECT_EQ(plugin_items[i].content_copy(), direct_items[i].content_copy())
+        << i;
   }
 }
 

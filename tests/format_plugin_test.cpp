@@ -23,10 +23,11 @@ namespace {
 using namespace mc;
 using namespace mc::core;
 
-ModuleImage owned_image(Bytes bytes) {
+/// An image over `bytes`, which the caller keeps alive.
+ModuleImage image_of(ByteView bytes) {
   ModuleImage image;
   image.name = "img";
-  image.bytes = std::move(bytes);
+  image.view = bytes;
   return image;
 }
 
@@ -66,13 +67,14 @@ TEST(FormatRegistry, UnrecognizedMagicIsNullptrAndResolveThrows) {
   const auto& registry = FormatRegistry::process_default();
   const Bytes garbage(64, 0xAA);
   EXPECT_EQ(registry.detect(ByteView(garbage).first(16)), nullptr);
-  EXPECT_THROW(registry.resolve(owned_image(garbage), ModuleFormatId::kAuto),
+  EXPECT_THROW(registry.resolve(image_of(garbage), ModuleFormatId::kAuto),
                FormatError);
 }
 
 TEST(FormatRegistry, ExplicitFormatPinsThePlugin) {
   const auto& registry = FormatRegistry::process_default();
-  const ModuleImage ko = owned_image(golden_ko());
+  const Bytes ko_bytes = golden_ko();
+  const ModuleImage ko = image_of(ko_bytes);
   EXPECT_EQ(&registry.resolve(ko, ModuleFormatId::kElf64), &elf64_format());
   // A pinned plugin is returned regardless of the magic; the mismatch
   // surfaces as a FormatError at parse time.
@@ -82,10 +84,10 @@ TEST(FormatRegistry, ExplicitFormatPinsThePlugin) {
 
 TEST(FormatRegistry, ResolveSniffsTinyImagesWithoutThrowingBadAccess) {
   const auto& registry = FormatRegistry::process_default();
-  EXPECT_THROW(registry.resolve(owned_image(Bytes{0x7F}),
+  EXPECT_THROW(registry.resolve(image_of(Bytes{0x7F}),
                                 ModuleFormatId::kAuto),
                FormatError);
-  EXPECT_THROW(registry.resolve(owned_image(Bytes{}), ModuleFormatId::kAuto),
+  EXPECT_THROW(registry.resolve(image_of(Bytes{}), ModuleFormatId::kAuto),
                FormatError);
 }
 
@@ -116,11 +118,11 @@ TEST(FormatPolicies, PluginsCarryTheirLoaderRecipes) {
 
 TEST(PeDifferential, PluginItemsMatchDirectParserByteForByte) {
   const Bytes file = golden_pe();
-  const ModuleImage image = owned_image(file);
+  const ModuleImage image = image_of(file);
   const auto plugin_items = pe32_format().extract_items(image);
 
   const ByteView mapped{file};
-  const pe::ParsedImage parsed(mapped);
+  const pe::ParsedImage parsed{mapped};
   const auto direct_items = parsed.extract_items(mapped);
 
   ASSERT_EQ(plugin_items.size(), direct_items.size());
@@ -131,7 +133,7 @@ TEST(PeDifferential, PluginItemsMatchDirectParserByteForByte) {
     EXPECT_EQ(a.name, b.name) << i;
     EXPECT_EQ(a.rva, b.rva) << i;
     EXPECT_EQ(a.rva_sensitive, b.rva_sensitive) << i;
-    EXPECT_EQ(a.bytes, b.bytes) << a.name;
+    EXPECT_EQ(a.content_copy(), b.content_copy()) << a.name;
   }
 }
 

@@ -64,8 +64,8 @@ TEST_P(FuzzSeeds, MapperAndParserNeverCrash) {
                               mutations);
     try {
       const Bytes mapped = pe::map_image(file);
-      const pe::ParsedImage parsed(mapped);
-      const auto items = parsed.extract_items(mapped);
+      const pe::ParsedImage parsed{ByteView(mapped)};
+      const auto items = parsed.extract_items(vmi::GuestView(mapped));
       (void)items.size();
     } catch (const FormatError&) {
     } catch (const InvalidArgument&) {

@@ -189,7 +189,7 @@ TEST_F(ModuleLoaderTest, LoadedImageHasRelocationsApplied) {
   kernel_.address_space().read_virtual(m.base, in_guest);
 
   const Bytes file_mapped = pe::map_image(golden_.file("ntoskrnl.exe"));
-  const pe::ParsedImage parsed(file_mapped);
+  const pe::ParsedImage parsed{ByteView(file_mapped)};
   const auto& reloc_dir =
       parsed.optional_header().DataDirectories[pe::kDirBaseReloc];
   ASSERT_NE(reloc_dir.VirtualAddress, 0u);
@@ -212,7 +212,7 @@ TEST_F(ModuleLoaderTest, ImportBindingWritesProviderAddresses) {
 
   Bytes image(hal.size_of_image, 0);
   kernel_.address_space().read_virtual(hal.base, image);
-  const pe::ParsedImage parsed(image);
+  const pe::ParsedImage parsed{ByteView(image)};
   const auto& import_dir =
       parsed.optional_header().DataDirectories[pe::kDirImport];
   ASSERT_NE(import_dir.VirtualAddress, 0u);

@@ -178,7 +178,7 @@ TEST(RvaCrossValidation, DiffRecoveryMatchesRelocMetadata) {
                          std::uint32_t* rva_out, std::uint32_t* len_out) {
       Bytes image(m.size_of_image, 0);
       env->kernel(vm).address_space().read_virtual(m.base, image);
-      const pe::ParsedImage parsed(image);
+      const pe::ParsedImage parsed{ByteView(image)};
       const auto* text = parsed.find_section(".text");
       *rva_out = text->VirtualAddress;
       *len_out = text->VirtualSize;
@@ -199,7 +199,7 @@ TEST(RvaCrossValidation, DiffRecoveryMatchesRelocMetadata) {
     // Path 2: subtract each VM's base at the .reloc-recorded fixups that
     // fall inside .text.
     const Bytes mapped = pe::map_image(env->golden().file(module));
-    const pe::ParsedImage parsed(mapped);
+    const pe::ParsedImage parsed{ByteView(mapped)};
     const auto& dir =
         parsed.optional_header().DataDirectories[pe::kDirBaseReloc];
     const auto fixups = pe::parse_base_relocations(

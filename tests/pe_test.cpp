@@ -297,7 +297,7 @@ TEST(PeBuilder, ChecksumIsValid) {
 
 TEST(PeBuilder, SectionLayoutIsAlignedAndOrdered) {
   const Bytes file = build_test_image();
-  const ParsedImage parsed(map_image(file));
+  const ParsedImage parsed{ByteView(map_image(file))};
   std::uint32_t prev_end = 0;
   for (const auto& sh : parsed.sections()) {
     EXPECT_EQ(sh.VirtualAddress % kDefaultSectionAlignment, 0u);
@@ -320,7 +320,7 @@ TEST(PeBuilder, NextSectionRvaPredictsLayout) {
 TEST(PeMapper, MapPlacesSectionsAtVirtualAddresses) {
   const Bytes file = build_test_image();
   const Bytes mapped = map_image(file);
-  const ParsedImage parsed(mapped);
+  const ParsedImage parsed{ByteView(mapped)};
   EXPECT_EQ(mapped.size(), parsed.optional_header().SizeOfImage);
 
   const SectionHeader* text = parsed.find_section(".text");
@@ -348,17 +348,17 @@ TEST(PeMapper, RejectsTruncatedImage) {
 // ---- parser / Algorithm 1 ---------------------------------------------------------------
 TEST(PeParser, RejectsBadMagics) {
   Bytes junk(0x1000, 0);
-  EXPECT_THROW(ParsedImage{junk}, FormatError);
+  EXPECT_THROW(ParsedImage{ByteView(junk)}, FormatError);
   Bytes mz = junk;
   store_le16(mz, 0, kDosMagic);
   store_le32(mz, 0x3C, 0x80);  // e_lfanew -> no PE signature there
-  EXPECT_THROW(ParsedImage{mz}, FormatError);
+  EXPECT_THROW(ParsedImage{ByteView(mz)}, FormatError);
 }
 
 TEST(PeParser, ExtractItemsCoversHeadersAndRoSections) {
   const Bytes mapped = map_image(build_test_image());
-  const ParsedImage parsed(mapped);
-  const auto items = parsed.extract_items(mapped);
+  const ParsedImage parsed{ByteView(mapped)};
+  const auto items = parsed.extract_items(vmi::GuestView(mapped));
 
   std::vector<std::string> names;
   for (const auto& item : items) {
@@ -379,7 +379,8 @@ TEST(PeParser, ExtractItemsCoversHeadersAndRoSections) {
 
 TEST(PeParser, OnlyCodeSectionsAreRvaSensitive) {
   const Bytes mapped = map_image(build_test_image());
-  const auto items = ParsedImage(mapped).extract_items(mapped);
+  const auto items =
+      ParsedImage(ByteView(mapped)).extract_items(vmi::GuestView(mapped));
   for (const auto& item : items) {
     if (item.name == ".text") {
       EXPECT_TRUE(item.rva_sensitive);
@@ -391,10 +392,11 @@ TEST(PeParser, OnlyCodeSectionsAreRvaSensitive) {
 
 TEST(PeParser, ItemBytesMatchImageContent) {
   const Bytes mapped = map_image(build_test_image());
-  const ParsedImage parsed(mapped);
-  for (const auto& item : parsed.extract_items(mapped)) {
-    ASSERT_LE(item.rva + item.bytes.size(), mapped.size());
-    EXPECT_TRUE(std::equal(item.bytes.begin(), item.bytes.end(),
+  const ParsedImage parsed{ByteView(mapped)};
+  for (const auto& item : parsed.extract_items(vmi::GuestView(mapped))) {
+    const Bytes content = item.content_copy();
+    ASSERT_LE(item.rva + content.size(), mapped.size());
+    EXPECT_TRUE(std::equal(content.begin(), content.end(),
                            mapped.begin() + item.rva))
         << item.name;
   }
@@ -402,10 +404,11 @@ TEST(PeParser, ItemBytesMatchImageContent) {
 
 TEST(PeParser, DosHeaderItemCoversStub) {
   const Bytes mapped = map_image(build_test_image());
-  const ParsedImage parsed(mapped);
-  const auto items = parsed.extract_items(mapped);
-  EXPECT_EQ(items[0].bytes.size(), parsed.e_lfanew());
-  const std::string text(items[0].bytes.begin(), items[0].bytes.end());
+  const ParsedImage parsed{ByteView(mapped)};
+  const auto items = parsed.extract_items(vmi::GuestView(mapped));
+  const Bytes stub = items[0].content_copy();
+  EXPECT_EQ(stub.size(), parsed.e_lfanew());
+  const std::string text(stub.begin(), stub.end());
   EXPECT_NE(text.find("DOS mode"), std::string::npos);
 }
 

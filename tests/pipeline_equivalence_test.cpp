@@ -382,8 +382,8 @@ TEST(PipelineStages, AcquireAndParseMatchesLegacyGrab) {
       ASSERT_EQ(ex.parsed.items.size(), copy.parsed.items.size());
       for (std::size_t i = 0; i < ex.parsed.items.size(); ++i) {
         EXPECT_EQ(ex.parsed.items[i].name, copy.parsed.items[i].name);
-        // The pipeline's zero-copy Acquire keeps section data view-backed;
-        // compare content, not storage mode.
+        // Items borrow different memory on each side (guest frames, a
+        // copy); compare content, not where it lives.
         EXPECT_EQ(ex.parsed.items[i].content_copy(),
                   copy.parsed.items[i].content_copy());
       }

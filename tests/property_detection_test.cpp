@@ -77,11 +77,11 @@ class DetectAnyChange : public ::testing::TestWithParam<PatchCase> {
 TEST_P(DetectAnyChange, SingleByteFlipIsAttributedToTheRightItem) {
   const PatchCase& c = GetParam();
   const core::IntegrityItem item = find_item(c.module, c.item);
-  ASSERT_FALSE(item.bytes.empty());
+  ASSERT_GT(item.content_size(), 0u);
 
   const auto rva = item.rva + static_cast<std::uint32_t>(
                                   c.position *
-                                  static_cast<double>(item.bytes.size()));
+                                  static_cast<double>(item.content_size()));
   attacks::BytePatchAttack(rva, 0xA5).apply(*env_, env_->guests()[0],
                                             c.module);
 
@@ -158,7 +158,7 @@ TEST_P(ExcludedSurface, WritableDataChangesAreNotFlagged) {
   const auto image =
       must(core::ModuleSearcher(session).try_extract_module(module));
   ASSERT_TRUE(image.has_value());
-  const pe::ParsedImage parsed(image->bytes);
+  const pe::ParsedImage parsed(image->view);
   const auto* data = parsed.find_section(".data");
   ASSERT_NE(data, nullptr);
 
@@ -190,7 +190,7 @@ TEST_P(TextFuzz, EveryTextOffsetClassIsCaught) {
   const auto image =
       must(core::ModuleSearcher(session).try_extract_module("tcpip.sys"));
   ASSERT_TRUE(image.has_value());
-  const pe::ParsedImage parsed(image->bytes);
+  const pe::ParsedImage parsed(image->view);
   const auto* text = parsed.find_section(".text");
   ASSERT_NE(text, nullptr);
 

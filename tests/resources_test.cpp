@@ -53,7 +53,7 @@ TEST(Resources, GoldenDriversCarryVersionResources) {
   const cloud::GoldenImages golden(cloud::default_catalog());
   for (const auto& [name, file] : golden.all()) {
     const Bytes mapped = map_image(file);
-    const ParsedImage parsed(mapped);
+    const ParsedImage parsed{ByteView(mapped)};
     const auto& dir =
         parsed.optional_header().DataDirectories[kDirResource];
     ASSERT_NE(dir.VirtualAddress, 0u) << name;
@@ -70,10 +70,10 @@ TEST(Resources, DriversHaveDistinctRevisions) {
   const Bytes hal = map_image(golden.file("hal.dll"));
   const Bytes ntfs = map_image(golden.file("ntfs.sys"));
   const auto v_hal = parse_version_resource(
-      hal, ParsedImage(hal).optional_header().DataDirectories[kDirResource]
+      hal, ParsedImage(ByteView(hal)).optional_header().DataDirectories[kDirResource]
                .VirtualAddress);
   const auto v_ntfs = parse_version_resource(
-      ntfs, ParsedImage(ntfs)
+      ntfs, ParsedImage(ByteView(ntfs))
                 .optional_header()
                 .DataDirectories[kDirResource]
                 .VirtualAddress);
@@ -83,8 +83,8 @@ TEST(Resources, DriversHaveDistinctRevisions) {
 TEST(Resources, RsrcIsPartOfTheCheckedSurface) {
   const cloud::GoldenImages golden(cloud::default_catalog());
   const Bytes mapped = map_image(golden.file("hal.dll"));
-  const ParsedImage parsed(mapped);
-  const auto items = parsed.extract_items(mapped);
+  const ParsedImage parsed{ByteView(mapped)};
+  const auto items = parsed.extract_items(vmi::GuestView(mapped));
   bool rsrc_item = false;
   for (const auto& item : items) {
     if (item.name == ".rsrc") {
@@ -121,7 +121,7 @@ TEST(Resources, SpoofedVersionReadsBack) {
   env.kernel(env.guests()[0])
       .address_space()
       .read_virtual(rec->base, image);
-  const ParsedImage parsed(image);
+  const ParsedImage parsed{ByteView(image)};
   const auto version = parse_version_resource(
       image,
       parsed.optional_header().DataDirectories[kDirResource].VirtualAddress);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -122,74 +121,6 @@ TEST(Scheduler, RejectsDegenerateInputs) {
                InvalidArgument);
   ScanScheduler scheduler(env->hypervisor(), env->guests());
   EXPECT_THROW(scheduler.add_policy({"hal.dll", 0, 0}), InvalidArgument);
-  EXPECT_THROW(scheduler.set_partitions(0), InvalidArgument);
-}
-
-TEST(Scheduler, SinglePartitionReproducesClassicTimeline) {
-  auto env = make_env(3);
-  const auto run = [&](bool explicit_single) {
-    ScanScheduler scheduler(env->hypervisor(), env->guests());
-    scheduler.add_policy({"hal.dll", sim_ms(1000), 0});
-    scheduler.add_policy({"http.sys", sim_ms(1500), sim_ms(100)});
-    if (explicit_single) {
-      scheduler.set_partitions(1);
-    }
-    return scheduler.run_until(sim_ms(4000));
-  };
-  const auto classic = run(false);
-  const auto single = run(true);
-
-  ASSERT_EQ(classic.scans.size(), single.scans.size());
-  for (std::size_t i = 0; i < classic.scans.size(); ++i) {
-    EXPECT_EQ(classic.scans[i].module, single.scans[i].module);
-    EXPECT_EQ(classic.scans[i].started, single.scans[i].started);
-    EXPECT_EQ(classic.scans[i].finished, single.scans[i].finished);
-    EXPECT_EQ(single.scans[i].partition, 0u);
-  }
-  EXPECT_EQ(classic.makespan, single.makespan);
-  EXPECT_EQ(classic.busy_time, single.busy_time);
-  ASSERT_EQ(single.partition_busy.size(), 1u);
-  EXPECT_EQ(single.partition_busy[0], single.busy_time);
-}
-
-TEST(Scheduler, PartitionsOverlapDistinctModules) {
-  auto env = make_env(4);
-  const std::vector<std::string> modules = {"hal.dll", "http.sys",
-                                            "ntfs.sys"};
-  const auto run = [&](std::size_t partitions) {
-    ScanScheduler scheduler(env->hypervisor(), env->guests());
-    for (const auto& module : modules) {
-      // All due at t=0 with an interval past the horizon: one scan each.
-      scheduler.add_policy({module, sim_ms(100000), 0});
-    }
-    scheduler.set_partitions(partitions);
-    return scheduler.run_until(sim_ms(50000));
-  };
-  const auto serial = run(1);
-  const auto parallel = run(3);
-
-  ASSERT_EQ(serial.scans.size(), modules.size());
-  ASSERT_EQ(parallel.scans.size(), modules.size());
-  ASSERT_EQ(parallel.partition_busy.size(), 3u);
-  // Busy time is work, not wall clock: identical scans, identical total.
-  EXPECT_EQ(parallel.busy_time, serial.busy_time);
-  SimNanos partition_sum = 0;
-  for (const SimNanos busy : parallel.partition_busy) {
-    partition_sum += busy;
-  }
-  EXPECT_EQ(partition_sum, parallel.busy_time);
-
-  // The ring spreads the three modules over at least two instances, so
-  // scans that shared the serial queue now overlap: the slowest instance
-  // finishes before the serial chain did.
-  std::set<std::size_t> used;
-  for (const auto& scan : parallel.scans) {
-    EXPECT_GE(scan.started, scan.due);
-    used.insert(scan.partition);
-  }
-  ASSERT_GE(used.size(), 2u);
-  EXPECT_LT(parallel.makespan, serial.makespan);
-  EXPECT_EQ(serial.makespan, serial.busy_time);  // one instance, due t=0
 }
 
 TEST(Scheduler, ReportFormatting) {

@@ -1,6 +1,7 @@
 // Unit tests for mc_vmi: the LibVMI-like introspection session — symbol
 // resolution via the debug-block scan, V2P translation with caching,
-// page-wise reads, UNICODE_STRING decoding, cost accounting.
+// page-wise reads, UNICODE_STRING decoding, cost accounting — and the
+// GuestView every module image and integrity item is.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,6 +9,8 @@
 #include "cloud/environment.hpp"
 #include "fallible_test_util.hpp"
 #include "guestos/winlike.hpp"
+#include "util/error.hpp"
+#include "vmi/guest_view.hpp"
 #include "vmi/session.hpp"
 #include "vmi/session_pool.hpp"
 #include "workload/heavyload.hpp"
@@ -299,6 +302,110 @@ TEST_F(VmiTest, SessionIsReadOnlyByConstruction) {
   Bytes after(hal->size_of_image, 0);
   env_->kernel(guest()).address_space().read_virtual(hal->base, after);
   EXPECT_EQ(before, after);
+}
+
+// ---- GuestView --------------------------------------------------------------
+
+/// Three separate buffers as one view: "abcd" + "efg" + "hijkl", with a
+/// gap between them so no two segments coalesce.
+struct Scattered {
+  Scattered() {
+    view.append(ByteView(backing).subspan(0, 4));
+    view.append(ByteView(backing).subspan(5, 3));
+    view.append(ByteView(backing).subspan(9, 5));
+  }
+  const Bytes backing = {'a', 'b', 'c', 'd', '_', 'e', 'f', 'g',
+                         '_', 'h', 'i', 'j', 'k', 'l'};
+  vmi::GuestView view;
+};
+
+std::string text_of(const vmi::GuestView& v) {
+  const Bytes b = v.materialize();
+  return std::string(b.begin(), b.end());
+}
+
+TEST(GuestView, ByteViewConstructorIsOneSegment) {
+  const Bytes buffer = {1, 2, 3, 4, 5};
+  const vmi::GuestView view = ByteView(buffer);
+  ASSERT_EQ(view.segments().size(), 1u);
+  EXPECT_TRUE(view.contiguous());
+  EXPECT_EQ(view.size(), buffer.size());
+  EXPECT_EQ(view.as_contiguous().data(), buffer.data());  // borrowed
+  EXPECT_EQ(view.materialize(), buffer);
+
+  const vmi::GuestView empty = ByteView();
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(empty.segments().empty());
+  EXPECT_TRUE(empty.contiguous());
+  EXPECT_TRUE(empty.as_contiguous().empty());
+  EXPECT_TRUE(empty.materialize().empty());
+}
+
+TEST(GuestView, AppendCoalescesAdjacentSpansAndSkipsEmptyOnes) {
+  const Bytes buffer = {1, 2, 3, 4, 5, 6, 7, 8};
+  vmi::GuestView view;
+  view.append(ByteView(buffer).subspan(0, 3));
+  view.append(ByteView());                      // skipped
+  view.append(ByteView(buffer).subspan(3, 0));  // skipped
+  view.append(ByteView(buffer).subspan(3, 2));  // host-adjacent: coalesces
+  ASSERT_EQ(view.segments().size(), 1u);
+  EXPECT_EQ(view.size(), 5u);
+  view.append(ByteView(buffer).subspan(6, 2));  // a gap: a second segment
+  ASSERT_EQ(view.segments().size(), 2u);
+  EXPECT_EQ(view.size(), 7u);
+  EXPECT_EQ(view.materialize(), (Bytes{1, 2, 3, 4, 5, 7, 8}));
+}
+
+TEST(GuestView, SubviewAcrossSegmentBoundaries) {
+  const Scattered s;
+  ASSERT_EQ(s.view.segments().size(), 3u);
+  EXPECT_EQ(text_of(s.view), "abcdefghijkl");
+
+  // Across the first and second boundary.
+  const vmi::GuestView mid = s.view.subview(2, 7);
+  EXPECT_EQ(text_of(mid), "cdefghi");
+  EXPECT_EQ(mid.segments().size(), 3u);
+  EXPECT_EQ(mid.segments()[0].data(), s.backing.data() + 2);  // borrowed
+  // Inside one segment: one span.
+  EXPECT_TRUE(s.view.subview(4, 3).contiguous());
+  EXPECT_EQ(text_of(s.view.subview(4, 3)), "efg");
+  // At the end, and the empty tail.
+  EXPECT_EQ(text_of(s.view.subview(9, 3)), "jkl");
+  EXPECT_TRUE(s.view.subview(12, 0).empty());
+  // Zero length anywhere is an empty view with no segments.
+  const vmi::GuestView none = s.view.subview(5, 0);
+  EXPECT_TRUE(none.empty());
+  EXPECT_TRUE(none.segments().empty());
+  // The whole view.
+  EXPECT_EQ(text_of(s.view.subview(0, s.view.size())), "abcdefghijkl");
+}
+
+TEST(GuestView, ByteAtAndReadIntoWalkTheSegments) {
+  const Scattered s;
+  EXPECT_EQ(s.view.byte_at(0), 'a');
+  EXPECT_EQ(s.view.byte_at(4), 'e');
+  EXPECT_EQ(s.view.byte_at(11), 'l');
+  Bytes out(5, 0);
+  s.view.read_into(3, MutableByteView(out));
+  EXPECT_EQ(std::string(out.begin(), out.end()), "defgh");
+  s.view.read_into(12, MutableByteView());  // empty read at the end
+}
+
+TEST(GuestView, OutOfRangeAccessThrows) {
+  const Scattered s;
+  const std::size_t n = s.view.size();
+  EXPECT_THROW(s.view.subview(n - 2, 3), InvalidArgument);
+  EXPECT_THROW(s.view.subview(n + 1, 0), InvalidArgument);
+  Bytes out(4, 0);
+  EXPECT_THROW(s.view.read_into(n - 3, MutableByteView(out)), InvalidArgument);
+  EXPECT_THROW(s.view.byte_at(n), InvalidArgument);
+  EXPECT_THROW(vmi::GuestView().byte_at(0), InvalidArgument);
+}
+
+TEST(GuestView, AsContiguousOnAScatteredViewThrows) {
+  const Scattered s;
+  EXPECT_FALSE(s.view.contiguous());
+  EXPECT_THROW(s.view.as_contiguous(), InvalidArgument);
 }
 
 }  // namespace

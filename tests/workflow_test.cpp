@@ -172,7 +172,7 @@ TEST(Workflow, HollowingCaughtAndCharacterized) {
           *must(ModuleSearcher(rs).try_extract_module("ntfs.sys")), clock);
   const auto forensic = analyze_divergence(sub, ref, ".text");
   EXPECT_GT(forensic.differing_bytes,
-            sub.items.back().bytes.size() / 2);
+            sub.items.back().content_size() / 2);
 }
 
 // Story 5: different digest algorithms agree on every verdict.

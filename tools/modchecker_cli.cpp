@@ -302,9 +302,11 @@ int run(const Options& options, telemetry::TraceRecorder* tracer) {
       if (!image.ok()) {
         return report_guest_fault(image.fault());
       }
-      const Bytes& bytes = image.value().bytes;
+      // The version resource is read from one flat buffer, so the
+      // borrowed image is materialized once here.
+      const Bytes bytes = image.value().view.materialize();
       // Dump triage inspects the raw PE on purpose; mc-lint: allow(format-bypass)
-      const pe::ParsedImage parsed(bytes);
+      const pe::ParsedImage parsed{ByteView(bytes)};
       const auto& dir =
           parsed.optional_header().DataDirectories[pe::kDirResource];
       if (dir.VirtualAddress != 0) {
