@@ -78,11 +78,6 @@ class ModChecker {
     return context_.session_pool.stats();
   }
 
-  /// Drops all pooled sessions (next check re-attaches).  Epoch/CR3
-  /// staleness is detected automatically; this is for callers that mutate
-  /// guest page tables in place.
-  void invalidate_sessions() { context_.session_pool.invalidate_all(); }
-
   /// The underlying staged pipeline (advanced callers: custom drivers,
   /// stage-level instrumentation).
   CheckPipeline& pipeline() { return pipeline_; }

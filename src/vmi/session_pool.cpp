@@ -1,7 +1,5 @@
 #include "vmi/session_pool.hpp"
 
-#include <vector>
-
 namespace mc::vmi {
 
 VmiSessionPool::VmiSessionPool(const vmm::Hypervisor& hypervisor,
@@ -49,44 +47,6 @@ VmiSessionPool::Lease VmiSessionPool::acquire(vmm::DomainId domain,
     created_.inc();
   }
   return Lease(std::move(lock), entry->session.get());
-}
-
-void VmiSessionPool::invalidate(vmm::DomainId domain) {
-  Entry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> map_lock(map_mutex_);
-    const auto it = entries_.find(domain);
-    if (it == entries_.end()) {
-      return;
-    }
-    entry = it->second.get();
-  }
-  std::lock_guard<std::mutex> lock(entry->mutex);
-  if (entry->session) {
-    entry->session.reset();
-    invalidated_.inc();
-  }
-}
-
-void VmiSessionPool::invalidate_all() {
-  // Snapshot the entry pointers under the map lock, then drop sessions
-  // under their own locks (entries are never erased, so pointers stay
-  // valid).
-  std::vector<Entry*> entries;
-  {
-    std::lock_guard<std::mutex> map_lock(map_mutex_);
-    entries.reserve(entries_.size());
-    for (auto& [id, entry] : entries_) {
-      entries.push_back(entry.get());
-    }
-  }
-  for (Entry* entry : entries) {
-    std::lock_guard<std::mutex> lock(entry->mutex);
-    if (entry->session) {
-      entry->session.reset();
-      invalidated_.inc();
-    }
-  }
 }
 
 SessionPoolStats VmiSessionPool::stats() const {

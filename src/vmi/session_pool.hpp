@@ -16,7 +16,6 @@
 // would.  A write to a page-table frame the session walked (a remap) drops
 // its translations at the next checkout (VmiSession::
 // revalidate_translations); the session, debug block and all, is kept.
-// invalidate() still drops a session outright.
 //
 // Thread safety: acquire() returns an RAII Lease holding the per-domain
 // mutex, so two threads scanning the same guest serialize on the session
@@ -37,13 +36,12 @@ namespace mc::vmi {
 /// telemetry/registry.hpp.  Kept so existing callers read the same fields.
 // mc-lint: allow(adhoc-stats)
 struct SessionPoolStats {
-  /// Sessions built from scratch (first acquire, or rebuild after
-  /// staleness/invalidation).
+  /// Sessions built from scratch (first acquire, or rebuild after an
+  /// epoch/CR3 staleness detection).
   std::uint64_t created = 0;
   /// Acquires satisfied by an existing warm session.
   std::uint64_t reused = 0;
-  /// Sessions dropped — explicit invalidate() plus automatic epoch/CR3
-  /// staleness detections.
+  /// Sessions dropped by epoch/CR3 staleness detection.
   std::uint64_t invalidated = 0;
 };
 
@@ -88,12 +86,6 @@ class VmiSessionPool {
   /// a leased session's try_watch_range outlive the lease (they live on
   /// the hypervisor), so cross-scan consumers query/rearm them here.
   vmm::WriteWatch& write_watch() const { return hypervisor_->write_watch(); }
-
-  /// Drops the cached session for `domain` (next acquire rebuilds).
-  void invalidate(vmm::DomainId domain);
-
-  /// Drops every cached session.
-  void invalidate_all();
 
   SessionPoolStats stats() const;
 

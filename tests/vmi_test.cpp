@@ -279,15 +279,6 @@ TEST_F(VmiTest, SessionPoolInvalidatesOnSnapshotRestore) {
   EXPECT_GE(fresh_clock.now(), vmi::VmiCostModel{}.attach);
 }
 
-TEST_F(VmiTest, SessionPoolExplicitInvalidation) {
-  vmi::VmiSessionPool pool(env_->hypervisor());
-  { auto lease = pool.acquire(guest(), clock_); }
-  pool.invalidate_all();
-  { auto lease = pool.acquire(guest(), clock_); }
-  EXPECT_EQ(pool.stats().created, 2u);
-  EXPECT_EQ(pool.stats().reused, 0u);
-}
-
 TEST_F(VmiTest, SessionIsReadOnlyByConstruction) {
   // Compile-time property documented at runtime: the session exposes no
   // write entry points; verify a full read leaves guest memory identical.

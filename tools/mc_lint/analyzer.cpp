@@ -8,23 +8,21 @@
 
 namespace mc::lint {
 
-const std::vector<std::string>& analyzer_rule_ids() {
+std::string format_finding(const Finding& f) {
+  return f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
+         f.message;
+}
+
+const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kIds = {
-      "fallible-discard",
-      "lock-order",
-      "sim-determinism",
-      "guest-taint",
-      "hotpath-copy",
+      "raw-reinterpret-cast", "raw-memcpy",       "std-rand",
+      "naked-new",            "naked-delete",     "parser-bounds-check",
+      "pipeline-bypass",      "format-bypass",    "catch-swallow",
+      "adhoc-stats",          "fallible-discard", "lock-order",
+      "sim-determinism",      "guest-taint",      "hotpath-copy",
       "watch-bypass",
   };
   return kIds;
-}
-
-std::vector<std::string> all_rule_ids() {
-  std::vector<std::string> ids = rule_ids();
-  const auto& extra = analyzer_rule_ids();
-  ids.insert(ids.end(), extra.begin(), extra.end());
-  return ids;
 }
 
 void Analyzer::index_source(const std::string& file,
@@ -54,7 +52,7 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& opts) {
   // bucket so its suppression map applies).
   std::map<std::string, std::vector<Finding>> per_file;
   for (const Unit& u : units_) {
-    rules::legacy_port(u.src, u.tokens, u.file, per_file[u.file]);
+    rules::line_rules(u.src, u.tokens, u.file, per_file[u.file]);
     rules::fallible_discard(u.tokens, index_, u.file, per_file[u.file]);
     rules::sim_determinism(u.tokens, u.file, per_file[u.file]);
     rules::guest_taint(u.tokens, u.file, per_file[u.file]);
@@ -100,24 +98,6 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& opts) {
                      return a.file < b.file;
                    });
   return result;
-}
-
-std::vector<Finding> Analyzer::legacy_findings(const std::string& file,
-                                               const std::string& content) {
-  const ScannedSource src = scan(content);
-  const std::vector<Token> toks = tokenize(src);
-  std::vector<Finding> findings;
-  rules::legacy_port(src, toks, file, findings);
-
-  const auto suppressed = suppressions(src);
-  std::erase_if(findings, [&](const Finding& f) {
-    const auto it = suppressed.find(static_cast<std::size_t>(f.line - 1));
-    return it != suppressed.end() && it->second.count(f.rule) > 0;
-  });
-  std::stable_sort(
-      findings.begin(), findings.end(),
-      [](const Finding& a, const Finding& b) { return a.line < b.line; });
-  return findings;
 }
 
 }  // namespace mc::lint

@@ -1,45 +1,16 @@
-// mc_analyze — the tier-2, token-stream analysis engine.
+// mc_lint — in-repo static analysis enforcing ModChecker's guest-memory
+// safety invariants.
 //
-// Tier 1 (linter.hpp) is the fast per-line scanner; this engine re-lexes
-// each translation unit into a real token stream, builds a cross-file
-// function index (index.hpp) from every indexed path, and runs:
+// The engine re-lexes each translation unit into a token stream over the
+// comment/string-stripped source (source.hpp, token.hpp), builds a
+// cross-file function index (index.hpp) from every indexed path, and runs
+// one catalog of sixteen rules: the ten line rules (rules_line.cpp) and
+// six semantic rules that need the token stream or the index
+// (rule_*.cpp, each with its specification at the top).  RULES.md gives
+// every rule's rationale.
 //
-//   * the token-stream port of all nine tier-1 rules (byte-identical
-//     findings — proven by the differential self-test), and
-//   * six semantic rules the line scanner cannot express:
-//
-//   fallible-discard   a call to a function indexed as returning
-//                      Fallible<T>/MaybeFault whose result is discarded as
-//                      a full statement — the fault would be silently
-//                      dropped.  Bind it, branch on it, or assign to
-//                      std::ignore.
-//   lock-order         per-function lock-acquisition graphs (scoped_lock /
-//                      lock_guard / unique_lock sites, one call level
-//                      inlined through the index): inconsistent A→B/B→A
-//                      mutex orderings anywhere, and blocking operations
-//                      (pool submit/wait_idle/pool_scan, condvar waits not
-//                      releasing the held guard, guest reads) while holding
-//                      a service-layer mutex.
-//   sim-determinism    wall clocks (steady_clock/system_clock/
-//                      high_resolution_clock), std::random_device, and
-//                      range-for iteration over unordered containers in any
-//                      TU that charges SimClock costs — each breaks the
-//                      bit-identical-replay property the differential
-//                      suites depend on.  src/telemetry/ is the audited
-//                      allowlist: its spans measure *host* time by design.
-//   guest-taint        intraprocedural taint from guest-read sources
-//                      (read_*/try_read_*, load_le*, as_bytes) to
-//                      array-subscript / resize / guest-sized-allocation
-//                      sinks without an intervening bounds check (MC_CHECK,
-//                      comparison, min/max/clamp).
-//   hotpath-copy       owned-buffer materializations and un-dispatched
-//                      pairwise byte compares in TUs referencing the
-//                      zero-copy Normalize/Compare/Hash vocabulary.
-//   watch-bypass       frame_version()/write_counter() polling outside
-//                      vmm/write_watch + vmm/phys_mem — dirty checks must
-//                      go through WatchSets / domain write generations.
-//
-// `// mc-lint: allow(rule)` suppressions work unchanged for every rule.
+// A finding on line N is suppressed by `// mc-lint: allow(<rule>)` either
+// at the end of line N or on an otherwise-empty comment line N-1.
 #pragma once
 
 #include <map>
@@ -49,9 +20,22 @@
 #include <vector>
 
 #include "index.hpp"
-#include "linter.hpp"
 
 namespace mc::lint {
+
+struct Finding {
+  std::string file;
+  int line = 0;  // 1-based
+  std::string rule;
+  std::string message;
+};
+
+/// "file:line: [rule] message" — the grep/IDE-friendly format.
+std::string format_finding(const Finding& f);
+
+/// The rule catalog (the ids accepted by allow(...), --disable and
+/// --allow): the ten line rules, then the six semantic rules.
+const std::vector<std::string>& rule_ids();
 
 struct AnalyzeOptions {
   /// Rule ids to skip entirely (the gate-level relaxed sets).
@@ -69,12 +53,6 @@ struct AnalyzeResult {
   std::vector<std::string> errors;
 };
 
-/// The six semantic rule ids introduced by this engine.
-const std::vector<std::string>& analyzer_rule_ids();
-
-/// Full catalog: the ten tier-1 ids plus the six semantic ids.
-std::vector<std::string> all_rule_ids();
-
 class Analyzer {
  public:
   /// Feeds one file to the cross-file index only (not analyzed/reported).
@@ -90,11 +68,6 @@ class Analyzer {
   AnalyzeResult run(const AnalyzeOptions& opts = {});
 
   const FunctionIndex& index() const { return index_; }
-
-  /// The tier-2 port of the nine tier-1 rules alone, suppressions applied —
-  /// the surface the differential self-test compares against lint_source().
-  static std::vector<Finding> legacy_findings(const std::string& file,
-                                              const std::string& content);
 
  private:
   struct Unit {

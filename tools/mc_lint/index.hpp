@@ -1,4 +1,4 @@
-// Cross-file function index for the tier-2 analyzer.
+// Cross-file function index for the analyzer.
 //
 // Built from the token streams of every indexed file (headers and sources
 // alike): for each function it records the return type and annotations the

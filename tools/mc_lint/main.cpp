@@ -1,18 +1,17 @@
-// mc_lint / mc_analyze CLI — lints the given files or directory trees and
+// mc_lint CLI — analyzes the given files or directory trees and
 // exits non-zero on any finding.  Registered as ctest gates so invariant
 // violations fail the build the same way a unit test does.
 //
 //   mc_lint [options] <path>...
 //
-//   --list-rules         print the rule catalog for the selected tier
-//   --tier=1|2           1 = line scanner; 2 = token/index engine (default)
+//   --list-rules         print the rule catalog
 //   --format=text|sarif  findings as grep lines or a SARIF 2.1.0 log
 //   --output=<file>      write findings there instead of stdout
-//   --disable=<r1,r2>    skip the named rules (tier 2)
+//   --disable=<r1,r2>    skip the named rules
 //   --allow=<rule>:<s>   drop <rule> findings in files whose path contains
-//                        <s> — the audited path-allowlist (tier 2)
+//                        <s> — the audited path-allowlist
 //   --index=<path>       feed <path> to the cross-file index without
-//                        analyzing it (repeatable; tier 2)
+//                        analyzing it (repeatable)
 //   --budget-ms=<n>      wall-clock budget for --timing-gate (default 5000)
 //   --timing-gate        run as the CI timing guard: report elapsed time,
 //                        exit 4 over budget, 0 otherwise (findings are not
@@ -24,7 +23,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -32,22 +30,21 @@
 #include <vector>
 
 #include "analyzer.hpp"
-#include "linter.hpp"
 #include "sarif.hpp"
 
 namespace {
 
 void usage(std::FILE* to) {
   std::fprintf(to,
-               "usage: mc_lint [--list-rules] [--tier=1|2] "
-               "[--format=text|sarif] [--output=FILE]\n"
+               "usage: mc_lint [--list-rules] [--format=text|sarif] "
+               "[--output=FILE]\n"
                "               [--disable=RULES] [--allow=RULE:SUBSTR] "
                "[--index=PATH]\n"
                "               [--budget-ms=N] [--timing-gate] <path>...\n");
 }
 
 /// Collects every *.cpp / *.hpp under `root` (or `root` itself when it is a
-/// file), sorted — the same walk lint_tree does.
+/// file), sorted.
 void collect(const std::string& root, std::vector<std::string>& files) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -107,7 +104,6 @@ int main(int argc, char** argv) {
   std::vector<std::string> paths;
   std::vector<std::string> index_paths;
   mc::lint::AnalyzeOptions opts;
-  int tier = 2;
   bool list_rules = false;
   bool timing_gate = false;
   long budget_ms = 5000;
@@ -124,13 +120,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
-    } else if (arg.rfind("--tier=", 0) == 0) {
-      const std::string v = value("--tier=");
-      if (v != "1" && v != "2") {
-        std::fprintf(stderr, "mc_lint: --tier must be 1 or 2\n");
-        return 2;
-      }
-      tier = v == "1" ? 1 : 2;
     } else if (arg.rfind("--format=", 0) == 0) {
       format = value("--format=");
       if (format != "text" && format != "sarif") {
@@ -171,9 +160,7 @@ int main(int argc, char** argv) {
   }
 
   if (list_rules) {
-    const auto ids =
-        tier == 1 ? mc::lint::rule_ids() : mc::lint::all_rule_ids();
-    for (const auto& rule : ids) {
+    for (const auto& rule : mc::lint::rule_ids()) {
       std::printf("%s\n", rule.c_str());
     }
     return 0;
@@ -183,51 +170,33 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::vector<mc::lint::Finding> findings;
-  std::vector<std::string> errors;
-  if (tier == 1) {
-    for (const std::string& path : paths) {
-      const auto f = mc::lint::lint_tree(path, &errors);
-      findings.insert(findings.end(), f.begin(), f.end());
-    }
-  } else {
-    mc::lint::Analyzer analyzer;
-    std::vector<std::string> index_files;
-    for (const std::string& path : index_paths) {
-      collect(path, index_files);
-    }
+  // Index-only paths first; an unreadable file is recorded and the walk
+  // goes on.
+  mc::lint::Analyzer analyzer;
+  const auto feed = [&](const std::vector<std::string>& roots, bool analyze) {
     std::vector<std::string> files;
-    for (const std::string& path : paths) {
-      collect(path, files);
-    }
-    for (const std::string& file : index_files) {
-      std::string content;
-      std::string error;
-      if (read_file(file, content, error)) {
-        analyzer.index_source(file, content);
-      } else {
-        analyzer.add_error(error);
-      }
+    for (const std::string& root : roots) {
+      collect(root, files);
     }
     for (const std::string& file : files) {
       std::string content;
       std::string error;
-      if (read_file(file, content, error)) {
+      if (!read_file(file, content, error)) {
+        analyzer.add_error(error);
+      } else if (analyze) {
         analyzer.add_source(file, content);
       } else {
-        analyzer.add_error(error);
+        analyzer.index_source(file, content);
       }
     }
-    auto result = analyzer.run(opts);
-    findings = std::move(result.findings);
-    errors = std::move(result.errors);
-  }
+  };
+  feed(index_paths, false);
+  feed(paths, true);
+  const auto [findings, errors] = analyzer.run(opts);
 
   std::string rendered;
   if (format == "sarif") {
-    const auto catalog =
-        tier == 1 ? mc::lint::rule_ids() : mc::lint::all_rule_ids();
-    rendered = mc::lint::to_sarif(findings, catalog);
+    rendered = mc::lint::to_sarif(findings, mc::lint::rule_ids());
   } else {
     for (const auto& finding : findings) {
       rendered += mc::lint::format_finding(finding) + "\n";

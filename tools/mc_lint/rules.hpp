@@ -1,23 +1,27 @@
-// Internal rule entry points for the tier-2 engine (analyzer.cpp drives
-// them; tests go through Analyzer).  Each appends unsuppressed findings —
-// the analyzer applies suppressions, allowlists, and ordering.
+// Internal rule entry points (analyzer.cpp drives them; tests go through
+// Analyzer).  Each appends unsuppressed findings — the analyzer applies
+// suppressions, allowlists, and ordering.
 #pragma once
 
 #include <set>
 #include <string>
 #include <vector>
 
+#include "analyzer.hpp"
 #include "index.hpp"
-#include "linter.hpp"
 #include "source.hpp"
 #include "token.hpp"
 
 namespace mc::lint::rules {
 
-/// Token-stream port of the ten tier-1 rules, in the tier-1 execution
-/// order (token rules, bounds, pipeline, format, catch, adhoc-stats).
-void legacy_port(const ScannedSource& src, const std::vector<Token>& toks,
-                 const std::string& file, std::vector<Finding>& out);
+/// Files exempt from adhoc-stats and sim-determinism (the telemetry
+/// library itself).
+bool telemetry_owner(const std::string& file);
+
+/// The ten line rules, in catalog order (token rules, bounds, pipeline,
+/// format, catch, adhoc-stats).
+void line_rules(const ScannedSource& src, const std::vector<Token>& toks,
+                const std::string& file, std::vector<Finding>& out);
 
 void fallible_discard(const std::vector<Token>& toks, const FunctionIndex& idx,
                       const std::string& file, std::vector<Finding>& out);

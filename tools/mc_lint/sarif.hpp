@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "linter.hpp"
+#include "analyzer.hpp"
 
 namespace mc::lint {
 

@@ -16,37 +16,6 @@ bool is_blank(const std::string& s) {
   });
 }
 
-std::size_t find_token(const std::string& line, const std::string& token,
-                       std::size_t from) {
-  for (std::size_t pos = line.find(token, from); pos != std::string::npos;
-       pos = line.find(token, pos + 1)) {
-    const bool left_ok = pos == 0 || !is_word_char(line[pos - 1]);
-    const std::size_t end = pos + token.size();
-    const bool right_ok = end >= line.size() || !is_word_char(line[end]);
-    if (left_ok && right_ok) {
-      return pos;
-    }
-  }
-  return std::string::npos;
-}
-
-bool has_token(const std::string& line, const std::string& token) {
-  return find_token(line, token) != std::string::npos;
-}
-
-std::string word_before(const std::string& line, std::size_t pos) {
-  std::size_t end = pos;
-  while (end > 0 &&
-         std::isspace(static_cast<unsigned char>(line[end - 1])) != 0) {
-    --end;
-  }
-  std::size_t begin = end;
-  while (begin > 0 && is_word_char(line[begin - 1])) {
-    --begin;
-  }
-  return line.substr(begin, end - begin);
-}
-
 ScannedSource scan(const std::string& content) {
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
   ScannedSource out;

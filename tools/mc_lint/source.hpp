@@ -1,10 +1,5 @@
-// Shared source model for both analysis tiers.
-//
-// Tier 1 (linter.hpp) scans sanitized lines; tier 2 (analyzer.hpp) scans a
-// token stream — but both start from the same comment/string stripper and
-// share one suppression syntax (`// mc-lint: allow(rule)`), so a directive
-// written for a tier-1 rule keeps working unchanged when the rule moves to
-// the token engine.
+// Source model for the analysis engine: a comment/string stripper and the
+// one suppression syntax (`// mc-lint: allow(rule)`) every rule shares.
 #pragma once
 
 #include <cstddef>
@@ -35,18 +30,9 @@ ScannedSource scan(const std::string& content);
 std::map<std::size_t, std::set<std::string>> suppressions(
     const ScannedSource& src);
 
-// ---- Small text helpers shared by both tiers -------------------------------
+// ---- Small text helpers ----------------------------------------------------
 
 bool is_word_char(char c);
 bool is_blank(const std::string& s);
-
-/// Finds `token` in `line` at a word boundary on both sides; npos if absent.
-std::size_t find_token(const std::string& line, const std::string& token,
-                       std::size_t from = 0);
-
-bool has_token(const std::string& line, const std::string& token);
-
-/// The word (identifier/keyword) immediately preceding `pos`, if any.
-std::string word_before(const std::string& line, std::size_t pos);
 
 }  // namespace mc::lint

@@ -1,12 +1,12 @@
-// Tier-2 front end: a real C++ token stream over the sanitized source.
+// The engine's front end: a real C++ token stream over the sanitized source.
 //
 // The tokenizer runs on ScannedSource::code (comments and literal contents
 // already blanked), so it never sees prose.  It is not a full lexer — no
 // preprocessor, no raw strings — but it is exact about the things the
 // semantic rules depend on: identifiers, maximal-munch punctuation
 // (`::`, `->`, `...`, `==`, ...), string/char literal positions, and the
-// (line, column) of every token so findings and adjacency checks
-// (`.size()`) stay byte-compatible with the tier-1 line scanner.
+// (line, column) of every token, which findings report and the line rules'
+// adjacency checks (`.size()`) read.
 #pragma once
 
 #include <cstddef>
@@ -32,9 +32,8 @@ struct Token {
   int col = 0;   // 0-based start column in the sanitized line
 };
 
-/// Tokenizes sanitized source.  Preprocessor directive lines (first
-/// non-blank char '#') are skipped entirely: rules reason about code, and
-/// `#include <vector>` must not read as a comparison chain.
+/// Tokenizes sanitized source.  Preprocessor lines are tokenized like any
+/// other ('#' is a punct), so the line rules see `#include` lines too.
 std::vector<Token> tokenize(const ScannedSource& src);
 
 // ---- Stream helpers used by every token rule -------------------------------

@@ -27,8 +27,8 @@ std::vector<Token> tokenize(const ScannedSource& src) {
   for (std::size_t li = 0; li < src.code.size(); ++li) {
     const std::string& line = src.code[li];
     // Preprocessor lines are tokenized like any other ('#' is a punct):
-    // tier 1 scans them too, and the differential guarantee requires the
-    // two engines to see the same text.
+    // the line rules are specified over every source line, directives
+    // included.
     std::size_t i = 0;
     while (i < line.size()) {
       const char c = line[i];
