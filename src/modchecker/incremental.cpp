@@ -63,26 +63,20 @@ Fallible<bool> patch_dirty_pages(vmi::VmiSession& s, CachedCopy& copy,
     if (page >= pages) {
       break;  // the page-table frames, handled above
     }
-    const std::uint32_t page_va = page_base + page * vmm::kFrameSize;
-    Fallible<std::uint64_t> pa = s.try_translate_kv2p(page_va);
-    if (!pa.ok()) {
-      return std::move(pa.fault());
-    }
-    if (static_cast<std::uint32_t>(pa.value() >> vmm::kFrameShift) !=
-        copy.frames[page]) {
-      return false;
-    }
     // Only the slice of this page that lies inside the image counts.
+    const std::uint32_t page_va = page_base + page * vmm::kFrameSize;
     const std::uint32_t lo = std::max(page_va, copy.base);
     const std::uint32_t hi =
         std::min(page_va + vmm::kFrameSize, copy.base + image_size);
-    Fallible<vmi::GuestView> guest = s.try_read_view(lo, hi - lo);
-    if (!guest.ok()) {
-      return std::move(guest.fault());
+    Fallible<std::optional<ByteView>> read =
+        s.try_read_frame(lo, hi - lo, copy.frames[page]);
+    if (!read.ok()) {
+      return std::move(read.fault());
     }
-    // The slice lies inside one page, so the view is one frame's span.
-    const ByteView fresh = guest.value().as_contiguous();
-    MC_CHECK(fresh.size() == hi - lo, "page view must be one span");
+    if (!read.value()) {
+      return false;
+    }
+    const ByteView fresh = *read.value();
     s.clock().charge(compare_per_byte * fresh.size());
     ++copy.last.frames_reread;
     std::uint8_t* cached = copy.buffer.data() + (lo - copy.base);
@@ -107,7 +101,9 @@ Fallible<std::optional<ModuleInfo>> LoaderSnapshot::find(
     const AcquireStage& acquire, AcquireStage::Session& session,
     vmm::WriteWatch& watches, const std::string& module_name, bool& walked) {
   vmi::VmiSession& s = session.session();
-  walked = watch == vmm::WriteWatch::kNoWatch || s.watch_dirty(watch);
+  const std::uint64_t loaded_cr3 = s.cr3();
+  walked = watch == vmm::WriteWatch::kNoWatch || cr3 != loaded_cr3 ||
+           s.watch_dirty(watch);
   if (!walked) {
     return walk.find(module_name);
   }
@@ -129,6 +125,7 @@ Fallible<std::optional<ModuleInfo>> LoaderSnapshot::find(
   if (watches.domain_write_generation(s.domain_id()) == generation) {
     watch = registered;
     walk = std::move(fresh);
+    cr3 = loaded_cr3;
   } else {
     // A write landed between the walk and the registration, possibly on a
     // frame the walk had already read: serve this walk, do not keep it.
@@ -171,10 +168,13 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
   const ModuleInfo& info = *listed.value();
 
   // O(1) watch query; a dirty copy tries the patch before re-extracting.
+  // Under another page directory the frames may differ with no watched
+  // frame written, and the watch names the old tables: re-extract.
+  const std::uint64_t loaded_cr3 = s.cr3();
   bool need_full = true;
   if (found && base == info.base &&
       buffer.size() == info.size_of_image &&
-      watch != vmm::WriteWatch::kNoWatch) {
+      watch != vmm::WriteWatch::kNoWatch && cr3 == loaded_cr3) {
     if (!s.watch_dirty(watch)) {
       last.outcome = Outcome::kReused;  // writes landed elsewhere
       domain_generation = domain_write_generation;
@@ -203,7 +203,7 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
       }
     }
   } else if (found) {
-    last.invalidated = true;  // rebased/resized — cache unusable
+    last.invalidated = true;  // rebased, resized or tables switched
   }
 
   if (need_full) {
@@ -216,6 +216,7 @@ Fallible<bool> CachedCopy::refresh(const AcquireStage& acquire,
       return std::move(registered.fault());
     }
     watch = registered.value();
+    cr3 = loaded_cr3;
     frames = watches.watched_frames(watch);
     const std::uint32_t first_page = info.base >> vmm::kFrameShift;
     const std::uint64_t end = std::uint64_t{info.base} + info.size_of_image;

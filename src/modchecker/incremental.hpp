@@ -47,14 +47,16 @@ struct IncrementalStats {
 
 /// One domain's loader list as last walked, with a WatchSet over every
 /// frame the walk read (the list head, every entry, every name buffer)
-/// and the page-table frames that map them.  While that watch is clean a
-/// new walk would read the same bytes through the same translations, so
-/// a refresh looks its module up here instead of walking (DESIGN §13.5).
+/// and the page-table frames that map them.  While that watch is clean
+/// and the same page directory is loaded, a new walk would read the same
+/// bytes through the same translations, so a refresh looks its module up
+/// here instead of walking (DESIGN §13.5).
 struct LoaderSnapshot {
   /// What ModuleSearcher::try_find_module(module_name) returns on the
   /// current guest state: the entry, disengaged if it is not loaded, or
-  /// the fault the lookup meets.  A clean watch answers from the snapshot
-  /// (one `watch_query`, no guest read); else the list is walked again
+  /// the fault the lookup meets.  A clean watch under an unchanged CR3
+  /// answers from the snapshot (one `watch_query`, no guest read); else
+  /// the list is walked again
   /// (LoaderWalk) and the walk is kept, under a new watch, only if none
   /// of its reads faulted and the domain took no write between the walk's
   /// first read and the watch registration.  `walked` says which path
@@ -70,6 +72,8 @@ struct LoaderSnapshot {
 
   LoaderWalk walk;
   vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
+  /// The page directory the walk was translated under.
+  std::uint64_t cr3 = 0;
 };
 
 /// One VM's cached copy of one module: the one owned copy of its image.
@@ -116,7 +120,8 @@ struct CachedCopy {
   /// `pipeline.acquire.materializations`).  A dirty page is
   /// compared with the copy before it is patched, charged
   /// `compare_per_byte` per byte; a written page-table frame makes every
-  /// page re-translate first.  Returns whether the module is loaded.  A
+  /// page re-translate first, and a switched CR3 re-extracts (the watch
+  /// names the old tables).  Returns whether the module is loaded.  A
   /// fault leaves the copy unusable, so the retry re-extracts it.
   Fallible<bool> refresh(const AcquireStage& acquire,
                          AcquireStage::Session& session,
@@ -135,6 +140,8 @@ struct CachedCopy {
   /// The watch holds these first, then the page-table frames mapping them.
   std::vector<std::uint32_t> frames;
   vmm::WriteWatch::WatchId watch = vmm::WriteWatch::kNoWatch;
+  /// The page directory `frames` and the watch were translated under.
+  std::uint64_t cr3 = 0;
   /// Bumped on every refresh that changed the content, never reset:
   /// (vm, generation) names one content for pair verdicts and the
   /// canonical pool.

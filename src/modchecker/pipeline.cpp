@@ -197,6 +197,40 @@ SimNanos acquire_round(CheckPipeline& p, const std::string& module_name,
   return wall;
 }
 
+/// No digest-vector class: the copy takes no fast-path pair.
+constexpr std::size_t kNoClass = static_cast<std::size_t>(-1);
+
+/// Each found, parsed copy's digest-vector class in `canon` (kNoClass
+/// when it is not eligible): two ids are equal iff the two vectors are.
+/// A vector is compared with one member of each class until it matches,
+/// so a clean pool of t copies costs t - 1 compares instead of the
+/// t(t - 1)/2 of a per-pair compare.  Adds the compares to `compares`.
+std::vector<std::size_t> digest_classes(const CanonicalPool* canon,
+                                        const Round& round,
+                                        std::size_t& compares) {
+  std::vector<std::size_t> classes(round.vms.size(), kNoClass);
+  std::vector<const std::vector<crypto::Digest>*> members;  // one per class
+  for (std::size_t i = 0; canon != nullptr && i < classes.size(); ++i) {
+    const Extraction& ex = round.extractions[i];
+    if (!ex.found || ex.parse_failed || !canon->eligible(round.vms[i])) {
+      continue;
+    }
+    const std::vector<crypto::Digest>& vector = canon->digests(round.vms[i]);
+    std::size_t c = 0;
+    for (; c < members.size(); ++c) {
+      ++compares;
+      if (*members[c] == vector) {
+        break;
+      }
+    }
+    if (c == members.size()) {
+      members.push_back(&vector);
+    }
+    classes[i] = c;
+  }
+  return classes;
+}
+
 /// The vote: VoteStage::finalize under a "vote" span.
 void finalize_votes(const CheckPipeline& p,
                     std::vector<PoolVmVerdict>& verdicts, bool peers_asked) {
@@ -678,11 +712,11 @@ PoolScanReport CheckPipeline::pool_scan(
   telemetry::SpanScope compare_span = telemetry::span(
       ctx_->tracer, "compare", "pipeline", config.trace_pid, 0, &canon_clock);
 
-  // Eligible copies' digest vectors, looked up once per copy, not per pair.
-  std::vector<const std::vector<crypto::Digest>*> digests(pool.size());
-  for (std::size_t i = 0; canon != nullptr && i < pool.size(); ++i) {
-    digests[i] = canon->eligible(pool[i]) ? &canon->digests(pool[i]) : nullptr;
-  }
+  // Eligible copies' digest-vector classes, so a fast-path pair compares
+  // two ids instead of two vectors.
+  std::size_t vector_compares = 0;
+  const std::vector<std::size_t> classes =
+      digest_classes(canon, round, vector_compares);
   // Each unordered pair is decided once and credited to both VMs' tallies;
   // a quarantined VM has found == false, so the loops exclude it.
   std::vector<std::pair<std::size_t, std::size_t>> fallback;
@@ -706,10 +740,10 @@ PoolScanReport CheckPipeline::pool_scan(
       if (extractions[i].parse_failed || extractions[j].parse_failed) {
         continue;  // an unparseable copy never matches anything
       }
-      if (digests[i] != nullptr && digests[j] != nullptr) {
+      if (classes[i] != kNoClass && classes[j] != kNoClass) {
         ++report.fastpath_pairs;
         canon_clock.charge(config.host_costs.digest_pair_fixed);
-        credit(i, j, *digests[i] == *digests[j]);
+        credit(i, j, classes[i] == classes[j]);
         continue;
       }
       const ScanCache::PairVerdict* known =
@@ -749,7 +783,7 @@ PoolScanReport CheckPipeline::pool_scan(
       std::vector<const ParsedModule*> patched;
       for (std::size_t i = 0; i < pool.size(); ++i) {
         if (extractions[i].found && !extractions[i].parse_failed &&
-            digests[i] == nullptr) {
+            classes[i] == kNoClass) {
           patched.push_back(&extractions[i].copy());
         }
       }
@@ -825,6 +859,7 @@ PoolScanReport CheckPipeline::pool_scan(
   compare_span.end();
   ctx_->pm.fastpath_pairs.inc(report.fastpath_pairs);
   ctx_->pm.fallback_pairs.inc(report.fallback_pairs);
+  ctx_->pm.vector_compares.inc(vector_compares);
   ctx_->pm.fallback_items.inc(fallback_items);
   ctx_->pm.fallback_hashes.inc(fallback_hashes);
   ctx_->pm.delta_items.inc(delta_items);

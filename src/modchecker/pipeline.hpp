@@ -282,6 +282,7 @@ struct CheckContext {
           parse_failures(reg.counter("pipeline.parse.failures")),
           fastpath_pairs(reg.counter("pipeline.compare.fastpath_pairs")),
           fallback_pairs(reg.counter("pipeline.compare.fallback_pairs")),
+          vector_compares(reg.counter("pipeline.compare.vector_compares")),
           fallback_items(reg.counter("pipeline.compare.fallback_items")),
           fallback_hashes(reg.counter("pipeline.compare.fallback_hashes")),
           delta_items(reg.counter("canonical.delta_items")),
@@ -312,6 +313,9 @@ struct CheckContext {
     telemetry::Counter parse_failures;
     telemetry::Counter fastpath_pairs;
     telemetry::Counter fallback_pairs;
+    /// Digest-vector compares that assigned the fast path's classes: at
+    /// most one per class per eligible copy, t - 1 on a clean pool.
+    telemetry::Counter vector_compares;
     /// Items the exact fallback examined, and the digests it computed.
     telemetry::Counter fallback_items;
     telemetry::Counter fallback_hashes;

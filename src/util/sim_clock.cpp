@@ -6,11 +6,9 @@
 
 namespace mc {
 
-SimNanos SimClock::charge(SimNanos nanos) {
-  const auto scaled = static_cast<SimNanos>(
+SimNanos SimClock::scale(SimNanos nanos) const {
+  return static_cast<SimNanos>(
       std::llround(static_cast<double>(nanos) * slowdown_));
-  now_ += scaled;
-  return scaled;
 }
 
 void SimClock::set_slowdown(double factor) {

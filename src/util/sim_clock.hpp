@@ -29,8 +29,17 @@ class SimClock {
   SimClock() = default;
 
   /// Charges `nanos` of simulated time, scaled by the current slowdown
-  /// factor. Returns the amount actually charged.
-  SimNanos charge(SimNanos nanos);
+  /// factor and rounded to the nearest nanosecond. Returns the amount
+  /// actually charged.
+  SimNanos charge(SimNanos nanos) {
+    // Below 2^53 a double holds `nanos` exactly, so at slowdown 1.0 the
+    // scaled, rounded value is `nanos` itself: skip the multiply.
+    const SimNanos scaled = slowdown_ == 1.0 && nanos < kExactDoubleLimit
+                                ? nanos
+                                : scale(nanos);
+    now_ += scaled;
+    return scaled;
+  }
 
   /// Sets the multiplicative slowdown applied to subsequent charges
   /// (1.0 = no contention).  Values < 1 are clamped to 1.
@@ -47,6 +56,11 @@ class SimClock {
   void advance_raw(SimNanos nanos) { now_ += nanos; }
 
  private:
+  static constexpr SimNanos kExactDoubleLimit = SimNanos{1} << 53;
+
+  /// llround(nanos * slowdown).
+  SimNanos scale(SimNanos nanos) const;
+
   SimNanos now_ = 0;
   double slowdown_ = 1.0;
 };

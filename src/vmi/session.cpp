@@ -328,6 +328,51 @@ Fallible<GuestView> VmiSession::try_read_view(std::uint32_t va,
   return view;
 }
 
+Fallible<std::optional<ByteView>> VmiSession::try_read_frame(
+    std::uint32_t va, std::size_t len, std::uint32_t frame) {
+  MC_CHECK((va & kPageMask) + len <= vmm::kFrameSize,
+           "try_read_frame: range crosses a page");
+  Fallible<std::uint64_t> pa = try_translate_kv2p(va & ~kPageMask);
+  if (!pa.ok()) {
+    return std::move(pa.fault());
+  }
+  if (static_cast<std::uint32_t>(pa.value() >> vmm::kFrameShift) != frame) {
+    return std::optional<ByteView>();
+  }
+  // walk_guest_range over one page, whose translation the lookup above
+  // just cached: a cache hit, one mapping, one per-byte charge.
+  counters_.view_reads.inc_single_writer();
+  counters_.read_calls.inc_single_writer();
+  charge(costs_.read_call);
+  vmm::FaultInjector& injector = hypervisor_->fault_injector();
+  if (injector.armed() && injector.should_fault_read(domain_id_)) {
+    return make_fault(FaultCode::kReadFault, va, 0, "injected read fault");
+  }
+  counters_.translations.inc_single_writer();
+  counters_.translation_cache_hits.inc_single_writer();
+  charge(costs_.translate_cached);
+  if (touched_ != nullptr) {
+    touched_->push_back({va & ~kPageMask, frame});
+  }
+  const std::uint64_t frame_pa = pa.value();
+  if (!last_mapped_frame_ || *last_mapped_frame_ != frame_pa) {
+    counters_.pages_mapped.inc_single_writer();
+    charge(costs_.page_map);
+    last_mapped_frame_ = frame_pa;
+  }
+  const ByteView bytes = hypervisor_->domain(domain_id_)
+                             .memory()
+                             .frame_view(frame)
+                             .subspan(va & kPageMask, len);
+  charge(costs_.copy_per_byte * len);
+  counters_.view_bytes.inc_single_writer(len);
+  return std::optional<ByteView>(bytes);
+}
+
+std::uint64_t VmiSession::cr3() const {
+  return hypervisor_->domain(domain_id_).cr3();
+}
+
 Fallible<std::uint32_t> VmiSession::try_read_u32(std::uint32_t va) {
   std::uint8_t buf[4];
   if (MaybeFault f = try_read_va(va, MutableByteView(buf, 4))) {

@@ -113,6 +113,22 @@ class VmiSession {
   /// restored from a snapshot; see guest_view.hpp for the borrowing rules.
   Fallible<GuestView> try_read_view(std::uint32_t va, std::size_t len);
 
+  /// A cached copy's dirty-page read: what try_translate_kv2p of va's page
+  /// and then, while the page is still backed by `frame`,
+  /// try_read_view(va, len) charge and count, injection roll included,
+  /// from one translation lookup, returning the frame's bytes instead of a
+  /// GuestView.
+  /// [va, va + len) must lie in one page.  Disengaged when another frame
+  /// backs the page (only the translation was charged).
+  Fallible<std::optional<ByteView>> try_read_frame(std::uint32_t va,
+                                                   std::size_t len,
+                                                   std::uint32_t frame);
+
+  /// The domain's current page-directory base.  A cache of translations
+  /// made under another value is stale even if no watched frame was
+  /// written: the guest switched to other page tables.
+  std::uint64_t cr3() const;
+
   /// Decodes a UNICODE_STRING structure at `us_va` (reads the descriptor,
   /// then the UTF-16LE buffer it points to).
   Fallible<std::string> try_read_unicode_string(std::uint32_t us_va);

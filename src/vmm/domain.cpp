@@ -9,6 +9,13 @@ namespace mc::vmm {
 Domain::Domain(DomainId id, std::string name, std::uint64_t memory_bytes)
     : id_(id), name_(std::move(name)), memory_(memory_bytes) {}
 
+void Domain::set_cr3(std::uint64_t cr3) {
+  if (cr3 != cr3_) {
+    cr3_ = cr3;
+    memory_.note_cr3_switch();
+  }
+}
+
 void Domain::set_load_level(double level) {
   MC_CHECK(level >= 0.0 && level <= 1.0, "load level must be in [0, 1]");
   load_level_ = level;

@@ -33,7 +33,9 @@ class Domain {
 
   /// The guest kernel's page-directory base; 0 until the guest "boots".
   std::uint64_t cr3() const { return cr3_; }
-  void set_cr3(std::uint64_t cr3) { cr3_ = cr3; }
+  /// Loads a page directory.  A switch moves no frame but can remap every
+  /// page, so it is reported to the WriteWatch as a page-table write.
+  void set_cr3(std::uint64_t cr3);
 
   /// 0.0 = idle, 1.0 = saturating all its vCPUs (HeavyLoad).  Set through
   /// Hypervisor::set_load_level, which keeps the busy-load total current.

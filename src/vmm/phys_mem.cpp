@@ -141,6 +141,12 @@ void PhysicalMemory::write(std::uint64_t pa, ByteView data) {
   }
 }
 
+void PhysicalMemory::note_cr3_switch() {
+  if (watch_ != nullptr) {
+    watch_->note_cr3_switch(watch_domain_);
+  }
+}
+
 std::uint64_t PhysicalMemory::frame_version(std::uint32_t frame_no) const {
   const std::uint64_t stamped =
       frame_no < frame_stamps_.size() ? frame_stamps_[frame_no] : 0;

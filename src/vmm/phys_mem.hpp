@@ -75,6 +75,10 @@ class PhysicalMemory {
     watch_domain_ = domain;
   }
 
+  /// Reports the owning domain's page-directory switch to the WriteWatch
+  /// (Domain::set_cr3); no frame is written.
+  void note_cr3_switch();
+
   std::uint8_t read_u8(std::uint64_t pa) const;
   std::uint32_t read_u32(std::uint64_t pa) const;
   void write_u32(std::uint64_t pa, std::uint32_t value);

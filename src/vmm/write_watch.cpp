@@ -246,6 +246,14 @@ void WriteWatch::note_write(DomainId domain, std::uint32_t first_frame,
   notify_domain_write_locked(domain);
 }
 
+void WriteWatch::note_cr3_switch(DomainId domain) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  DomainState& state = domains_[domain];
+  ++state.write_generation;
+  ++state.table_generation;
+  notify_domain_write_locked(domain);
+}
+
 void WriteWatch::note_bulk_invalidate(DomainId domain) {
   std::lock_guard<std::mutex> lock(mutex_);
   DomainState& state = domains_[domain];

@@ -19,14 +19,16 @@
 //     every watch on the domain dirty — the frame<->content association
 //     the watch was registered under no longer holds.
 //   * domain_write_generation() advances on every write to the domain
-//     (watched or not) and on every bulk invalidate.  An unchanged
+//     (watched or not), on every bulk invalidate and on every CR3 switch
+//     (which can remap any page without writing a frame).  An unchanged
 //     generation therefore proves the domain's memory is byte-identical
 //     to the last observation — the strong "nothing can have changed"
 //     signal the fleet service uses to skip whole sweeps.
 //   * table_generation() advances on every write to a frame some consumer
-//     noted as a page table (note_table_frame) and on every bulk
-//     invalidate: an unchanged value proves no noted page table changed,
-//     so translations walked through them still hold.
+//     noted as a page table (note_table_frame), on every bulk invalidate
+//     and on every CR3 switch: an unchanged value proves no noted page
+//     table changed and the same tables are loaded, so translations
+//     walked through them still hold.
 //   * Subscribers are notified synchronously, under the watch lock, on
 //     every domain write and on each clean->dirty watch transition.
 //     Callbacks must be cheap and must NOT call back into WriteWatch
@@ -108,16 +110,17 @@ class WriteWatch {
   /// True while any watch on `domain` is dirty (O(1)).
   bool domain_has_dirty_watch(DomainId domain) const;
 
-  /// Monotonic per-domain write generation — advances on every write and
-  /// every bulk invalidate, watched or not.  Equal generations between two
-  /// observations prove the domain's memory did not change in between.
+  /// Monotonic per-domain write generation — advances on every write,
+  /// every bulk invalidate and every CR3 switch, watched or not.  Equal
+  /// generations between two observations prove the domain's memory and
+  /// its loaded page directory did not change in between.
   std::uint64_t domain_write_generation(DomainId domain) const;
 
   /// Page-table tracking, the shadow-paging side of the facility: a
   /// consumer that walked guest page tables notes each table frame it read
   /// (idempotent) and compares table generations instead of holding a
   /// watch.  The generation advances on every write that touches a noted
-  /// frame of `domain`, and on every bulk invalidate.
+  /// frame of `domain`, on every bulk invalidate and on every CR3 switch.
   void note_table_frame(DomainId domain, std::uint32_t frame);
   std::uint64_t table_generation(DomainId domain) const;
 
@@ -129,6 +132,11 @@ class WriteWatch {
   /// A write touched frames [first_frame, last_frame] of `domain`.
   void note_write(DomainId domain, std::uint32_t first_frame,
                   std::uint32_t last_frame);
+
+  /// `domain` loaded another page directory: no frame changed, so no
+  /// watch goes dirty, but every translation may have, so the write and
+  /// table generations advance.
+  void note_cr3_switch(DomainId domain);
 
   /// `domain`'s memory was wholesale replaced (snapshot restore /
   /// clone-into): every watch on it goes fully dirty.

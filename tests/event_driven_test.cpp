@@ -1222,6 +1222,111 @@ TEST(PageTableRemap, OneCheckerScansBeforeAndAfterTheRemap) {
                                 .scan_pool(module, env->guests())));
 }
 
+/// Copies `vm`'s page directory, and the page table mapping `page_va`,
+/// into fresh frames, backs `page_va` there with a fresh frame holding the
+/// page's bytes after `mutate`, and returns the new directory's address.
+/// No frame a walk has read is written: the page changes only when the
+/// caller loads the directory into CR3.
+std::uint64_t build_remapping_tables(vmm::Hypervisor& hv, vmm::DomainId vm,
+                                     std::uint32_t page_va,
+                                     const std::function<void(Bytes&)>& mutate) {
+  vmm::Domain& dom = hv.domain(vm);
+  vmm::PhysicalMemory& memory = dom.memory();
+  const auto fresh_frame = [&](const Bytes& bytes) {
+    const std::uint64_t pa = std::uint64_t{memory.alloc_frame()}
+                             << vmm::kFrameShift;
+    memory.write(pa, ByteView(bytes));
+    return static_cast<std::uint32_t>(pa);
+  };
+  const auto read_frame = [&](std::uint64_t pa) {
+    Bytes frame(vmm::kFrameSize, 0);
+    memory.read(pa & ~std::uint64_t{vmm::kFrameSize - 1},
+                MutableByteView(frame));
+    return frame;
+  };
+  constexpr std::uint32_t kFlags = vmm::kFrameSize - 1;
+  Bytes directory = read_frame(dom.cr3());
+  const std::uint32_t pde_at = 4 * (page_va >> 22);
+  const std::uint32_t pde = load_le32(ByteView(directory), pde_at);
+  Bytes table = read_frame(pde);
+  const std::uint32_t pte_at = 4 * ((page_va >> vmm::kFrameShift) & 0x3FF);
+  const std::uint32_t pte = load_le32(ByteView(table), pte_at);
+  Bytes page = read_frame(pte);
+  mutate(page);
+  store_le32(MutableByteView(table), pte_at,
+             fresh_frame(page) | (pte & kFlags));
+  store_le32(MutableByteView(directory), pde_at,
+             fresh_frame(table) | (pde & kFlags));
+  return fresh_frame(directory);
+}
+
+TEST(PageTableRemap, Cr3SwitchToRemappingTables) {
+  // The guest builds a second page directory that maps one hal.dll page to
+  // a patched copy, and a tick runs before it loads it; then the CR3
+  // switch alone, with no guest write, must be seen.
+  auto env = make_env(4);
+  IncrementalScanner incremental(env->hypervisor());
+  const std::string module = "hal.dll";
+  const vmm::DomainId victim = env->guests()[1];
+  for (const PoolVmVerdict& v :
+       incremental.scan(module, env->guests()).verdicts) {
+    ASSERT_TRUE(v.clean) << "vm " << v.vm;
+  }
+  std::size_t size = 0;
+  const std::uint32_t base = module_base(*env, victim, module, &size);
+  ASSERT_GT(size, 2 * std::size_t{vmm::kFrameSize});
+  const std::uint64_t directory = build_remapping_tables(
+      env->hypervisor(), victim,
+      (base & ~(vmm::kFrameSize - 1)) + vmm::kFrameSize,
+      [](Bytes& page) { page[0x80] ^= 0x01; });
+  for (const PoolVmVerdict& v :
+       incremental.scan(module, env->guests()).verdicts) {
+    EXPECT_TRUE(v.clean) << "vm " << v.vm << " before the switch";
+  }
+
+  env->hypervisor().domain(victim).set_cr3(directory);
+  const PoolScanReport report = incremental.scan(module, env->guests());
+  for (const PoolVmVerdict& v : report.verdicts) {
+    EXPECT_EQ(v.clean, v.vm != victim) << "vm " << v.vm;
+  }
+  EXPECT_EQ(normalized_json(report),
+            normalized_json(ModChecker(env->hypervisor())
+                                .scan_pool(module, env->guests())));
+}
+
+TEST(PageTableRemap, Cr3SwitchToRemappingTablesRenamesLoaderEntry) {
+  // The switched-to tables map hal.dll's loader-entry page to a copy that
+  // names the module "hal.dl"; the frame every earlier walk read keeps
+  // the real name.
+  auto env = make_env(4);
+  IncrementalScanner incremental(env->hypervisor());
+  const std::string module = "hal.dll";
+  const vmm::DomainId victim = env->guests()[2];
+  const std::string warm =
+      normalized_json(incremental.scan(module, env->guests()));
+
+  guestos::GuestKernel& kernel = env->kernel(victim);
+  const guestos::LdrEntry entry = ldr_entry(kernel, module);
+  const std::uint32_t length_va = entry.entry_va +
+                                  kernel.profile().off_base_dll_name +
+                                  guestos::kOffUsLength;
+  const std::uint32_t page_va = length_va & ~(vmm::kFrameSize - 1);
+  ASSERT_LT(length_va - page_va + 2, vmm::kFrameSize);
+  env->hypervisor().domain(victim).set_cr3(build_remapping_tables(
+      env->hypervisor(), victim, page_va, [&](Bytes& page) {
+        const std::uint32_t at = length_va - page_va;
+        store_le16(MutableByteView(page), at,
+                   static_cast<std::uint16_t>(
+                       load_le16(ByteView(page), at) - 2));
+      }));
+
+  const std::string event =
+      normalized_json(incremental.scan(module, env->guests()));
+  EXPECT_NE(event, warm);
+  EXPECT_EQ(event, normalized_json(ModChecker(env->hypervisor())
+                                       .scan_pool(module, env->guests())));
+}
+
 const Bytes& golden_of(cloud::CloudEnvironment& env,
                        const std::string& module) {
   return env.golden().file(module);

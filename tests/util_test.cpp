@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <future>
 #include <set>
 #include <stdexcept>
@@ -149,6 +150,24 @@ TEST(SimClock, SlowdownScalesCharges) {
   clock.set_slowdown(2.5);
   clock.charge(100);
   EXPECT_EQ(clock.now(), 250u);
+}
+
+TEST(SimClock, ChargeEqualsRoundedProductAtAndPastTheExactRange) {
+  // The slowdown-1.0 shortcut must charge what llround(nanos * slowdown)
+  // charges, including at the edge of the doubles' exact integer range.
+  const SimNanos two53 = SimNanos{1} << 53;
+  for (const double slowdown : {1.0, 1.5}) {
+    for (const SimNanos nanos :
+         {SimNanos{0}, SimNanos{1}, two53 - 1, two53, SimNanos{1} << 60}) {
+      const auto expected = static_cast<SimNanos>(
+          std::llround(static_cast<double>(nanos) * slowdown));
+      SimClock clock;
+      clock.set_slowdown(slowdown);
+      EXPECT_EQ(clock.charge(nanos), expected)
+          << nanos << " at " << slowdown;
+      EXPECT_EQ(clock.now(), expected) << nanos << " at " << slowdown;
+    }
+  }
 }
 
 TEST(SimClock, SlowdownClampsBelowOne) {

@@ -77,9 +77,18 @@ AnalyzeResult Analyzer::run(const AnalyzeOptions& opts) {
     return true;
   };
 
+  const std::vector<std::string>& catalog = rule_ids();
   for (const Unit& u : units_) {
     std::vector<Finding>& findings = per_file[u.file];
-    const auto suppressed = suppressions(u.src);
+    std::vector<AllowDirective> named;
+    const auto suppressed = suppressions(u.src, &named);
+    for (const AllowDirective& d : named) {
+      if (std::find(catalog.begin(), catalog.end(), d.rule) == catalog.end()) {
+        result.errors.push_back(u.file + ":" + std::to_string(d.line + 1) +
+                                ": allow(" + d.rule +
+                                ") names no rule in the catalog");
+      }
+    }
     std::erase_if(findings, [&](const Finding& f) {
       const auto it = suppressed.find(static_cast<std::size_t>(f.line - 1));
       if (it != suppressed.end() && it->second.count(f.rule) > 0) {

@@ -33,8 +33,8 @@ struct Finding {
 /// "file:line: [rule] message" — the grep/IDE-friendly format.
 std::string format_finding(const Finding& f);
 
-/// The rule catalog (the ids accepted by allow(...), --disable and
-/// --allow): the ten line rules, then the six semantic rules.
+/// The rule catalog (the only ids allow(...), --disable and --allow
+/// accept): the ten line rules, then the six semantic rules.
 const std::vector<std::string>& rule_ids();
 
 struct AnalyzeOptions {
@@ -49,7 +49,9 @@ struct AnalyzeOptions {
 
 struct AnalyzeResult {
   std::vector<Finding> findings;  // ordered by (file, line)
-  /// Per-file read errors ("path: reason"); the walk continues past them.
+  /// Per-file errors, the walk continuing past them: read errors
+  /// ("path: reason") and allow(...) directives naming an id outside the
+  /// catalog ("path:line: ...").
   std::vector<std::string> errors;
 };
 

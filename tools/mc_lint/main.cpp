@@ -17,8 +17,9 @@
 //                        exit 4 over budget, 0 otherwise (findings are not
 //                        the gate's concern)
 //
-// Exit codes: 0 clean, 1 findings, 2 usage error or unreadable files,
-// 4 timing budget exceeded.
+// Exit codes: 0 clean, 1 findings, 2 usage error (a rule id outside the
+// catalog included, in an option or an allow(...) directive) or unreadable
+// files, 4 timing budget exceeded.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -79,6 +80,18 @@ bool read_file(const std::string& path, std::string& content,
   return true;
 }
 
+/// False, after naming it on stderr, when `rule` (given to `option`) is
+/// not in the catalog: a misspelt id would relax nothing.
+bool known_rule(const std::string& rule, const char* option) {
+  const std::vector<std::string>& ids = mc::lint::rule_ids();
+  if (std::find(ids.begin(), ids.end(), rule) != ids.end()) {
+    return true;
+  }
+  std::fprintf(stderr, "mc_lint: %s names unknown rule '%s'\n", option,
+               rule.c_str());
+  return false;
+}
+
 std::vector<std::string> split_commas(const std::string& s) {
   std::vector<std::string> out;
   std::size_t begin = 0;
@@ -130,6 +143,9 @@ int main(int argc, char** argv) {
       output = value("--output=");
     } else if (arg.rfind("--disable=", 0) == 0) {
       for (const std::string& rule : split_commas(value("--disable="))) {
+        if (!known_rule(rule, "--disable")) {
+          return 2;
+        }
         opts.disabled.insert(rule);
       }
     } else if (arg.rfind("--allow=", 0) == 0) {
@@ -137,6 +153,9 @@ int main(int argc, char** argv) {
       const std::size_t colon = v.find(':');
       if (colon == std::string::npos || colon == 0 || colon + 1 >= v.size()) {
         std::fprintf(stderr, "mc_lint: --allow wants RULE:PATH-SUBSTRING\n");
+        return 2;
+      }
+      if (!known_rule(v.substr(0, colon), "--allow")) {
         return 2;
       }
       opts.allow_paths.emplace_back(v.substr(0, colon), v.substr(colon + 1));

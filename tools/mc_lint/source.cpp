@@ -103,13 +103,20 @@ ScannedSource scan(const std::string& content) {
 }
 
 std::map<std::size_t, std::set<std::string>> suppressions(
-    const ScannedSource& src) {
+    const ScannedSource& src, std::vector<AllowDirective>* named) {
   static const std::string kMarker = "mc-lint: allow(";
   std::map<std::size_t, std::set<std::string>> by_line;
   for (std::size_t i = 0; i < src.comments.size(); ++i) {
     const std::string& comment = src.comments[i];
     for (std::size_t pos = comment.find(kMarker); pos != std::string::npos;
          pos = comment.find(kMarker, pos + 1)) {
+      if (std::count(comment.begin(),
+                     comment.begin() + static_cast<std::ptrdiff_t>(pos),
+                     '`') %
+              2 !=
+          0) {
+        continue;  // quoted in prose
+      }
       const std::size_t open = pos + kMarker.size();
       const std::size_t close = comment.find(')', open);
       if (close == std::string::npos) {
@@ -128,6 +135,9 @@ std::map<std::size_t, std::set<std::string>> suppressions(
                    rule.end());
         if (!rule.empty()) {
           by_line[target].insert(rule);
+          if (named != nullptr) {
+            named->push_back({i, rule});
+          }
         }
       }
     }

@@ -23,12 +23,21 @@ struct ScannedSource {
 /// suppression parser.
 ScannedSource scan(const std::string& content);
 
+/// One rule id an allow(...) directive names, on the directive's 0-based
+/// line.
+struct AllowDirective {
+  std::size_t line = 0;
+  std::string rule;
+};
+
 /// Parses every `mc-lint: allow(rule-a, rule-b)` directive and returns,
 /// per 0-based line, the set of rules suppressed on that line.  A directive
 /// on a code line covers that line; on a comment-only line it covers the
-/// following line.
+/// following line.  A marker inside a `backtick` span of its comment is an
+/// example in prose, not a directive.  Each id a directive names is also
+/// appended to `named` when it is non-null.
 std::map<std::size_t, std::set<std::string>> suppressions(
-    const ScannedSource& src);
+    const ScannedSource& src, std::vector<AllowDirective>* named = nullptr);
 
 // ---- Small text helpers ----------------------------------------------------
 
