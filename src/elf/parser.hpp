@@ -38,11 +38,6 @@ class ElfImage {
   const Elf64Ehdr& header() const { return ehdr_; }
   const std::vector<Elf64Shdr>& sections() const { return sections_; }
 
-  /// Resolved name of section `index` ("" for unnamed/null sections).
-  const std::string& section_name(std::size_t index) const {
-    return names_[index];
-  }
-
   /// Finds a section by name; returns nullptr if absent.
   const Elf64Shdr* find_section(const std::string& name) const;
   /// Index variant (needed to follow sh_link/sh_info); -1 if absent.

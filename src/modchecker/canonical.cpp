@@ -517,7 +517,7 @@ bool CanonicalPool::settle_item(std::size_t i, const ParsedModule& module,
   adjust_runs_.inc_single_writer();
   const RvaAdjustResult adj = adjust_fixups(
       ref_copy, reference_->base, mod_copy, module.base, module.fixups,
-      simd::Policy::kAuto, canonical_[i] ? nullptr : &windows);
+      canonical_[i] ? nullptr : &windows);
   clock.charge(costs_.rva_scan_per_byte *
                std::max(ref_copy.size(), mod_copy.size()));
   if (adj.unresolved_diffs > 0) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <span>
 
+#include "util/simd.hpp"
+
 namespace mc::core {
 
 namespace {
@@ -55,16 +57,14 @@ crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
   return hasher->finish();
 }
 
-bool spans_equal(std::span<const ByteView> a, std::span<const ByteView> b,
-                 simd::Policy policy) {
+bool spans_equal(std::span<const ByteView> a, std::span<const ByteView> b) {
   std::size_t ia = 0;
   std::size_t ib = 0;
   std::size_t oa = 0;
   std::size_t ob = 0;
   while (ia < a.size() && ib < b.size()) {
     const std::size_t take = std::min(a[ia].size() - oa, b[ib].size() - ob);
-    if (!simd::equal(a[ia].subspan(oa, take), b[ib].subspan(ob, take),
-                     policy)) {
+    if (!simd::equal(a[ia].subspan(oa, take), b[ib].subspan(ob, take))) {
       return false;
     }
     oa += take;
@@ -81,19 +81,17 @@ bool spans_equal(std::span<const ByteView> a, std::span<const ByteView> b,
   return true;
 }
 
-bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,
-                        simd::Policy policy) {
+bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b) {
   if (a.content_size() != b.content_size()) {
     return false;
   }
-  return spans_equal(a.view.segments(), b.view.segments(), policy);
+  return spans_equal(a.view.segments(), b.view.segments());
 }
 
 bool append_diff_runs(ByteView actual, ByteView expected, std::size_t pos,
-                      const DiffCap& cap, std::size_t& bytes, ByteSpans& out,
-                      simd::Policy policy) {
+                      const DiffCap& cap, std::size_t& bytes, ByteSpans& out) {
   const std::size_t n = actual.size();
-  std::size_t k = simd::mismatch(actual.data(), expected.data(), n, 0, policy);
+  std::size_t k = simd::mismatch(actual.data(), expected.data(), n, 0);
   while (k < n) {
     std::size_t e = k + 1;
     while (e < n && actual[e] != expected[e]) {
@@ -110,13 +108,13 @@ bool append_diff_runs(ByteView actual, ByteView expected, std::size_t pos,
     if (bytes > cap.max_bytes || out.size() > cap.max_spans) {
       return false;
     }
-    k = simd::mismatch(actual.data(), expected.data(), n, e, policy);
+    k = simd::mismatch(actual.data(), expected.data(), n, e);
   }
   return true;
 }
 
 bool content_diff(const IntegrityItem& item, ByteView expected,
-                  const DiffCap& cap, ByteSpans& out, simd::Policy policy) {
+                  const DiffCap& cap, ByteSpans& out) {
   out.clear();
   if (item.content_size() != expected.size()) {
     return false;
@@ -125,10 +123,9 @@ bool content_diff(const IntegrityItem& item, ByteView expected,
   std::size_t bytes = 0;
   bool within = true;
   item.for_each_span([&](ByteView span) {
-    if (within && !simd::equal(span, expected.subspan(pos, span.size()),
-                               policy)) {
+    if (within && !simd::equal(span, expected.subspan(pos, span.size()))) {
       within = append_diff_runs(span, expected.subspan(pos, span.size()),
-                                pos, cap, bytes, out, policy);
+                                pos, cap, bytes, out);
     }
     pos += span.size();
   });
@@ -137,8 +134,7 @@ bool content_diff(const IntegrityItem& item, ByteView expected,
 
 bool relocated_diff(const IntegrityItem& item, const FixupPolicy& fixups,
                     std::uint32_t base, ByteView canonical,
-                    const WindowMap& map, const DiffCap& cap, ByteSpans& out,
-                    simd::Policy policy) {
+                    const WindowMap& map, const DiffCap& cap, ByteSpans& out) {
   out.clear();
   if (!map.usable_for(fixups, item.content_size()) ||
       canonical.size() != map.size()) {
@@ -159,9 +155,9 @@ bool relocated_diff(const IntegrityItem& item, const FixupPolicy& fixups,
       const MutableByteView expected(chunk, take);
       relocate_range(canonical, map.starts(), next, fixups.width, biased, pos,
                      expected);
-      if (!simd::equal(span.first(take), expected, policy)) {
+      if (!simd::equal(span.first(take), expected)) {
         within = append_diff_runs(span.first(take), expected, pos, cap,
-                                  bytes, out, policy);
+                                  bytes, out);
       }
       span = span.subspan(take);
       pos += take;
@@ -172,11 +168,9 @@ bool relocated_diff(const IntegrityItem& item, const FixupPolicy& fixups,
 
 bool relocated_content_equal(const IntegrityItem& item,
                              const FixupPolicy& fixups, std::uint32_t base,
-                             ByteView canonical, const WindowMap& map,
-                             simd::Policy policy) {
+                             ByteView canonical, const WindowMap& map) {
   ByteSpans none;
-  return relocated_diff(item, fixups, base, canonical, map, DiffCap{}, none,
-                        policy) &&
+  return relocated_diff(item, fixups, base, canonical, map, DiffCap{}, none) &&
          none.empty();
 }
 

@@ -20,7 +20,6 @@
 #include "modchecker/item.hpp"
 #include "modchecker/rva_adjust.hpp"
 #include "util/arena.hpp"
-#include "util/simd.hpp"
 
 namespace mc::core {
 
@@ -29,10 +28,8 @@ crypto::Digest hash_item_content(crypto::HashAlgorithm algorithm,
                                  const IntegrityItem& item);
 
 /// Byte equality of two items' contents, span pair by span pair, using the
-/// word-wise comparison kernels; allocates nothing.  `policy` pins the
-/// call scalar.
-bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b,
-                        simd::Policy policy = simd::Policy::kAuto);
+/// word-wise comparison kernel; allocates nothing.
+bool item_content_equal(const IntegrityItem& a, const IntegrityItem& b);
 
 /// [lo, hi) content offsets, ascending and disjoint.
 using ByteSpans = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
@@ -44,25 +41,22 @@ struct DiffCap {
 };
 
 /// Byte equality of two contents given as span lists (a dual-cursor walk
-/// comparing each overlap with the word-wise kernels); the lists must
+/// comparing each overlap with the word-wise kernel); the lists must
 /// cover the same number of bytes.
-bool spans_equal(std::span<const ByteView> a, std::span<const ByteView> b,
-                 simd::Policy policy = simd::Policy::kAuto);
+bool spans_equal(std::span<const ByteView> a, std::span<const ByteView> b);
 
 /// Appends the maximal runs at which `actual` differs from `expected`
 /// (equal sizes, at content offset `pos`) to `out`, extending the last
 /// run when one continues it.  False once `out` exceeds `cap`; `bytes`
 /// counts the bytes `out` covers.
 bool append_diff_runs(ByteView actual, ByteView expected, std::size_t pos,
-                      const DiffCap& cap, std::size_t& bytes, ByteSpans& out,
-                      simd::Policy policy = simd::Policy::kAuto);
+                      const DiffCap& cap, std::size_t& bytes, ByteSpans& out);
 
 /// The maximal runs of bytes at which `item` differs from `expected`,
 /// appended to `out` (cleared first).  False when the sizes differ or the
 /// runs exceed `cap`; `out` is then incomplete.  One allocation-free pass.
 bool content_diff(const IntegrityItem& item, ByteView expected,
-                  const DiffCap& cap, ByteSpans& out,
-                  simd::Policy policy = simd::Policy::kAuto);
+                  const DiffCap& cap, ByteSpans& out);
 
 /// content_diff against the canonical form `canonical` relocated at
 /// `base` through `map`: canonical's bytes, with each window holding its
@@ -71,8 +65,7 @@ bool content_diff(const IntegrityItem& item, ByteView expected,
 /// item's spans against that form a stack chunk at a time.
 bool relocated_diff(const IntegrityItem& item, const FixupPolicy& fixups,
                     std::uint32_t base, ByteView canonical,
-                    const WindowMap& map, const DiffCap& cap, ByteSpans& out,
-                    simd::Policy policy = simd::Policy::kAuto);
+                    const WindowMap& map, const DiffCap& cap, ByteSpans& out);
 
 /// True iff `item`, a copy loaded at `base` under `fixups`, is the
 /// canonical form `canonical` relocated at its own base through `map`
@@ -82,8 +75,7 @@ bool relocated_diff(const IntegrityItem& item, const FixupPolicy& fixups,
 /// `canonical` (DESIGN §5.1).
 bool relocated_content_equal(const IntegrityItem& item,
                              const FixupPolicy& fixups, std::uint32_t base,
-                             ByteView canonical, const WindowMap& map,
-                             simd::Policy policy = simd::Policy::kAuto);
+                             ByteView canonical, const WindowMap& map);
 
 /// Copies the item's content into `arena` scratch — the mutation point for
 /// Algorithm 2, which rewrites relocation words before hashing.  The span

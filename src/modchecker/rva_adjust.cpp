@@ -21,22 +21,17 @@ std::uint32_t nonzero_byte_count(std::uint64_t x) {
 }
 
 // Identical-bases path: every differing byte is real divergence; count
-// them all.  Word-at-a-time with a per-word byte population count — the
-// scan touches every byte exactly once either way, so the scalar fallback
-// is byte-for-byte equivalent.
-std::uint32_t count_differing_bytes(ByteView a, ByteView b, std::size_t n,
-                                    simd::Policy policy) {
+// them all, a word at a time with a per-word byte population count.
+std::uint32_t count_differing_bytes(ByteView a, ByteView b, std::size_t n) {
   MC_CHECK(n <= a.size() && n <= b.size(),
            "count_differing_bytes out of range");
   std::uint32_t diffs = 0;
   std::size_t j = 0;
-  if (simd::active_level(policy) != simd::Level::kScalar) {
-    for (; j + 8 <= n; j += 8) {
-      const std::uint64_t x =
-          load_word64(a.data() + j) ^ load_word64(b.data() + j);
-      if (x != 0) {
-        diffs += nonzero_byte_count(x);
-      }
+  for (; j + 8 <= n; j += 8) {
+    const std::uint64_t x =
+        load_word64(a.data() + j) ^ load_word64(b.data() + j);
+    if (x != 0) {
+      diffs += nonzero_byte_count(x);
     }
   }
   for (; j < n; ++j) {
@@ -137,8 +132,7 @@ template <std::uint32_t W>
 ResumedRun scan(MutableByteView s1, MutableByteView s2, std::size_t origin,
                 std::size_t common, std::uint32_t offset, std::uint64_t eb1,
                 std::uint64_t eb2, std::uint32_t alt_width, std::size_t from,
-                const Resync* resync, simd::Policy policy,
-                std::vector<FixupWindow>* windows) {
+                const Resync* resync, std::vector<FixupWindow>* windows) {
   ResumedRun run;
   RvaAdjustResult& result = run.counts;
   const std::size_t n = s1.size();
@@ -150,10 +144,10 @@ ResumedRun scan(MutableByteView s1, MutableByteView s2, std::size_t origin,
       run.synced = true;
       return run;
     }
-    // The kernel XORs eight (or thirty-two) bytes at a time and only a
-    // differing word takes a branch.
+    // The kernel XORs 32 bytes at a time and only a differing step takes
+    // a branch.
     const std::size_t j =
-        origin + simd::mismatch(s1.data(), s2.data(), n, pos - origin, policy);
+        origin + simd::mismatch(s1.data(), s2.data(), n, pos - origin);
     if (j == end) {
       run.stop = end;
       run.synced = end == common;
@@ -207,7 +201,7 @@ void check_policy(const FixupPolicy& fixups) {
 /// A full run of `fixups`' scan over the common prefix of two sections.
 RvaAdjustResult full_run(MutableByteView section1, std::uint32_t base1,
                          MutableByteView section2, std::uint32_t base2,
-                         const FixupPolicy& fixups, simd::Policy policy,
+                         const FixupPolicy& fixups,
                          std::vector<FixupWindow>* windows) {
   if (windows != nullptr) {
     windows->clear();
@@ -222,7 +216,7 @@ RvaAdjustResult full_run(MutableByteView section1, std::uint32_t base1,
   const std::uint32_t offset = base_difference_offset(base1, base2);
   if (offset == 0) {
     result.unresolved_diffs +=
-        count_differing_bytes(section1, section2, common, policy);
+        count_differing_bytes(section1, section2, common);
     return result;
   }
   const MutableByteView s1 = section1.first(common);
@@ -232,9 +226,9 @@ RvaAdjustResult full_run(MutableByteView section1, std::uint32_t base1,
   const ResumedRun run =
       fixups.width == 8
           ? scan<8>(s1, s2, 0, common, offset, eb1, eb2, fixups.alt_width, 0,
-                    nullptr, policy, windows)
+                    nullptr, windows)
           : scan<4>(s1, s2, 0, common, offset, eb1, eb2, fixups.alt_width, 0,
-                    nullptr, policy, windows);
+                    nullptr, windows);
   result.adjusted += run.counts.adjusted;
   result.unresolved_diffs += run.counts.unresolved_diffs;
   return result;
@@ -244,18 +238,16 @@ RvaAdjustResult full_run(MutableByteView section1, std::uint32_t base1,
 
 RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
                             MutableByteView section2, std::uint32_t base2,
-                            simd::Policy policy,
                             std::vector<FixupWindow>* windows) {
-  return full_run(section1, base1, section2, base2, FixupPolicy{}, policy,
-                  windows);
+  return full_run(section1, base1, section2, base2, FixupPolicy{}, windows);
 }
 
 RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
                               MutableByteView section2, std::uint32_t base2,
-                              const FixupPolicy& fixups, simd::Policy policy,
+                              const FixupPolicy& fixups,
                               std::vector<FixupWindow>* windows) {
   check_policy(fixups);
-  return full_run(section1, base1, section2, base2, fixups, policy, windows);
+  return full_run(section1, base1, section2, base2, fixups, windows);
 }
 
 ResumedRun adjust_fixups_resumed(MutableByteView section1, std::uint32_t base1,
@@ -263,8 +255,7 @@ ResumedRun adjust_fixups_resumed(MutableByteView section1, std::uint32_t base1,
                                  const FixupPolicy& fixups, std::size_t origin,
                                  std::size_t common, std::size_t from,
                                  std::size_t until,
-                                 const std::vector<std::uint32_t>& starts,
-                                 simd::Policy policy) {
+                                 const std::vector<std::uint32_t>& starts) {
   check_policy(fixups);
   const std::uint32_t offset = base_difference_offset(base1, base2);
   MC_CHECK(offset != 0, "adjust_fixups_resumed needs distinct bases");
@@ -277,9 +268,9 @@ ResumedRun adjust_fixups_resumed(MutableByteView section1, std::uint32_t base1,
   const std::uint64_t eb2 = fixups.biased_base(base2);
   return fixups.width == 8
              ? scan<8>(section1, section2, origin, common, offset, eb1, eb2,
-                       fixups.alt_width, from, &resync, policy, nullptr)
+                       fixups.alt_width, from, &resync, nullptr)
              : scan<4>(section1, section2, origin, common, offset, eb1, eb2,
-                       fixups.alt_width, from, &resync, policy, nullptr);
+                       fixups.alt_width, from, &resync, nullptr);
 }
 
 std::optional<WindowMap> WindowMap::from_run(

@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "util/bytes.hpp"
-#include "util/simd.hpp"
 
 namespace mc::core {
 
@@ -64,17 +63,14 @@ struct FixupWindow {
 /// Buffers of different lengths: the common prefix is processed and every
 /// trailing byte counts as an unresolved difference.
 ///
-/// The diff scan runs word-wise (SWAR / AVX2 behind runtime dispatch);
-/// `policy` pins an individual call to the scalar kernel, and the process
-/// default honors MC_FORCE_SCALAR.  Results — the rewritten bytes and
-/// both counters — are bit-identical at every dispatch level
-/// (tests/simd_equivalence_test.cpp is the oracle).
+/// The diff scan runs on the word kernel (util/simd.hpp);
+/// tests/simd_equivalence_test.cpp checks the rewritten bytes and the
+/// adjusted count against the byte-at-a-time reference in tests/oracle.hpp.
 ///
 /// `windows` (optional) is replaced with the windows the run rewrote, in
 /// scan order; recording them changes nothing else.
 RvaAdjustResult adjust_rvas(MutableByteView section1, std::uint32_t base1,
                             MutableByteView section2, std::uint32_t base2,
-                            simd::Policy policy = simd::Policy::kAuto,
                             std::vector<FixupWindow>* windows = nullptr);
 
 /// The `offset` of Algorithm 2 lines 1-9: 1-based index of the first
@@ -121,7 +117,6 @@ struct FixupPolicy {
 RvaAdjustResult adjust_fixups(MutableByteView section1, std::uint32_t base1,
                               MutableByteView section2, std::uint32_t base2,
                               const FixupPolicy& fixups,
-                              simd::Policy policy = simd::Policy::kAuto,
                               std::vector<FixupWindow>* windows = nullptr);
 
 /// Where adjust_fixups_resumed stopped.
@@ -154,8 +149,7 @@ ResumedRun adjust_fixups_resumed(MutableByteView section1, std::uint32_t base1,
                                  const FixupPolicy& fixups, std::size_t origin,
                                  std::size_t common, std::size_t from,
                                  std::size_t until,
-                                 const std::vector<std::uint32_t>& starts,
-                                 simd::Policy policy = simd::Policy::kAuto);
+                                 const std::vector<std::uint32_t>& starts);
 
 /// The relocation windows of one fully resolved Algorithm 2 run that
 /// produced a canonical form C, kept so a later copy at another base can

@@ -18,11 +18,6 @@ PeBuilder& PeBuilder::set_image_base(std::uint32_t base) {
   return *this;
 }
 
-PeBuilder& PeBuilder::set_timestamp(std::uint32_t timestamp) {
-  timestamp_ = timestamp;
-  return *this;
-}
-
 PeBuilder& PeBuilder::set_entry_point(std::uint32_t rva) {
   entry_point_rva_ = rva;
   return *this;

@@ -30,7 +30,6 @@ class PeBuilder {
   explicit PeBuilder(std::string module_name);
 
   PeBuilder& set_image_base(std::uint32_t base);
-  PeBuilder& set_timestamp(std::uint32_t timestamp);
   /// Entry point as an absolute RVA (usually text_rva + offset).
   PeBuilder& set_entry_point(std::uint32_t rva);
   PeBuilder& set_dll(bool is_dll);

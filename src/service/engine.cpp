@@ -1,7 +1,6 @@
 #include "service/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <set>
 #include <utility>
 
@@ -30,7 +29,6 @@ class SweepEngine::DirtyTracker : public vmm::WriteWatch::Subscriber {
   ~DirtyTracker() override { watch_->unsubscribe(this); }
 
   void on_domain_write(vmm::DomainId domain) override {
-    write_events_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(mutex_);
     if (seen_.insert(domain).second) {
       dirty_domains_.inc();
@@ -42,16 +40,10 @@ class SweepEngine::DirtyTracker : public vmm::WriteWatch::Subscriber {
     watch_notifications_.inc();
   }
 
-  /// Total on_domain_write callbacks observed (monotonic).
-  std::uint64_t write_events() const {
-    return write_events_.load(std::memory_order_relaxed);
-  }
-
  private:
   vmm::WriteWatch* watch_;
   telemetry::Counter dirty_domains_;
   telemetry::Counter watch_notifications_;
-  std::atomic<std::uint64_t> write_events_{0};
   std::mutex mutex_;
   std::set<vmm::DomainId> seen_;
 };

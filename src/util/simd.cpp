@@ -1,57 +1,50 @@
 #include "util/simd.hpp"
 
-#include <atomic>
 #include <bit>
-#include <cstdlib>
 
 #include "util/wordload.hpp"
-
-#if defined(__x86_64__) || defined(__i386__)
-#include <immintrin.h>
-#define MC_SIMD_X86 1
-#endif
 
 namespace mc::simd {
 
 namespace {
 
-bool env_force_scalar() {
-  const char* v = std::getenv("MC_FORCE_SCALAR");
-  return v != nullptr && v[0] != '\0' &&
-         !(v[0] == '0' && v[1] == '\0');
-}
-
-std::atomic<bool>& force_flag() {
-  static std::atomic<bool> flag{env_force_scalar()};
-  return flag;
-}
-
-// SWAR needs "trailing zero bit count / 8 = first differing byte", which
-// holds for native loads only on little-endian hosts.
-constexpr bool kLittleEndian =
-#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    false;
-#else
-    true;
-#endif
-
-bool cpu_has_avx2() {
-#if defined(MC_SIMD_X86)
-  return __builtin_cpu_supports("avx2");
-#else
-  return false;
-#endif
-}
-
-Level detect_level() {
-  if (!kLittleEndian) {
-    return Level::kScalar;
+/// Index of the first differing byte inside a nonzero XOR of two native
+/// words: the lowest-addressed byte is the least significant on a
+/// little-endian host and the most significant on a big-endian one.
+std::size_t first_byte(std::uint64_t x) {
+  if constexpr (std::endian::native == std::endian::big) {
+    return static_cast<std::size_t>(std::countl_zero(x)) / 8;
+  } else {
+    return static_cast<std::size_t>(std::countr_zero(x)) / 8;
   }
-  return cpu_has_avx2() ? Level::kAvx2 : Level::kSwar;
 }
 
-std::size_t mismatch_scalar(const std::uint8_t* a, const std::uint8_t* b,
-                            std::size_t n, std::size_t i) {
+}  // namespace
+
+std::size_t mismatch(const std::uint8_t* a, const std::uint8_t* b,
+                     std::size_t n, std::size_t from) {
+  std::size_t i = from;
+  // Four words per step; only a step holding a difference branches into
+  // the per-word search.
+  while (i + 32 <= n) {
+    const std::uint64_t x0 = load_word64(a + i) ^ load_word64(b + i);
+    const std::uint64_t x1 = load_word64(a + i + 8) ^ load_word64(b + i + 8);
+    const std::uint64_t x2 =
+        load_word64(a + i + 16) ^ load_word64(b + i + 16);
+    const std::uint64_t x3 =
+        load_word64(a + i + 24) ^ load_word64(b + i + 24);
+    if ((x0 | x1 | x2 | x3) != 0) {
+      break;
+    }
+    i += 32;
+  }
+  while (i + 8 <= n) {
+    const std::uint64_t x = load_word64(a + i) ^ load_word64(b + i);
+    if (x != 0) {
+      return i + first_byte(x);
+    }
+    i += 8;
+  }
   for (; i < n; ++i) {
     if (a[i] != b[i]) {
       return i;
@@ -60,96 +53,9 @@ std::size_t mismatch_scalar(const std::uint8_t* a, const std::uint8_t* b,
   return n;
 }
 
-std::size_t mismatch_swar(const std::uint8_t* a, const std::uint8_t* b,
-                          std::size_t n, std::size_t i) {
-  // XOR eight bytes at a time; only a nonzero word takes the branch, and
-  // the trailing-zero count locates the exact differing byte.
-  while (i + 8 <= n) {
-    const std::uint64_t x = load_word64(a + i) ^ load_word64(b + i);
-    if (x != 0) {
-      return i + static_cast<std::size_t>(std::countr_zero(x)) / 8;
-    }
-    i += 8;
-  }
-  return mismatch_scalar(a, b, n, i);
-}
-
-#if defined(MC_SIMD_X86)
-__attribute__((target("avx2"))) std::size_t mismatch_avx2(
-    const std::uint8_t* a, const std::uint8_t* b, std::size_t n,
-    std::size_t i) {
-  while (i + 32 <= n) {
-    const __m256i va = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a + i));  // mc-lint: allow(raw-reinterpret-cast)
-    const __m256i vb = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b + i));  // mc-lint: allow(raw-reinterpret-cast)
-    const unsigned mask = static_cast<unsigned>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    if (mask != 0xFFFFFFFFu) {
-      return i + static_cast<std::size_t>(std::countr_zero(~mask));
-    }
-    i += 32;
-  }
-  return mismatch_swar(a, b, n, i);
-}
-#endif
-
-}  // namespace
-
-bool force_scalar() { return force_flag().load(std::memory_order_relaxed); }
-
-void set_force_scalar(bool on) {
-  force_flag().store(on, std::memory_order_relaxed);
-}
-
-Level active_level(Policy policy) {
-  if (policy == Policy::kScalar || force_scalar()) {
-    return Level::kScalar;
-  }
-  static const Level detected = detect_level();
-  return detected;
-}
-
-const char* level_name(Level level) {
-  switch (level) {
-    case Level::kScalar:
-      return "scalar";
-    case Level::kSwar:
-      return "swar";
-    case Level::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-std::size_t mismatch(const std::uint8_t* a, const std::uint8_t* b,
-                     std::size_t n, std::size_t from, Policy policy) {
-  if (from >= n) {
-    return n;
-  }
-  switch (active_level(policy)) {
-    case Level::kScalar:
-      return mismatch_scalar(a, b, n, from);
-    case Level::kSwar:
-      return mismatch_swar(a, b, n, from);
-    case Level::kAvx2:
-#if defined(MC_SIMD_X86)
-      return mismatch_avx2(a, b, n, from);
-#else
-      return mismatch_swar(a, b, n, from);
-#endif
-  }
-  return mismatch_scalar(a, b, n, from);
-}
-
-bool equal(ByteView a, ByteView b, Policy policy) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  if (a.empty()) {
-    return true;
-  }
-  return mismatch(a.data(), b.data(), a.size(), 0, policy) == a.size();
+bool equal(ByteView a, ByteView b) {
+  return a.size() == b.size() &&
+         mismatch(a.data(), b.data(), a.size(), 0) == a.size();
 }
 
 }  // namespace mc::simd

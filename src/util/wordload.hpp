@@ -1,6 +1,6 @@
 // Shared unaligned word loads for the hot path.
 //
-// The crypto block loops and Algorithm 2's SWAR diff scan all want "give
+// The crypto block loops and the byte-compare kernel all want "give
 // me the 32/64-bit word at this byte offset" without assembling it a byte
 // at a time.  These helpers are the one blessed place that turns byte
 // storage into words: a compiler-builtin memcpy (which every target here
@@ -9,7 +9,7 @@
 //
 // The ByteView overloads bounds-check like load_le32 in bytes.hpp; the
 // pointer overloads are for inner loops whose bounds were established
-// once at the top (crypto 64-byte blocks, the SWAR scan's word windows).
+// once at the top (crypto 64-byte blocks, the compare kernel's words).
 #pragma once
 
 #include <cstdint>
@@ -18,10 +18,9 @@
 
 namespace mc {
 
-/// Native-order 64-bit load (the SWAR scan only XORs words against each
-/// other, so byte order is irrelevant — equal bytes give a zero word and
-/// the first differing byte index comes from the little-endian trailing
-/// zero count on x86).
+/// Native-order 64-bit load (the compare kernel only XORs words against
+/// each other, so equal bytes give a zero word whatever the byte order;
+/// util/simd.cpp locates the first differing byte per native order).
 inline std::uint64_t load_word64(const std::uint8_t* p) {
   std::uint64_t w;
   __builtin_memcpy(&w, p, sizeof(w));

@@ -476,24 +476,10 @@ bool VmiSession::watch_dirty(vmm::WriteWatch::WatchId watch) {
   return hypervisor_->write_watch().dirty(watch);
 }
 
-std::vector<std::uint32_t> VmiSession::watch_dirty_pages(
-    vmm::WriteWatch::WatchId watch) {
-  charge(costs_.watch_query);
-  return hypervisor_->write_watch().dirty_indices(watch);
-}
-
 std::vector<std::uint32_t> VmiSession::watch_drain(
     vmm::WriteWatch::WatchId watch) {
   charge(costs_.watch_query);
   return hypervisor_->write_watch().drain(watch);
-}
-
-void VmiSession::watch_rearm(vmm::WriteWatch::WatchId watch) {
-  hypervisor_->write_watch().rearm(watch);
-}
-
-void VmiSession::unwatch(vmm::WriteWatch::WatchId watch) {
-  hypervisor_->write_watch().unregister(watch);
 }
 
 }  // namespace mc::vmi

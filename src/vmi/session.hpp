@@ -167,18 +167,9 @@ class VmiSession {
   /// O(1) dirty query (charges `watch_query`).
   bool watch_dirty(vmm::WriteWatch::WatchId watch);
 
-  /// Dirty page indices of the watched range (charges `watch_query`).
-  std::vector<std::uint32_t> watch_dirty_pages(vmm::WriteWatch::WatchId watch);
-
   /// Atomic fetch-and-clear of the dirty set (charges `watch_query`); the
   /// refresh-then-rearm primitive — see WriteWatch::drain.
   std::vector<std::uint32_t> watch_drain(vmm::WriteWatch::WatchId watch);
-
-  /// Clears dirty state after the consumer refreshed its copy.
-  void watch_rearm(vmm::WriteWatch::WatchId watch);
-
-  /// Drops a watch registration.
-  void unwatch(vmm::WriteWatch::WatchId watch);
 
  private:
   void charge(SimNanos nanos);

@@ -67,11 +67,6 @@ void Assembler::mov_reg_imm32(Reg reg, std::uint32_t value) {
   emit_le32(value);
 }
 
-void Assembler::push_imm32(std::uint32_t value) {
-  emit(0x68);
-  emit_le32(value);
-}
-
 void Assembler::jz_rel8(std::int8_t rel) {
   emit(0x74);
   emit(static_cast<std::uint8_t>(rel));
@@ -79,11 +74,6 @@ void Assembler::jz_rel8(std::int8_t rel) {
 
 void Assembler::jnz_rel8(std::int8_t rel) {
   emit(0x75);
-  emit(static_cast<std::uint8_t>(rel));
-}
-
-void Assembler::jmp_rel8(std::int8_t rel) {
-  emit(0xEB);
   emit(static_cast<std::uint8_t>(rel));
 }
 

@@ -58,10 +58,8 @@ class Assembler {
   void and_eax_imm32(std::uint32_t v); // 25 id
   void cmp_eax_imm32(std::uint32_t v); // 3D id
   void mov_reg_imm32(Reg reg, std::uint32_t value);  // B8+r id (plain value)
-  void push_imm32(std::uint32_t value);              // 68 id (plain value)
   void jz_rel8(std::int8_t rel);       // 74 cb
   void jnz_rel8(std::int8_t rel);      // 75 cb
-  void jmp_rel8(std::int8_t rel);      // EB cb
   void call_rel32(std::int32_t rel);   // E8 cd
   void jmp_rel32(std::int32_t rel);    // E9 cd
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/linux.hpp"
@@ -304,6 +305,140 @@ TEST(ElfLoader, Abs32SlotRejectsUnrepresentableAddress) {
   // 32S stores the sign-extended low 32 bits; a kernel-biased address is
   // representable, so this must load fine at a normal module base.
   EXPECT_NO_THROW(load_ko(ByteView(ko), 0xF8400000u));
+}
+
+// ---- loader rejections --------------------------------------------------------
+//
+// Each case corrupts one field of a well-formed one-relocation .ko and
+// checks that apply_ko_relocations throws the FormatError for that field.
+
+constexpr std::uint32_t kLoadBase = 0xF8400000u;
+
+// Field offsets inside the ELF64 records (System V gABI).
+constexpr std::size_t kShLink = 40;    // Elf64_Shdr.sh_link
+constexpr std::size_t kShInfo = 44;    // Elf64_Shdr.sh_info
+constexpr std::size_t kROffset = 0;    // Elf64_Rela.r_offset
+constexpr std::size_t kRInfo = 8;      // Elf64_Rela.r_info
+constexpr std::size_t kRAddend = 16;   // Elf64_Rela.r_addend
+constexpr std::size_t kStShndx = 6;    // Elf64_Sym.st_shndx
+
+/// A .ko whose .text carries one relocation of `type` at +0x40 against
+/// `helper` (.text+0x60), and where the fields a case corrupts live.
+struct OneRelaKo {
+  Bytes bytes;
+  std::size_t rela_shdr = 0;  // .rela.text's section header
+  std::size_t record = 0;     // its one Elf64_Rela
+  std::size_t symbol = 0;     // the Elf64_Sym that record references
+  std::uint16_t shnum = 0;
+  std::uint64_t text_size = 0;
+};
+
+OneRelaKo one_rela_ko(std::uint32_t type) {
+  KoBuilder builder("reject");
+  builder.add_section(".text", Bytes(0x100, 0x90), kShfAlloc | kShfExecinstr);
+  builder.add_symbol("helper", ".text", 0x60);
+  builder.add_rela(".text", 0x40, type, "helper",
+                   type == kRX8664_PC32 ? -4 : 0);
+  OneRelaKo ko;
+  ko.bytes = builder.build();
+  const ElfImage image{ByteView(ko.bytes)};
+  const int rela_index = image.find_section_index(".rela.text");
+  const int symtab_index = image.find_section_index(".symtab");
+  EXPECT_GE(rela_index, 0);
+  EXPECT_GE(symtab_index, 0);
+  const auto rela = static_cast<std::size_t>(rela_index);
+  const auto symtab = static_cast<std::size_t>(symtab_index);
+  const auto& sections = image.sections();
+  ko.rela_shdr =
+      static_cast<std::size_t>(image.header().e_shoff) + rela * kShdrSize;
+  ko.record = static_cast<std::size_t>(sections[rela].sh_offset);
+  ko.symbol = static_cast<std::size_t>(sections[symtab].sh_offset) +
+              kSymSize;  // symbol 1; 0 is the null symbol
+  ko.shnum = static_cast<std::uint16_t>(sections.size());
+  ko.text_size = image.find_section(".text")->sh_size;
+  // The uncorrupted module loads.
+  Bytes pristine = ko.bytes;
+  EXPECT_NO_THROW(apply_ko_relocations(MutableByteView(pristine), kLoadBase));
+  return ko;
+}
+
+/// Expects loading `bytes` to throw a FormatError whose message contains
+/// `reason`.
+void expect_rejected(Bytes bytes, const std::string& reason) {
+  try {
+    apply_ko_relocations(MutableByteView(bytes), kLoadBase);
+    ADD_FAILURE() << "loaded; expected FormatError: " << reason;
+  } catch (const FormatError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ElfLoaderRejects, RelaSectionWithBadShLinkOrShInfo) {
+  const OneRelaKo ko = one_rela_ko(kRX8664_64);
+  for (const std::size_t field : {kShLink, kShInfo}) {
+    Bytes bad = ko.bytes;
+    store_le32(MutableByteView(bad), ko.rela_shdr + field, ko.shnum);
+    expect_rejected(bad, "Rela section with bad sh_link/sh_info");
+  }
+}
+
+TEST(ElfLoaderRejects, SymbolIndexOutOfRange) {
+  const OneRelaKo ko = one_rela_ko(kRX8664_64);
+  Bytes bad = ko.bytes;
+  store_le64(MutableByteView(bad), ko.record + kRInfo,
+             Elf64Rela::make_info(99, kRX8664_64));
+  expect_rejected(bad, "relocation references symbol out of range");
+}
+
+TEST(ElfLoaderRejects, SymbolInOutOfRangeSection) {
+  const OneRelaKo ko = one_rela_ko(kRX8664_64);
+  Bytes bad = ko.bytes;
+  store_le16(MutableByteView(bad), ko.symbol + kStShndx, ko.shnum);
+  expect_rejected(bad, "symbol defined in out-of-range section");
+}
+
+TEST(ElfLoaderRejects, SlotOutsideTargetSectionAtEveryWidth) {
+  for (const auto& [type, width] :
+       {std::pair{kRX8664_64, 8u}, std::pair{kRX8664_PC32, 4u},
+        std::pair{kRX8664_32S, 4u}}) {
+    const OneRelaKo ko = one_rela_ko(type);
+    // The slot's last byte one past the section end.
+    Bytes bad = ko.bytes;
+    store_le64(MutableByteView(bad), ko.record + kROffset,
+               ko.text_size - width + 1);
+    expect_rejected(bad, "relocation slot outside target section");
+    // Flush with the end still loads.
+    Bytes edge = ko.bytes;
+    store_le64(MutableByteView(edge), ko.record + kROffset,
+               ko.text_size - width);
+    EXPECT_NO_THROW(apply_ko_relocations(MutableByteView(edge), kLoadBase))
+        << "type " << type;
+  }
+}
+
+TEST(ElfLoaderRejects, Pc32DisplacementOutOfRange) {
+  const OneRelaKo ko = one_rela_ko(kRX8664_PC32);
+  Bytes bad = ko.bytes;
+  store_le64(MutableByteView(bad), ko.record + kRAddend, 1ull << 32);
+  expect_rejected(bad, "R_X86_64_PC32 displacement out of range");
+}
+
+TEST(ElfLoaderRejects, Abs32sValueOutOfRange) {
+  const OneRelaKo ko = one_rela_ko(kRX8664_32S);
+  // S + 2^32 wraps the kernel-biased address out of the sign-extended
+  // 32-bit range.
+  Bytes bad = ko.bytes;
+  store_le64(MutableByteView(bad), ko.record + kRAddend, 1ull << 32);
+  expect_rejected(bad, "R_X86_64_32S value out of range");
+}
+
+TEST(ElfLoaderRejects, UnsupportedRelocationType) {
+  const OneRelaKo ko = one_rela_ko(kRX8664_64);
+  Bytes bad = ko.bytes;
+  store_le64(MutableByteView(bad), ko.record + kRInfo,
+             Elf64Rela::make_info(1, 42));
+  expect_rejected(bad, "unsupported relocation type");
 }
 
 // ---- plugin surface ---------------------------------------------------------

@@ -7,7 +7,8 @@
 // checker: its own Algorithm 2, an MD5 of every item of every pair after
 // it, (kind, name) pairing and the majority n > (t-1)/2.  In particular
 // it uses nothing of canonical.*, checker.cpp, rva_adjust.cpp or
-// item_content.*.  Shared by oracle_test and ownership_test.
+// item_content.*.  Shared by oracle_test, ownership_test and
+// simd_equivalence_test.
 #pragma once
 
 #include <gtest/gtest.h>

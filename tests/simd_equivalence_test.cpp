@@ -1,29 +1,22 @@
-// Differential suite for the vectorized hot path: every word-wise kernel
-// (SWAR / AVX2 mismatch scan, Algorithm 2's diff-and-resolve loop, the
-// span-streaming item digests) must be *bit-identical* to the forced-scalar
-// implementation — same rewritten bytes, same counters, same verdicts.
+// The byte-compare kernel and the code on top of it, checked against
+// references that share nothing with it: util/simd's word kernel against a
+// byte loop local to this file, and adjust_rvas (which scans with the
+// kernel) against oracle_algorithm2 from tests/oracle.hpp, a byte-at-a-time
+// transcription of the paper's Algorithm 2.
 //
 // Coverage: the raw mismatch kernel across sizes/alignments/diff positions,
-// adjust_rvas at every dispatch level, relocation candidates straddling a
-// page boundary inside a scatter-gather GuestView, scattered vs one-segment
-// item content (hash/equality), and whole-pool scans of the paper's
-// E1-E4 attacks with vectorization on vs. forced off.
+// adjust_rvas on planted relocations, length-mismatch tails and relocation
+// candidates straddling a page boundary inside a scatter-gather GuestView,
+// and scattered vs one-segment item content (hash/equality).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "attacks/header_tamper.hpp"
-#include "attacks/inline_hook.hpp"
-#include "attacks/opcode_replace.hpp"
-#include "attacks/stub_patch.hpp"
-#include "cloud/environment.hpp"
 #include "crypto/hasher.hpp"
 #include "modchecker/item_content.hpp"
-#include "modchecker/modchecker.hpp"
 #include "modchecker/rva_adjust.hpp"
+#include "oracle.hpp"
 #include "util/arena.hpp"
 #include "util/bytes.hpp"
 #include "util/simd.hpp"
@@ -45,7 +38,7 @@ Bytes patterned(std::size_t n, std::uint32_t seed) {
   return out;
 }
 
-/// Reference implementation the kernels are checked against.
+/// The byte loop the kernel is checked against.
 std::size_t scalar_mismatch(const std::uint8_t* a, const std::uint8_t* b,
                             std::size_t n, std::size_t from) {
   for (std::size_t i = from; i < n; ++i) {
@@ -79,11 +72,7 @@ TEST(SimdKernels, MismatchMatchesScalarAcrossSizesOffsetsAndDiffs) {
         }
         const std::size_t want = scalar_mismatch(a.data(), b.data(), n, from);
         EXPECT_EQ(simd::mismatch(a.data(), b.data(), n, from), want)
-            << "n=" << n << " diff=" << diff << " from=" << from << " level="
-            << simd::level_name(simd::active_level());
-        EXPECT_EQ(simd::mismatch(a.data(), b.data(), n, from,
-                                 simd::Policy::kScalar),
-                  want);
+            << "n=" << n << " diff=" << diff << " from=" << from;
       }
     }
   }
@@ -99,33 +88,28 @@ TEST(SimdKernels, MismatchHandlesUnalignedBasePointers) {
   const std::size_t n = 512;
   const std::size_t want = scalar_mismatch(a, b, n, 0);
   EXPECT_EQ(simd::mismatch(a, b, n, 0), want);
-  EXPECT_EQ(simd::mismatch(a, b, n, 0, simd::Policy::kScalar), want);
+  // A difference at each byte of one 32-byte step and of the word after it.
+  for (std::size_t diff = 256; diff < 256 + 40; ++diff) {
+    Bytes c = backing_a;
+    c[diff + 1] ^= 0x01;
+    EXPECT_EQ(simd::mismatch(a, c.data() + 1, n, 0), diff);
+    EXPECT_EQ(simd::mismatch(a, c.data() + 1, n, diff), diff);
+    EXPECT_EQ(simd::mismatch(a, c.data() + 1, n, diff + 1), n);
+  }
 }
 
 TEST(SimdKernels, EqualAgreesWithByteComparison) {
   const Bytes a = patterned(1000, 3);
   Bytes b = a;
   EXPECT_TRUE(simd::equal(a, b));
-  EXPECT_TRUE(simd::equal(a, b, simd::Policy::kScalar));
   b[999] ^= 1;
   EXPECT_FALSE(simd::equal(a, b));
-  EXPECT_FALSE(simd::equal(a, b, simd::Policy::kScalar));
   EXPECT_FALSE(simd::equal(a, ByteView(a.data(), 999)));  // size mismatch
+  EXPECT_TRUE(simd::equal(ByteView(), ByteView()));
+  EXPECT_FALSE(simd::equal(ByteView(), ByteView(a.data(), 1)));
 }
 
-TEST(SimdKernels, ForceScalarPinsTheDispatchLevel) {
-  const bool saved = simd::force_scalar();
-  simd::set_force_scalar(true);
-  EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
-  EXPECT_EQ(simd::active_level(simd::Policy::kScalar), simd::Level::kScalar);
-  simd::set_force_scalar(false);
-  // Whatever the auto level is on this host, an explicit kScalar call
-  // stays scalar.
-  EXPECT_EQ(simd::active_level(simd::Policy::kScalar), simd::Level::kScalar);
-  simd::set_force_scalar(saved);
-}
-
-// ---- Algorithm 2 across dispatch levels ---------------------------------------
+// ---- Algorithm 2 against the oracle ------------------------------------------
 
 /// Builds a synthetic "loaded section": patterned content with 4-byte
 /// absolute addresses (base + rva) planted at the given offsets.
@@ -139,20 +123,23 @@ Bytes loaded_section(std::size_t n, std::uint32_t base,
   return s;
 }
 
-struct AdjustRun {
-  Bytes a;
-  Bytes b;
-  RvaAdjustResult result;
-};
-
-AdjustRun run_adjust(const Bytes& a0, std::uint32_t base1, const Bytes& b0,
-                     std::uint32_t base2, simd::Policy policy) {
-  AdjustRun run;
-  run.a = a0;
-  run.b = b0;
-  run.result = adjust_rvas(MutableByteView(run.a), base1,
-                           MutableByteView(run.b), base2, policy);
-  return run;
+/// Runs adjust_rvas and the oracle's PE32 Algorithm 2 on copies of the same
+/// pair; both must rewrite the same bytes, and adjust_rvas must count one
+/// adjustment per oracle window.  Returns adjust_rvas' counters.
+RvaAdjustResult expect_matches_oracle(const Bytes& a0, std::uint32_t base1,
+                                      const Bytes& b0, std::uint32_t base2) {
+  Bytes a = a0;
+  Bytes b = b0;
+  const RvaAdjustResult result =
+      adjust_rvas(MutableByteView(a), base1, MutableByteView(b), base2);
+  Bytes oa = a0;
+  Bytes ob = b0;
+  std::vector<std::size_t> windows;
+  test::oracle_algorithm2(oa, base1, ob, base2, 4, 0, 0, &windows);
+  EXPECT_EQ(a, oa);
+  EXPECT_EQ(b, ob);
+  EXPECT_EQ(result.adjusted, windows.size());
+  return result;
 }
 
 TEST(SimdRva, AdjustRvasBitIdenticalAtEveryDispatchLevel) {
@@ -164,16 +151,10 @@ TEST(SimdRva, AdjustRvasBitIdenticalAtEveryDispatchLevel) {
   Bytes b = loaded_section(4096, base2, relocs);
   b[512] ^= 0x40;  // one genuine divergence the algorithm must NOT resolve
 
-  const AdjustRun vec = run_adjust(a, base1, b, base2, simd::Policy::kAuto);
-  const AdjustRun sca = run_adjust(a, base1, b, base2, simd::Policy::kScalar);
-
-  EXPECT_EQ(vec.result.adjusted, sca.result.adjusted);
-  EXPECT_EQ(vec.result.unresolved_diffs, sca.result.unresolved_diffs);
-  EXPECT_EQ(vec.a, sca.a);
-  EXPECT_EQ(vec.b, sca.b);
-
-  EXPECT_EQ(sca.result.adjusted, relocs.size());
-  EXPECT_GE(sca.result.unresolved_diffs, 1u);
+  const RvaAdjustResult result = expect_matches_oracle(a, base1, b, base2);
+  EXPECT_EQ(result.adjusted, relocs.size());
+  // The flipped byte is the one difference no window resolves.
+  EXPECT_EQ(result.unresolved_diffs, 1u);
 }
 
 TEST(SimdRva, LengthMismatchTailsCountIdentically) {
@@ -181,12 +162,10 @@ TEST(SimdRva, LengthMismatchTailsCountIdentically) {
   const std::uint32_t base2 = 0x20000000u;
   const Bytes a = loaded_section(1003, base1, {8, 500});
   const Bytes b = loaded_section(900, base2, {8, 500});
-  const AdjustRun vec = run_adjust(a, base1, b, base2, simd::Policy::kAuto);
-  const AdjustRun sca = run_adjust(a, base1, b, base2, simd::Policy::kScalar);
-  EXPECT_EQ(vec.result.adjusted, sca.result.adjusted);
-  EXPECT_EQ(vec.result.unresolved_diffs, sca.result.unresolved_diffs);
-  EXPECT_EQ(vec.a, sca.a);
-  EXPECT_EQ(vec.b, sca.b);
+  const RvaAdjustResult result = expect_matches_oracle(a, base1, b, base2);
+  EXPECT_EQ(result.adjusted, 2u);
+  // The common prefix resolves; each of the 103 trailing bytes counts.
+  EXPECT_EQ(result.unresolved_diffs, 103u);
 }
 
 TEST(SimdRva, RelocationStraddlingPageBoundaryInGuestView) {
@@ -197,8 +176,10 @@ TEST(SimdRva, RelocationStraddlingPageBoundaryInGuestView) {
   constexpr std::size_t kPage = 4096;
   const std::uint32_t base1 = 0x00CC20F8u;
   const std::uint32_t base2 = 0x00CC9070u;
-  Bytes image1 = loaded_section(2 * kPage, base1, {100, kPage - 2, 6000});
-  const Bytes image2 = loaded_section(2 * kPage, base2, {100, kPage - 2, 6000});
+  const Bytes image1 =
+      loaded_section(2 * kPage, base1, {100, kPage - 2, 6000});
+  const Bytes image2 =
+      loaded_section(2 * kPage, base2, {100, kPage - 2, 6000});
 
   // Frame-split copies backing the view (separate buffers on purpose).
   const Bytes frame_lo(image1.begin(), image1.begin() + kPage);
@@ -215,19 +196,19 @@ TEST(SimdRva, RelocationStraddlingPageBoundaryInGuestView) {
   item.view = view;
 
   ArenaScope scope(scratch_arena());
-  MutableByteView sub = arena_content_copy(scratch_arena(), item);
-  Bytes ref = image2;
-  for (const simd::Policy policy :
-       {simd::Policy::kAuto, simd::Policy::kScalar}) {
-    Bytes sub_copy(sub.begin(), sub.end());
-    Bytes ref_copy = ref;
-    const RvaAdjustResult adj =
-        adjust_rvas(MutableByteView(sub_copy), base1,
-                    MutableByteView(ref_copy), base2, policy);
-    EXPECT_EQ(adj.adjusted, 3u);
-    EXPECT_EQ(adj.unresolved_diffs, 0u);
-    EXPECT_EQ(sub_copy, ref_copy);  // fully normalized
-  }
+  const MutableByteView sub = arena_content_copy(scratch_arena(), item);
+  const Bytes sub_copy(sub.begin(), sub.end());
+  ASSERT_EQ(sub_copy, image1);
+  const RvaAdjustResult result =
+      expect_matches_oracle(sub_copy, base1, image2, base2);
+  EXPECT_EQ(result.adjusted, 3u);
+  EXPECT_EQ(result.unresolved_diffs, 0u);
+
+  // Fully normalized: both sides hold the same bytes afterwards.
+  Bytes x = sub_copy;
+  Bytes y = image2;
+  adjust_rvas(MutableByteView(x), base1, MutableByteView(y), base2);
+  EXPECT_EQ(x, y);
 }
 
 // ---- contiguous vs scattered item content ------------------------------------
@@ -261,10 +242,9 @@ TEST(SimdItems, ViewBackedContentHashesAndCrcsMatchOwned) {
   }
 
   EXPECT_TRUE(item_content_equal(owned, viewed));
-  EXPECT_TRUE(item_content_equal(owned, viewed, simd::Policy::kScalar));
   EXPECT_TRUE(item_content_equal(viewed, viewed));
 
-  // A single-byte flip in any segment must be seen at every level.
+  // A single-byte flip in any segment must be seen.
   Bytes seg2_bad = seg2;
   seg2_bad[17] ^= 0x80;
   core::IntegrityItem tampered;
@@ -272,77 +252,8 @@ TEST(SimdItems, ViewBackedContentHashesAndCrcsMatchOwned) {
   tampered.view.append(ByteView(seg2_bad));
   tampered.view.append(ByteView(seg3));
   EXPECT_FALSE(item_content_equal(owned, tampered));
-  EXPECT_FALSE(item_content_equal(owned, tampered, simd::Policy::kScalar));
   EXPECT_NE(hash_item_content(crypto::HashAlgorithm::kMd5, owned),
             hash_item_content(crypto::HashAlgorithm::kMd5, tampered));
-}
-
-// ---- whole-pool differential: vectorized vs forced scalar ---------------------
-
-std::unique_ptr<cloud::CloudEnvironment> make_env(std::size_t guests) {
-  cloud::CloudConfig cfg;
-  cfg.guest_count = guests;
-  return std::make_unique<cloud::CloudEnvironment>(cfg);
-}
-
-void expect_same_reports(const PoolScanReport& a, const PoolScanReport& b) {
-  ASSERT_EQ(a.verdicts.size(), b.verdicts.size());
-  for (std::size_t i = 0; i < a.verdicts.size(); ++i) {
-    EXPECT_EQ(a.verdicts[i].vm, b.verdicts[i].vm);
-    EXPECT_EQ(a.verdicts[i].successes, b.verdicts[i].successes)
-        << "vm " << a.verdicts[i].vm;
-    EXPECT_EQ(a.verdicts[i].total, b.verdicts[i].total);
-    EXPECT_EQ(a.verdicts[i].clean, b.verdicts[i].clean)
-        << "vm " << a.verdicts[i].vm;
-  }
-  EXPECT_EQ(a.fastpath_pairs, b.fastpath_pairs);
-  EXPECT_EQ(a.fallback_pairs, b.fallback_pairs);
-  EXPECT_EQ(a.cpu_times.total(), b.cpu_times.total())
-      << "dispatch level perturbed simulated cost";
-}
-
-/// Scans with the process-wide switch off (runtime dispatch) and on
-/// (every kernel scalar); both reports must be bit-identical, including
-/// simulated times.
-void scan_both_dispatch_levels(cloud::CloudEnvironment& env,
-                               const std::string& module) {
-  const bool saved = simd::force_scalar();
-  simd::set_force_scalar(false);
-  const auto a = ModChecker(env.hypervisor()).scan_pool(module, env.guests());
-  simd::set_force_scalar(true);
-  const auto b = ModChecker(env.hypervisor()).scan_pool(module, env.guests());
-  simd::set_force_scalar(saved);
-  expect_same_reports(a, b);
-}
-
-TEST(SimdPool, CleanPoolVerdictsIdentical) {
-  auto env = make_env(6);
-  scan_both_dispatch_levels(*env, "hal.dll");
-  scan_both_dispatch_levels(*env, "http.sys");
-}
-
-TEST(SimdPool, E1OpcodeReplaceVerdictsIdentical) {
-  auto env = make_env(6);
-  attacks::OpcodeReplaceAttack{}.apply(*env, env->guests()[2], "hal.dll");
-  scan_both_dispatch_levels(*env, "hal.dll");
-}
-
-TEST(SimdPool, E2InlineHookVerdictsIdentical) {
-  auto env = make_env(7);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[4], "hal.dll");
-  scan_both_dispatch_levels(*env, "hal.dll");
-}
-
-TEST(SimdPool, E3StubPatchVerdictsIdentical) {
-  auto env = make_env(5);
-  attacks::StubPatchAttack{}.apply(*env, env->guests()[1], "ntfs.sys");
-  scan_both_dispatch_levels(*env, "ntfs.sys");
-}
-
-TEST(SimdPool, E4HeaderTamperVerdictsIdentical) {
-  auto env = make_env(5);
-  attacks::HeaderTamperAttack{}.apply(*env, env->guests()[3], "ntfs.sys");
-  scan_both_dispatch_levels(*env, "ntfs.sys");
 }
 
 }  // namespace

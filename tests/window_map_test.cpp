@@ -122,7 +122,7 @@ Established establish(const Bytes& canonical_in,
   Bytes x = relocate(canonical_in, starts, est_base, policy);
   const RvaAdjustResult adj =
       adjust_fixups(MutableByteView(r), ref_base, MutableByteView(x), est_base,
-                    policy, simd::Policy::kAuto, &e.windows);
+                    policy, &e.windows);
   EXPECT_EQ(adj.unresolved_diffs, 0u);
   EXPECT_EQ(adj.adjusted, e.windows.size());
   e.canonical = x;
@@ -171,7 +171,7 @@ TEST(FixupWindows, RecordingChangesNothingAndListsEveryRewrite) {
                       0xF8D0C000, policy);
     const RvaAdjustResult recorded = adjust_fixups(
         MutableByteView(r2), 0xF8CC2000, MutableByteView(x2), 0xF8D0C000,
-        policy, simd::Policy::kAuto, &windows);
+        policy, &windows);
     EXPECT_EQ(plain.adjusted, recorded.adjusted);
     EXPECT_EQ(plain.unresolved_diffs, recorded.unresolved_diffs);
     EXPECT_EQ(r1, r2);
@@ -452,7 +452,7 @@ TEST(WindowMapElf, NoWrapThe8ByteAttemptResolvesAndTheMapIsUsable) {
   std::vector<FixupWindow> windows;
   const RvaAdjustResult adj =
       adjust_fixups(MutableByteView(r), rb, MutableByteView(x), xb, kElf64,
-                    simd::Policy::kAuto, &windows);
+                    &windows);
   ASSERT_EQ(adj.unresolved_diffs, 0u);
   ASSERT_EQ(windows, (std::vector<FixupWindow>{{8, 8}}));
   const auto map = WindowMap::from_run(kElf64, x.size(), windows);
@@ -481,7 +481,7 @@ TEST(WindowMapElf, WrapUsesThe4ByteAlternateAndTheMapIsRefused) {
   std::vector<FixupWindow> windows;
   const RvaAdjustResult adj =
       adjust_fixups(MutableByteView(r), rb, MutableByteView(x), xb, kElf64,
-                    simd::Policy::kAuto, &windows);
+                    &windows);
   ASSERT_EQ(adj.unresolved_diffs, 0u);
   ASSERT_EQ(windows, (std::vector<FixupWindow>{{8, 4}}));
   EXPECT_FALSE(WindowMap::from_run(kElf64, x.size(), windows));

@@ -26,7 +26,7 @@ import sys
 import tempfile
 
 # Per-directory line coverage floors (percent), from ROADMAP.md.
-FLOORS = {"pe": 95.0, "elf": 94.1, "guestos": 97.8, "vmi": 92.9}
+FLOORS = {"pe": 95.0, "elf": 96.7, "guestos": 97.8, "vmi": 92.9}
 # Points a directory may fall below its floor before the check fails.
 SLACK = 1.0
 

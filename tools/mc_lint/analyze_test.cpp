@@ -461,7 +461,7 @@ TEST(AnalyzeFixtures, HotpathCopy) {
 }
 
 TEST(AnalyzeFixtures, HotpathCopyIgnoresDispatchedAndColdTus) {
-  // Same constructs in a TU that routes through the simd dispatcher: the
+  // Same constructs in a TU that routes through the simd kernel: the
   // pairwise compare is the guarded scalar tail, not a bypass.
   Analyzer a;
   a.add_source("dispatched.cpp",

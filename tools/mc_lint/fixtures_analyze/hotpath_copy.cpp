@@ -1,6 +1,6 @@
 // Fixture: hotpath-copy (scanned by mc_analyze tests, never compiled).
 // This TU references the hot-path vocabulary (adjust_rvas) and never
-// mentions the simd dispatcher, so owned-buffer materializations and raw
+// mentions the simd kernel, so owned-buffer materializations and raw
 // pairwise byte compares are flagged; borrowing spans, filling caller
 // scratch, arena copies and the suppressed forensics-style site are not.
 #include "modchecker/rva_adjust.hpp"
@@ -29,7 +29,7 @@ void borrows(const IntegrityItem& item, Arena& arena) {
 int scalar_diff(const unsigned char* a, const unsigned char* b, int n) {
   int diffs = 0;
   for (int i = 0; i < n; ++i) {
-    if (a[i] != b[i]) {  // flagged: bypasses the simd dispatcher
+    if (a[i] != b[i]) {  // flagged: bypasses the simd kernel
       ++diffs;
     }
   }

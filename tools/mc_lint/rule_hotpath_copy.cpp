@@ -1,7 +1,7 @@
 // hotpath-copy — protects the zero-copy Normalize/Compare/Hash hot path.
 //
 // The fast path's perf contract is structural: module content flows from
-// GuestView spans through the simd dispatcher and the span-streaming
+// GuestView spans through the simd compare kernel and the span-streaming
 // hashers without ever being flattened into an owned buffer (the bench
 // gate asserts pipeline.acquire.materializations == 0 on a clean scan).
 // That property regresses one convenient `Bytes tmp = ...` at a time, so
@@ -14,9 +14,9 @@
 //   * a call to `content_copy()` — it heap-allocates a fresh owned buffer
 //     (`copy_content(out)` into caller scratch stays allowed);
 //   * a pairwise indexed byte compare (`a[i] != b[i]`, `==`, `^`) in a TU
-//     that never mentions `simd` — the loop bypasses the dispatch kernels
-//     (simd::mismatch / simd::equal), so MC_FORCE_SCALAR can no longer
-//     pin it and the SWAR/AVX2 speedup gate no longer covers it.
+//     that never mentions `simd` — the loop bypasses the compare kernel
+//     (simd::mismatch / simd::equal): there is one kernel, covered by the
+//     speedup gate, and a private byte loop is covered by nothing.
 //
 // Sanctioned materialization points (forensics, dump paths) carry an
 // explicit `// mc-lint: allow(hotpath-copy)` at the site — the audit
@@ -74,7 +74,7 @@ void hotpath_copy(const std::vector<Token>& toks, const std::string& file,
   if (!hotpath_tu(toks)) {
     return;
   }
-  const bool dispatched = mentions_simd(toks);
+  const bool uses_kernel = mentions_simd(toks);
 
   for (std::size_t i = 0; i < toks.size(); ++i) {
     const Token& t = toks[i];
@@ -104,8 +104,8 @@ void hotpath_copy(const std::vector<Token>& toks, const std::string& file,
            "into arena scratch with arena_content_copy"});
       continue;
     }
-    // Pairwise byte compare outside the dispatch kernels.
-    if (!dispatched) {
+    // Pairwise byte compare outside the compare kernel.
+    if (!uses_kernel) {
       std::string idx_a;
       const std::size_t after_a = match_indexed(toks, i, &idx_a);
       if (after_a != std::string::npos && after_a < toks.size() &&
@@ -116,9 +116,9 @@ void hotpath_copy(const std::vector<Token>& toks, const std::string& file,
           out.push_back(
               {file, t.line, "hotpath-copy",
                "pairwise byte compare '" + t.text + "[" + idx_a + "] " +
-                   toks[after_a].text + " ...' bypasses the simd dispatcher "
-                   "in a hot-path TU; use simd::mismatch / simd::equal so "
-                   "MC_FORCE_SCALAR and the speedup gate still apply"});
+                   toks[after_a].text + " ...' bypasses the simd compare "
+                   "kernel in a hot-path TU; use simd::mismatch / "
+                   "simd::equal, the one kernel the speedup gate covers"});
         }
       }
     }
