@@ -371,9 +371,14 @@ HotpathReport measure_hotpath() {
     benchmark::DoNotOptimize(adj);
   });
 
-  // Compare and Hash over the borrowed items.
+  // Compare the borrowed item against a byte-equal owned copy of its
+  // content, so the probe reads two buffers end to end; hash the borrowed
+  // item.
+  const Bytes text0_bytes = text0->content_copy();
+  core::IntegrityItem text0_owned = *text0;
+  text0_owned.view = vmi::GuestView(ByteView(text0_bytes));
   hp.compare = probe_stage(text_bytes, [&] {
-    bool eq = core::item_content_equal(*text0, *text0);
+    bool eq = core::item_content_equal(*text0, text0_owned);
     benchmark::DoNotOptimize(eq);
   });
   hp.hash_md5 = probe_stage(text_bytes, [&] {

@@ -163,23 +163,7 @@ guestos::GuestKernel& LinuxEnvironment::kernel(vmm::DomainId id) {
   return *it->second.kernel;
 }
 
-const guestos::GuestKernel& LinuxEnvironment::kernel(vmm::DomainId id) const {
-  const auto it = runtimes_.find(id);
-  if (it == runtimes_.end()) {
-    throw NotFoundError("no guest runtime for domain " + std::to_string(id));
-  }
-  return *it->second.kernel;
-}
-
 guestos::KoLoader& LinuxEnvironment::loader(vmm::DomainId id) {
-  const auto it = runtimes_.find(id);
-  if (it == runtimes_.end()) {
-    throw NotFoundError("no guest runtime for domain " + std::to_string(id));
-  }
-  return *it->second.loader;
-}
-
-const guestos::KoLoader& LinuxEnvironment::loader(vmm::DomainId id) const {
   const auto it = runtimes_.find(id);
   if (it == runtimes_.end()) {
     throw NotFoundError("no guest runtime for domain " + std::to_string(id));

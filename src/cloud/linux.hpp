@@ -72,9 +72,7 @@ class LinuxEnvironment {
   const std::vector<vmm::DomainId>& guests() const { return guests_; }
 
   guestos::GuestKernel& kernel(vmm::DomainId id);
-  const guestos::GuestKernel& kernel(vmm::DomainId id) const;
   guestos::KoLoader& loader(vmm::DomainId id);
-  const guestos::KoLoader& loader(vmm::DomainId id) const;
 
  private:
   struct GuestRuntime {

@@ -61,28 +61,20 @@ struct LoaderSnapshot;
 class ScanCache;
 
 /// Acquire-stage retry policy: how hard to push a faulting guest before
-/// quarantining it for the rest of the sweep.  Backoff is deterministic
-/// simulated time (charged unscaled — the checker is *waiting*, not
-/// burning Dom0 CPU), so runs replay bit-identically.
+/// quarantining it for the rest of the sweep.  Backoff is exponential and
+/// deterministic simulated time (charged unscaled — the checker is
+/// *waiting*, not burning Dom0 CPU), so runs replay bit-identically.
 struct RetryPolicy {
-  enum class Backoff : std::uint8_t {
-    kFixed,        // every gap is backoff_base
-    kExponential,  // backoff_base << (attempt - 1)
-  };
-
   /// Total tries per VM per acquire (1 = no retry).
   std::uint32_t max_attempts = 3;
   SimNanos backoff_base = sim_us(50);
-  Backoff backoff = Backoff::kExponential;
 
   /// The simulated gap slept before retry number `next_attempt` (2-based:
-  /// the wait happens after a failed attempt `next_attempt - 1`).
+  /// the wait happens after a failed attempt `next_attempt - 1`):
+  /// backoff_base << (next_attempt - 2), the doubling clamped at 2^20.
   SimNanos delay_before(std::uint32_t next_attempt) const {
     if (next_attempt < 2) {
       return 0;
-    }
-    if (backoff == Backoff::kFixed) {
-      return backoff_base;
     }
     const std::uint32_t shift =
         next_attempt - 2 < 20 ? next_attempt - 2 : 20;  // clamp the doubling

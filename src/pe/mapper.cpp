@@ -53,16 +53,4 @@ Bytes map_image(ByteView file) {
   return mapped;
 }
 
-std::uint32_t read_size_of_image(ByteView image) {
-  const DosHeader dos = DosHeader::parse(image);
-  const std::size_t opt_off = optional_header_offset(image, dos);
-  return OptionalHeader32::parse(image, opt_off).SizeOfImage;
-}
-
-std::uint32_t read_image_base(ByteView image) {
-  const DosHeader dos = DosHeader::parse(image);
-  const std::size_t opt_off = optional_header_offset(image, dos);
-  return OptionalHeader32::parse(image, opt_off).ImageBase;
-}
-
 }  // namespace mc::pe

@@ -17,10 +17,4 @@ namespace mc::pe {
 /// zero fill elsewhere).
 Bytes map_image(ByteView file);
 
-/// Reads SizeOfImage from a file or mapped image without a full parse.
-std::uint32_t read_size_of_image(ByteView image);
-
-/// Reads the preferred ImageBase.
-std::uint32_t read_image_base(ByteView image);
-
 }  // namespace mc::pe

@@ -39,10 +39,6 @@ void set_log_level(LogLevel level) {
   g_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_level() {
-  return static_cast<LogLevel>(g_level.load(std::memory_order_relaxed));
-}
-
 void log_line(LogLevel level, std::string_view message) {
   if (static_cast<int>(level) < g_level.load(std::memory_order_relaxed)) {
     return;
@@ -62,8 +58,6 @@ void log_line(LogLevel level, std::string_view message) {
 
 MC_DEFINE_LOG_FN(log_debug, LogLevel::kDebug)
 MC_DEFINE_LOG_FN(log_info, LogLevel::kInfo)
-MC_DEFINE_LOG_FN(log_warn, LogLevel::kWarn)
-MC_DEFINE_LOG_FN(log_error, LogLevel::kError)
 
 #undef MC_DEFINE_LOG_FN
 

@@ -14,7 +14,6 @@ enum class LogLevel : int { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
 /// Sets the minimum level that will be emitted (default: kInfo).
 void set_log_level(LogLevel level);
-LogLevel log_level();
 
 /// Emits one log line ("[level] message\n") to stderr if `level` passes the
 /// threshold.  Thread-safe.
@@ -22,7 +21,5 @@ void log_line(LogLevel level, std::string_view message);
 
 void log_debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void log_info(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void log_warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void log_error(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace mc

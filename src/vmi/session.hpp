@@ -168,7 +168,7 @@ class VmiSession {
   bool watch_dirty(vmm::WriteWatch::WatchId watch);
 
   /// Atomic fetch-and-clear of the dirty set (charges `watch_query`); the
-  /// refresh-then-rearm primitive — see WriteWatch::drain.
+  /// refresh-then-clear primitive — see WriteWatch::drain.
   std::vector<std::uint32_t> watch_drain(vmm::WriteWatch::WatchId watch);
 
  private:

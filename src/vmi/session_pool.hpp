@@ -84,7 +84,7 @@ class VmiSessionPool {
 
   /// The hypervisor's write-watch facility.  Watch ids registered through
   /// a leased session's try_watch_range outlive the lease (they live on
-  /// the hypervisor), so cross-scan consumers query/rearm them here.
+  /// the hypervisor), so cross-scan consumers query/drain them here.
   vmm::WriteWatch& write_watch() const { return hypervisor_->write_watch(); }
 
   SessionPoolStats stats() const;

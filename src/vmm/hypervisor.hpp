@@ -101,7 +101,7 @@ class Hypervisor {
   /// The hypervisor's log-dirty facility (see write_watch.hpp).  Mutable
   /// through a const hypervisor for the same reason as the fault injector:
   /// the scan layers hold `const Hypervisor*` (read-only guest access) but
-  /// registering/rearming watches is observation bookkeeping, not domain
+  /// registering/draining watches is observation bookkeeping, not domain
   /// state.
   WriteWatch& write_watch() const { return write_watch_; }
 

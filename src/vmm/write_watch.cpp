@@ -74,9 +74,6 @@ void WriteWatch::unregister(WatchId id) {
         dom->second.frame_watchers.erase(fw);
       }
     }
-    if (watch.dirty_count > 0) {
-      --dom->second.dirty_watches;
-    }
   }
   watches_.erase(it);
   watch_counters().unregistered.inc();
@@ -88,53 +85,11 @@ bool WriteWatch::dirty(WatchId id) const {
   return it != watches_.end() && it->second.dirty_count > 0;
 }
 
-std::vector<std::uint32_t> WriteWatch::dirty_indices(WatchId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::uint32_t> out;
-  const auto it = watches_.find(id);
-  if (it == watches_.end()) {
-    return out;
-  }
-  const WatchSet& watch = it->second;
-  out.reserve(watch.dirty_count);
-  for (std::uint32_t i = 0; i < watch.dirty_bits.size(); ++i) {
-    if (watch.dirty_bits[i]) {
-      out.push_back(i);
-    }
-  }
-  return out;
-}
-
 std::vector<std::uint32_t> WriteWatch::watched_frames(WatchId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = watches_.find(id);
   return it == watches_.end() ? std::vector<std::uint32_t>{}
                               : it->second.frames;
-}
-
-std::uint64_t WriteWatch::generation(WatchId id) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = watches_.find(id);
-  return it == watches_.end() ? 0 : it->second.generation;
-}
-
-void WriteWatch::rearm(WatchId id) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = watches_.find(id);
-  if (it == watches_.end()) {
-    return;
-  }
-  WatchSet& watch = it->second;
-  if (watch.dirty_count > 0) {
-    const auto dom = domains_.find(watch.domain);
-    if (dom != domains_.end()) {
-      --dom->second.dirty_watches;
-    }
-    watch.dirty_bits.assign(watch.frames.size(), false);
-    watch.dirty_count = 0;
-  }
-  ++watch.generation;
-  watch_counters().rearms.inc();
 }
 
 std::vector<std::uint32_t> WriteWatch::drain(WatchId id) {
@@ -152,22 +107,11 @@ std::vector<std::uint32_t> WriteWatch::drain(WatchId id) {
     }
   }
   if (watch.dirty_count > 0) {
-    const auto dom = domains_.find(watch.domain);
-    if (dom != domains_.end()) {
-      --dom->second.dirty_watches;
-    }
     watch.dirty_bits.assign(watch.frames.size(), false);
     watch.dirty_count = 0;
   }
-  ++watch.generation;
   watch_counters().rearms.inc();
   return out;
-}
-
-bool WriteWatch::domain_has_dirty_watch(DomainId domain) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = domains_.find(domain);
-  return it != domains_.end() && it->second.dirty_watches > 0;
 }
 
 std::uint64_t WriteWatch::domain_write_generation(DomainId domain) const {
@@ -209,7 +153,6 @@ void WriteWatch::mark_index_locked(WatchId id, WatchSet& watch,
   ++watch.dirty_count;
   watch_counters().dirty_frames.inc();
   if (watch.dirty_count == 1) {
-    ++domains_[watch.domain].dirty_watches;
     watch_counters().notifications.inc();
     for (Subscriber* s : subscribers_) {
       s->on_watch_dirty(watch.domain, id);

@@ -12,8 +12,8 @@
 //
 // Contract:
 //   * Per-watch dirty bitmaps are edge-triggered: a frame index stays
-//     dirty until the owner calls rearm(), which also bumps the watch's
-//     generation (consumers key derived caches on it).
+//     dirty until the owner drains the watch.  drain() is the one consumer
+//     path: it fetches the dirty indices and clears them in one step.
 //   * Bulk state replacement (snapshot restore / clone-into, which reach
 //     PhysicalMemory::restore_from) conservatively marks EVERY index of
 //     every watch on the domain dirty — the frame<->content association
@@ -77,38 +77,26 @@ class WriteWatch {
   // ---- consumer side -------------------------------------------------------
 
   /// Registers a watch over `frames` (ordered; index i of the dirty bitmap
-  /// refers to frames[i]).  The watch starts clean at generation 1.
+  /// refers to frames[i]).  The watch starts clean.
   WatchId register_watch(DomainId domain, std::vector<std::uint32_t> frames);
 
   /// Drops a watch.  Unknown/expired ids are ignored (a consumer may race
   /// its own teardown against domain destruction).
   void unregister(WatchId id);
 
-  /// O(1): has any registered frame been written since the last rearm?
+  /// O(1): has any registered frame been written since the last drain?
   bool dirty(WatchId id) const;
-
-  /// Dirty indices (positions into the registered frame list), ascending.
-  std::vector<std::uint32_t> dirty_indices(WatchId id) const;
 
   /// The registered frame list, in registration order (empty for
   /// unknown/expired ids).
   std::vector<std::uint32_t> watched_frames(WatchId id) const;
 
-  /// Bumped by every rearm (i.e. every time the owner refreshed whatever
-  /// it derived from the watched frames).
-  std::uint64_t generation(WatchId id) const;
-
-  /// Clears the dirty bitmap and bumps the generation.
-  void rearm(WatchId id);
-
   /// Atomic fetch-and-clear (Xen's SHADOW_OP_CLEAN): returns the dirty
-  /// indices and rearms in one step, so no write can land between "what
+  /// indices (positions into the registered frame list, ascending) and
+  /// clears the bitmap in one step, so no write can land between "what
   /// changed?" and "consider it handled" unobserved — writes after the
   /// drain re-mark the bitmap.
   std::vector<std::uint32_t> drain(WatchId id);
-
-  /// True while any watch on `domain` is dirty (O(1)).
-  bool domain_has_dirty_watch(DomainId domain) const;
 
   /// Monotonic per-domain write generation — advances on every write,
   /// every bulk invalidate and every CR3 switch, watched or not.  Equal
@@ -156,7 +144,6 @@ class WriteWatch {
     std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> frame_index;
     std::vector<bool> dirty_bits;  // one per index of `frames`
     std::size_t dirty_count = 0;
-    std::uint64_t generation = 1;
   };
 
   struct DomainState {
@@ -164,7 +151,6 @@ class WriteWatch {
     /// appear — the per-write test is one map lookup per touched frame).
     std::map<std::uint32_t, std::vector<WatchId>> frame_watchers;
     std::uint64_t write_generation = 0;
-    std::size_t dirty_watches = 0;
     /// Frames noted as page tables, and the writes that touched them.
     std::set<std::uint32_t> table_frames;
     std::uint64_t table_generation = 0;

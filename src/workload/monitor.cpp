@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <string>
 #include "telemetry/registry.hpp"
 
 namespace mc::workload {
@@ -189,26 +187,6 @@ PerturbationStats analyze_metric(
     significant_count.inc();
   }
   return stats;
-}
-
-std::string export_csv(const std::vector<ResourceSample>& samples) {
-  std::string out =
-      "t,cpu_idle_pct,cpu_user_pct,cpu_privileged_pct,mem_free_pct,"
-      "virt_free_pct,page_faults_per_s,disk_queue,disk_reads_per_s,"
-      "disk_writes_per_s,net_sent_per_s,net_recv_per_s,in_access_window\n";
-  char row[512];
-  for (const auto& s : samples) {
-    std::snprintf(row, sizeof row,
-                  "%.2f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.4f,%.3f,%.3f,%.3f,"
-                  "%.3f,%d\n",
-                  s.t, s.cpu_idle_pct, s.cpu_user_pct, s.cpu_privileged_pct,
-                  s.mem_free_pct, s.virt_free_pct, s.page_faults_per_s,
-                  s.disk_queue, s.disk_reads_per_s, s.disk_writes_per_s,
-                  s.net_sent_per_s, s.net_recv_per_s,
-                  s.in_access_window ? 1 : 0);
-    out += row;
-  }
-  return out;
 }
 
 }  // namespace mc::workload

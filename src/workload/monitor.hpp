@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -97,10 +96,5 @@ struct PerturbationStats {
 PerturbationStats analyze_metric(
     const std::vector<ResourceSample>& samples,
     const std::function<double(const ResourceSample&)>& metric);
-
-/// CSV export of a sample series (header + one row per sample) — the
-/// paper's tool shipped readings to remote storage for offline plotting;
-/// this is the equivalent artifact.
-std::string export_csv(const std::vector<ResourceSample>& samples);
 
 }  // namespace mc::workload

@@ -1,5 +1,4 @@
-// Tests for offline dump analysis, finding triage, and the EAT-hook
-// extension attack.
+// Tests for offline dump analysis and the EAT-hook extension attack.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,7 +10,6 @@
 #include "fallible_test_util.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/searcher.hpp"
-#include "modchecker/triage.hpp"
 #include "pe/parser.hpp"
 #include "vmi/dump.hpp"
 #include "vmi/session.hpp"
@@ -111,69 +109,6 @@ TEST(Dump, RejectsTruncation) {
   Bytes dump = vmi::dump_domain(env->hypervisor(), env->guests()[0]);
   dump.resize(dump.size() - 100);
   EXPECT_THROW(vmi::DumpAnalysis{dump}, FormatError);
-}
-
-// ---- triage -----------------------------------------------------------------------
-TEST(Triage, AcknowledgedFindingIsSuppressed) {
-  auto env = make_env(4);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
-
-  core::ModChecker checker(env->hypervisor());
-  const auto report = checker.check_module(env->guests()[0], "hal.dll");
-  ASSERT_FALSE(report.subject_clean);
-
-  core::FindingTriage triage;
-  EXPECT_FALSE(triage.is_acknowledged(report));
-  triage.acknowledge(report, "staged update rollout");
-  EXPECT_TRUE(triage.is_acknowledged(report));
-
-  // A re-check of the same state produces the same fingerprint.
-  const auto again = checker.check_module(env->guests()[0], "hal.dll");
-  EXPECT_TRUE(triage.is_acknowledged(again));
-  EXPECT_EQ(triage.entries().size(), 1u);
-}
-
-TEST(Triage, NewDivergenceReopensTheAlert) {
-  auto env = make_env(4);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
-
-  core::ModChecker checker(env->hypervisor());
-  core::FindingTriage triage;
-  triage.acknowledge(checker.check_module(env->guests()[0], "hal.dll"),
-                     "known");
-
-  // A second, different infection on top changes the content fingerprint.
-  attacks::EatHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
-  const auto report = checker.check_module(env->guests()[0], "hal.dll");
-  EXPECT_FALSE(triage.is_acknowledged(report));
-}
-
-TEST(Triage, CleanReportsCannotBeAcknowledged) {
-  auto env = make_env(3);
-  core::ModChecker checker(env->hypervisor());
-  const auto report = checker.check_module(env->guests()[0], "hal.dll");
-  ASSERT_TRUE(report.subject_clean);
-  core::FindingTriage triage;
-  EXPECT_THROW(triage.acknowledge(report, "x"), InvalidArgument);
-  EXPECT_FALSE(triage.is_acknowledged(report));
-}
-
-TEST(Triage, UnacknowledgedFilter) {
-  auto env = make_env(4);
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[0], "hal.dll");
-  attacks::InlineHookAttack{}.apply(*env, env->guests()[1], "ntfs.sys");
-
-  core::ModChecker checker(env->hypervisor());
-  std::vector<core::CheckReport> reports;
-  reports.push_back(checker.check_module(env->guests()[0], "hal.dll"));
-  reports.push_back(checker.check_module(env->guests()[1], "ntfs.sys"));
-  reports.push_back(checker.check_module(env->guests()[2], "http.sys"));
-
-  core::FindingTriage triage;
-  triage.acknowledge(reports[0], "expected");
-  const auto open = triage.unacknowledged(reports);
-  ASSERT_EQ(open.size(), 1u);
-  EXPECT_EQ(open[0]->module_name, "ntfs.sys");
 }
 
 }  // namespace

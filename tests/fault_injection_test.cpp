@@ -200,12 +200,18 @@ TEST(Retry, BackoffScheduleIsBoundedAndDeterministic) {
   RetryPolicy retry;
   retry.max_attempts = 4;
   retry.backoff_base = sim_us(50);
-  retry.backoff = RetryPolicy::Backoff::kExponential;
+  // No wait before the first attempt.
+  EXPECT_EQ(retry.delay_before(0), 0u);
+  EXPECT_EQ(retry.delay_before(1), 0u);
   EXPECT_EQ(retry.delay_before(2), sim_us(50));
   EXPECT_EQ(retry.delay_before(3), 2 * sim_us(50));
   EXPECT_EQ(retry.delay_before(4), 4 * sim_us(50));
-  retry.backoff = RetryPolicy::Backoff::kFixed;
-  EXPECT_EQ(retry.delay_before(4), sim_us(50));
+  // The doubling stops at 2^20: retry 22 is the last to double.
+  const SimNanos cap = retry.backoff_base << 20;
+  EXPECT_EQ(retry.delay_before(21), cap / 2);
+  EXPECT_EQ(retry.delay_before(22), cap);
+  EXPECT_EQ(retry.delay_before(23), cap);
+  EXPECT_EQ(retry.delay_before(1000), cap);
 }
 
 TEST(Retry, AttemptCountRespectsPolicy) {
@@ -353,12 +359,11 @@ TEST(DegradedQuorum, CheckBillsAQuarantinedPeersRetries) {
   const vmm::DomainId victim = env->guests()[3];
   env->hypervisor().fault_injector().arm(victim, always_fault());
   ModCheckerConfig cfg;
-  cfg.retry.backoff = RetryPolicy::Backoff::kFixed;
   cfg.retry.backoff_base = sim_ms(1);
   ModChecker checker(env->hypervisor(), cfg);
   const auto report = checker.check_module(env->guests()[0], "hal.dll");
   ASSERT_EQ(report.unavailable_on, std::vector<vmm::DomainId>{victim});
-  // Three attempts on the victim sleep two 1 ms backoffs: time the check
+  // Three attempts on the victim sleep 1 + 2 ms of backoff: time the check
   // spent, billed as a pool scan bills it, and part of the sequential
   // wall time.
   EXPECT_GE(report.cpu_times.searcher, 2 * sim_ms(1));

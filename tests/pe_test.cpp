@@ -333,12 +333,6 @@ TEST(PeMapper, MapPlacesSectionsAtVirtualAddresses) {
   EXPECT_EQ(mapped[text->VirtualAddress + 0x700], 0);
 }
 
-TEST(PeMapper, ReadHelpers) {
-  const Bytes file = build_test_image();
-  EXPECT_EQ(read_image_base(file), 0x00010000u);
-  EXPECT_EQ(read_size_of_image(file) % kDefaultSectionAlignment, 0u);
-}
-
 TEST(PeMapper, RejectsTruncatedImage) {
   const Bytes file = build_test_image();
   const Bytes truncated(file.begin(), file.begin() + 32);

@@ -13,12 +13,10 @@
 #include "fallible_test_util.hpp"
 #include "modchecker/audit.hpp"
 #include "modchecker/forensics.hpp"
-#include "modchecker/history.hpp"
 #include "modchecker/modchecker.hpp"
 #include "modchecker/parser.hpp"
 #include "modchecker/scheduler.hpp"
 #include "modchecker/searcher.hpp"
-#include "modchecker/triage.hpp"
 #include "vmi/dump.hpp"
 #include "vmi/session.hpp"
 
@@ -72,8 +70,10 @@ TEST(Workflow, RevertThenConvictFromDump) {
   EXPECT_EQ(reports[0].classification, DivergenceClass::kCodeInjection);
 }
 
-// Story 2: staged rollout triage — an acknowledged update stays quiet in
-// the scheduler-driven pipeline while a real infection still alerts.
+// Story 2: staged rollout plus a real infection — an update applied to a
+// minority of VMs flags honestly and stays flagged on every re-check,
+// while a rootkit landing mid-rollout on another module is flagged on its
+// own VM and nowhere else.
 TEST(Workflow, TriagedUpdatePlusRealInfection) {
   auto env = make_env(6);
 
@@ -90,32 +90,40 @@ TEST(Workflow, TriagedUpdatePlusRealInfection) {
   }
 
   ModChecker checker(env->hypervisor());
-  FindingTriage triage;
 
-  // First pass: both updated VMs flag; operator acknowledges them.
-  std::vector<CheckReport> reports;
+  // First pass: both updated VMs flag; the rest of the pool agrees.
+  std::vector<CheckReport> first;
   for (const std::size_t idx : {std::size_t{0}, std::size_t{1}}) {
-    reports.push_back(
-        checker.check_module(env->guests()[idx], "ntfs.sys"));
-    ASSERT_FALSE(reports.back().subject_clean);
-    triage.acknowledge(reports.back(), "staged 5.2 rollout");
+    first.push_back(checker.check_module(env->guests()[idx], "ntfs.sys"));
+    ASSERT_FALSE(first.back().subject_clean);
   }
+  EXPECT_TRUE(checker.check_module(env->guests()[2], "ntfs.sys").subject_clean);
 
   // A rootkit lands on a third VM.
   attacks::HollowingAttack{}.apply(*env, env->guests()[3], "tcpip.sys");
 
-  // Second pass over everything: only the rootkit remains actionable.
-  std::vector<CheckReport> second;
-  second.push_back(checker.check_module(env->guests()[0], "ntfs.sys"));
-  second.push_back(checker.check_module(env->guests()[1], "ntfs.sys"));
-  second.push_back(checker.check_module(env->guests()[3], "tcpip.sys"));
-  const auto open = triage.unacknowledged(second);
-  ASSERT_EQ(open.size(), 1u);
-  EXPECT_EQ(open[0]->module_name, "tcpip.sys");
-  EXPECT_EQ(open[0]->subject, env->guests()[3]);
+  // Second pass: the rollout flags the same items as before, and the
+  // rootkit is flagged on its victim only.
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const auto again = checker.check_module(first[i].subject, "ntfs.sys");
+    EXPECT_FALSE(again.subject_clean);
+    EXPECT_EQ(again.flagged_items, first[i].flagged_items);
+  }
+  const auto infected = checker.check_module(env->guests()[3], "tcpip.sys");
+  EXPECT_FALSE(infected.subject_clean);
+  EXPECT_EQ(infected.module_name, "tcpip.sys");
+  EXPECT_EQ(infected.subject, env->guests()[3]);
+  for (const auto vm : env->guests()) {
+    if (vm != env->guests()[3]) {
+      EXPECT_TRUE(checker.check_module(vm, "tcpip.sys").subject_clean)
+          << "Dom" << vm;
+    }
+  }
 }
 
-// Story 3: continuous monitoring + history across an incident lifecycle.
+// Story 3: continuous monitoring across an incident lifecycle — the
+// schedule is quiet while healthy, flags exactly the victim on every scan
+// while infected, and is quiet again after the revert.
 TEST(Workflow, MonitorHistoryThroughRemediation) {
   auto env = make_env(5);
   env->snapshot_all();
@@ -123,22 +131,28 @@ TEST(Workflow, MonitorHistoryThroughRemediation) {
   ScanScheduler scheduler(env->hypervisor(),
                           std::vector<vmm::DomainId>(env->guests()));
   scheduler.add_policy({"hal.dll", sim_ms(500), 0});
-  ScanHistory history;
 
-  history.ingest(scheduler.run_until(sim_ms(1000)));  // healthy
-  EXPECT_TRUE(history.active().empty());
+  const ScheduleReport healthy = scheduler.run_until(sim_ms(1000));
+  ASSERT_FALSE(healthy.scans.empty());
+  EXPECT_TRUE(healthy.alerts.empty());
 
   const vmm::DomainId victim = env->guests()[2];
   attacks::OpcodeReplaceAttack{}.apply(*env, victim, "hal.dll");
-  history.ingest(scheduler.run_until(sim_ms(2500)));
-  ASSERT_EQ(history.active().size(), 1u);
-  EXPECT_EQ(history.active()[0]->vm, victim);
+  const ScheduleReport infected = scheduler.run_until(sim_ms(2500));
+  ASSERT_FALSE(infected.scans.empty());
+  for (const auto& scan : infected.scans) {
+    EXPECT_EQ(scan.flagged, std::vector<vmm::DomainId>{victim});
+  }
+  EXPECT_EQ(infected.alerts.size(), infected.scans.size());
+  EXPECT_EQ(infected.new_alert_count(), 1u);  // one (module, VM) pair
 
   env->revert(victim);
-  history.ingest(scheduler.run_until(sim_ms(4000)));
-  EXPECT_TRUE(history.active().empty());
-  EXPECT_EQ(history.findings()[0].flaps, 0u);  // clean close, no flapping
-  EXPECT_GT(history.findings()[0].exposure(sim_ms(4000)), 0u);
+  const ScheduleReport remediated = scheduler.run_until(sim_ms(4000));
+  ASSERT_FALSE(remediated.scans.empty());
+  for (const auto& scan : remediated.scans) {
+    EXPECT_TRUE(scan.flagged.empty());
+  }
+  EXPECT_TRUE(remediated.alerts.empty());
 }
 
 // Story 4: hollowing — total code replacement with intact metadata is

@@ -1,5 +1,5 @@
-// WriteWatch semantics: registration / dirty / drain / rearm, edge-
-// triggered bitmaps, per-domain write generations, bulk invalidation on
+// WriteWatch semantics: registration / dirty / drain, edge-triggered
+// bitmaps, per-domain write generations, bulk invalidation on
 // snapshot restore (copy_state_from), the version-floor interplay with the
 // raw frame stamps, subscriber notification edges, and a TSan-targeted
 // stress — one writer thread per domain racing query, registration-churn
@@ -48,20 +48,15 @@ TEST(WriteWatch, WriteMarksExactIndices) {
   const auto id = watch.register_watch(d, frame_range(4, 3));  // frames 4..6
   EXPECT_NE(id, WriteWatch::kNoWatch);
   EXPECT_FALSE(watch.dirty(id));
-  EXPECT_EQ(watch.generation(id), 1u);
   EXPECT_EQ(watch.watched_frames(id), frame_range(4, 3));
 
   poke(hv, d, 5 * kFrameSize + 100);  // frame 5 == index 1
   EXPECT_TRUE(watch.dirty(id));
-  EXPECT_EQ(watch.dirty_indices(id), std::vector<std::uint32_t>{1});
-  EXPECT_TRUE(watch.domain_has_dirty_watch(d));
 
-  // drain = atomic fetch-and-clear: hands back the indices, rearms, bumps
-  // the generation.
+  // drain = atomic fetch-and-clear: hands back the indices and clears them.
   EXPECT_EQ(watch.drain(id), std::vector<std::uint32_t>{1});
   EXPECT_FALSE(watch.dirty(id));
-  EXPECT_FALSE(watch.domain_has_dirty_watch(d));
-  EXPECT_EQ(watch.generation(id), 2u);
+  EXPECT_TRUE(watch.drain(id).empty());
 }
 
 TEST(WriteWatch, EdgeTriggeredUntilRearm) {
@@ -72,13 +67,14 @@ TEST(WriteWatch, EdgeTriggeredUntilRearm) {
 
   poke(hv, d, 4 * kFrameSize);
   poke(hv, d, 4 * kFrameSize + 8);  // same frame: still one dirty index
-  EXPECT_EQ(watch.dirty_indices(id), std::vector<std::uint32_t>{0});
-
-  watch.rearm(id);
-  EXPECT_FALSE(watch.dirty(id));
-  EXPECT_EQ(watch.generation(id), 2u);
-  poke(hv, d, 4 * kFrameSize);  // re-marks after rearm
   EXPECT_TRUE(watch.dirty(id));
+  EXPECT_TRUE(watch.dirty(id));  // a query does not clear the bit
+  EXPECT_EQ(watch.drain(id), std::vector<std::uint32_t>{0});
+
+  EXPECT_FALSE(watch.dirty(id));
+  poke(hv, d, 4 * kFrameSize);  // re-marks after the drain
+  EXPECT_TRUE(watch.dirty(id));
+  EXPECT_EQ(watch.drain(id), std::vector<std::uint32_t>{0});
 }
 
 TEST(WriteWatch, CrossFrameWriteMarksEveryTouchedIndex) {
@@ -89,7 +85,7 @@ TEST(WriteWatch, CrossFrameWriteMarksEveryTouchedIndex) {
 
   const Bytes span(64, 0xCD);
   hv.domain(d).memory().write(5 * kFrameSize - 16, ByteView(span));
-  EXPECT_EQ(watch.dirty_indices(id), (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(watch.drain(id), (std::vector<std::uint32_t>{0, 1}));
 }
 
 TEST(WriteWatch, UnwatchedWritesAdvanceDomainGenerationOnly) {
@@ -119,7 +115,7 @@ TEST(WriteWatch, SnapshotRestoreBulkInvalidates) {
   // EVERY index goes dirty and the domain generation advances.
   hv.restore(snap);
   EXPECT_TRUE(watch.dirty(id));
-  EXPECT_EQ(watch.dirty_indices(id).size(), 3u);
+  EXPECT_EQ(watch.drain(id).size(), 3u);
   EXPECT_GT(watch.domain_write_generation(d), gen0);
 }
 
@@ -153,9 +149,8 @@ TEST(WriteWatch, DropDomainExpiresItsWatches) {
 
   hv.destroy_domain(d);
   EXPECT_FALSE(watch.dirty(id));  // expired ids answer clean/empty
-  EXPECT_TRUE(watch.dirty_indices(id).empty());
+  EXPECT_TRUE(watch.drain(id).empty());
   EXPECT_TRUE(watch.watched_frames(id).empty());
-  EXPECT_FALSE(watch.domain_has_dirty_watch(d));
   EXPECT_EQ(watch.domain_write_generation(d), 0u);
   watch.unregister(id);  // double-teardown is a no-op, not an error
 }
@@ -219,7 +214,7 @@ TEST(WriteWatch, ConcurrentWritersQueriesAndChurnAreRaceFree) {
   std::thread querier([&] {
     while (!stop.load()) {
       watch.dirty(w1);
-      watch.dirty_indices(w2);
+      watch.dirty(w2);
       watch.domain_write_generation(d1);
       watch.drain(w2);
     }
